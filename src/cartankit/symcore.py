@@ -11,6 +11,7 @@ chart's box with witness reporting.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
@@ -83,7 +84,7 @@ class Expr:
     :func:`canon` or :func:`is_zero` to normalize/decide.
     """
 
-    __slots__ = ("_hash", "_canonical", "_key")
+    __slots__ = ("_hash", "_canonical", "_key", "__weakref__")
 
     def __init__(self):
         self._canonical = None
@@ -595,41 +596,86 @@ def _make_term(coeff: Fraction, monomial: Optional[Expr]) -> Expr:
     return Mul((Const(coeff), monomial))
 
 
+# Hash-consing table (Filliatre & Conchon 2006): the node kind plus its
+# canonical children -> the canonical form.  Keys hold canonical nodes only,
+# never raw trees; values are held weakly, so an entry dies with its
+# canonical form and the table keeps only what the process still references.
+_HASHCONS: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+
+
 def canon(e: Expr) -> Expr:
     """Canonical form: folded constants, flat ordered sums/products with
     like terms collected exactly.  Idempotent; performs no trigonometric or
-    quotient rewriting."""
+    quotient rewriting.
+
+    Walks the tree in post order without recursion, so depth is unbounded,
+    and hash-conses: structurally equal inputs share one canonical object.
+    """
     if e._canonical is not None:
         return e._canonical
-    result = _canon(e)
-    result._canonical = result
-    e._canonical = result
-    return result
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if node._canonical is not None:
+            stack.pop()
+            continue
+        waiting = [c for c in node.children() if c._canonical is None]
+        if waiting:
+            stack.extend(waiting)
+            continue
+        stack.pop()
+        key = _hashcons_key(node)
+        if key is None:
+            result = node
+        else:
+            result = _HASHCONS.get(key)
+            if result is None:
+                result = _canon_children(key)
+                _HASHCONS[key] = result
+        result._canonical = result
+        node._canonical = result
+    return e._canonical
 
 
-def _canon(e: Expr) -> Expr:
-    if isinstance(e, (Const, Sym)):
-        return e
-    if isinstance(e, Neg):
-        return canon(Mul((Const(-1), e.operand)))
-    if isinstance(e, Add):
-        return _canon_add(e)
-    if isinstance(e, Mul):
-        return _canon_mul(e)
-    if isinstance(e, Div):
-        return _canon_div(e)
-    if isinstance(e, Pow):
-        return _canon_pow(canon(e.base), e.exponent)
-    if isinstance(e, Call):
-        return _canon_call(e.func, canon(e.arg))
-    raise TypeError(f"cannot canonicalize {type(e).__name__}")
+def _hashcons_key(node: Expr) -> Optional[tuple]:
+    """Node kind plus canonical children; None for a leaf (its own form)."""
+    if isinstance(node, Add):
+        return ("a",) + tuple(t._canonical for t in node.terms)
+    if isinstance(node, Mul):
+        return ("m",) + tuple(f._canonical for f in node.factors)
+    if isinstance(node, Div):
+        return ("d", node.num._canonical, node.den._canonical)
+    if isinstance(node, Pow):
+        return ("p", node.base._canonical, node.exponent)
+    if isinstance(node, Call):
+        return ("f", node.func, node.arg._canonical)
+    if isinstance(node, Neg):
+        return ("n", node.operand._canonical)
+    if isinstance(node, (Const, Sym)):
+        return None
+    raise TypeError(f"cannot canonicalize {type(node).__name__}")
 
 
-def _canon_add(e: Add) -> Expr:
+def _canon_children(key: tuple) -> Expr:
+    kind = key[0]
+    if kind == "a":
+        return _canon_add(key[1:])
+    if kind == "m":
+        return _canon_mul(key[1:])
+    if kind == "d":
+        return _canon_div(key[1], key[2])
+    if kind == "p":
+        return _canon_pow(key[1], key[2])
+    if kind == "f":
+        return _canon_call(key[1], key[2])
+    return _canon_mul((Const(-1), key[1]))
+
+
+def _canon_add(terms: tuple) -> Expr:
     constant = Fraction(0)
     collected: dict = {}
     order: list = []
-    stack = list(reversed(e.terms))
+    stack = list(reversed(terms))
 
     def _collect(coeff, monomial):
         nonlocal constant
@@ -670,11 +716,11 @@ def _canon_add(e: Add) -> Expr:
     return Add(tuple(terms))
 
 
-def _canon_mul(e: Mul) -> Expr:
+def _canon_mul(factors: tuple) -> Expr:
     coeff = Fraction(1)
     powers: dict = {}
     order: list = []
-    stack = list(reversed(e.factors))
+    stack = list(reversed(factors))
     while stack:
         part = canon(stack.pop())
         if isinstance(part, Mul):
@@ -718,11 +764,9 @@ def _canon_mul(e: Mul) -> Expr:
     return Mul(tuple(clean))
 
 
-def _canon_div(e: Div) -> Expr:
-    num = canon(e.num)
-    den = canon(e.den)
+def _canon_div(num: Expr, den: Expr) -> Expr:
     if isinstance(den, Const) and den.value != 0:
-        return canon(Mul((Const(1 / den.value), num)))
+        return _canon_mul((Const(1 / den.value), num))
     if isinstance(num, Const) and num.value == 0 and not (
         isinstance(den, Const) and den.value == 0
     ):

@@ -6,13 +6,16 @@ implementation existed and are asserted against the canonical form.
 
 from __future__ import annotations
 
+import gc
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cartankit import symcore
 from cartankit.symcore import (
     Add,
     Call,
@@ -138,6 +141,45 @@ def test_canonical_order_is_stable():
     assert canon(p("y + x")) == canon(p("x + y"))
     assert canon(p("y*x")) == canon(p("x*y"))
     assert to_text(canon(p("y + x"))) == "x + y"
+
+
+# -- hash-consing ------------------------------------------------------------
+
+
+def test_structurally_equal_trees_share_one_canonical_form():
+    text = "sin(x)*y + x^2/y - 3*(x - y)"
+    a, b = p(text), p(text)
+    assert a is not b
+    assert canon(a) is canon(b)
+
+
+def test_deep_left_nested_trees_canonicalise():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        x = Sym("x")
+        total = x
+        for _ in range(399):
+            total = total + x
+        assert canon(total) == Mul((Const(400), x))
+        product = x
+        for _ in range(1499):
+            product = product * x
+        assert canon(product) == Pow(x, 1500)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_hashcons_table_releases_dead_forms():
+    probe = Sym("hashcons_probe")
+    key = ("a", probe, probe)
+    e = Add((probe, probe))
+    form = canon(e)
+    assert form == Mul((Const(2), probe))
+    assert symcore._HASHCONS.get(key) is form
+    del e, form
+    gc.collect()
+    assert key not in symcore._HASHCONS
 
 
 # -- differentiation (hand-frozen oracles) ----------------------------------
