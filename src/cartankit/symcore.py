@@ -729,7 +729,7 @@ def _canon_mul(factors: tuple) -> Expr:
         if isinstance(part, Const):
             coeff *= part.value
             continue
-        if isinstance(part, Pow) and not isinstance(part.base, Div):
+        if isinstance(part, Pow):
             base, exponent = part.base, part.exponent
         else:
             base, exponent = part, 1
