@@ -10,6 +10,7 @@ chart's box with witness reporting.
 
 from __future__ import annotations
 
+import copy
 import math
 import weakref
 from dataclasses import dataclass
@@ -75,6 +76,12 @@ def _coerce(value) -> "Expr":
     if isinstance(value, (int, Fraction)):
         return Const(Fraction(value))
     raise TypeError(f"cannot use {value!r} as an expression")
+
+
+# The ``_canonical`` slot of a node that is its own canonical form.  Pointing
+# the node at itself would make a reference cycle, which only the cyclic
+# garbage collector frees.
+_IS_CANONICAL = object()
 
 
 class Expr:
@@ -310,6 +317,7 @@ class Call(Expr):
 
 ZERO = Const(0)
 ONE = Const(1)
+ZERO._canonical = ONE._canonical = _IS_CANONICAL
 
 
 def const(value) -> Const:
@@ -599,7 +607,9 @@ def _make_term(coeff: Fraction, monomial: Optional[Expr]) -> Expr:
 # Hash-consing table (Filliatre & Conchon 2006): the node kind plus its
 # canonical children -> the canonical form.  Keys hold canonical nodes only,
 # never raw trees; values are held weakly, so an entry dies with its
-# canonical form and the table keeps only what the process still references.
+# canonical form.  A canonical node never changes once built, and no value
+# is reachable from its own key, so the table keeps only what the process
+# still references.
 _HASHCONS: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
 
 
@@ -611,8 +621,9 @@ def canon(e: Expr) -> Expr:
     Walks the tree in post order without recursion, so depth is unbounded,
     and hash-conses: structurally equal inputs share one canonical object.
     """
-    if e._canonical is not None:
-        return e._canonical
+    form = _form(e)
+    if form is not None:
+        return form
     stack = [e]
     while stack:
         node = stack[-1]
@@ -626,31 +637,52 @@ def canon(e: Expr) -> Expr:
         stack.pop()
         key = _hashcons_key(node)
         if key is None:
-            result = node
-        else:
-            result = _HASHCONS.get(key)
-            if result is None:
-                result = _canon_children(key)
-                _HASHCONS[key] = result
-        result._canonical = result
-        node._canonical = result
-    return e._canonical
+            node._canonical = _IS_CANONICAL
+            continue
+        form = _HASHCONS.get(key)
+        if form is None:
+            form = _canon_children(key)
+            if form._canonical is None:
+                _mark_canonical(form)
+            else:
+                # An existing form, such as ZERO or the x of x + 0, may be
+                # held by the key itself and would then never die.
+                form = copy.copy(form)
+            _HASHCONS[key] = form
+        node._canonical = form
+    return _form(e)
+
+
+def _form(node: Expr) -> Optional[Expr]:
+    """The node's canonical form, or None if not yet computed."""
+    form = node._canonical
+    return node if form is _IS_CANONICAL else form
+
+
+def _mark_canonical(form: Expr) -> None:
+    """Mark a freshly built form and its freshly built subterms canonical."""
+    stack = [form]
+    while stack:
+        node = stack.pop()
+        if node._canonical is None:
+            node._canonical = _IS_CANONICAL
+            stack.extend(node.children())
 
 
 def _hashcons_key(node: Expr) -> Optional[tuple]:
     """Node kind plus canonical children; None for a leaf (its own form)."""
     if isinstance(node, Add):
-        return ("a",) + tuple(t._canonical for t in node.terms)
+        return ("a",) + tuple(map(_form, node.terms))
     if isinstance(node, Mul):
-        return ("m",) + tuple(f._canonical for f in node.factors)
+        return ("m",) + tuple(map(_form, node.factors))
     if isinstance(node, Div):
-        return ("d", node.num._canonical, node.den._canonical)
+        return ("d", _form(node.num), _form(node.den))
     if isinstance(node, Pow):
-        return ("p", node.base._canonical, node.exponent)
+        return ("p", _form(node.base), node.exponent)
     if isinstance(node, Call):
-        return ("f", node.func, node.arg._canonical)
+        return ("f", node.func, _form(node.arg))
     if isinstance(node, Neg):
-        return ("n", node.operand._canonical)
+        return ("n", _form(node.operand))
     if isinstance(node, (Const, Sym)):
         return None
     raise TypeError(f"cannot canonicalize {type(node).__name__}")
@@ -671,11 +703,11 @@ def _canon_children(key: tuple) -> Expr:
     return _canon_mul((Const(-1), key[1]))
 
 
-def _canon_add(terms: tuple) -> Expr:
+def _canon_add(parts: tuple) -> Expr:
     constant = Fraction(0)
     collected: dict = {}
     order: list = []
-    stack = list(reversed(terms))
+    stack = list(reversed(parts))
 
     def _collect(coeff, monomial):
         nonlocal constant
@@ -688,7 +720,7 @@ def _canon_add(terms: tuple) -> Expr:
             order.append(monomial)
 
     while stack:
-        part = canon(stack.pop())
+        part = stack.pop()
         if isinstance(part, Add):
             stack.extend(reversed(part.terms))
             continue
@@ -716,13 +748,13 @@ def _canon_add(terms: tuple) -> Expr:
     return Add(tuple(terms))
 
 
-def _canon_mul(factors: tuple) -> Expr:
+def _canon_mul(parts: tuple) -> Expr:
     coeff = Fraction(1)
     powers: dict = {}
     order: list = []
-    stack = list(reversed(factors))
+    stack = list(reversed(parts))
     while stack:
-        part = canon(stack.pop())
+        part = stack.pop()
         if isinstance(part, Mul):
             stack.extend(reversed(part.factors))
             continue
@@ -788,7 +820,7 @@ def _canon_pow(base: Expr, exponent: int) -> Expr:
     if isinstance(base, Pow):
         return _canon_pow(base.base, base.exponent * exponent)
     if isinstance(base, Mul):
-        return canon(Mul(tuple(Pow(f, exponent) for f in base.factors)))
+        return _canon_mul(tuple(_canon_pow(f, exponent) for f in base.factors))
     return Pow(base, exponent)
 
 

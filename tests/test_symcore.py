@@ -23,6 +23,7 @@ from cartankit.symcore import (
     Const,
     Div,
     DomainError,
+    Expr,
     Mul,
     Neg,
     ParseError,
@@ -171,15 +172,24 @@ def test_deep_left_nested_trees_canonicalise():
 
 
 def test_hashcons_table_releases_dead_forms():
-    probe = Sym("hashcons_probe")
-    key = ("a", probe, probe)
-    e = Add((probe, probe))
-    form = canon(e)
-    assert form == Mul((Const(2), probe))
-    assert symcore._HASHCONS.get(key) is form
-    del e, form
+    def probe_keys():
+        return [
+            key
+            for key in symcore._HASHCONS.keys()
+            if any(isinstance(c, Expr) and "hashcons_probe" in c.symbols() for c in key[1:])
+        ]
+
+    probe = Call("exp", Sym("hashcons_probe"))
+    # The first form is new; the second is the exp(...) inside its own key;
+    # the third is the module constant ZERO, which never dies.  No entry may
+    # outlive the forms handed out.
+    exprs = [Add((probe, probe)), Add((probe, Const(0))), Add((probe, Neg(probe)))]
+    forms = [canon(e) for e in exprs]
+    assert forms == [Mul((Const(2), canon(probe))), canon(probe), Const(0)]
+    assert len(probe_keys()) == 5  # exp, its negation and the three sums
+    del probe, exprs, forms
     gc.collect()
-    assert key not in symcore._HASHCONS
+    assert probe_keys() == []
 
 
 # -- differentiation (hand-frozen oracles) ----------------------------------
