@@ -59,7 +59,7 @@ from .cartan import (
     transitive_symmetry_check,
 )
 from .connections import TMConnection, christoffel
-from .symcore import Chart, Expr, ZeroPolicy, canon, is_zero, parse, to_text
+from .symcore import Chart, DomainError, Expr, ZeroPolicy, canon, is_zero, parse, to_text
 
 _SCHEMA_PATH = Path(__file__).resolve().parent.parent.parent / "schema" / "geometry_spec.schema.json"
 
@@ -651,7 +651,7 @@ def _metric_checks(ws: Workspace) -> List[dict]:
                     witness=[float(x) for x in bad],
                 )
             )
-    except ZeroDivisionError:
+    except (ZeroDivisionError, DomainError):
         checks.append(_check_dict("metric_nondegenerate", "undecidable", "undecidable"))
     return checks
 

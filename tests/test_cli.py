@@ -178,6 +178,20 @@ def test_validate_degenerate_metric_fails_not_errors(capsys, tmp_path):
     assert names["metric_nondegenerate"] == "fail"
 
 
+def test_validate_undefined_determinant_is_undecidable_not_a_crash(capsys, tmp_path):
+    # The determinant 1/x is undefined at the box midpoint x = 0.
+    doc = {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y"], "box": [[-1, 1], [-1, 1]]},
+        "metric": [["1/x", "0"], ["0", "1"]],
+    }
+    code, rep = invoke(capsys, "validate", write_doc(tmp_path, doc))
+    assert code == 1
+    assert rep["status"] == "undecidable"
+    names = {c["name"]: c["status"] for c in rep["checks"]}
+    assert names["metric_nondegenerate"] == "undecidable"
+
+
 # ---------------------------------------------------------------------------
 # check pipelines
 # ---------------------------------------------------------------------------
