@@ -618,7 +618,7 @@ def canon(e: Expr) -> Expr:
     like terms collected exactly.  Idempotent; performs no trigonometric or
     quotient rewriting.
 
-    Walks the tree in post order without recursion, so depth is unbounded,
+    Walks the tree in post order with an explicit stack, not recursion,
     and hash-conses: structurally equal inputs share one canonical object.
     """
     form = _form(e)
@@ -700,7 +700,7 @@ def _canon_children(key: tuple) -> Expr:
         return _canon_pow(key[1], key[2])
     if kind == "f":
         return _canon_call(key[1], key[2])
-    return _canon_mul((Const(-1), key[1]))
+    return _canon_mul((Const(-1), key[1]))  # "n": -a is (-1)*a
 
 
 def _canon_add(parts: tuple) -> Expr:
