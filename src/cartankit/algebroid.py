@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .bundles import Section, TensorField, as_expr
 from .symcore import (
     Chart,
     Const,
-    Expr,
     Sym,
     ZeroPolicy,
     ZeroVerdict,
@@ -29,6 +28,7 @@ from .symcore import (
     diff,
     evaluate,
     is_zero,
+    sym_det,
 )
 
 __all__ = [
@@ -503,7 +503,7 @@ def build_foliation_algebroid(
         raise ValueError("frame degenerate at the midpoint")
 
     sub = [[cols[i, a] for a in range(k)] for i in best_rows]
-    det = _sym_det(sub)
+    det = sym_det(sub)
 
     structure = [[[Const(0)] * k for _ in range(k)] for _ in range(k)]
     for a in range(k):
@@ -518,7 +518,7 @@ def build_foliation_algebroid(
                     ]
                     for r in range(k)
                 ]
-                coeffs.append(canon(_sym_det(replaced) / det))
+                coeffs.append(canon(sym_det(replaced) / det))
             # verify the rows not used in the solve
             for i in range(n):
                 residual = w.components[i]
@@ -537,18 +537,6 @@ def build_foliation_algebroid(
 
     rho = [[frame[a].components[i] for a in range(k)] for i in range(n)]
     return Algebroid(chart, k, rho, structure, origin="foliation")
-
-
-def _sym_det(M: List[List[Expr]]) -> Expr:
-    k = len(M)
-    if k == 1:
-        return M[0][0]
-    total = Const(0)
-    for col in range(k):
-        minor = [row[:col] + row[col + 1 :] for row in M[1:]]
-        term = M[0][col] * _sym_det(minor)
-        total = total + term if col % 2 == 0 else total - term
-    return canon(total)
 
 
 # ------------------------------------------------------------------- orbits

@@ -186,7 +186,7 @@ class TensorField:
         self.components = arr
         self.symmetric = tuple(tuple(p) for p in symmetric)
         self.antisymmetric = tuple(tuple(p) for p in antisymmetric)
-        self._check_declared_pairs(policy or ZeroPolicy())
+        self.check_pairs(self.symmetric, self.antisymmetric, policy)
 
     @property
     def ndim(self) -> int:
@@ -269,8 +269,16 @@ class TensorField:
         if other.slots != self.slots or other.shape != self.shape:
             raise ValueError("tensor signature mismatch")
 
-    def _check_declared_pairs(self, policy: ZeroPolicy):
-        for sign, pairs in ((-1, self.symmetric), (1, self.antisymmetric)):
+    def check_pairs(
+        self,
+        symmetric: Iterable = (),
+        antisymmetric: Iterable = (),
+        policy: Optional[ZeroPolicy] = None,
+    ):
+        """Raise ValueError unless the components are symmetric /
+        antisymmetric under swapping each given pair of slots."""
+        policy = policy or ZeroPolicy()
+        for sign, pairs in ((-1, symmetric), (1, antisymmetric)):
             for i, j in pairs:
                 if not (0 <= i < self.ndim and 0 <= j < self.ndim) or i == j:
                     raise ValueError(f"bad symmetry pair ({i}, {j})")

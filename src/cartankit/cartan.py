@@ -19,6 +19,7 @@ disagreement as an internal bug, not as a property of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,7 +49,19 @@ from .connections import (
     torsion_g,
 )
 from .jet import JetSection, jet_bracket, jet_scale, splitting_curvature, splitting_from_connection
-from .symcore import Chart, Const, Expr, ZeroPolicy, canon, diff, evaluate, is_zero
+from .symcore import (
+    Add,
+    Chart,
+    Const,
+    Expr,
+    ZeroPolicy,
+    adjugate_inverse,
+    canon,
+    diff,
+    evaluate,
+    is_zero,
+    sym_det,
+)
 
 __all__ = [
     "Verdict",
@@ -689,19 +702,12 @@ def riemann_pipeline(
                 )
 
     # pointwise nondegeneracy over the sampling box
-    dets = []
-    points = list(chart.sample_points(policy.samples, policy.seed))
-    points.append(np.array(chart.midpoint()))
-    det_expr = _det_expr([[sigma[i, j] for j in range(n)] for i in range(n)])
-    for p in points:
-        val = evaluate(det_expr, chart.env(p))
-        dets.append(val)
+    det = sym_det([[sigma[i, j] for j in range(n)] for i in range(n)])
+    bad = chart.vanishing_witness(det, policy.samples, policy.seed)
+    if bad is not None:
+        p, val = bad
         if abs(val) <= 1e-9:
-            raise ValueError(
-                f"degenerate metric at {tuple(float(x) for x in p)}: "
-                f"det = {val}"
-            )
-    if min(dets) < 0.0 < max(dets):
+            raise ValueError(f"degenerate metric at {p}: det = {val}")
         raise ValueError("metric changes signature inside the box")
 
     lc = christoffel(sigma)
@@ -816,18 +822,6 @@ def _riemann_tangent_action(g_red: Algebroid, lc: TMConnection, frames_full):
             for k in range(n):
                 A[n + p, mm, k] = canon(-E[k, mm])
     return GConnection(g_red, A, target="tm")
-
-
-def _det_expr(M) -> Expr:
-    k = len(M)
-    if k == 1:
-        return M[0][0]
-    total = Const(0)
-    for col in range(k):
-        minor = [row[:col] + row[col + 1 :] for row in M[1:]]
-        term = M[0][col] * _det_expr(minor)
-        total = total + term if col % 2 == 0 else total - term
-    return canon(total)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,24 +1025,56 @@ def _form_degree(rep: GConnection, theta: TensorField) -> int:
     return len(args)
 
 
-def _check_antisymmetric(theta: TensorField, policy):
-    k = theta.ndim - 1
-    for i in range(k):
-        for j in range(i + 1, k):
-            for idx in np.ndindex(*theta.shape):
-                if idx[i] >= idx[j]:
-                    continue
-                swapped = list(idx)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                v = is_zero(
-                    theta.components[idx] + theta.components[tuple(swapped)],
-                    theta.chart,
-                    policy,
-                )
-                if not v.zero:
-                    raise ValueError(
-                        f"form is not antisymmetric at {idx} (slots {i},{j})"
-                    )
+def _argument_pairs(k: int) -> tuple:
+    """Adjacent argument slots of a k-form; swaps of these generate all."""
+    return tuple((i, i + 1) for i in range(k - 1))
+
+
+def _alternating_sum(
+    rep: GConnection, theta: TensorField, lead, K, sign: int, r: int
+) -> TensorField:
+    """The (k+1)-form, with values in ``rep``'s target,
+
+        sum_i (-1)^i L(a_i; rest)
+          + sign * sum_{i<j} (-1)^(i+j) sum_d K[a_i, a_j, d] theta[d, rest]
+
+    of a k-form ``theta`` on a rank-``r`` algebroid; ``lead(a, rest)``
+    returns L as a list over the value index.  The formula is evaluated on
+    strictly increasing argument tuples only: every permutation of one
+    gets its value times the permutation's sign, and entries with a
+    repeated argument are zero.  ``sign`` multiplies each K term rather
+    than K itself, so K terms collect exactly when K is a sum.
+    """
+    k, w = theta.ndim - 1, rep.target_rank
+    out = np.empty((r,) * (k + 1) + (w,), dtype=object)
+    out[...] = Const(0)
+    for args in combinations(range(r), k + 1):
+        terms = [[] for _ in range(w)]
+        for i, a in enumerate(args):
+            for be, t in enumerate(lead(a, args[:i] + args[i + 1 :])):
+                terms[be].append(t if i % 2 == 0 else -t)
+        for (i, a), (j, b) in combinations(enumerate(args), 2):
+            rest = tuple(c for c in args if c not in (a, b))
+            plus = (-1) ** (i + j) * sign > 0
+            for d in range(r):
+                for be in range(w):
+                    t = K[a, b, d] * theta[(d,) + rest + (be,)]
+                    terms[be].append(t if plus else -t)
+        for be in range(w):
+            value = canon(Add(terms[be]))
+            # 0 - value spreads the sign over a sum's terms, as evaluating
+            # the formula on the swapped arguments would; canon(-value)
+            # would keep (-1)*(sum) as a single term.
+            swapped = canon(Const(0) - value)
+            for perm in permutations(range(k + 1)):
+                odd = sum(p > q for p, q in combinations(perm, 2)) % 2
+                out[tuple(args[p] for p in perm) + (be,)] = swapped if odd else value
+    return TensorField(
+        theta.chart,
+        ((LOW, G),) * (k + 1) + ((UP, rep.target_tag),),
+        out,
+        antisymmetric=_argument_pairs(k + 1),
+    )
 
 
 def exterior_derivative(
@@ -1058,79 +1084,34 @@ def exterior_derivative(
 ) -> TensorField:
     """Alternating derivative of a form with values in a flat action.
 
-    Degree 0, 1 and 2 only — that is all the downstream identities
-    need, and the hand-expanded frame formulas stay readable.  Squares
-    to zero precisely because the action is flat, which is checked on
-    entry.
+    One frame formula for every degree: each argument acts on theta at
+    the remaining ones, alternated, minus theta at the brackets of
+    argument pairs.  Inputs of degree 0, 1 and 2 only -- that is all the
+    downstream identities need.  The output is antisymmetric by
+    construction.  Squares to zero precisely because the action is flat,
+    which is checked on entry.
     """
     policy = policy or ZeroPolicy()
     _require_flat(rep, policy, "exterior_derivative")
     g = rep.g
-    chart = g.chart
-    r, w = g.rank, rep.target_rank
+    w = rep.target_rank
     k = _form_degree(rep, theta)
     if k > 2:
         raise ValueError("degree > 2 is not supported")
-    _check_antisymmetric(theta, policy)
+    theta.check_pairs(antisymmetric=_argument_pairs(k), policy=policy)
 
-    def act(a: int, comps) -> list:
-        """Directional derivative of a component vector along frame a."""
-        out = []
-        for be in range(w):
-            total = Const(0)
-            for i, name in enumerate(chart.coords):
-                total = total + g.rho[i, a] * diff(comps[be], name)
-            for ga in range(w):
-                total = total + rep.A[a, ga, be] * comps[ga]
-            out.append(total)
-        return out
+    def act(a: int, rest: tuple) -> list:
+        """Derivative of theta[rest] along frame a, per value component."""
+        comps = [theta[rest + (be,)] for be in range(w)]
+        return [
+            Add(
+                [g.rho[i, a] * diff(comps[be], x) for i, x in enumerate(g.chart.coords)]
+                + [rep.A[a, ga, be] * comps[ga] for ga in range(w)]
+            )
+            for be in range(w)
+        ]
 
-    if k == 0:
-        out = np.empty((r, w), dtype=object)
-        for a in range(r):
-            derived = act(a, [theta.components[(be,)] for be in range(w)])
-            for be in range(w):
-                out[a, be] = canon(derived[be])
-        return TensorField(chart, ((LOW, G), (UP, rep.target_tag)), out)
-
-    if k == 1:
-        out = np.empty((r, r, w), dtype=object)
-        for a in range(r):
-            for b in range(r):
-                lead_a = act(a, [theta[b, be] for be in range(w)])
-                lead_b = act(b, [theta[a, be] for be in range(w)])
-                for be in range(w):
-                    total = lead_a[be] - lead_b[be]
-                    for d in range(r):
-                        total = total - g.structure[a, b, d] * theta[d, be]
-                    out[a, b, be] = canon(total)
-        return TensorField(
-            chart,
-            ((LOW, G), (LOW, G), (UP, rep.target_tag)),
-            out,
-            antisymmetric=((0, 1),),
-        )
-
-    out = np.empty((r, r, r, w), dtype=object)
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                d_a = act(a, [theta[b, c, be] for be in range(w)])
-                d_b = act(b, [theta[a, c, be] for be in range(w)])
-                d_c = act(c, [theta[a, b, be] for be in range(w)])
-                for be in range(w):
-                    total = d_a[be] - d_b[be] + d_c[be]
-                    for d in range(r):
-                        total = total - g.structure[a, b, d] * theta[d, c, be]
-                        total = total + g.structure[a, c, d] * theta[d, b, be]
-                        total = total - g.structure[b, c, d] * theta[d, a, be]
-                    out[a, b, c, be] = canon(total)
-    return TensorField(
-        chart,
-        ((LOW, G), (LOW, G), (LOW, G), (UP, rep.target_tag)),
-        out,
-        antisymmetric=((0, 1), (1, 2)),
-    )
+    return _alternating_sum(rep, theta, act, g.structure, 1, g.rank)
 
 
 def dtheta_decomposition(
@@ -1151,12 +1132,10 @@ def dtheta_decomposition(
     policy = policy or ZeroPolicy()
     if rep_on_g.target != "self":
         raise ValueError("rep_on_g must act on the algebroid itself")
-    g = rep_on_g.g
-    r, w = g.rank, rep.target_rank
     k = _form_degree(rep, theta)
     if k not in (1, 2):
         raise ValueError("decomposition applies to degree 1 and 2 forms")
-    _check_antisymmetric(theta, policy)
+    theta.check_pairs(antisymmetric=_argument_pairs(k), policy=policy)
     if rep.target == "self":
         same = all(
             canon(rep.A[idx] - rep_on_g.A[idx]) == Const(0)
@@ -1170,41 +1149,12 @@ def dtheta_decomposition(
         D = g_tensor_deriv(theta, rep_g=rep_on_g)
     else:
         D = g_tensor_deriv(theta, rep_g=rep_on_g, rep_tm=rep)
+
+    def derivative(a: int, rest: tuple) -> list:
+        return [D[rest + (be, a)] for be in range(rep.target_rank)]
+
     T = torsion_g(rep_on_g)
-
-    if k == 1:
-        out = np.empty((r, r, w), dtype=object)
-        for a in range(r):
-            for b in range(r):
-                for be in range(w):
-                    total = D[b, be, a] - D[a, be, b]
-                    for d in range(r):
-                        total = total + T[a, b, d] * theta[d, be]
-                    out[a, b, be] = canon(total)
-        return TensorField(
-            g.chart,
-            ((LOW, G), (LOW, G), (UP, rep.target_tag)),
-            out,
-            antisymmetric=((0, 1),),
-        )
-
-    out = np.empty((r, r, r, w), dtype=object)
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                for be in range(w):
-                    total = D[b, c, be, a] - D[a, c, be, b] + D[a, b, be, c]
-                    for d in range(r):
-                        total = total + T[a, b, d] * theta[d, c, be]
-                        total = total - T[a, c, d] * theta[d, b, be]
-                        total = total + T[b, c, d] * theta[d, a, be]
-                    out[a, b, c, be] = canon(total)
-    return TensorField(
-        g.chart,
-        ((LOW, G), (LOW, G), (LOW, G), (UP, rep.target_tag)),
-        out,
-        antisymmetric=((0, 1), (1, 2)),
-    )
+    return _alternating_sum(rep, theta, derivative, T, -1, rep_on_g.g.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -1237,34 +1187,18 @@ class Parallelism:
         self.omega = out
 
         n = chart.dim
-        det = _det_expr([[out[a, i] for i in range(n)] for a in range(n)])
-        points = list(chart.sample_points(32, seed=0))
-        points.append(np.array(chart.midpoint()))
-        for p in points:
-            val = evaluate(det, chart.env(p))
+        M = [[out[a, i] for i in range(n)] for a in range(n)]
+        det = sym_det(M)
+        bad = chart.vanishing_witness(det, 32, seed=0)
+        if bad is not None:
+            p, val = bad
             if abs(val) <= 1e-9:
-                raise ValueError(
-                    f"coframe is singular at {tuple(float(x) for x in p)}: "
-                    f"det = {val}"
-                )
-        self._det = det
-        self._inverse = self._build_inverse()
-
-    def _build_inverse(self):
-        n = self.chart.dim
-        M = [[self.omega[a, i] for i in range(n)] for a in range(n)]
-        inv = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for a in range(n):
-                minor = [
-                    [M[row][col] for col in range(n) if col != i]
-                    for row in range(n)
-                    if row != a
-                ]
-                cof = _det_expr(minor) if minor else Const(1)
-                sign = Const(1) if (i + a) % 2 == 0 else Const(-1)
-                inv[i, a] = canon(sign * cof / self._det)
-        return inv
+                raise ValueError(f"coframe is singular at {p}: det = {val}")
+            raise ValueError(
+                f"coframe is singular inside the box: det = {val} at {p} has "
+                f"the opposite sign to the midpoint's"
+            )
+        self._inverse = adjugate_inverse(M, det)
 
     @property
     def inverse(self):

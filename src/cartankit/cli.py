@@ -59,7 +59,17 @@ from .cartan import (
     transitive_symmetry_check,
 )
 from .connections import TMConnection, christoffel
-from .symcore import Chart, DomainError, Expr, ZeroPolicy, canon, is_zero, parse, to_text
+from .symcore import (
+    Chart,
+    DomainError,
+    Expr,
+    ZeroPolicy,
+    canon,
+    is_zero,
+    parse,
+    sym_det,
+    to_text,
+)
 
 _SCHEMA_PATH = Path(__file__).resolve().parent.parent.parent / "schema" / "geometry_spec.schema.json"
 
@@ -628,31 +638,23 @@ def _metric_checks(ws: Workspace) -> List[dict]:
     if witness is not None:
         d["witness"] = [float(x) for x in witness]
     checks.append(d)
+    det = sym_det([[sigma[i, j] for j in range(n)] for i in range(n)])
     try:
-        from .cartan import _det_expr
-        from .symcore import evaluate
-
-        det = _det_expr([[sigma[i, j] for j in range(n)] for i in range(n)])
-        points = list(chart.sample_points(policy.samples, policy.seed))
-        points.append(np.array(chart.midpoint()))
-        bad = None
-        for p in points:
-            if abs(evaluate(det, chart.env(p))) <= 1e-9:
-                bad = p
-                break
-        if bad is None:
-            checks.append(_check_dict("metric_nondegenerate", "pass", "probabilistic"))
-        else:
-            checks.append(
-                _check_dict(
-                    "metric_nondegenerate",
-                    "fail",
-                    "probabilistic",
-                    witness=[float(x) for x in bad],
-                )
-            )
+        bad = chart.vanishing_witness(det, policy.samples, policy.seed)
     except (ZeroDivisionError, DomainError):
         checks.append(_check_dict("metric_nondegenerate", "undecidable", "undecidable"))
+        return checks
+    if bad is None:
+        checks.append(_check_dict("metric_nondegenerate", "pass", "probabilistic"))
+    else:
+        checks.append(
+            _check_dict(
+                "metric_nondegenerate",
+                "fail",
+                "probabilistic",
+                witness=list(bad[0]),
+            )
+        )
     return checks
 
 

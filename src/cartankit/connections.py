@@ -22,7 +22,16 @@ import numpy as np
 
 from .algebroid import Algebroid
 from .bundles import LOW, TM, UP, G, Section, TensorField, as_expr
-from .symcore import Chart, Const, Expr, ZeroPolicy, canon, diff, is_zero
+from .symcore import (
+    Chart,
+    Const,
+    ZeroPolicy,
+    adjugate_inverse,
+    canon,
+    diff,
+    is_zero,
+    sym_det,
+)
 
 __all__ = [
     "TMConnection",
@@ -566,18 +575,6 @@ def morphism_curvature(
 # ------------------------------------------------------------------ riemannian
 
 
-def _sym_det_np(M) -> Expr:
-    k = len(M)
-    if k == 1:
-        return M[0][0]
-    total = Const(0)
-    for col in range(k):
-        minor = [row[:col] + row[col + 1 :] for row in M[1:]]
-        term = M[0][col] * _sym_det_np(minor)
-        total = total + term if col % 2 == 0 else total - term
-    return canon(total)
-
-
 def metric_inverse(sigma: TensorField) -> TensorField:
     """Pointwise inverse of a (0,2) tensor via the adjugate.
 
@@ -590,19 +587,7 @@ def metric_inverse(sigma: TensorField) -> TensorField:
     chart = sigma.chart
     n = chart.dim
     M = [[sigma[i, j] for j in range(n)] for i in range(n)]
-    det = _sym_det_np(M)
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [M[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            cof = _sym_det_np(minor) if minor else Const(1)
-            sign = Const(1) if (i + j) % 2 == 0 else Const(-1)
-            out[i, j] = canon(sign * cof / det)
-    return TensorField(chart, ((UP, TM), (UP, TM)), out)
+    return TensorField(chart, ((UP, TM), (UP, TM)), adjugate_inverse(M, sym_det(M)))
 
 
 def christoffel(sigma: TensorField) -> TMConnection:

@@ -39,6 +39,8 @@ __all__ = [
     "diff",
     "evaluate",
     "is_zero",
+    "sym_det",
+    "adjugate_inverse",
     "const",
     "sym",
     "ZERO",
@@ -975,6 +977,42 @@ def _eval(e: Expr, env: dict) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Square matrices of expressions (lists of rows).
+# ---------------------------------------------------------------------------
+
+
+def sym_det(M) -> Expr:
+    """Determinant by cofactor expansion along the first row, canonical."""
+    k = len(M)
+    if k == 1:
+        return M[0][0]
+    total = Const(0)
+    for col in range(k):
+        minor = [row[:col] + row[col + 1 :] for row in M[1:]]
+        term = M[0][col] * sym_det(minor)
+        total = total + term if col % 2 == 0 else total - term
+    return canon(total)
+
+
+def adjugate_inverse(M, det: Expr) -> np.ndarray:
+    """Inverse as unevaluated quotients: entry [i, j] is the (j, i)
+    cofactor over ``det``.  The caller keeps ``det`` away from zero."""
+    n = len(M)
+    inv = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [M[row][col] for col in range(n) if col != i]
+                for row in range(n)
+                if row != j
+            ]
+            cof = sym_det(minor) if minor else Const(1)
+            sign = Const(1) if (i + j) % 2 == 0 else Const(-1)
+            inv[i, j] = canon(sign * cof / det)
+    return inv
+
+
+# ---------------------------------------------------------------------------
 # Charts and the two-tier zero test.
 # ---------------------------------------------------------------------------
 
@@ -1075,18 +1113,32 @@ class Chart:
     def midpoint(self) -> tuple:
         return tuple(float((lo + hi) / 2) for lo, hi in self.box)
 
+    def vanishing_witness(self, e: Expr, count: int, seed: int):
+        """Where ``e`` fails to be bounded away from zero on the box.
+
+        Evaluates ``e`` at ``count`` seeded samples and the midpoint; a
+        :class:`DomainError` anywhere propagates.  Returns None when every
+        |value| exceeds 1e-9 and every sample has the midpoint's sign.
+        Otherwise returns ``(point, value)``: the first near-zero point,
+        else the first sample whose sign is opposite to the midpoint's.
+        """
+        points = [tuple(float(x) for x in p) for p in self.sample_points(count, seed)]
+        points.append(self.midpoint())
+        values = [evaluate(e, self.env(p)) for p in points]
+        for p, v in zip(points, values):
+            if abs(v) <= 1e-9:
+                return p, v
+        for p, v in zip(points, values):
+            if (v < 0.0) != (values[-1] < 0.0):
+                return p, v
+        return None
+
     def _check_guard(self, guard: Expr):
-        points = list(self.sample_points(64, seed=1))
-        points.append(np.array(self.midpoint()))
-        values = []
-        for p in points:
-            try:
-                values.append(evaluate(guard, self.env(p)))
-            except DomainError:
-                raise ValueError(f"guard {guard} undefined inside the box")
-        if min(abs(v) for v in values) <= 1e-9 or (
-            min(values) < 0.0 < max(values)
-        ):
+        try:
+            bad = self.vanishing_witness(guard, 64, seed=1)
+        except DomainError:
+            raise ValueError(f"guard {guard} undefined inside the box")
+        if bad is not None:
             raise ValueError(f"box does not avoid the locus {guard} = 0")
 
 

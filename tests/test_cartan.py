@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -697,6 +699,40 @@ def test_dtheta_decomposition_tangent_valued():
     rhs = dtheta_decomposition(rep_tm, theta, rep_g, POLICY)
     idx, verdict = (lhs - rhs).is_zero_field(POLICY)
     assert idx is None
+    # and again one degree up
+    lhs2 = exterior_derivative(rep_tm, lhs, POLICY)
+    rhs2 = dtheta_decomposition(rep_tm, lhs, rep_g, POLICY)
+    idx2, _ = (lhs2 - rhs2).is_zero_field(POLICY)
+    assert idx2 is None
+
+
+def _assert_exactly_antisymmetric(form):
+    k = form.ndim - 1
+    for idx in np.ndindex(*form.shape):
+        if len(set(idx[:k])) < k:
+            assert form[idx] == Const(0), idx
+        for i, j in combinations(range(k), 2):
+            swapped = list(idx)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            assert canon(form[idx] + form[tuple(swapped)]) == Const(0), (idx, i, j)
+
+
+def test_derived_forms_are_exactly_antisymmetric():
+    g, conn = so3_pair()
+    rep = induced_rep_on_g(g, conn)
+    theta = TensorField(
+        R3,
+        ((LOW, G), (UP, G)),
+        [["x", "y", "0"], ["1", "z", "x*y"], ["0", "0", "2"]],
+    )
+    d1 = exterior_derivative(rep, theta, POLICY)
+    for form in (
+        d1,
+        exterior_derivative(rep, d1, POLICY),
+        dtheta_decomposition(rep, theta, rep, POLICY),
+        dtheta_decomposition(rep, d1, rep, POLICY),
+    ):
+        _assert_exactly_antisymmetric(form)
 
 
 def test_dtheta_decomposition_insists_on_matching_self_action():

@@ -192,6 +192,43 @@ def test_validate_undefined_determinant_is_undecidable_not_a_crash(capsys, tmp_p
     assert names["metric_nondegenerate"] == "undecidable"
 
 
+def test_validate_fails_metric_whose_determinant_changes_sign(capsys, tmp_path):
+    # det = x is positive at the midpoint x = 1/2 and negative for x < 0.
+    doc = {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y"], "box": [[-1, 2], [-1, 1]]},
+        "metric": [["x", "0"], ["0", "1"]],
+    }
+    path = write_doc(tmp_path, doc)
+    code, rep = invoke(capsys, "validate", path)
+    assert code == 1
+    check = {c["name"]: c for c in rep["checks"]}["metric_nondegenerate"]
+    assert check["status"] == "fail"
+    assert check["witness"][0] < 0
+    code, rep = invoke(capsys, "check", path)
+    assert code == 1
+    assert "signature" in rep["checks"][0]["detail"]
+
+
+def test_coframe_whose_determinant_changes_sign_is_rejected(capsys, tmp_path):
+    # det omega = a vanishes at a = 0, inside the box.
+    doc = {
+        "spec_version": 1,
+        "chart": {"coords": ["a", "b"], "box": [[-1, 2], [-1, 1]]},
+        "parallelism": {
+            "omega": [["a", "0"], ["0", "1"]],
+            "structure": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+        },
+    }
+    path = write_doc(tmp_path, doc)
+    for command in ("validate", "check"):
+        code, rep = invoke(capsys, command, path)
+        assert code == 1, command
+        assert rep["status"] == "fail", command
+        assert [c["name"] for c in rep["checks"]] == ["parallelism"], command
+        assert "singular" in rep["checks"][0]["detail"], command
+
+
 # ---------------------------------------------------------------------------
 # check pipelines
 # ---------------------------------------------------------------------------
