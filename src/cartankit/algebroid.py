@@ -26,7 +26,7 @@ from .symcore import (
     ZeroVerdict,
     canon,
     diff,
-    evaluate,
+    evaluate_batch,
     is_zero,
     sym_det,
 )
@@ -153,12 +153,12 @@ class Algebroid:
         return Section(self.chart, [Const(0)] * self.rank, "g")
 
     def anchor_matrix_at(self, point) -> np.ndarray:
-        env = self.chart.env(point)
-        out = np.zeros((self.chart.dim, self.rank))
-        for i in range(self.chart.dim):
-            for a in range(self.rank):
-                out[i, a] = evaluate(self.rho[i, a], env)
-        return out
+        batch = evaluate_batch(
+            self.rho.ravel(), self.chart.coords, np.array([point], dtype=float)
+        )
+        if batch.invalid[0]:
+            raise batch.domain_error(0)
+        return np.array([v[0] for v in batch.values]).reshape(self.rho.shape)
 
     def __repr__(self):
         return (
@@ -472,28 +472,28 @@ def build_foliation_algebroid(
         if V.frame != "tm" or V.chart != chart:
             raise ValueError("frame entries must be vector fields on one chart")
 
-    # pointwise independence on the box
+    # pointwise independence on the box, then the midpoint (last row)
     points = chart.sample_points(policy.samples, policy.seed)
     cols = np.empty((n, k), dtype=object)
     for i in range(n):
         for a in range(k):
             cols[i, a] = frame[a].components[i]
-    for p in points:
-        env = chart.env(p)
-        M = np.array(
-            [[evaluate(cols[i, a], env) for a in range(k)] for i in range(n)]
-        )
-        s = np.linalg.svd(M, compute_uv=False)
+    grid = np.vstack([points, [chart.midpoint()]])
+    batch = evaluate_batch(cols.ravel(), chart.coords, grid)
+    matrices = np.array(batch.values).T.reshape(len(grid), n, k)
+    for row, p in enumerate(points):
+        if batch.invalid[row]:
+            raise batch.domain_error(row)
+        s = np.linalg.svd(matrices[row], compute_uv=False)
         if s[-1] <= 1e-9:
             raise ValueError(
                 f"frame degenerate at point {tuple(round(float(x), 6) for x in p)}"
             )
 
     # choose the best-conditioned k rows at the midpoint for the solve
-    mid_env = chart.env(chart.midpoint())
-    M_mid = np.array(
-        [[evaluate(cols[i, a], env=mid_env) for a in range(k)] for i in range(n)]
-    )
+    if batch.invalid[-1]:
+        raise batch.domain_error(len(points))
+    M_mid = matrices[-1]
     best_rows, best_det = None, 0.0
     for rows in combinations(range(n), k):
         d = abs(np.linalg.det(M_mid[list(rows), :]))

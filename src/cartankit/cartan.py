@@ -58,13 +58,14 @@ from .symcore import (
     adjugate_inverse,
     canon,
     diff,
-    evaluate,
+    evaluate_batch,
     is_zero,
     sym_det,
 )
 
 __all__ = [
     "Verdict",
+    "DegenerateError",
     "compat_defect",
     "check_cartan",
     "theorem_a_verdict",
@@ -91,6 +92,20 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
+
+
+class DegenerateError(ValueError):
+    """A determinant vanishes, or changes sign, inside the box.
+
+    ``point`` and ``value`` are the witness from
+    :meth:`Chart.vanishing_witness`.
+    """
+
+    def __init__(self, message: str, point: tuple, value: float):
+        super().__init__(message)
+        self.point = point
+        self.value = value
+
 
 #: statuses that count as a positive outcome
 _OK_STATUSES = ("pass", "locally_symmetric")
@@ -684,8 +699,9 @@ def riemann_pipeline(
     basis in the invariance battery only; the algebroid construction
     always uses the full skew frame.
 
-    Raises on a degenerate metric (with the witness point) and on any
-    internal-identity failure.
+    Raises :class:`DegenerateError` (with the witness) on a degenerate
+    metric, :class:`DomainError` when its determinant is undefined at a
+    sample, and on any internal-identity failure.
     """
     policy = policy or ZeroPolicy()
     chart = sigma.chart
@@ -707,8 +723,8 @@ def riemann_pipeline(
     if bad is not None:
         p, val = bad
         if abs(val) <= 1e-9:
-            raise ValueError(f"degenerate metric at {p}: det = {val}")
-        raise ValueError("metric changes signature inside the box")
+            raise DegenerateError(f"degenerate metric at {p}: det = {val}", p, val)
+        raise DegenerateError("metric changes signature inside the box", p, val)
 
     lc = christoffel(sigma)
     R = curvature_tm(lc)
@@ -1167,7 +1183,8 @@ class Parallelism:
 
     ``omega[a][i]`` is the a-th model component of the coframe applied
     to d/dx^i.  Pointwise invertibility over the sampling box is part of
-    construction; a singular coframe is rejected with the witness point.
+    construction; a singular coframe is rejected with a
+    :class:`DegenerateError` carrying the witness.
     """
 
     def __init__(self, chart: Chart, algebra: LieAlgebra, omega):
@@ -1193,10 +1210,12 @@ class Parallelism:
         if bad is not None:
             p, val = bad
             if abs(val) <= 1e-9:
-                raise ValueError(f"coframe is singular at {p}: det = {val}")
-            raise ValueError(
+                raise DegenerateError(f"coframe is singular at {p}: det = {val}", p, val)
+            raise DegenerateError(
                 f"coframe is singular inside the box: det = {val} at {p} has "
-                f"the opposite sign to the midpoint's"
+                f"the opposite sign to the midpoint's",
+                p,
+                val,
             )
         self._inverse = adjugate_inverse(M, det)
 
@@ -1440,45 +1459,35 @@ def holonomy_check(
             lo, hi = chart.box[k]
             if not (float(lo) <= corner[k] <= float(hi)):
                 raise ValueError(
-                    f"loop exits the sampling box at {tuple(corner)}"
+                    f"loop exits the sampling box at {tuple(corner.tolist())}"
                 )
 
-    def K(x: np.ndarray, direction: np.ndarray) -> np.ndarray:
-        """Transport generator: K[b][m] = direction^i gamma[i][m][b]."""
-        env = chart.env(x)
-        out = np.zeros((n, n))
-        for ii in range(n):
-            if direction[ii] == 0.0:
-                continue
-            for mth in range(n):
-                for b in range(n):
-                    out[b, mth] += direction[ii] * evaluate(
-                        conn.gamma[ii, mth, b], env
-                    )
-        return out
-
     M = np.eye(n)
+    dt = 1.0 / steps
+    # RK4 needs the generator at the side's 2*steps+1 nodes start + direction
+    # * ((s + frac) * dt), frac in {0, 1/2, 1}; s + frac = node/2 exactly
+    times = np.arange(2 * steps + 1) * 0.5 * dt
     for start, end in zip(corners[:-1], corners[1:]):
         direction = end - start
-        dt = 1.0 / steps
+        nodes = start + direction * times[:, None]
+        minus_K = -_transport_generators(conn, direction, nodes)
         for s in range(steps):
-            x0 = start + direction * (s * dt)
-
-            def rhs(frac):
-                return -K(start + direction * ((s + frac) * dt), direction)
-
-            k1 = rhs(0.0) @ M
-            k2 = rhs(0.5) @ (M + 0.5 * dt * k1)
-            k3 = rhs(0.5) @ (M + 0.5 * dt * k2)
-            k4 = rhs(1.0) @ (M + dt * k3)
+            k1 = minus_K[2 * s] @ M
+            k2 = minus_K[2 * s + 1] @ (M + 0.5 * dt * k1)
+            k3 = minus_K[2 * s + 1] @ (M + 0.5 * dt * k2)
+            k4 = minus_K[2 * s + 2] @ (M + dt * k3)
             M = M + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
     R = curvature_tm(conn)
-    env = chart.env(p)
-    curv = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            curv[b, a] = evaluate(R[i, j, a, b], env)
+    batch = evaluate_batch(
+        [R[i, j, a, b] for a in range(n) for b in range(n)], chart.coords, [p]
+    )
+    if batch.invalid[0]:
+        raise ValueError(
+            f"curvature undefined at the base point {tuple(p.tolist())}: "
+            f"{batch.domain_error(0)}"
+        )
+    curv = np.array([v[0] for v in batch.values]).reshape(n, n).T
 
     log_h = np.real(logm(M))
     defect = log_h + h * h * curv
@@ -1488,6 +1497,28 @@ def holonomy_check(
         curvature_term=h * h * curv,
         defect=defect,
     )
+
+
+def _transport_generators(conn: TMConnection, direction, nodes) -> np.ndarray:
+    """K[q, b, m] = direction^i gamma[i][m][b] at each node q: the
+    entries along the zero components of ``direction`` are not needed."""
+    n = conn.chart.dim
+    axes = [i for i in range(n) if direction[i] != 0.0]
+    entries = [conn.gamma[i, m, b] for i in axes for m in range(n) for b in range(n)]
+    batch = evaluate_batch(entries, conn.chart.coords, nodes)
+    if batch.invalid.any():
+        q = int(np.argmax(batch.invalid))
+        raise ValueError(
+            f"connection undefined on the loop at {tuple(nodes[q].tolist())}: "
+            f"{batch.domain_error(q)}"
+        )
+    out = np.zeros((len(nodes), n, n))
+    values = iter(batch.values)
+    for i in axes:
+        for m in range(n):
+            for b in range(n):
+                out[:, b, m] += direction[i] * next(values)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -47,6 +48,7 @@ from .algebroid import (
 from .algebroid import validate as validate_algebroid
 from .bundles import LOW, TM, UP, Section, TensorField
 from .cartan import (
+    DegenerateError,
     Parallelism,
     check_cartan,
     cotangent_connection,
@@ -385,12 +387,39 @@ def load_spec(path) -> GeometrySpec:
 
 
 class BuildFailure(Exception):
-    """Object tables parse but fail their mathematical validation."""
+    """Object tables parse but fail their mathematical validation
+    (status "fail", with the witness when the validation names one), or
+    the validation meets an undefined value (status "undecidable")."""
 
-    def __init__(self, check_name: str, message: str):
+    def __init__(self, check_name: str, message: str, status="fail", witness=None, value=None):
         super().__init__(message)
         self.check_name = check_name
         self.message = message
+        self.status = status
+        self.witness = witness
+        self.value = value
+
+    def as_check(self) -> dict:
+        path = "undecidable" if self.status == "undecidable" else "probabilistic"
+        d = _check_dict(
+            self.check_name, self.status, path, detail=self.message, value=self.value
+        )
+        if self.witness is not None:
+            d["witness"] = [float(x) for x in self.witness]
+        return d
+
+
+@contextmanager
+def _building(check_name: str):
+    """Report a mathematical rejection while building as ``check_name``."""
+    try:
+        yield
+    except DomainError as exc:
+        raise BuildFailure(check_name, f"undefined inside the box: {exc}", "undecidable") from None
+    except DegenerateError as exc:
+        raise BuildFailure(check_name, str(exc), witness=exc.point, value=exc.value) from None
+    except ValueError as exc:
+        raise BuildFailure(check_name, str(exc)) from None
 
 
 class Workspace:
@@ -411,10 +440,8 @@ class Workspace:
     def lie_algebra(self) -> LieAlgebra:
         def make():
             table = self.spec.lie_algebra_table
-            try:
+            with _building("lie_algebra"):
                 return LieAlgebra(len(table), table)
-            except ValueError as exc:
-                raise BuildFailure("lie_algebra", str(exc)) from None
 
         return self._build("lie_algebra", make)
 
@@ -424,26 +451,22 @@ class Workspace:
                 Section(self.spec.chart, list(row), "tm")
                 for row in self.spec.action_fields
             ]
-            try:
+            with _building("action_algebroid"):
                 return build_action_algebroid(self.lie_algebra(), fields, self.policy)
-            except ValueError as exc:
-                raise BuildFailure("action_algebroid", str(exc)) from None
 
         return self._build("action_algebroid", make)
 
     def direct_algebroid(self) -> Algebroid:
         def make():
             r, rho, structure = self.spec.algebroid_tables
-            try:
+            with _building("algebroid"):
                 return Algebroid(self.spec.chart, r, rho, structure)
-            except ValueError as exc:
-                raise BuildFailure("algebroid", str(exc)) from None
 
         return self._build("direct_algebroid", make)
 
     def poisson_tensor(self) -> TensorField:
         def make():
-            try:
+            with _building("poisson"):
                 return TensorField(
                     self.spec.chart,
                     ((UP, TM), (UP, TM)),
@@ -451,17 +474,13 @@ class Workspace:
                     antisymmetric=((0, 1),),
                     policy=self.policy,
                 )
-            except ValueError as exc:
-                raise BuildFailure("poisson", str(exc)) from None
 
         return self._build("poisson_tensor", make)
 
     def poisson_algebroid(self) -> Algebroid:
         def make():
-            try:
+            with _building("poisson_algebroid"):
                 return build_poisson_algebroid(self.poisson_tensor(), self.policy)
-            except ValueError as exc:
-                raise BuildFailure("poisson_algebroid", str(exc)) from None
 
         return self._build("poisson_algebroid", make)
 
@@ -478,10 +497,8 @@ class Workspace:
             h = None
             if self.spec.h_frame is not None:
                 h = [m for m in self.spec.h_frame]
-            try:
+            with _building("metric"):
                 return riemann_pipeline(self.metric_tensor(), h_frame=h, policy=self.policy)
-            except ValueError as exc:
-                raise BuildFailure("metric", str(exc)) from None
 
         return self._build("riemann_report", make)
 
@@ -491,24 +508,18 @@ class Workspace:
                 Section(self.spec.chart, list(row), "tm")
                 for row in self.spec.foliation_frame
             ]
-            try:
+            with _building("foliation"):
                 return build_foliation_algebroid(fields, self.policy)
-            except ValueError as exc:
-                raise BuildFailure("foliation", str(exc)) from None
 
         return self._build("foliation_algebroid", make)
 
     def parallelism(self) -> Parallelism:
         def make():
             omega, model = self.spec.parallelism_tables
-            try:
+            with _building("model_algebra"):
                 algebra = LieAlgebra(len(model), model)
-            except ValueError as exc:
-                raise BuildFailure("model_algebra", str(exc)) from None
-            try:
+            with _building("parallelism"):
                 return Parallelism(self.spec.chart, algebra, omega)
-            except ValueError as exc:
-                raise BuildFailure("parallelism", str(exc)) from None
 
         return self._build("parallelism", make)
 
@@ -641,7 +652,7 @@ def _metric_checks(ws: Workspace) -> List[dict]:
     det = sym_det([[sigma[i, j] for j in range(n)] for i in range(n)])
     try:
         bad = chart.vanishing_witness(det, policy.samples, policy.seed)
-    except (ZeroDivisionError, DomainError):
+    except DomainError:
         checks.append(_check_dict("metric_nondegenerate", "undecidable", "undecidable"))
         return checks
     if bad is None:
@@ -666,9 +677,7 @@ def cmd_validate(ws: Workspace) -> List[dict]:
         try:
             obj = fn()
         except BuildFailure as exc:
-            checks.append(
-                _check_dict(exc.check_name, "fail", "probabilistic", detail=exc.message)
-            )
+            checks.append(exc.as_check())
             return None
         checks.extend(on_pass(obj))
         return obj
@@ -720,10 +729,8 @@ def cmd_check(ws: Workspace, pipeline: str) -> List[dict]:
         base = ws.named_connection("tm", ws.spec.chart.dim) or TMConnection.flat(
             ws.spec.chart, ws.spec.chart.dim, target="tm"
         )
-        try:
+        with _building("poisson_algebroid"):
             report = poisson_report(ws.poisson_tensor(), base, ws.policy)
-        except ValueError as exc:
-            raise BuildFailure("poisson_algebroid", str(exc)) from None
         return [report.verdict.as_dict()]
     if pipeline == "parallelism":
         if ws.spec.parallelism_tables is None:
@@ -837,29 +844,23 @@ def run(argv=None) -> int:
         report.update(seed=seed, samples=args.samples, tol=args.tol)
         if spec.name:
             report["name"] = spec.name
-        if args.command == "validate":
-            checks = cmd_validate(ws)
-        elif args.command == "check":
-            report["pipeline"] = args.pipeline
-            checks = cmd_check(ws, args.pipeline)
-        elif args.command == "identities":
-            checks = cmd_identities(ws)
-        else:
-            checks = cmd_holonomy(ws, args.point, args.plane, args.side, args.steps)
+        try:
+            if args.command == "validate":
+                checks = cmd_validate(ws)
+            elif args.command == "check":
+                report["pipeline"] = args.pipeline
+                checks = cmd_check(ws, args.pipeline)
+            elif args.command == "identities":
+                checks = cmd_identities(ws)
+            else:
+                checks = cmd_holonomy(ws, args.point, args.plane, args.side, args.steps)
+        except BuildFailure as exc:
+            # a build rejected mathematically while a pipeline needed it:
+            # that is a verdict, not an input error
+            checks = [exc.as_check()]
         report["checks"] = checks
         report["status"] = _overall(checks)
-    except (SpecError, BuildFailure) as exc:
-        if isinstance(exc, BuildFailure):
-            # a build rejected mathematically while a pipeline needed it:
-            # that is a verdict failure, not an input error
-            report["checks"] = [
-                _check_dict(exc.check_name, "fail", "probabilistic", detail=exc.message)
-            ]
-            report["status"] = "fail"
-            if args.timings:
-                report["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
-            print(_emit(report, args.pretty))
-            return 1
+    except SpecError as exc:
         report["status"] = "error"
         err = {"message": exc.message}
         if exc.path:

@@ -6,6 +6,11 @@ infix grammar, partial differentiation, a deterministic canonical form
 rational-function rewriting), numeric evaluation with domain guards, and a
 two-tier zero test: exact cancellation first, then seeded sampling on the
 chart's box with witness reporting.
+
+All numeric evaluation goes through one batched walk,
+:func:`evaluate_batch`: many expressions at many points, each DAG node
+computed once for all points, with a mask of the points where a value
+leaves the domain.  :func:`evaluate` is its one-point call.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ __all__ = [
     "canon",
     "diff",
     "evaluate",
+    "evaluate_batch",
+    "Evaluation",
     "is_zero",
     "sym_det",
     "adjugate_inverse",
@@ -909,6 +916,28 @@ def diff(e: Expr, name: str) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+class Evaluation:
+    """Values of expressions over a batch of points (see :func:`evaluate_batch`).
+
+    ``values[k]`` is the float array of expression ``k`` over the points.
+    ``invalid[r]`` is True where evaluating some expression at point ``r``
+    leaves its domain; values there are meaningless.
+    """
+
+    def __init__(self, values: list, invalid: np.ndarray, faults: list):
+        self.values = values
+        self.invalid = invalid
+        self._faults = faults  # (reason, culprit, mask), in evaluation order
+
+    def domain_error(self, row: int) -> DomainError:
+        """The error that evaluating the expressions one after another at
+        point ``row`` meets first; ``row`` must be invalid."""
+        for reason, culprit, mask in self._faults:
+            if mask[row]:
+                return DomainError(reason, culprit)
+        raise ValueError(f"point {row} is inside the domain")
+
+
 def evaluate(e: Expr, env: dict) -> float:
     """Evaluate at a point given as ``{coordinate name: float}``.
 
@@ -916,64 +945,133 @@ def evaluate(e: Expr, env: dict) -> float:
     non-positive value, ``sqrt`` of a negative value, ``0`` raised to a
     negative power, or numeric overflow to a non-finite value.
     """
-    result = _eval(e, env)
-    if not math.isfinite(result):
-        raise DomainError("non-finite result", e)
-    return result
+    batch = evaluate_batch([e], tuple(env), np.array([list(env.values())], dtype=float))
+    if batch.invalid[0]:
+        raise batch.domain_error(0)
+    return float(batch.values[0][0])
 
 
-def _eval(e: Expr, env: dict) -> float:
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Sym):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise DomainError("unbound coordinate", e) from None
-    if isinstance(e, Neg):
-        return -_eval(e.operand, env)
-    if isinstance(e, Add):
-        return sum(_eval(t, env) for t in e.terms)
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= _eval(f, env)
+def evaluate_batch(exprs, coords, points) -> Evaluation:
+    """Evaluate every expression at every point in one walk.
+
+    ``points`` has one row per point and one column per name in
+    ``coords``.  The walk visits each node of the expressions' DAG once,
+    with an explicit stack, so subterms shared between expressions (as
+    hash-consed canonical forms share them) are computed once for all
+    points.  The arithmetic is the scalar arithmetic, point by point:
+    numpy for ``+ - * /`` and ``sqrt``, and the ``math`` functions and
+    Python's float power for the rest, so a value never depends on the
+    CPU's vector instructions.
+
+    A point is invalid where :func:`evaluate` would raise
+    :class:`DomainError` for some expression: division by zero, ``log``
+    of a non-positive value, ``sqrt`` of a negative value, ``0`` to a
+    negative power, overflow, a non-finite result, or an unbound name.
+    """
+    exprs = list(exprs)  # the memo is keyed by id(): keep every node alive
+    points = np.asarray(points, dtype=float)
+    m = points.shape[0]
+    columns = {name: np.ascontiguousarray(points[:, k]) for k, name in enumerate(coords)}
+    values = {}  # id(node) -> array over the points
+    faults = []
+
+    def fault(reason, node, mask):
+        if mask.any():
+            faults.append((reason, node, mask))
+
+    out = []
+    with np.errstate(all="ignore"):
+        for root in exprs:
+            # stage 0 opens a node, 1 checks a divisor before its numerator
+            # is evaluated (the scalar order), 2 computes the node
+            stack = [(root, 0)]
+            while stack:
+                node, stage = stack.pop()
+                if stage == 0:
+                    if id(node) in values:
+                        continue
+                    if isinstance(node, Const):
+                        values[id(node)] = np.full(m, float(node.value))
+                    elif isinstance(node, Sym):
+                        column = columns.get(node.name)
+                        if column is None:
+                            column = np.full(m, math.nan)
+                            fault("unbound coordinate", node, np.ones(m, dtype=bool))
+                        values[id(node)] = column
+                    elif isinstance(node, Div):
+                        stack += [(node, 2), (node.num, 0), (node, 1), (node.den, 0)]
+                    else:
+                        stack.append((node, 2))
+                        stack.extend((c, 0) for c in reversed(node.children()))
+                elif stage == 1:
+                    fault("division by zero", node, values[id(node.den)] == 0.0)
+                else:
+                    values[id(node)] = _node_value(node, values, fault, m)
+            value = values[id(root)]
+            fault("non-finite result", root, ~np.isfinite(value))
+            out.append(value)
+    invalid = np.zeros(m, dtype=bool)
+    for _, _, mask in faults:
+        invalid |= mask
+    return Evaluation(out, invalid, faults)
+
+
+def _node_value(node: Expr, values: dict, fault, m: int) -> np.ndarray:
+    """One inner node over all ``m`` points, from its children's values."""
+    if isinstance(node, Add):
+        # as sum(): start from 0, which turns a leading -0.0 into 0.0
+        out = np.zeros(m)
+        for t in node.terms:
+            out += values[id(t)]
         return out
-    if isinstance(e, Div):
-        den = _eval(e.den, env)
-        if den == 0.0:
-            raise DomainError("division by zero", e)
-        return _eval(e.num, env) / den
-    if isinstance(e, Pow):
-        base = _eval(e.base, env)
-        if base == 0.0 and e.exponent < 0:
-            raise DomainError("zero base with negative exponent", e)
-        try:
-            return base**e.exponent
-        except OverflowError:
-            raise DomainError("overflow", e) from None
-    if isinstance(e, Call):
-        arg = _eval(e.arg, env)
-        if e.func == "sin":
-            return math.sin(arg)
-        if e.func == "cos":
-            return math.cos(arg)
-        if e.func == "tan":
-            return math.tan(arg)
-        if e.func == "exp":
-            try:
-                return math.exp(arg)
-            except OverflowError:
-                raise DomainError("overflow", e) from None
-        if e.func == "log":
-            if arg <= 0.0:
-                raise DomainError("log of non-positive value", e)
-            return math.log(arg)
-        if e.func == "sqrt":
-            if arg < 0.0:
-                raise DomainError("sqrt of negative value", e)
-            return math.sqrt(arg)
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
+    if isinstance(node, Mul):
+        out = np.ones(m)
+        for f in node.factors:
+            out *= values[id(f)]
+        return out
+    if isinstance(node, Neg):
+        return -values[id(node.operand)]
+    if isinstance(node, Div):
+        return values[id(node.num)] / values[id(node.den)]
+    if isinstance(node, Pow):
+        base = values[id(node.base)]
+        exponent = node.exponent
+        if exponent < 0:
+            fault("zero base with negative exponent", node, base == 0.0)
+        out = _pointwise(lambda v: v**exponent, base)
+        fault("overflow", node, np.isfinite(base) & ~np.isfinite(out))
+        return out
+    if isinstance(node, Call):
+        arg = values[id(node.arg)]
+        if node.func == "sqrt":
+            fault("sqrt of negative value", node, arg < 0.0)
+            return np.sqrt(arg)
+        if node.func == "log":
+            fault("log of non-positive value", node, arg <= 0.0)
+        out = _pointwise(getattr(math, node.func), arg)
+        if node.func == "exp":
+            fault("overflow", node, np.isfinite(arg) & ~np.isfinite(out))
+        return out
+    raise TypeError(f"cannot evaluate {type(node).__name__}")
+
+
+def _pointwise(fn, column: np.ndarray) -> np.ndarray:
+    """``fn`` applied to each float of ``column``.  Where it raises, the
+    value is inf on overflow and nan otherwise; the caller flags it."""
+    floats = column.tolist()
+    try:
+        return np.fromiter(map(fn, floats), dtype=float, count=len(floats))
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return np.array([_guarded(fn, v) for v in floats], dtype=float)
+
+
+def _guarded(fn, value: float) -> float:
+    try:
+        return fn(value)
+    except OverflowError:
+        return math.inf
+    except (ValueError, ZeroDivisionError):
+        return math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -1122,9 +1220,12 @@ class Chart:
         Otherwise returns ``(point, value)``: the first near-zero point,
         else the first sample whose sign is opposite to the midpoint's.
         """
-        points = [tuple(float(x) for x in p) for p in self.sample_points(count, seed)]
-        points.append(self.midpoint())
-        values = [evaluate(e, self.env(p)) for p in points]
+        grid = np.vstack([self.sample_points(count, seed), [self.midpoint()]])
+        batch = evaluate_batch([e], self.coords, grid)
+        if batch.invalid.any():
+            raise batch.domain_error(int(np.argmax(batch.invalid)))
+        points = [tuple(p) for p in grid.tolist()]
+        values = batch.values[0].tolist()
         for p, v in zip(points, values):
             if abs(v) <= 1e-9:
                 return p, v
@@ -1164,13 +1265,12 @@ def is_zero(
 
     terms = reduced.terms if isinstance(reduced, Add) else (reduced,)
     points = chart.sample_points(policy.samples, policy.seed)
+    batch = evaluate_batch(terms, chart.coords, points)
+    by_point = np.array(batch.values).T.tolist()
     scale = 0.0
     values = []  # (point, total) for valid samples
-    for point in points:
-        env = chart.env(point)
-        try:
-            term_values = [evaluate(t, env) for t in terms]
-        except DomainError:
+    for point, term_values, invalid in zip(points, by_point, batch.invalid):
+        if invalid:
             continue
         total = math.fsum(term_values)
         if not math.isfinite(total):

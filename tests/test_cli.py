@@ -192,6 +192,27 @@ def test_validate_undefined_determinant_is_undecidable_not_a_crash(capsys, tmp_p
     assert names["metric_nondegenerate"] == "undecidable"
 
 
+def test_check_and_identities_on_undefined_determinant_are_undecidable(capsys, tmp_path):
+    # As for validate above: the determinant 1/x is undefined at x = 0.
+    doc = {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y"], "box": [[-1, 1], [-1, 1]]},
+        "metric": [["1/x", "0"], ["0", "1"]],
+    }
+    path = write_doc(tmp_path, doc)
+    for command in ("check", "identities"):
+        code, rep = invoke(capsys, command, path)
+        assert code == 1, command
+        assert rep["status"] == "undecidable", command
+        [check] = rep["checks"]
+        assert (check["name"], check["status"], check["path"]) == (
+            "metric",
+            "undecidable",
+            "undecidable",
+        ), command
+        assert "division by zero in 1/x" in check["detail"], command
+
+
 def test_validate_fails_metric_whose_determinant_changes_sign(capsys, tmp_path):
     # det = x is positive at the midpoint x = 1/2 and negative for x < 0.
     doc = {
@@ -208,6 +229,9 @@ def test_validate_fails_metric_whose_determinant_changes_sign(capsys, tmp_path):
     code, rep = invoke(capsys, "check", path)
     assert code == 1
     assert "signature" in rep["checks"][0]["detail"]
+    # the failed build carries the same witness as validate's scan
+    assert rep["checks"][0]["witness"] == check["witness"]
+    assert rep["checks"][0]["value"] == pytest.approx(check["witness"][0])
 
 
 def test_coframe_whose_determinant_changes_sign_is_rejected(capsys, tmp_path):
@@ -221,12 +245,16 @@ def test_coframe_whose_determinant_changes_sign_is_rejected(capsys, tmp_path):
         },
     }
     path = write_doc(tmp_path, doc)
+    witnesses = []
     for command in ("validate", "check"):
         code, rep = invoke(capsys, command, path)
         assert code == 1, command
         assert rep["status"] == "fail", command
         assert [c["name"] for c in rep["checks"]] == ["parallelism"], command
         assert "singular" in rep["checks"][0]["detail"], command
+        witnesses.append(rep["checks"][0]["witness"])
+    assert witnesses[0] == witnesses[1]
+    assert witnesses[0][0] <= 0
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +456,46 @@ def test_holonomy_bad_plane_is_input_error(capsys):
         "--side", "0.01",
     )
     assert code == 2
+
+
+def test_holonomy_loop_leaving_the_box_names_the_corner(capsys):
+    code, rep = invoke(
+        capsys,
+        "holonomy",
+        str(CORPUS / "sphere.json"),
+        "--point", "1.2", "0.5",
+        "--plane", "0", "1",
+        "--side", "5",
+    )
+    assert code == 2
+    assert rep["errors"][0]["message"] == "loop exits the sampling box at (6.2, 0.5)"
+
+
+def test_holonomy_through_undefined_connection_is_input_error(capsys, tmp_path):
+    # validate passes this metric, but its Christoffel symbols divide by
+    # (x - 3/10)^2, so the loop's first RK4 node is outside their domain.
+    doc = {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y"], "box": [[-1, 1], [-1, 1]]},
+        "metric": [["1", "0"], ["0", "(x-3/10)^2"]],
+    }
+    path = write_doc(tmp_path, doc)
+    code, rep = invoke(capsys, "validate", path)
+    assert code == 0
+    code, rep = invoke(
+        capsys,
+        "holonomy",
+        path,
+        "--point", "0.3", "0.0",
+        "--plane", "0", "1",
+        "--side", "0.02",
+        "--steps", "16",
+    )
+    assert code == 2
+    assert rep["status"] == "error"
+    message = rep["errors"][0]["message"]
+    assert message.startswith("connection undefined on the loop at (0.3, 0.0): ")
+    assert "division by zero" in message
 
 
 def test_holonomy_needs_transport_connection(capsys, tmp_path):

@@ -33,6 +33,7 @@ from cartankit.symcore import (
     canon,
     diff,
     evaluate,
+    evaluate_batch,
     is_zero,
     parse,
     to_text,
@@ -167,6 +168,7 @@ def test_deep_left_nested_trees_canonicalise():
         for _ in range(1499):
             product = product * x
         assert canon(product) == Pow(x, 1500)
+        assert evaluate(product, {"x": -1.0}) == 1.0
     finally:
         sys.setrecursionlimit(limit)
 
@@ -332,7 +334,7 @@ def test_chart_validation():
 # -- printing round-trips ---------------------------------------------------
 
 
-def _expr_strategy():
+def _expr_strategy(funcs=("sin", "cos", "exp")):
     leaves = st.one_of(
         st.integers(min_value=-4, max_value=4).map(Const),
         st.sampled_from(["x", "y"]).map(Sym),
@@ -348,7 +350,7 @@ def _expr_strategy():
             st.tuples(children, st.integers(min_value=-3, max_value=3)).map(
                 lambda be: Pow(be[0], be[1])
             ),
-            st.tuples(st.sampled_from(["sin", "cos", "exp"]), children).map(
+            st.tuples(st.sampled_from(funcs), children).map(
                 lambda fa: Call(fa[0], fa[1])
             ),
         )
@@ -402,3 +404,119 @@ def test_canon_idempotent(e):
 def test_canon_respects_commutativity(a, b):
     assert canon(Add((a, b))) == canon(Add((b, a)))
     assert canon(Mul((a, b))) == canon(Mul((b, a)))
+
+
+# -- batched evaluation against the scalar reference ------------------------
+
+
+def _reference_eval(e, env):
+    """The recursive scalar evaluator the batched walk replaced, kept as the
+    oracle: one point, one node at a time, ``math`` for the functions."""
+    if isinstance(e, Const):
+        return float(e.value)
+    if isinstance(e, Sym):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise DomainError("unbound coordinate", e) from None
+    if isinstance(e, Neg):
+        return -_reference_eval(e.operand, env)
+    if isinstance(e, Add):
+        return sum(_reference_eval(t, env) for t in e.terms)
+    if isinstance(e, Mul):
+        out = 1.0
+        for f in e.factors:
+            out *= _reference_eval(f, env)
+        return out
+    if isinstance(e, Div):
+        den = _reference_eval(e.den, env)
+        if den == 0.0:
+            raise DomainError("division by zero", e)
+        return _reference_eval(e.num, env) / den
+    if isinstance(e, Pow):
+        base = _reference_eval(e.base, env)
+        if base == 0.0 and e.exponent < 0:
+            raise DomainError("zero base with negative exponent", e)
+        try:
+            return base**e.exponent
+        except OverflowError:
+            raise DomainError("overflow", e) from None
+    arg = _reference_eval(e.arg, env)
+    if e.func == "exp":
+        try:
+            return math.exp(arg)
+        except OverflowError:
+            raise DomainError("overflow", e) from None
+    if e.func == "log" and arg <= 0.0:
+        raise DomainError("log of non-positive value", e)
+    if e.func == "sqrt" and arg < 0.0:
+        raise DomainError("sqrt of negative value", e)
+    return getattr(math, e.func)(arg)
+
+
+def _reference(e, env):
+    """(value, None) or (None, error text) as the scalar path gives them.
+
+    ``math.sin`` and friends raise ValueError on an infinite argument
+    that an overflowing product produced; the batch flags that point as
+    a non-finite result, so both count as invalid."""
+    try:
+        value = _reference_eval(e, env)
+    except DomainError as exc:
+        return None, str(exc)
+    except ValueError:
+        return None, "math domain error"
+    if not math.isfinite(value):
+        return None, str(DomainError("non-finite result", e))
+    return value, None
+
+
+# 12 seeded points on a box around the origin, plus four where coordinates
+# vanish or coincide, so that x - y, x and y hit zero
+ORACLE_POINTS = np.vstack(
+    [
+        Chart(("x", "y"), ((-2, 2), (-2, 2))).sample_points(12, seed=5),
+        [(0.0, 0.0), (1.0, 1.0), (-1.0, 1.0), (0.5, 0.0)],
+    ]
+)
+
+
+# exp(exp(6)) is about 1e175: its cube overflows, its square as a product
+# is inf with no error until the end (and 1/inf is a valid 0)
+_HUGE = Call("exp", Call("exp", Const(6)))
+
+
+@given(st.lists(_expr_strategy(symcore.FUNCTIONS), min_size=1, max_size=3))
+@example([Pow(_HUGE, 3)])
+@example([Call("exp", _HUGE)])
+@example([Mul((_HUGE, _HUGE)), Div(Const(1), Mul((_HUGE, _HUGE))), Call("sin", Mul((_HUGE, _HUGE)))])
+# the scalar path tests a divisor before it evaluates the numerator
+@example([Div(Call("log", Neg(Sym("x"))), Add((Sym("x"), Neg(Sym("x")))))])
+@settings(max_examples=300, deadline=None)
+def test_batched_evaluation_matches_scalar_reference(exprs):
+    batch = evaluate_batch(exprs, ("x", "y"), ORACLE_POINTS)
+    for row, (x, y) in enumerate(ORACLE_POINTS.tolist()):
+        expected = [_reference(e, {"x": x, "y": y}) for e in exprs]
+        errors = [err for _, err in expected if err is not None]
+        assert batch.invalid[row] == bool(errors)
+        if errors and errors[0] != "math domain error":
+            assert str(batch.domain_error(row)) == errors[0]
+        for k, (value, err) in enumerate(expected):
+            if err is None:
+                # the arithmetic is the scalar one, so values are equal,
+                # down to the sign of a zero
+                assert float(batch.values[k][row]).hex() == value.hex()
+
+
+def test_batch_shares_subterms_and_flags_each_point():
+    x, y = Sym("x"), Sym("y")
+    shared = Call("log", x - y)
+    exprs = [shared * 2, Div(Const(1), shared)]
+    points = np.array([[2.0, 1.0], [2.5, 0.5], [1.0, 2.0], [3.0, 1.0]])
+    batch = evaluate_batch(exprs, ("x", "y"), points)
+    assert batch.invalid.tolist() == [True, False, True, False]
+    assert str(batch.domain_error(0)) == "division by zero in 1/log(x - y)"
+    assert str(batch.domain_error(2)) == "log of non-positive value in log(x - y)"
+    assert batch.values[0][3] == 2 * math.log(2.0)
+    with pytest.raises(DomainError, match="division by zero"):
+        evaluate(exprs[1], {"x": 2.0, "y": 1.0})
