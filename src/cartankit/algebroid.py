@@ -21,10 +21,12 @@ from .bundles import Section, TensorField, as_expr
 from .symcore import (
     Chart,
     Const,
+    DegenerateError,
     Sym,
     ZeroPolicy,
     ZeroVerdict,
     canon,
+    divisor_factors,
     diff,
     evaluate_batch,
     is_zero,
@@ -359,6 +361,9 @@ def build_action_algebroid(
     ``action_fields[a]`` is the vector field through which basis vector
     e_a acts; the assignment must send algebra brackets to vector-field
     brackets, which is verified and rejected with a witness otherwise.
+    A field with a pole inside the box raises :class:`DegenerateError`
+    with the witness: the sampled bracket test skips the points where a
+    field is undefined, so it cannot see the pole.
     """
     from .bundles import vf_bracket
 
@@ -371,6 +376,17 @@ def build_action_algebroid(
     for V in action_fields:
         if V.frame != "tm" or V.chart != chart:
             raise ValueError("action fields must be vector fields on one chart")
+    for a, V in enumerate(action_fields):
+        for factor in divisor_factors(V.components):
+            bad = chart.vanishing_witness(factor, policy.samples, policy.seed)
+            if bad is None:
+                continue
+            p, val = bad
+            if abs(val) <= 1e-9:
+                message = f"action field {a} has a pole at {p}: {factor} = {val}"
+            else:
+                message = f"divisor {factor} of action field {a} changes sign inside the box"
+            raise DegenerateError(message, p, val)
     for a in range(algebra.dim):
         for b in range(a + 1, algebra.dim):
             lhs = vf_bracket(action_fields[a], action_fields[b])

@@ -53,6 +53,7 @@ from .symcore import (
     Add,
     Chart,
     Const,
+    DegenerateError,
     Expr,
     ZeroPolicy,
     adjugate_inverse,
@@ -85,6 +86,7 @@ __all__ = [
     "parallelism_report",
     "HolonomyResult",
     "holonomy_check",
+    "principal_log",
     "identity_battery",
 ]
 
@@ -92,19 +94,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
-
-
-class DegenerateError(ValueError):
-    """A determinant vanishes, or changes sign, inside the box.
-
-    ``point`` and ``value`` are the witness from
-    :meth:`Chart.vanishing_witness`.
-    """
-
-    def __init__(self, message: str, point: tuple, value: float):
-        super().__init__(message)
-        self.point = point
-        self.value = value
 
 
 #: statuses that count as a positive outcome
@@ -1433,8 +1422,6 @@ def holonomy_check(
     length.  Fixed-step RK4; the loops this is meant for are tiny and
     the coefficients smooth, so adaptivity would buy nothing.
     """
-    from scipy.linalg import logm
-
     if conn.target != "tm":
         raise ValueError("holonomy transport needs a tangent connection")
     chart = conn.chart
@@ -1471,12 +1458,19 @@ def holonomy_check(
         direction = end - start
         nodes = start + direction * times[:, None]
         minus_K = -_transport_generators(conn, direction, nodes)
-        for s in range(steps):
-            k1 = minus_K[2 * s] @ M
-            k2 = minus_K[2 * s + 1] @ (M + 0.5 * dt * k1)
-            k3 = minus_K[2 * s + 1] @ (M + 0.5 * dt * k2)
-            k4 = minus_K[2 * s + 2] @ (M + dt * k3)
-            M = M + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        # dM/dt = A(t) M is linear, so step s of RK4 is M <- M + E_s M,
+        # with k1..k4 = A0 M, B2 M, B3 M, B4 M for the generators A0, A1,
+        # A2 at the step's start, midpoint and end.  All E_s of a side
+        # come from three batched products.  Adding the increment to M,
+        # rather than forming (I + E_s) M, keeps rounding where the
+        # stage-by-stage loop had it: around loops of the flat
+        # affine-group coframe, one ulp off the identity against ten.
+        A0, A1, A2 = minus_K[0:-1:2], minus_K[1::2], minus_K[2::2]
+        B2 = A1 + 0.5 * dt * (A1 @ A0)
+        B3 = A1 + 0.5 * dt * (A1 @ B2)
+        B4 = A2 + dt * (A2 @ B3)
+        for E in dt / 6.0 * (A0 + 2 * B2 + 2 * B3 + B4):
+            M = M + E @ M
 
     R = curvature_tm(conn)
     batch = evaluate_batch(
@@ -1489,7 +1483,10 @@ def holonomy_check(
         )
     curv = np.array([v[0] for v in batch.values]).reshape(n, n).T
 
-    log_h = np.real(logm(M))
+    try:
+        log_h = principal_log(M)
+    except ValueError as exc:
+        raise ValueError(f"the loop's holonomy has no real logarithm: {exc}") from None
     defect = log_h + h * h * curv
     return HolonomyResult(
         holonomy=M,
@@ -1497,6 +1494,68 @@ def holonomy_check(
         curvature_term=h * h * curv,
         defect=defect,
     )
+
+
+def principal_log(M) -> np.ndarray:
+    """Principal logarithm of a real square matrix, by inverse scaling
+    and squaring (Higham, *Functions of Matrices*, 2008, ch. 11).
+
+    Denman-Beavers square roots bring A = M^(1/2^k) to ||A - I||_1 <= 1/4;
+    then log A = 2 artanh(Z) with Z = (A - I)(A + I)^-1, whose odd
+    series is summed until a term no longer changes the sum, and
+    log M = 2^k log A.  Raises ``ValueError`` when M is not finite or
+    has an eigenvalue on the closed negative real axis, where no real
+    principal logarithm exists: zero to working precision, or within
+    sqrt(eps) of the branch cut in argument, where rounding alone would
+    pick the side.
+    """
+    A = np.array(M, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("principal_log needs a square matrix")
+    if not np.isfinite(A).all():
+        raise ValueError("the matrix has non-finite entries")
+    n = A.shape[0]
+    eps = np.finfo(float).eps
+    lam = np.linalg.eigvals(A)
+    norm1 = np.abs(A).sum(axis=0).max()
+    if (
+        (np.abs(lam) <= n * eps * norm1)
+        | (np.abs(np.angle(lam)) >= np.pi - np.sqrt(eps))
+    ).any():
+        raise ValueError("an eigenvalue lies on the closed negative real axis")
+    eye = np.eye(n)
+    roots = 0
+    while np.abs(A - eye).sum(axis=0).max() > 0.25:
+        A = _sqrtm_denman_beavers(A)
+        roots += 1
+    Z = np.linalg.solve(A + eye, A - eye)
+    Z2 = Z @ Z
+    total = Z.copy()
+    power = Z
+    k = 1
+    while True:
+        power = power @ Z2
+        k += 2
+        term = power / k
+        if np.abs(term).max() <= eps * np.abs(total).max():
+            break
+        total += term
+    return 2.0 ** (roots + 1) * total
+
+
+def _sqrtm_denman_beavers(A: np.ndarray) -> np.ndarray:
+    """Principal square root of A, which has no eigenvalue on the closed
+    negative real axis, by the Denman-Beavers iteration."""
+    Y, Z = A, np.eye(A.shape[0])
+    for _ in range(64):
+        Y_next = 0.5 * (Y + np.linalg.inv(Z))
+        Z = 0.5 * (Z + np.linalg.inv(Y))
+        change = np.abs(Y_next - Y).max() / np.abs(Y_next).max()
+        Y = Y_next
+        if change <= np.sqrt(np.finfo(float).eps):
+            # convergence is quadratic: one more step reaches rounding level
+            return 0.5 * (Y + np.linalg.inv(Z))
+    raise ValueError("square root iteration did not converge")
 
 
 def _transport_generators(conn: TMConnection, direction, nodes) -> np.ndarray:

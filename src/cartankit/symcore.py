@@ -39,6 +39,7 @@ __all__ = [
     "ZeroVerdict",
     "ParseError",
     "DomainError",
+    "DegenerateError",
     "parse",
     "canon",
     "diff",
@@ -48,6 +49,7 @@ __all__ = [
     "is_zero",
     "sym_det",
     "adjugate_inverse",
+    "divisor_factors",
     "const",
     "sym",
     "ZERO",
@@ -77,6 +79,20 @@ class DomainError(ArithmeticError):
     def __init__(self, reason: str, culprit: "Expr"):
         self.culprit = culprit
         super().__init__(f"{reason} in {culprit}")
+
+
+class DegenerateError(ValueError):
+    """An expression that must stay away from zero on the box (a
+    determinant, a denominator) vanishes or changes sign there.
+
+    ``point`` and ``value`` are the witness from
+    :meth:`Chart.vanishing_witness`.
+    """
+
+    def __init__(self, message: str, point: tuple, value: float):
+        super().__init__(message)
+        self.point = point
+        self.value = value
 
 
 def _coerce(value) -> "Expr":
@@ -1113,6 +1129,42 @@ def adjugate_inverse(M, det: Expr) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Charts and the two-tier zero test.
 # ---------------------------------------------------------------------------
+
+
+def divisor_factors(exprs: Iterable[Expr]) -> list:
+    """Every distinct factor of a divisor in ``exprs``.  The divisors are
+    the denominator of each quotient and the base of each negative
+    power; each is split into the factors of its products and the bases
+    of its powers, since it vanishes exactly where one of those does.
+    A factor comes after the factors of divisors nested inside it, so a
+    scan in list order meets an inner pole before the outer divisor
+    that it leaves undefined."""
+    found = {}
+    seen = set()
+    stack = [(e, False) for e in exprs]
+    while stack:
+        node, finished = stack.pop()
+        if not finished:
+            if node not in seen:
+                seen.add(node)
+                stack.append((node, True))
+                stack.extend((c, False) for c in node.children())
+            continue
+        if isinstance(node, Div):
+            parts = [node.den]
+        elif isinstance(node, Pow) and node.exponent < 0:
+            parts = [node.base]
+        else:
+            continue
+        while parts:
+            f = parts.pop()
+            if isinstance(f, Mul):
+                parts.extend(f.factors)
+            elif isinstance(f, (Pow, Neg)):
+                parts.extend(f.children())
+            else:
+                found.setdefault(f)
+    return list(found)
 
 
 @dataclass(frozen=True)

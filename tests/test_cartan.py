@@ -1,4 +1,5 @@
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cartankit.algebroid import (
     build_poisson_algebroid,
     tangent_algebroid,
 )
+from cartankit import cartan
 from cartankit.bundles import LOW, TM, UP, G, Section, TensorField, as_expr
 from cartankit.cartan import (
     Parallelism,
@@ -24,6 +26,7 @@ from cartankit.cartan import (
     holonomy_check,
     identity_battery,
     parallelism_report,
+    principal_log,
     poisson_report,
     reductive_connection,
     riemann_pipeline,
@@ -40,6 +43,7 @@ from cartankit.connections import (
     induced_rep_on_g,
     induced_rep_on_tm,
 )
+from cartankit.cli import Workspace, load_spec
 from cartankit.jet import splitting_curvature
 from cartankit.symcore import (
     Call,
@@ -51,6 +55,8 @@ from cartankit.symcore import (
     evaluate,
     is_zero,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 R2 = Chart(("x", "y"), [(-1, 1), (-1, 1)])
 R3 = Chart(("x", "y", "z"), [(-1, 1), (-1, 1), (-1, 1)])
@@ -836,6 +842,102 @@ def test_holonomy_guards():
         holonomy_check(conn, (0.0, 0.0), (0, 1), 0.1, steps=0)
     with pytest.raises(ValueError):
         holonomy_check(TMConnection.flat(R2, 2, target="g"), (0, 0), (0, 1), 0.1)
+
+
+def _reference_transport(conn, point, plane, side, steps):
+    """The sequential RK4 loop the batched step propagators replaced, kept
+    as the oracle: four stage products on the frame M at every step."""
+    n = conn.chart.dim
+    i, j = plane
+    p = np.array(point, dtype=float)
+    e_i, e_j = np.eye(n)[i], np.eye(n)[j]
+    corners = [p, p + side * e_i, p + side * e_i + side * e_j, p + side * e_j, p]
+    M = np.eye(n)
+    dt = 1.0 / steps
+    times = np.arange(2 * steps + 1) * 0.5 * dt
+    for start, end in zip(corners[:-1], corners[1:]):
+        direction = end - start
+        nodes = start + direction * times[:, None]
+        minus_K = -cartan._transport_generators(conn, direction, nodes)
+        for s in range(steps):
+            k1 = minus_K[2 * s] @ M
+            k2 = minus_K[2 * s + 1] @ (M + 0.5 * dt * k1)
+            k3 = minus_K[2 * s + 1] @ (M + 0.5 * dt * k2)
+            k4 = minus_K[2 * s + 2] @ (M + dt * k3)
+            M = M + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return M
+
+
+@pytest.mark.parametrize("steps", [128, 1024])
+@pytest.mark.parametrize(
+    "name, point, side",
+    [
+        ("sphere", (1.2, 1.0), 0.02),
+        ("hyperbolic", (0.1, 0.8), 0.03),
+        ("affine_group_parallelism", (1.0, 0.0), 0.03),
+    ],
+)
+def test_batched_transport_matches_sequential_reference(name, point, side, steps):
+    conn = Workspace(load_spec(CORPUS / f"{name}.json"), POLICY).tm_connection()
+    for plane in ((0, 1), (1, 0)):
+        res = holonomy_check(conn, point, plane, side, steps=steps)
+        ref = _reference_transport(conn, point, plane, side, steps)
+        assert np.linalg.norm(res.holonomy - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_flat_transport_is_exactly_the_identity():
+    conn = TMConnection.flat(R3, 3, target="tm")
+    for steps in (1, 128, 1024):
+        res = holonomy_check(conn, (-0.5, 0.0, 0.25), (2, 0), 0.5, steps=steps)
+        assert np.array_equal(res.holonomy, np.eye(3))
+        assert not res.log_holonomy.any()
+
+
+# ------------------------------------------------------------ matrix log
+
+
+def test_principal_log_matches_scipy_and_round_trips():
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(2008)
+    for n in (2, 3, 4):
+        for size in np.geomspace(1e-4, 3.0, 9):
+            X = rng.standard_normal((n, n))
+            X *= size / np.linalg.norm(X, 2)
+            M = linalg.expm(X)
+            L = principal_log(M)
+            expected = np.real(linalg.logm(M))
+            assert np.linalg.norm(L - expected) <= 1e-10 * np.linalg.norm(expected)
+            assert np.linalg.norm(linalg.expm(L) - M) <= 1e-12 * np.linalg.norm(M)
+
+
+def test_principal_log_of_the_identity_is_exactly_zero():
+    for n in (1, 2, 4):
+        assert not principal_log(np.eye(n)).any()
+
+
+def test_principal_log_rejects_the_closed_negative_real_axis():
+    half_turn = np.array([[np.cos(np.pi), -np.sin(np.pi)], [np.sin(np.pi), np.cos(np.pi)]])
+    for M in (half_turn, -np.eye(2), np.diag([1.0, 0.0])):
+        with pytest.raises(ValueError, match="negative real axis"):
+            principal_log(M)
+
+
+def test_principal_log_takes_square_roots_far_from_the_identity(monkeypatch):
+    roots = []
+    sqrtm = cartan._sqrtm_denman_beavers
+    monkeypatch.setattr(
+        cartan, "_sqrtm_denman_beavers", lambda A: roots.append(A) or sqrtm(A)
+    )
+    X = np.array([[0.0, -2.5, 0.3], [2.5, 0.1, 0.0], [0.2, 0.0, -0.4]])
+    # M = exp(X) by its own series, far outside ||M - I||_1 <= 1/4
+    M, term = np.eye(3), np.eye(3)
+    for k in range(1, 60):
+        term = term @ X / k
+        M = M + term
+    assert np.abs(M - np.eye(3)).sum(axis=0).max() > 0.25
+    L = principal_log(M)
+    assert len(roots) >= 2
+    assert np.linalg.norm(L - X) <= 1e-12 * np.linalg.norm(X)
 
 
 # ------------------------------------------------------- identity battery

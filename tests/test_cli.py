@@ -9,6 +9,7 @@ import importlib.metadata
 import json
 import os
 import shutil
+import subprocess
 import sys
 import sysconfig
 from pathlib import Path
@@ -257,6 +258,27 @@ def test_coframe_whose_determinant_changes_sign_is_rejected(capsys, tmp_path):
     assert witnesses[0][0] <= 0
 
 
+def test_action_field_with_a_pole_inside_the_box_is_rejected(capsys, tmp_path):
+    # 1/x is undefined on x = 0, where no sample of the bracket test lands;
+    # the scan of the field's divisors finds it at the box midpoint.
+    doc = {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y"], "box": [[-1, 1], [-1, 1]]},
+        "lie_algebra": {"structure": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]},
+        "action_fields": [["1/x", "0"], ["0", "1"]],
+    }
+    path = write_doc(tmp_path, doc)
+    for argv in (["validate"], ["check"], ["check", "--pipeline", "transitive"]):
+        code, rep = invoke(capsys, *argv, path)
+        assert code == 1, argv
+        assert rep["status"] == "fail", argv
+        check = rep["checks"][-1]
+        assert (check["name"], check["status"]) == ("action_algebroid", "fail"), argv
+        assert "pole" in check["detail"], argv
+        assert check["witness"] == [0.0, 0.0], argv
+        assert check["value"] == 0.0, argv
+
+
 # ---------------------------------------------------------------------------
 # check pipelines
 # ---------------------------------------------------------------------------
@@ -496,6 +518,54 @@ def test_holonomy_through_undefined_connection_is_input_error(capsys, tmp_path):
     message = rep["errors"][0]["message"]
     assert message.startswith("connection undefined on the loop at (0.3, 0.0): ")
     assert "division by zero" in message
+
+
+def test_holonomy_of_a_half_turn_is_input_error(capsys, tmp_path):
+    # transport turns the frame by pi * y along x: the unit square's
+    # holonomy is a half turn, whose eigenvalues -1 have no real logarithm
+    pi = "3.14159265358979324"
+    doc = minimal_poisson(
+        {
+            "connections": {
+                "turn": {
+                    "target": "tm",
+                    "gamma": [
+                        [["0", f"-{pi}*y"], [f"{pi}*y", "0"]],
+                        [["0", "0"], ["0", "0"]],
+                    ],
+                }
+            }
+        }
+    )
+    code, rep = invoke(
+        capsys,
+        "holonomy",
+        write_doc(tmp_path, doc),
+        "--point", "0", "0",
+        "--plane", "0", "1",
+        "--side", "1",
+        "--steps", "1024",
+    )
+    assert code == 2
+    assert "negative real axis" in rep["errors"][0]["message"]
+
+
+def test_holonomy_runs_without_scipy():
+    # a fresh interpreter, so no other test's imports count
+    script = (
+        "import contextlib, io, sys\n"
+        "from cartankit.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = run(['holonomy', 'corpus/sphere.json', '--point', '1.2', '0.5',\n"
+        "                '--plane', '0', '1', '--side', '0.01', '--steps', '16'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    root = CORPUS.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["0", "[]"]
 
 
 def test_holonomy_needs_transport_connection(capsys, tmp_path):

@@ -322,6 +322,14 @@ def test_chart_guard_rejects_boxes_touching_singular_loci():
         Chart(("t",), ((Fraction(3), Fraction(4)),), guards=(guard,))  # crosses pi
 
 
+def test_divisor_factors_split_divisors_and_list_inner_poles_first():
+    c = Chart(("x", "y"), ((-1, 1), (-1, 1)))
+    exprs = [parse("1/(1/x) + y^-2", c), parse("x/(-(x+1)^3*sin(y))", c), parse("x*y", c)]
+    found = [to_text(f) for f in symcore.divisor_factors(exprs)]
+    assert sorted(found) == sorted(["x", "1/x", "y", "x + 1", "sin(y)"])
+    assert found.index("x") < found.index("1/x")
+
+
 def test_chart_validation():
     with pytest.raises(ValueError):
         Chart(("x", "x"), ((0, 1), (0, 1)))
