@@ -351,6 +351,17 @@ def tangent_algebroid(chart: Chart) -> Algebroid:
     return Algebroid(chart, n, rho, zero, origin="tangent")
 
 
+def _rejection(message: str, verdict: ZeroVerdict) -> DegenerateError:
+    """The build error for an expression that must vanish but whose zero
+    test ``verdict`` fails: it carries the verdict's witness, value and
+    path into the report."""
+    point = None
+    if verdict.witness is not None:
+        point = tuple(float(x) for x in verdict.witness)
+        message = f"{message} at {point} = {verdict.value}"
+    return DegenerateError(message, point, verdict.value, verdict.path)
+
+
 def build_action_algebroid(
     algebra: LieAlgebra,
     action_fields: Sequence[Section],
@@ -400,10 +411,10 @@ def build_action_algebroid(
                     lhs.components[j] - rhs.components[j], chart, policy
                 )
                 if not verdict.zero:
-                    raise ValueError(
+                    raise _rejection(
                         f"not an infinitesimal action: bracket defect for pair "
-                        f"({a},{b}) component {j} at {verdict.witness} "
-                        f"= {verdict.value}"
+                        f"({a},{b}) component {j}",
+                        verdict,
                     )
     n, r = chart.dim, algebra.dim
     rho = [[action_fields[a].components[i] for a in range(r)] for i in range(n)]
@@ -449,10 +460,8 @@ def build_poisson_algebroid(
         total = canon(total)
         verdict = is_zero(total, chart, policy)
         if not verdict.zero:
-            where = tuple(float(x) for x in verdict.witness)
-            raise ValueError(
-                f"Pi not Poisson: Jacobi defect for triple ({i},{j},{k}) "
-                f"at {where} = {verdict.value}"
+            raise _rejection(
+                f"Pi not Poisson: Jacobi defect for triple ({i},{j},{k})", verdict
             )
     rho = [[pi[a, i] for a in range(n)] for i in range(n)]
     structure = [
@@ -542,10 +551,10 @@ def build_foliation_algebroid(
                     residual = residual - coeffs[c] * cols[i, c]
                 verdict = is_zero(residual, chart, policy)
                 if not verdict.zero:
-                    raise ValueError(
+                    raise _rejection(
                         f"not integrable / brackets do not close: pair "
-                        f"({a},{b}) leaves span at component {i}, witness "
-                        f"{verdict.witness} = {verdict.value}"
+                        f"({a},{b}) leaves the span in component {i}",
+                        verdict,
                     )
             for c in range(k):
                 structure[a][b][c] = coeffs[c]

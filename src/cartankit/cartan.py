@@ -50,11 +50,11 @@ from .connections import (
 )
 from .jet import JetSection, jet_bracket, jet_scale, splitting_curvature, splitting_from_connection
 from .symcore import (
-    Add,
     Chart,
     Const,
     DegenerateError,
     Expr,
+    ZERO,
     ZeroPolicy,
     adjugate_inverse,
     canon,
@@ -1066,7 +1066,7 @@ def _alternating_sum(
                     t = K[a, b, d] * theta[(d,) + rest + (be,)]
                     terms[be].append(t if plus else -t)
         for be in range(w):
-            value = canon(Add(terms[be]))
+            value = canon(sum(terms[be], ZERO))
             # 0 - value spreads the sign over a sum's terms, as evaluating
             # the formula on the swapped arguments would; canon(-value)
             # would keep (-1)*(sum) as a single term.
@@ -1109,9 +1109,10 @@ def exterior_derivative(
         """Derivative of theta[rest] along frame a, per value component."""
         comps = [theta[rest + (be,)] for be in range(w)]
         return [
-            Add(
+            sum(
                 [g.rho[i, a] * diff(comps[be], x) for i, x in enumerate(g.chart.coords)]
-                + [rep.A[a, ga, be] * comps[ga] for ga in range(w)]
+                + [rep.A[a, ga, be] * comps[ga] for ga in range(w)],
+                ZERO,
             )
             for be in range(w)
         ]

@@ -389,20 +389,23 @@ def load_spec(path) -> GeometrySpec:
 class BuildFailure(Exception):
     """Object tables parse but fail their mathematical validation
     (status "fail", with the witness when the validation names one), or
-    the validation meets an undefined value (status "undecidable")."""
+    the validation meets an undefined value (status "undecidable").
+    ``path`` is the tier that decided; the status follows from it."""
 
-    def __init__(self, check_name: str, message: str, status="fail", witness=None, value=None):
+    def __init__(
+        self, check_name: str, message: str, path="probabilistic", witness=None, value=None
+    ):
         super().__init__(message)
         self.check_name = check_name
         self.message = message
-        self.status = status
+        self.status = "undecidable" if path == "undecidable" else "fail"
+        self.path = path
         self.witness = witness
         self.value = value
 
     def as_check(self) -> dict:
-        path = "undecidable" if self.status == "undecidable" else "probabilistic"
         d = _check_dict(
-            self.check_name, self.status, path, detail=self.message, value=self.value
+            self.check_name, self.status, self.path, detail=self.message, value=self.value
         )
         if self.witness is not None:
             d["witness"] = [float(x) for x in self.witness]
@@ -417,7 +420,9 @@ def _building(check_name: str):
     except DomainError as exc:
         raise BuildFailure(check_name, f"undefined inside the box: {exc}", "undecidable") from None
     except DegenerateError as exc:
-        raise BuildFailure(check_name, str(exc), witness=exc.point, value=exc.value) from None
+        raise BuildFailure(
+            check_name, str(exc), exc.path, witness=exc.point, value=exc.value
+        ) from None
     except ValueError as exc:
         raise BuildFailure(check_name, str(exc)) from None
 

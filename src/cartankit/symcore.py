@@ -82,17 +82,27 @@ class DomainError(ArithmeticError):
 
 
 class DegenerateError(ValueError):
-    """An expression that must stay away from zero on the box (a
-    determinant, a denominator) vanishes or changes sign there.
+    """A construction rejected with a witness: an expression that must
+    stay away from zero on the box (a determinant, a denominator)
+    vanishes or changes sign there, or one that must vanish does not.
 
-    ``point`` and ``value`` are the witness from
-    :meth:`Chart.vanishing_witness`.
+    ``point`` and ``value`` are the witness, from
+    :meth:`Chart.vanishing_witness` or a failing :class:`ZeroVerdict`;
+    ``path`` is the tier that decided, as in :class:`ZeroVerdict`.  An
+    ``"undecidable"`` path has no witness.
     """
 
-    def __init__(self, message: str, point: tuple, value: float):
+    def __init__(
+        self,
+        message: str,
+        point: Optional[tuple],
+        value: Optional[float],
+        path: str = "probabilistic",
+    ):
         super().__init__(message)
         self.point = point
         self.value = value
+        self.path = path
 
 
 def _coerce(value) -> "Expr":
@@ -109,11 +119,43 @@ def _coerce(value) -> "Expr":
 _IS_CANONICAL = object()
 
 
+def _is_literal_zero(e: "Expr") -> bool:
+    if isinstance(e, Neg):
+        e = e.operand
+    return isinstance(e, Const) and e.value == 0
+
+
+def _plus(a: "Expr", b: "Expr") -> "Expr":
+    """``a + b`` as one flat sum: the terms of an uncanonicalized ``Add``
+    operand are spliced in and a literal-zero operand is left out.  The
+    result canonicalizes exactly as ``Add((a, b))`` does, so it stays an
+    ``Add`` even with one term: ``canon`` spreads a rational multiple of
+    a sum over the sum's terms only inside a sum."""
+    terms = ()
+    for e in (a, b):
+        if isinstance(e, Add) and e._canonical is None:
+            terms += e.terms
+        elif not _is_literal_zero(e):
+            terms += (e,)
+    return Add(terms) if terms else ZERO
+
+
+def _times(a: "Expr", b: "Expr") -> "Expr":
+    """``a * b``; ``ZERO`` if either factor is a literal zero.  Products
+    keep their nesting."""
+    if _is_literal_zero(a) or _is_literal_zero(b):
+        return ZERO
+    return Mul((a, b))
+
+
 class Expr:
     """Immutable expression node; subclasses define the node kinds.
 
     Arithmetic operators build raw (uncanonicalized) trees; call
-    :func:`canon` or :func:`is_zero` to normalize/decide.
+    :func:`canon` or :func:`is_zero` to normalize/decide.  ``+`` and
+    ``-`` build flat sums and ``*`` drops products with a literal-zero
+    factor, so an accumulation ``total = total + term`` stays one n-ary
+    ``Add`` of its nonzero terms.
     """
 
     __slots__ = ("_hash", "_canonical", "_key", "__weakref__")
@@ -125,22 +167,22 @@ class Expr:
     # -- operator sugar (int and Fraction coerce to Const) --------------
 
     def __add__(self, other):
-        return Add((self, _coerce(other)))
+        return _plus(self, _coerce(other))
 
     def __radd__(self, other):
-        return Add((_coerce(other), self))
+        return _plus(_coerce(other), self)
 
     def __sub__(self, other):
-        return Add((self, Neg(_coerce(other))))
+        return _plus(self, Neg(_coerce(other)))
 
     def __rsub__(self, other):
-        return Add((_coerce(other), Neg(self)))
+        return _plus(_coerce(other), Neg(self))
 
     def __mul__(self, other):
-        return Mul((self, _coerce(other)))
+        return _times(self, _coerce(other))
 
     def __rmul__(self, other):
-        return Mul((_coerce(other), self))
+        return _times(_coerce(other), self)
 
     def __truediv__(self, other):
         return Div(self, _coerce(other))
@@ -878,37 +920,46 @@ def _canon_call(func: str, arg: Expr) -> Expr:
 
 
 def diff(e: Expr, name: str) -> Expr:
-    """Partial derivative with respect to the coordinate ``name`` (raw tree)."""
+    """Partial derivative with respect to the coordinate ``name`` (raw tree).
+
+    Walks the tree in post order with an explicit stack, not recursion; a
+    subterm that occurs more than once in ``e`` is differentiated once.
+    """
+    done = {}  # id(node) -> its derivative; e keeps every node alive
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        waiting = [c for c in node.children() if id(c) not in done]
+        if waiting:
+            stack.extend(waiting)
+            continue
+        stack.pop()
+        done[id(node)] = _diff_node(node, name, [done[id(c)] for c in node.children()])
+    return done[id(e)]
+
+
+def _diff_node(e: Expr, name: str, d: list) -> Expr:
+    """The derivative of one node, given ``d``, its children's derivatives."""
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Sym):
         return ONE if e.name == name else ZERO
     if isinstance(e, Neg):
-        return Neg(diff(e.operand, name))
+        return Neg(d[0])
     if isinstance(e, Add):
-        return Add(tuple(diff(t, name) for t in e.terms))
+        return Add(tuple(d))
     if isinstance(e, Mul):
-        terms = []
-        for i, f in enumerate(e.factors):
-            rest = e.factors[:i] + (diff(f, name),) + e.factors[i + 1 :]
-            terms.append(Mul(rest))
-        return Add(tuple(terms))
+        return Add(
+            tuple(Mul(e.factors[:i] + (d[i],) + e.factors[i + 1 :]) for i in range(len(d)))
+        )
     if isinstance(e, Div):
-        return Div(
-            Add(
-                (
-                    Mul((diff(e.num, name), e.den)),
-                    Neg(Mul((e.num, diff(e.den, name)))),
-                )
-            ),
-            Pow(e.den, 2),
-        )
+        return Div(Add((Mul((d[0], e.den)), Neg(Mul((e.num, d[1]))))), Pow(e.den, 2))
     if isinstance(e, Pow):
-        return Mul(
-            (Const(e.exponent), Pow(e.base, e.exponent - 1), diff(e.base, name))
-        )
+        return Mul((Const(e.exponent), Pow(e.base, e.exponent - 1), d[0]))
     if isinstance(e, Call):
-        inner = diff(e.arg, name)
         if e.func == "sin":
             outer = Call("cos", e.arg)
         elif e.func == "cos":
@@ -923,7 +974,7 @@ def diff(e: Expr, name: str) -> Expr:
             outer = Div(ONE, Mul((Const(2), e)))
         else:  # pragma: no cover - FUNCTIONS is closed
             raise ValueError(e.func)
-        return Mul((outer, inner))
+        return Mul((outer, d[0]))
     raise TypeError(f"cannot differentiate {type(e).__name__}")
 
 

@@ -279,6 +279,52 @@ def test_action_field_with_a_pole_inside_the_box_is_rejected(capsys, tmp_path):
         assert check["value"] == 0.0, argv
 
 
+def _rejected_build(capsys, path, name):
+    """The one check of a build rejected under validate and check, which
+    must agree."""
+    found = []
+    for command in ("validate", "check"):
+        code, rep = invoke(capsys, command, path)
+        assert code == 1, command
+        assert rep["status"] == "fail", command
+        check = rep["checks"][-1]
+        assert (check["name"], check["status"]) == (name, "fail"), command
+        found.append(check)
+    assert found[0] == found[1]
+    return found[0]
+
+
+def test_action_whose_fields_do_not_close_is_rejected_with_a_witness(capsys, tmp_path):
+    # [x d/dx, x d/dy] = x d/dy, but the algebra is abelian.
+    doc = {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y"], "box": [[-1, 2], [-1, 2]]},
+        "lie_algebra": {"structure": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]},
+        "action_fields": [["x", "0"], ["0", "x"]],
+    }
+    check = _rejected_build(capsys, write_doc(tmp_path, doc), "action_algebroid")
+    assert check["path"] == "probabilistic"
+    x, y = check["witness"]
+    assert -1 <= x <= 2 and -1 <= y <= 2
+    # the defect is x itself, and the detail prints plain floats
+    assert check["value"] == x
+    assert "np.float64" not in check["detail"]
+    assert "component 1" in check["detail"]
+
+
+def test_frame_whose_bracket_leaves_the_span_is_rejected_with_a_witness(capsys, tmp_path):
+    # [d/dx, d/dy + x d/dz] = d/dz: the residual is the constant 1, which
+    # the exact tier decides, with the midpoint as witness.
+    doc = {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y", "z"], "box": [[-1, 1], [-1, 1], [-1, 1]]},
+        "foliation_frame": [["1", "0", "0"], ["0", "1", "x"]],
+    }
+    check = _rejected_build(capsys, write_doc(tmp_path, doc), "foliation")
+    assert (check["path"], check["witness"], check["value"]) == ("symbolic", [0.0, 0.0, 0.0], 1.0)
+    assert "component 2" in check["detail"]
+
+
 # ---------------------------------------------------------------------------
 # check pipelines
 # ---------------------------------------------------------------------------
@@ -311,6 +357,45 @@ def test_check_ellipsoid_riemann_fails_with_witness(capsys):
     bad = [c for c in verdict["children"] if c["name"] == "curvature_parallel"]
     assert bad[0]["status"] == "fail"
     assert len(bad[0]["witness"]) == 2
+
+
+def _metric_3d(metric):
+    """A metric on [-1,1]^2 x [1/2,2], with the guard z."""
+    return {
+        "spec_version": 1,
+        "chart": {
+            "coords": ["x", "y", "z"],
+            "box": [[-1, 1], [-1, 1], ["1/2", 2]],
+            "guards": ["z"],
+        },
+        "metric": metric,
+    }
+
+
+def test_check_hyperbolic_3_space_is_homogeneous(capsys, tmp_path):
+    # Upper half-space H^3 has constant curvature -1.
+    doc = _metric_3d([["1/z^2", "0", "0"], ["0", "1/z^2", "0"], ["0", "0", "1/z^2"]])
+    code, rep = invoke(capsys, "check", write_doc(tmp_path, doc))
+    assert code == 0
+    [verdict] = rep["checks"]
+    assert (verdict["name"], verdict["status"]) == ("riemann", "pass")
+    assert [c["status"] for c in verdict["children"]] == ["pass"] * 4
+    assert any("homogeneous" in n for n in verdict["notes"])
+
+
+def test_check_3d_metric_with_varying_curvature_fails_h_invariance(capsys, tmp_path):
+    # The (x, y) factor has curvature -1/(1 + x^2)^2, which varies with x.
+    doc = _metric_3d([["1", "0", "0"], ["0", "1+x^2", "0"], ["0", "0", "z^2"]])
+    code, rep = invoke(capsys, "check", write_doc(tmp_path, doc))
+    assert code == 1
+    [verdict] = rep["checks"]
+    assert (verdict["name"], verdict["status"]) == ("riemann", "fail")
+    children = {c["name"]: c for c in verdict["children"]}
+    failed = children["h_invariance"]
+    assert failed["status"] == "fail"
+    x, y, z = failed["witness"]
+    assert -1 <= x <= 1 and -1 <= y <= 1 and 0.5 <= z <= 2
+    assert abs(failed["value"]) > 1e-3
 
 
 def test_check_theorem_a_on_action(capsys):
@@ -389,13 +474,17 @@ def test_check_non_jacobi_poisson_is_a_verdict_failure(capsys, tmp_path):
         "chart": {"coords": ["x", "y", "z"], "box": [[-1, 1], [-1, 1], [-1, 1]]},
         "poisson": [["0", "x", "0"], ["-x", "0", "y"], ["0", "-y", "0"]],
     }
-    code, rep = invoke(
-        capsys, "check", write_doc(tmp_path, doc), "--pipeline", "poisson"
-    )
+    path = write_doc(tmp_path, doc)
+    code, rep = invoke(capsys, "check", path, "--pipeline", "poisson")
     assert code == 1
     assert rep["status"] == "fail"
     assert rep["checks"][0]["name"] == "poisson_algebroid"
     assert "Jacobi" in rep["checks"][0]["detail"]
+    # The Jacobi defect is x, so the sampled tier decides, with a witness.
+    check = _rejected_build(capsys, path, "poisson_algebroid")
+    assert check["path"] == "probabilistic"
+    assert all(-1 <= c <= 1 for c in check["witness"])
+    assert check["value"] == check["witness"][0]
 
 
 def test_check_riemann_needs_a_metric(capsys, tmp_path):

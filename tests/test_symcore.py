@@ -145,6 +145,39 @@ def test_canonical_order_is_stable():
     assert to_text(canon(p("y + x"))) == "x + y"
 
 
+# -- operators ---------------------------------------------------------------
+
+
+def test_operators_build_one_flat_sum():
+    xs = [Sym(f"x{i}") for i in range(400)]
+    total = xs[0]
+    for v in xs[1:]:
+        total = total + v
+    assert isinstance(total, Add) and total.terms == tuple(xs)
+    head = xs[0] + xs[1]
+    assert (head - xs[2]).terms == (xs[0], xs[1], Neg(xs[2]))
+    assert head.terms == (xs[0], xs[1])  # no node is mutated
+    # a canonical sum is a term of its own, not spliced
+    form = canon(head)
+    assert (form + xs[2]).terms == (form, xs[2])
+
+
+def test_operators_drop_literal_zeros():
+    x, y = Sym("x"), Sym("y")
+    for zero in (0, Const(0), Neg(Const(0))):
+        assert x * zero is symcore.ZERO and zero * x is symcore.ZERO
+        assert x + zero == Add((x,)) and zero + x == Add((x,))
+    assert x - 0 == Add((x,)) and x - Const(0) == Add((x,))
+    assert 0 - x == Add((Neg(x),))
+    assert Const(0) + Const(0) is symcore.ZERO
+    assert (x + y) + 0 == x + y
+    # A sum of one term, not the bare term: canon spreads a rational
+    # multiple of a sum over its terms only inside a sum.
+    negated = Neg(x + y)
+    assert to_text(canon(Const(0) + negated)) == "-x - y"
+    assert to_text(canon(negated)) == "(-1)*(x + y)"
+
+
 # -- hash-consing ------------------------------------------------------------
 
 
@@ -162,13 +195,27 @@ def test_deep_left_nested_trees_canonicalise():
         x = Sym("x")
         total = x
         for _ in range(399):
-            total = total + x
+            # the constructor, not +, which would build one flat sum
+            total = Add((total, x))
         assert canon(total) == Mul((Const(400), x))
         product = x
         for _ in range(1499):
             product = product * x
         assert canon(product) == Pow(x, 1500)
         assert evaluate(product, {"x": -1.0}) == 1.0
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_diff_of_a_deep_product():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        x = Sym("x")
+        product = x
+        for _ in range(1499):
+            product = product * x
+        assert canon(diff(product, "x")) == Mul((Const(1500), Pow(x, 1499)))
     finally:
         sys.setrecursionlimit(limit)
 
@@ -412,6 +459,95 @@ def test_canon_idempotent(e):
 def test_canon_respects_commutativity(a, b):
     assert canon(Add((a, b))) == canon(Add((b, a)))
     assert canon(Mul((a, b))) == canon(Mul((b, a)))
+
+
+# Literal zeros and a pole at zero, among the operands of the operator test
+_OPERANDS = st.one_of(
+    _expr_strategy(),
+    st.sampled_from(["0", "-0", "0^-1"]).map(lambda text: parse(text, XY)),
+)
+
+
+@given(
+    st.lists(_OPERANDS, min_size=1, max_size=4),
+    st.lists(st.sampled_from(["+", "-", "*", "r+", "r-", "r*"]), min_size=3, max_size=3),
+)
+@example([Const(0), Neg(Add((Sym("x"), Sym("y"))))], ["+", "+", "+"])
+@example([Add((Sym("x"), Const(2))), Const(0), Mul((Const(3), Add((Sym("y"), Sym("x")))))], ["-", "r+", "+"])
+@settings(max_examples=300, deadline=None)
+def test_operators_canonicalise_as_the_constructors(operands, ops):
+    built, nested = _rebuild(operands[0]), _rebuild(operands[0])
+    for op, operand in zip(ops, operands[1:]):
+        a, b = _rebuild(operand), _rebuild(operand)
+        if op == "+":
+            built, nested = built + a, Add((nested, b))
+        elif op == "-":
+            built, nested = built - a, Add((nested, Neg(b)))
+        elif op == "*":
+            built, nested = built * a, Mul((nested, b))
+        elif op == "r+":
+            built, nested = a + built, Add((b, nested))
+        elif op == "r-":
+            built, nested = a - built, Add((b, Neg(nested)))
+        else:
+            built, nested = a * built, Mul((b, nested))
+    assert canon(built) == canon(nested)
+
+
+def _reference_diff(e, name):
+    """The recursive derivative the explicit-stack walk replaced, kept as
+    the oracle for its raw trees."""
+    if isinstance(e, Const):
+        return symcore.ZERO
+    if isinstance(e, Sym):
+        return symcore.ONE if e.name == name else symcore.ZERO
+    if isinstance(e, Neg):
+        return Neg(_reference_diff(e.operand, name))
+    if isinstance(e, Add):
+        return Add(tuple(_reference_diff(t, name) for t in e.terms))
+    if isinstance(e, Mul):
+        terms = []
+        for i, f in enumerate(e.factors):
+            rest = e.factors[:i] + (_reference_diff(f, name),) + e.factors[i + 1 :]
+            terms.append(Mul(rest))
+        return Add(tuple(terms))
+    if isinstance(e, Div):
+        return Div(
+            Add(
+                (
+                    Mul((_reference_diff(e.num, name), e.den)),
+                    Neg(Mul((e.num, _reference_diff(e.den, name)))),
+                )
+            ),
+            Pow(e.den, 2),
+        )
+    if isinstance(e, Pow):
+        return Mul(
+            (Const(e.exponent), Pow(e.base, e.exponent - 1), _reference_diff(e.base, name))
+        )
+    inner = _reference_diff(e.arg, name)
+    outer = {
+        "sin": lambda: Call("cos", e.arg),
+        "cos": lambda: Neg(Call("sin", e.arg)),
+        "tan": lambda: Add((symcore.ONE, Pow(Call("tan", e.arg), 2))),
+        "exp": lambda: e,
+        "log": lambda: Div(symcore.ONE, e.arg),
+        "sqrt": lambda: Div(symcore.ONE, Mul((Const(2), e))),
+    }[e.func]()
+    return Mul((outer, inner))
+
+
+@given(_expr_strategy(symcore.FUNCTIONS), st.sampled_from(["x", "y"]))
+@settings(max_examples=300, deadline=None)
+def test_diff_matches_the_recursive_reference(e, name):
+    assert diff(e, name) == _reference_diff(e, name)
+
+
+def test_diff_differentiates_a_shared_subterm_once():
+    shared = Call("sin", Sym("x") * Sym("y"))
+    d = diff(Mul((shared, shared)), "x")
+    assert d == _reference_diff(Mul((shared, shared)), "x")
+    assert d.terms[0].factors[0] is d.terms[1].factors[1]
 
 
 # -- batched evaluation against the scalar reference ------------------------
