@@ -17,6 +17,7 @@ import numpy as np
 from .symcore import (
     Chart,
     Const,
+    DegenerateError,
     Expr,
     ZeroPolicy,
     canon,
@@ -276,7 +277,8 @@ class TensorField:
         policy: Optional[ZeroPolicy] = None,
     ):
         """Raise ValueError unless the components are symmetric /
-        antisymmetric under swapping each given pair of slots."""
+        antisymmetric under swapping each given pair of slots; a failing
+        pair raises :class:`DegenerateError` with the zero test's witness."""
         policy = policy or ZeroPolicy()
         for sign, pairs in ((-1, symmetric), (1, antisymmetric)):
             for i, j in pairs:
@@ -297,9 +299,10 @@ class TensorField:
                     verdict = is_zero(defect, self.chart, policy)
                     if not verdict.zero:
                         kind = "symmetric" if sign == -1 else "antisymmetric"
-                        raise ValueError(
+                        raise DegenerateError.from_verdict(
                             f"declared {kind} pair ({i}, {j}) fails at "
-                            f"index {idx}: witness {verdict.witness}"
+                            f"index {idx}",
+                            verdict,
                         )
 
 

@@ -689,8 +689,8 @@ def riemann_pipeline(
     always uses the full skew frame.
 
     Raises :class:`DegenerateError` (with the witness) on a degenerate
-    metric, :class:`DomainError` when its determinant is undefined at a
-    sample, and on any internal-identity failure.
+    or non-symmetric metric, :class:`DomainError` when its determinant
+    is undefined at a sample, and on any internal-identity failure.
     """
     policy = policy or ZeroPolicy()
     chart = sigma.chart
@@ -701,9 +701,8 @@ def riemann_pipeline(
         for j in range(i + 1, n):
             v = is_zero(sigma[i, j] - sigma[j, i], chart, policy)
             if not v.zero:
-                raise ValueError(
-                    f"metric is not symmetric: ({i},{j}) vs ({j},{i}), "
-                    f"witness {v.witness}"
+                raise DegenerateError.from_verdict(
+                    f"metric is not symmetric: ({i},{j}) vs ({j},{i})", v
                 )
 
     # pointwise nondegeneracy over the sampling box

@@ -49,6 +49,7 @@ from .algebroid import validate as validate_algebroid
 from .bundles import LOW, TM, UP, Section, TensorField
 from .cartan import (
     DegenerateError,
+    _battery,
     Parallelism,
     check_cartan,
     cotangent_connection,
@@ -67,7 +68,6 @@ from .symcore import (
     Expr,
     ZeroPolicy,
     canon,
-    is_zero,
     parse,
     sym_det,
     to_text,
@@ -625,9 +625,13 @@ def _check_dict(name, status, path="symbolic", **extra) -> dict:
 def _axiom_dicts(report) -> List[dict]:
     out = []
     for c in report.checks:
+        if c.path == "undecidable":
+            status = "undecidable"
+        else:
+            status = "pass" if c.ok else "fail"
         d = _check_dict(
             c.name,
-            "pass" if c.ok else "fail",
+            status,
             c.path,
             detail=c.detail,
             value=c.value,
@@ -642,18 +646,12 @@ def _metric_checks(ws: Workspace) -> List[dict]:
     sigma = ws.metric_tensor()
     chart, policy = ws.spec.chart, ws.policy
     n = chart.dim
-    checks = []
-    sym = "pass"
-    witness = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = is_zero(sigma[i, j] - sigma[j, i], chart, policy)
-            if not v.zero:
-                sym, witness = "fail", v.witness
-    d = _check_dict("metric_symmetric", sym, "probabilistic")
-    if witness is not None:
-        d["witness"] = [float(x) for x in witness]
-    checks.append(d)
+    pairs = (
+        (f"({i},{j}) vs ({j},{i})", sigma[i, j] - sigma[j, i])
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+    checks = [_battery("metric_symmetric", pairs, chart, policy).as_dict()]
     det = sym_det([[sigma[i, j] for j in range(n)] for i in range(n)])
     try:
         bad = chart.vanishing_witness(det, policy.samples, policy.seed)

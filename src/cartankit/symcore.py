@@ -104,6 +104,17 @@ class DegenerateError(ValueError):
         self.value = value
         self.path = path
 
+    @classmethod
+    def from_verdict(cls, message: str, verdict: "ZeroVerdict") -> "DegenerateError":
+        """The rejection of an expression that must vanish but whose zero
+        test ``verdict`` fails: it carries the verdict's witness, value and
+        path into the report."""
+        point = None
+        if verdict.witness is not None:
+            point = tuple(float(x) for x in verdict.witness)
+            message = f"{message} at {point} = {verdict.value}"
+        return cls(message, point, verdict.value, verdict.path)
+
 
 def _coerce(value) -> "Expr":
     if isinstance(value, Expr):
@@ -447,10 +458,10 @@ class _Parser:
             ch = self.peek()
             if ch == "+":
                 self.pos += 1
-                node = Add((node, self.term()))
+                node = _plus(node, self.term())
             elif ch == "-":
                 self.pos += 1
-                node = Add((node, Neg(self.term())))
+                node = _plus(node, Neg(self.term()))
             else:
                 return node
 

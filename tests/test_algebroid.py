@@ -1,8 +1,13 @@
+import random
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from cartankit.algebroid import (
     Algebroid,
+    AxiomCheck,
     LieAlgebra,
     anchor_apply,
     bracket,
@@ -11,11 +16,12 @@ from cartankit.algebroid import (
     build_poisson_algebroid,
     orbit_rank,
     orbit_scan,
+    _jacobiator,
     tangent_algebroid,
     validate,
 )
 from cartankit.bundles import Section, TensorField
-from cartankit.symcore import Chart, Const, canon, is_zero, parse
+from cartankit.symcore import Chart, Const, canon, diff, is_zero, parse
 
 R2 = Chart(("x", "y"), [(-1, 1), (-1, 1)])
 R3 = Chart(("x", "y", "z"), [(-1, 1), (-1, 1), (-1, 1)])
@@ -150,6 +156,127 @@ def test_perturbed_structure_function_fails_anchor_hom():
     assert not report.ok
     check = report["anchor_hom"]
     assert not check.ok and check.witness is not None
+
+
+# ------------------------------------- axioms from the tables, kept honest
+
+# z stays away from 0, so that entries such as 1/z are defined on the box
+R3_POS = Chart(("x", "y", "z"), [(-1, 1), (-1, 1), (Fraction(1, 2), 2)])
+ENTRIES = (
+    "0", "0", "1", "-2", "x", "sin(x)", "1/z", "-(x+y)", "x*y",
+    "(x+y)^2", "exp(y)", "cos(z)*x", "2*(x - z)", "y/z",
+)
+
+
+def random_algebroid(seed, rank, chart=R3_POS):
+    """Seeded anchor and antisymmetric structure tables drawn from ENTRIES;
+    they need not satisfy any axiom but antisymmetry."""
+    rng = random.Random(seed)
+    n = chart.dim
+    rho = [[rng.choice(ENTRIES) for _ in range(rank)] for _ in range(n)]
+    c = [[["0"] * rank for _ in range(rank)] for _ in range(rank)]
+    for a, b in combinations(range(rank), 2):
+        for d in range(rank):
+            entry = rng.choice(ENTRIES)
+            c[a][b][d] = entry
+            c[b][a][d] = f"-({entry})"
+    return Algebroid(chart, rank, rho, c)
+
+
+def random_function(rng, chart=R3_POS):
+    return parse(f"{rng.choice(ENTRIES)} + {rng.choice(ENTRIES)}*x", chart)
+
+
+def _reference_jacobiator(g, a, b, c):
+    """The Jacobiator by nested section brackets, as validate once built it."""
+    e = [g.frame_section(k) for k in range(g.rank)]
+    cyc = (
+        bracket(g, bracket(g, e[a], e[b]), e[c])
+        + bracket(g, bracket(g, e[b], e[c]), e[a])
+        + bracket(g, bracket(g, e[c], e[a]), e[b])
+    )
+    return cyc.components
+
+
+@pytest.mark.parametrize("seed,rank", [(0, 3), (1, 3), (2, 4), (3, 4), (4, 4)])
+def test_closed_form_jacobiator_matches_nested_brackets(seed, rank):
+    # The two builds can reach different canonical forms of one function:
+    # canon keeps (-1)*(x + y) inside a product but spreads it to -x - y
+    # inside a sum.  So a sampled value may differ in the last place (seed
+    # 2 has one); zero, path and witness must agree exactly.
+    g = random_algebroid(seed, rank)
+    for a, b, c in combinations(range(rank), 3):
+        closed = _jacobiator(g, a, b, c)
+        nested = _reference_jacobiator(g, a, b, c)
+        for d in range(rank):
+            mine, ref = is_zero(closed[d], g.chart), is_zero(nested[d], g.chart)
+            where = (a, b, c, d)
+            assert (mine.zero, mine.path, mine.witness) == (
+                ref.zero, ref.path, ref.witness,
+            ), where
+            if ref.value is None:
+                assert mine.value is None, where
+            else:
+                assert mine.value == pytest.approx(ref.value, rel=1e-12), where
+            assert is_zero(closed[d] - nested[d], g.chart).zero, where
+
+
+def test_closed_form_jacobiator_vanishes_on_valid_algebroids():
+    for g in (so3_action(), lie_poisson_so3(), tangent_algebroid(R3)):
+        for a, b, c in combinations(range(g.rank), 3):
+            assert all(canon(e) == Const(0) for e in _jacobiator(g, a, b, c))
+
+
+@pytest.mark.parametrize("seed,rank", [(10, 2), (11, 3), (12, 3), (13, 4)])
+def test_bracket_is_leibniz_on_frames(seed, rank):
+    # [e_a, f e_b] - f [e_a, e_b] - rho_a(f) e_b, the expansion validate
+    # once checked; it vanishes for any tables because bracket is the
+    # Leibniz extension of the frame brackets
+    g = random_algebroid(seed, rank)
+    rng = random.Random(seed)
+    chart = g.chart
+    fs = [parse(name, chart) for name in chart.coords] + [
+        random_function(rng) for _ in range(2)
+    ]
+    frames = [g.frame_section(a) for a in range(rank)]
+    for f in fs:
+        for a in range(rank):
+            rho_f = Const(0)
+            for i, name in enumerate(chart.coords):
+                rho_f = rho_f + g.rho[i, a] * diff(f, name)
+            for b in range(rank):
+                scaled = bracket(g, frames[a], frames[b].scale(f))
+                plain = bracket(g, frames[a], frames[b]).scale(f)
+                for d in range(rank):
+                    defect = scaled.components[d] - plain.components[d]
+                    if d == b:
+                        defect = defect - rho_f
+                    assert is_zero(defect, chart).zero, (str(f), a, b, d)
+
+
+@pytest.mark.parametrize("seed,rank", [(20, 2), (21, 3), (22, 4)])
+def test_bracket_is_leibniz_on_general_sections(seed, rank):
+    g = random_algebroid(seed, rank)
+    rng = random.Random(seed)
+    chart = g.chart
+    for _ in range(5):
+        X = Section(chart, [random_function(rng) for _ in range(rank)], "g")
+        Y = Section(chart, [random_function(rng) for _ in range(rank)], "g")
+        f = random_function(rng)
+        V = anchor_apply(g, X)
+        rho_f = Const(0)
+        for i, name in enumerate(chart.coords):
+            rho_f = rho_f + V.components[i] * diff(f, name)
+        defect = (
+            bracket(g, X, Y.scale(f)) - bracket(g, X, Y).scale(f) - Y.scale(rho_f)
+        )
+        for d in range(rank):
+            assert is_zero(defect.components[d], chart).zero, d
+
+
+def test_validate_reports_leibniz_symbolic_on_any_tables():
+    report = validate(random_algebroid(0, 3))
+    assert report["leibniz"] == AxiomCheck("leibniz", True, "symbolic")
 
 
 # ----------------------------------------------------------------- action

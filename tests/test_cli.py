@@ -325,6 +325,83 @@ def test_frame_whose_bracket_leaves_the_span_is_rejected_with_a_witness(capsys, 
     assert "component 2" in check["detail"]
 
 
+def test_undecidable_axiom_is_reported_undecidable(capsys, tmp_path):
+    # sqrt(x - 5) is undefined on the whole box, so no zero test of the
+    # anchor homomorphism can be decided; that is no failure, and no
+    # witness exists.
+    zero = [["0", "0"], ["0", "0"]]
+    doc = {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y"], "box": [[-1, 1], [-1, 1]]},
+        "algebroid": {
+            "rank": 2,
+            "anchor": [["sqrt(x-5)", "x"], ["0", "1"]],
+            "structure": [zero, zero],
+        },
+    }
+    code, rep = invoke(capsys, "validate", write_doc(tmp_path, doc))
+    assert code == 1
+    assert rep["status"] == "undecidable"
+    check = {c["name"]: c for c in rep["checks"]}["anchor_hom"]
+    assert (check["status"], check["path"]) == ("undecidable", "undecidable")
+    assert "witness" not in check
+    assert all(c["status"] != "fail" for c in rep["checks"])
+
+
+def test_metric_symmetry_reports_its_path_and_first_failing_pair(capsys, tmp_path):
+    def metric_symmetric(metric):
+        doc = {
+            "spec_version": 1,
+            "chart": {"coords": ["x", "y"], "box": [[-1, 1], [-1, 1]]},
+            "metric": metric,
+        }
+        code, rep = invoke(capsys, "validate", write_doc(tmp_path, doc))
+        return {c["name"]: c for c in rep["checks"]}["metric_symmetric"]
+
+    check = metric_symmetric([["1", "x*y"], ["y*x", "1"]])
+    assert (check["status"], check["path"]) == ("pass", "symbolic")
+    check = metric_symmetric([["2", "x"], ["0", "2"]])
+    assert (check["status"], check["path"]) == ("fail", "probabilistic")
+    assert check["detail"] == "(0,1) vs (1,0)"
+    assert check["value"] == check["witness"][0]
+    # sqrt(x - 5) is undefined on the whole box
+    check = metric_symmetric([["1", "sqrt(x-5)"], ["0", "1"]])
+    assert (check["status"], check["path"]) == ("undecidable", "undecidable")
+    assert "witness" not in check
+
+
+def test_non_symmetric_metric_is_rejected_with_validates_witness(capsys, tmp_path):
+    doc = {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y"], "box": [[-1, 1], [-1, 1]]},
+        "metric": [["2", "x"], ["0", "2"]],
+    }
+    path = write_doc(tmp_path, doc)
+    code, rep = invoke(capsys, "validate", path)
+    assert code == 1
+    symmetric = {c["name"]: c for c in rep["checks"]}["metric_symmetric"]
+    code, rep = invoke(capsys, "check", path)
+    assert code == 1
+    [check] = rep["checks"]
+    assert (check["name"], check["status"]) == ("metric", "fail")
+    assert check["witness"] == symmetric["witness"]
+    assert check["value"] == symmetric["value"]
+    assert check["path"] == symmetric["path"]
+    assert "not symmetric" in check["detail"]
+    assert "np.float64" not in check["detail"]
+
+
+def test_non_antisymmetric_poisson_tensor_is_rejected_with_a_witness(capsys, tmp_path):
+    # Pi^01 + Pi^10 = x + y
+    doc = minimal_poisson({"poisson": [["0", "x"], ["y", "0"]]})
+    check = _rejected_build(capsys, write_doc(tmp_path, doc), "poisson")
+    x, y = check["witness"]
+    assert -1 <= x <= 1 and -1 <= y <= 1
+    assert check["value"] == pytest.approx(x + y)
+    assert "antisymmetric" in check["detail"]
+    assert "np.float64" not in check["detail"]
+
+
 # ---------------------------------------------------------------------------
 # check pipelines
 # ---------------------------------------------------------------------------

@@ -55,11 +55,21 @@ def same(a, b):
 
 
 def test_precedence_and_associativity():
-    assert p("x - y - x") == Add((Add((Sym("x"), Neg(Sym("y")))), Neg(Sym("x"))))
+    # a chain of + and - parses to one flat sum
+    assert p("x - y - x") == Add((Sym("x"), Neg(Sym("y")), Neg(Sym("x"))))
+    assert p("x - (y - x)") == Add((Sym("x"), Neg(Add((Sym("y"), Neg(Sym("x")))))))
+    assert same(p("x - (y - x)"), p("2*x - y"))
     assert p("x/y/x") == Div(Div(Sym("x"), Sym("y")), Sym("x"))
     assert p("2*x^2") == Mul((Const(2), Pow(Sym("x"), 2)))
     # unary minus binds looser than the power
     assert same(p("-x^2") + p("x^2"), Const(0))
+
+
+def test_parsed_sum_is_one_flat_add():
+    chart = Chart(tuple(f"x{i}" for i in range(400)), [(0, 1)] * 400)
+    total = parse(" + ".join(chart.coords), chart)
+    assert isinstance(total, Add) and len(total.terms) == 400
+    assert total.terms == tuple(Sym(name) for name in chart.coords)
 
 
 def test_decimal_literals_are_exact_rationals():
