@@ -115,6 +115,7 @@ class Algebroid:
     """Chart-level Lie algebroid data.
 
     Construction checks only shapes; use :func:`validate` for the axioms.
+    ``rho`` and ``structure`` are read-only.
     ``origin`` records which builder produced the object ("tangent",
     "action", "poisson", "foliation", or "direct") so that downstream
     verdicts can specialise their commentary.
@@ -141,6 +142,8 @@ class Algebroid:
             for b in range(rank):
                 for c in range(rank):
                     c_arr[a, b, c] = as_expr(structure[a][b][c], chart)
+        rho_arr.flags.writeable = False
+        c_arr.flags.writeable = False
         self.chart = chart
         self.rank = rank
         self.rho = rho_arr

@@ -40,6 +40,7 @@ from . import __version__
 from .algebroid import (
     Algebroid,
     LieAlgebra,
+    ValidationReport,
     build_action_algebroid,
     build_foliation_algebroid,
     build_poisson_algebroid,
@@ -461,13 +462,33 @@ class Workspace:
 
         return self._build("action_algebroid", make)
 
-    def direct_algebroid(self) -> Algebroid:
+    def direct_algebroid_axioms(self) -> Tuple[Algebroid, ValidationReport]:
+        """The declared anchor and structure tables, and their axiom verdicts."""
+
         def make():
             r, rho, structure = self.spec.algebroid_tables
             with _building("algebroid"):
-                return Algebroid(self.spec.chart, r, rho, structure)
+                g = Algebroid(self.spec.chart, r, rho, structure)
+            return g, validate_algebroid(g, self.policy)
 
-        return self._build("direct_algebroid", make)
+        return self._build("direct_algebroid_axioms", make)
+
+    def direct_algebroid(self) -> Algebroid:
+        """The declared algebroid, once its tables pass every axiom: the
+        first axiom that fails rejects the build with its witness and
+        value, and one that is undecidable leaves the build undecidable."""
+        g, report = self.direct_algebroid_axioms()
+        for c in report.checks:
+            if not c.ok:
+                outcome = "is undecidable" if c.path == "undecidable" else "fails"
+                raise BuildFailure(
+                    "algebroid",
+                    f"axiom {c.name} {outcome}: {c.detail}",
+                    c.path,
+                    witness=c.witness,
+                    value=c.value,
+                )
+        return g
 
     def poisson_tensor(self) -> TensorField:
         def make():
@@ -691,18 +712,23 @@ def cmd_validate(ws: Workspace) -> List[dict]:
             ws.lie_algebra,
             lambda alg: [_check_dict("lie_algebra_axioms", "pass", "symbolic")],
         )
-    for label, present, builder in (
-        ("action_algebroid", spec.action_fields is not None, ws.action_algebroid),
-        ("algebroid", spec.algebroid_tables is not None, ws.direct_algebroid),
-        ("poisson_algebroid", spec.poisson is not None, ws.poisson_algebroid),
-        ("foliation_algebroid", spec.foliation_frame is not None, ws.foliation_algebroid),
+
+    def axioms(g):
+        return _axiom_dicts(validate_algebroid(g, ws.policy))
+
+    for label, present, builder, on_pass in (
+        ("action_algebroid", spec.action_fields is not None, ws.action_algebroid, axioms),
+        (
+            "algebroid",
+            spec.algebroid_tables is not None,
+            ws.direct_algebroid_axioms,
+            lambda built: _axiom_dicts(built[1]),
+        ),
+        ("poisson_algebroid", spec.poisson is not None, ws.poisson_algebroid, axioms),
+        ("foliation_algebroid", spec.foliation_frame is not None, ws.foliation_algebroid, axioms),
     ):
         if present:
-            attempt(
-                label,
-                builder,
-                lambda g: _axiom_dicts(validate_algebroid(g, ws.policy)),
-            )
+            attempt(label, builder, on_pass)
     if spec.metric is not None:
         checks.extend(_metric_checks(ws))
     if spec.parallelism_tables is not None:

@@ -62,7 +62,8 @@ class TMConnection:
     ``gamma[i][a][b]`` holds the e_b-coefficient of the derivative of
     frame section e_a in coordinate direction i.  ``target`` tags the
     bundle the connection acts on: "tm" for the tangent bundle (so the
-    frame is the coordinate frame) or "g" for an algebroid.
+    frame is the coordinate frame) or "g" for an algebroid.  ``gamma`` is
+    read-only.
     """
 
     def __init__(self, chart: Chart, gamma, target: str = "g"):
@@ -78,6 +79,7 @@ class TMConnection:
         out = np.empty(gamma.shape, dtype=object)
         for idx in np.ndindex(*gamma.shape):
             out[idx] = as_expr(gamma[idx], chart)
+        out.flags.writeable = False
         self.chart = chart
         self.gamma = out
         self.rank = gamma.shape[1]
@@ -100,6 +102,10 @@ class GConnection:
     target frame section f_al; on sections the operator is
     X^a (rho^i_a d_i s^be + A^be_{a al} s^al).  ``target`` is "self"
     (the algebroid acting on itself) or "tm".
+
+    ``A`` is read-only, so what is derived from it once stays true: the
+    connection keeps its curvature (:func:`curvature_g`) and its flatness
+    verdict per zero-test policy (:func:`is_flat_g`).
     """
 
     def __init__(self, g: Algebroid, A, target: str = "self"):
@@ -114,10 +120,13 @@ class GConnection:
         out = np.empty(A.shape, dtype=object)
         for idx in np.ndindex(*A.shape):
             out[idx] = as_expr(A[idx], g.chart)
+        out.flags.writeable = False
         self.g = g
         self.A = out
         self.target = target
         self.target_rank = m
+        self._curvature = None
+        self._flatness = {}  # ZeroPolicy -> is_flat_g's answer
 
     @classmethod
     def zero(cls, g: Algebroid, target: str = "self") -> "GConnection":
@@ -321,7 +330,11 @@ def curvature_g(conn: GConnection) -> TensorField:
     R[a,b,al,be] = rho^i_a d_i A[b,al,be] - rho^i_b d_i A[a,al,be]
                    + sum_ga (A[a,ga,be] A[b,al,ga] - A[b,ga,be] A[a,al,ga])
                    - sum_c c^c_{ab} A[c,al,be].
+
+    Computed once per connection and kept on it.
     """
+    if conn._curvature is not None:
+        return conn._curvature
     g = conn.g
     chart = g.chart
     r, m = g.rank, conn.target_rank
@@ -347,17 +360,26 @@ def curvature_g(conn: GConnection) -> TensorField:
                     for c in range(r):
                         total = total - g.structure[a, b, c] * conn.A[c, al, be]
                     out[a, b, al, be] = canon(total)
-    return TensorField(
+    R = TensorField(
         chart,
         ((LOW, G), (LOW, G), (LOW, tag), (UP, tag)),
         out,
         antisymmetric=((0, 1),),
     )
+    R.components.flags.writeable = False
+    conn._curvature = R
+    return R
 
 
 def is_flat_g(conn: GConnection, policy: Optional[ZeroPolicy] = None):
-    idx, verdict = curvature_g(conn).is_zero_field(policy)
-    return idx is None, idx, verdict
+    """(flat?, failing index, verdict) for the curvature of ``conn``,
+    decided once per connection and policy."""
+    policy = policy or ZeroPolicy()
+    found = conn._flatness.get(policy)
+    if found is None:
+        idx, verdict = curvature_g(conn).is_zero_field(policy)
+        found = conn._flatness[policy] = (idx is None, idx, verdict)
+    return found
 
 
 # --------------------------------------------------------------------- duality

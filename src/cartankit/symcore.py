@@ -169,11 +169,12 @@ class Expr:
     ``Add`` of its nonzero terms.
     """
 
-    __slots__ = ("_hash", "_canonical", "_key", "__weakref__")
+    __slots__ = ("_hash", "_canonical", "_key", "_derivatives", "__weakref__")
 
     def __init__(self):
         self._canonical = None
         self._key = None
+        self._derivatives = None
 
     # -- operator sugar (int and Fraction coerce to Const) --------------
 
@@ -561,14 +562,46 @@ def _frac_text(value: Fraction) -> str:
 
 
 def to_text(e: Expr) -> str:
+    """The grammar rendering of ``e``.
+
+    Walks the tree in post order with an explicit stack, not recursion, so
+    a deep term prints; a subterm that occurs more than once in ``e`` is
+    rendered once.
+    """
+    texts = {}  # id(node) -> its text; e keeps every node alive
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in texts:
+            stack.pop()
+            continue
+        waiting = [c for c in node.children() if id(c) not in texts]
+        if waiting:
+            stack.extend(waiting)
+            continue
+        stack.pop()
+        texts[id(node)] = _node_text(node, texts)
+    return texts[id(e)]
+
+
+def _node_text(e: Expr, texts: dict) -> str:
+    """The text of one node, given ``texts``, the texts of the nodes below
+    it.  A node built here for printing, such as the flipped product of a
+    negative addend, is rendered on the spot: its children are leaves or
+    already in ``texts``."""
     if isinstance(e, Const):
         return _frac_text(e.value)
     if isinstance(e, Sym):
         return e.name
+
+    def wrap(c: Expr, need_parens: bool) -> str:
+        text = texts[id(c)] if id(c) in texts else _node_text(c, texts)
+        return f"({text})" if need_parens else text
+
     if isinstance(e, Call):
-        return f"{e.func}({to_text(e.arg)})"
+        return f"{e.func}({wrap(e.arg, False)})"
     if isinstance(e, Neg):
-        return "-" + _wrap(
+        return "-" + wrap(
             e.operand,
             need_parens=isinstance(e.operand, (Add, Mul, Div))
             or _is_negative_const(e.operand),
@@ -576,29 +609,30 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Add):
         parts = []
         for i, t in enumerate(e.terms):
-            sign, body = _signed_text(t)
+            sign, body, need_parens = _signed_addend(t)
+            text = wrap(body, need_parens)
             if i == 0:
-                parts.append(("-" if sign < 0 else "") + body)
+                parts.append(("-" if sign < 0 else "") + text)
             else:
-                parts.append((" - " if sign < 0 else " + ") + body)
+                parts.append((" - " if sign < 0 else " + ") + text)
         return "".join(parts)
     if isinstance(e, Mul):
         return "*".join(
-            _wrap(f, need_parens=isinstance(f, (Add, Div, Neg)) or _is_negative_const(f))
+            wrap(f, need_parens=isinstance(f, (Add, Div, Neg)) or _is_negative_const(f))
             for f in e.factors
         )
     if isinstance(e, Div):
-        num = _wrap(e.num, need_parens=isinstance(e.num, (Add, Neg)))
+        num = wrap(e.num, need_parens=isinstance(e.num, (Add, Neg)))
         # A rational constant like 1/2 prints with its own slash, so as a
         # denominator it needs parens to survive re-parsing left-associatively.
-        den = _wrap(
+        den = wrap(
             e.den,
             need_parens=isinstance(e.den, (Add, Mul, Div, Neg))
             or (isinstance(e.den, Const) and e.den.value.denominator != 1),
         )
         return f"{num}/{den}"
     if isinstance(e, Pow):
-        base = _wrap(
+        base = wrap(
             e.base,
             need_parens=not isinstance(e.base, (Sym, Call))
             and not (isinstance(e.base, Const) and e.base.value >= 0 and e.base.value.denominator == 1),
@@ -611,26 +645,22 @@ def _is_negative_const(e: Expr) -> bool:
     return isinstance(e, Const) and e.value < 0
 
 
-def _wrap(e: Expr, need_parens: bool) -> str:
-    text = to_text(e)
-    return f"({text})" if need_parens else text
-
-
-def _signed_text(t: Expr):
-    """Signed rendering of an addend: (-1, "2*x") instead of (+1, "-2*x")."""
+def _signed_addend(t: Expr):
+    """Signed rendering of an addend as (sign, body, parenthesise body?):
+    (-1, 2*x, False) instead of (+1, -2*x, False)."""
     if isinstance(t, Const) and t.value < 0:
-        return -1, _frac_text(-t.value)
+        return -1, Const(-t.value), False
     if isinstance(t, Neg):
         # A bare quotient would lose its sign to the numerator when it leads
         # the sum: "-x/y" re-parses as (-x)/y, a different canonical form.
-        return -1, _wrap(t.operand, need_parens=isinstance(t.operand, (Add, Div)))
+        return -1, t.operand, isinstance(t.operand, (Add, Div))
     if isinstance(t, Mul) and isinstance(t.factors[0], Const) and t.factors[0].value < 0:
         flipped = (Const(-t.factors[0].value),) + t.factors[1:]
         if flipped[0].value == 1 and len(flipped) > 1:
             flipped = flipped[1:]
         body = flipped[0] if len(flipped) == 1 else Mul(flipped)
-        return -1, _wrap(body, need_parens=isinstance(body, (Add, Div)))
-    return 1, _wrap(t, need_parens=False)
+        return -1, body, isinstance(body, (Add, Div))
+    return 1, t, False
 
 
 # ---------------------------------------------------------------------------
@@ -683,12 +713,15 @@ def _make_term(coeff: Fraction, monomial: Optional[Expr]) -> Expr:
 
 
 # Hash-consing table (Filliatre & Conchon 2006): the node kind plus its
-# canonical children -> the canonical form.  Keys hold canonical nodes only,
-# never raw trees; values are held weakly, so an entry dies with its
-# canonical form.  A canonical node never changes once built, and no value
-# is reachable from its own key, so the table keeps only what the process
-# still references.
+# canonical children -> the canonical form.  Keys hold weak references to
+# canonical nodes, never raw trees, and values are held weakly too, so the
+# table keeps no node alive and an entry dies with its canonical form.
+# Weak keys matter because a canonical node keeps its derivatives (see
+# :func:`diff`), and a derivative can hold a form whose key names the node
+# (d/dx sin(x) is cos(x), whose derivative holds sin(x)); a strong key would
+# then reach its own value, and the entry would never die.
 _HASHCONS: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+_ref = weakref.ref
 
 
 def canon(e: Expr) -> Expr:
@@ -719,13 +752,14 @@ def canon(e: Expr) -> Expr:
             continue
         form = _HASHCONS.get(key)
         if form is None:
-            form = _canon_children(key)
+            form = _canon_node(node)
             if form._canonical is None:
                 _mark_canonical(form)
             else:
-                # An existing form, such as ZERO or the x of x + 0, may be
-                # held by the key itself and would then never die.
+                # An existing form, such as ZERO or the x of x + 0, may
+                # outlive every user of this entry; a copy dies with them.
                 form = copy.copy(form)
+                form._derivatives = None
             _HASHCONS[key] = form
         node._canonical = form
     return _form(e)
@@ -748,37 +782,38 @@ def _mark_canonical(form: Expr) -> None:
 
 
 def _hashcons_key(node: Expr) -> Optional[tuple]:
-    """Node kind plus canonical children; None for a leaf (its own form)."""
+    """Node kind plus weak references to its children's canonical forms;
+    None for a leaf (its own form)."""
     if isinstance(node, Add):
-        return ("a",) + tuple(map(_form, node.terms))
+        return ("a",) + tuple(map(_ref, map(_form, node.terms)))
     if isinstance(node, Mul):
-        return ("m",) + tuple(map(_form, node.factors))
+        return ("m",) + tuple(map(_ref, map(_form, node.factors)))
     if isinstance(node, Div):
-        return ("d", _form(node.num), _form(node.den))
+        return ("d", _ref(_form(node.num)), _ref(_form(node.den)))
     if isinstance(node, Pow):
-        return ("p", _form(node.base), node.exponent)
+        return ("p", _ref(_form(node.base)), node.exponent)
     if isinstance(node, Call):
-        return ("f", node.func, _form(node.arg))
+        return ("f", node.func, _ref(_form(node.arg)))
     if isinstance(node, Neg):
-        return ("n", _form(node.operand))
+        return ("n", _ref(_form(node.operand)))
     if isinstance(node, (Const, Sym)):
         return None
     raise TypeError(f"cannot canonicalize {type(node).__name__}")
 
 
-def _canon_children(key: tuple) -> Expr:
-    kind = key[0]
-    if kind == "a":
-        return _canon_add(key[1:])
-    if kind == "m":
-        return _canon_mul(key[1:])
-    if kind == "d":
-        return _canon_div(key[1], key[2])
-    if kind == "p":
-        return _canon_pow(key[1], key[2])
-    if kind == "f":
-        return _canon_call(key[1], key[2])
-    return _canon_mul((Const(-1), key[1]))  # "n": -a is (-1)*a
+def _canon_node(node: Expr) -> Expr:
+    """The canonical form of an inner node whose children have theirs."""
+    if isinstance(node, Add):
+        return _canon_add(tuple(map(_form, node.terms)))
+    if isinstance(node, Mul):
+        return _canon_mul(tuple(map(_form, node.factors)))
+    if isinstance(node, Div):
+        return _canon_div(_form(node.num), _form(node.den))
+    if isinstance(node, Pow):
+        return _canon_pow(_form(node.base), node.exponent)
+    if isinstance(node, Call):
+        return _canon_call(node.func, _form(node.arg))
+    return _canon_mul((Const(-1), _form(node.operand)))  # -a is (-1)*a
 
 
 def _canon_add(parts: tuple) -> Expr:
@@ -931,11 +966,21 @@ def _canon_call(func: str, arg: Expr) -> Expr:
 
 
 def diff(e: Expr, name: str) -> Expr:
-    """Partial derivative with respect to the coordinate ``name`` (raw tree).
+    """Partial derivative with respect to the coordinate ``name``.
 
-    Walks the tree in post order with an explicit stack, not recursion; a
-    subterm that occurs more than once in ``e`` is differentiated once.
+    The derivative of a canonical node (one that :func:`canon` returned)
+    is canonical, and the node keeps it: each node of a canonical term is
+    differentiated once per coordinate, however often it is asked for, and
+    a second call returns the same object.  Structurally equal canonical
+    nodes share their derivatives as far as the hash-cons table shares the
+    nodes.  The derivative of any other tree is a raw tree.
+
+    Both walk the tree in post order with an explicit stack, not
+    recursion; a subterm that occurs more than once in ``e`` is
+    differentiated once.
     """
+    if e._canonical is _IS_CANONICAL:
+        return _diff_canonical(e, name)
     done = {}  # id(node) -> its derivative; e keeps every node alive
     stack = [e]
     while stack:
@@ -950,6 +995,41 @@ def diff(e: Expr, name: str) -> Expr:
         stack.pop()
         done[id(node)] = _diff_node(node, name, [done[id(c)] for c in node.children()])
     return done[id(e)]
+
+
+def _kept_derivative(node: Expr, name: str) -> Optional[Expr]:
+    """The canonical derivative of a canonical node, if known; a leaf's is
+    known without being kept."""
+    if isinstance(node, Const):
+        return ZERO
+    if isinstance(node, Sym):
+        return ONE if node.name == name else ZERO
+    kept = node._derivatives
+    return None if kept is None else kept.get(name)
+
+
+def _diff_canonical(e: Expr, name: str) -> Expr:
+    """:func:`diff` of a canonical node: each node's derivative is the
+    canonical form of its rule applied to its children's derivatives,
+    which equals the canonical form of the raw derivative, because
+    ``canon`` reads a node's children only through their forms."""
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if _kept_derivative(node, name) is not None:
+            stack.pop()
+            continue
+        children = node.children()
+        waiting = [c for c in children if _kept_derivative(c, name) is None]
+        if waiting:
+            stack.extend(waiting)
+            continue
+        stack.pop()
+        d = canon(_diff_node(node, name, [_kept_derivative(c, name) for c in children]))
+        if node._derivatives is None:
+            node._derivatives = {}
+        node._derivatives[name] = d
+    return _kept_derivative(e, name)
 
 
 def _diff_node(e: Expr, name: str, d: list) -> Expr:

@@ -144,14 +144,15 @@ def test_validate_reports_axiom_names(capsys):
     assert "jacobi" in names and "leibniz" in names
 
 
-def test_validate_flags_broken_jacobi(capsys, tmp_path):
-    bad = [[[0, 0, 0]] * 3 for _ in range(3)]
+def broken_jacobi_algebroid():
+    """Algebroid tables with a zero anchor whose constant structure fails
+    Jacobi (the jacobiator's component 0 is -1)."""
     structure = [
         [[0, 0, 0], [0, 0, 1], [0, 0, -1]],
         [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
         [[0, 0, 1], [-1, 0, 0], [0, 0, 0]],
     ]
-    doc = {
+    return {
         "spec_version": 1,
         "chart": {"coords": ["x", "y", "z"], "box": [[-1, 1], [-1, 1], [-1, 1]]},
         "algebroid": {
@@ -160,6 +161,25 @@ def test_validate_flags_broken_jacobi(capsys, tmp_path):
             "structure": structure,
         },
     }
+
+
+def undefined_anchor_algebroid():
+    """Algebroid tables whose anchor sqrt(x - 5) is undefined on the whole
+    box, so no zero test of the anchor homomorphism can be decided."""
+    zero = [["0", "0"], ["0", "0"]]
+    return {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y"], "box": [[-1, 1], [-1, 1]]},
+        "algebroid": {
+            "rank": 2,
+            "anchor": [["sqrt(x-5)", "x"], ["0", "1"]],
+            "structure": [zero, zero],
+        },
+    }
+
+
+def test_validate_flags_broken_jacobi(capsys, tmp_path):
+    doc = broken_jacobi_algebroid()
     code, rep = invoke(capsys, "validate", write_doc(tmp_path, doc))
     assert code == 1
     assert rep["status"] == "fail"
@@ -326,19 +346,8 @@ def test_frame_whose_bracket_leaves_the_span_is_rejected_with_a_witness(capsys, 
 
 
 def test_undecidable_axiom_is_reported_undecidable(capsys, tmp_path):
-    # sqrt(x - 5) is undefined on the whole box, so no zero test of the
-    # anchor homomorphism can be decided; that is no failure, and no
-    # witness exists.
-    zero = [["0", "0"], ["0", "0"]]
-    doc = {
-        "spec_version": 1,
-        "chart": {"coords": ["x", "y"], "box": [[-1, 1], [-1, 1]]},
-        "algebroid": {
-            "rank": 2,
-            "anchor": [["sqrt(x-5)", "x"], ["0", "1"]],
-            "structure": [zero, zero],
-        },
-    }
+    # An undecidable axiom is no failure, and no witness exists.
+    doc = undefined_anchor_algebroid()
     code, rep = invoke(capsys, "validate", write_doc(tmp_path, doc))
     assert code == 1
     assert rep["status"] == "undecidable"
@@ -346,6 +355,38 @@ def test_undecidable_axiom_is_reported_undecidable(capsys, tmp_path):
     assert (check["status"], check["path"]) == ("undecidable", "undecidable")
     assert "witness" not in check
     assert all(c["status"] != "fail" for c in rep["checks"])
+
+
+def test_direct_algebroid_failing_an_axiom_gets_no_verdict(capsys, tmp_path):
+    # check and identities validate the declared tables before any verdict:
+    # a failing axiom rejects the build, with the jacobiator's witness.
+    path = write_doc(tmp_path, broken_jacobi_algebroid())
+    for command in ("check", "identities"):
+        code, rep = invoke(capsys, command, path)
+        assert (code, rep["status"]) == (1, "fail"), command
+        [check] = rep["checks"]
+        assert (check["name"], check["status"], check["path"]) == (
+            "algebroid",
+            "fail",
+            "symbolic",
+        ), command
+        assert (check["witness"], check["value"]) == ([0.0, 0.0, 0.0], -1.0), command
+        assert check["detail"] == "axiom jacobi fails: jacobi (0,1,2) component 0", command
+
+
+def test_direct_algebroid_with_an_undecidable_axiom_is_undecidable(capsys, tmp_path):
+    path = write_doc(tmp_path, undefined_anchor_algebroid())
+    for command in ("check", "identities"):
+        code, rep = invoke(capsys, command, path)
+        assert (code, rep["status"]) == (1, "undecidable"), command
+        [check] = rep["checks"]
+        assert (check["name"], check["status"], check["path"]) == (
+            "algebroid",
+            "undecidable",
+            "undecidable",
+        ), command
+        assert "witness" not in check, command
+        assert check["detail"].startswith("axiom anchor_hom is undecidable"), command
 
 
 def test_metric_symmetry_reports_its_path_and_first_failing_pair(capsys, tmp_path):

@@ -9,6 +9,7 @@ signs.
 import numpy as np
 import pytest
 
+from cartankit import bundles
 from cartankit.algebroid import (
     LieAlgebra,
     anchor_apply,
@@ -39,7 +40,7 @@ from cartankit.connections import (
     tensor_cov_deriv,
     torsion_g,
 )
-from cartankit.symcore import Call, Chart, Const, Sym, canon, diff, is_zero, parse
+from cartankit.symcore import Call, Chart, Const, Sym, ZeroPolicy, canon, diff, is_zero, parse
 
 R2 = Chart(("x", "y"), [(-1, 1), (-1, 1)])
 R3 = Chart(("x", "y", "z"), [(-1, 1), (-1, 1), (-1, 1)])
@@ -251,6 +252,53 @@ def test_generic_coefficients_are_not_flat():
     A[0, 0, 1] = 1  # one stray coefficient
     flat, idx, verdict = is_flat_g(GConnection(g, A.tolist()))
     assert not flat and verdict.witness is not None
+
+
+def test_curvature_g_is_computed_once_per_connection():
+    g = so3_action()
+    conn = GConnection(g, np.random.default_rng(5).integers(-1, 2, size=(3, 3, 3)).tolist())
+    R = curvature_g(conn)
+    assert curvature_g(conn) is R
+    # a fresh connection with the same coefficients computes its own
+    assert curvature_g(GConnection(g, conn.A)) is not R
+
+
+def test_flatness_is_decided_once_per_policy(monkeypatch):
+    zero_tests = []
+
+    def counting_is_zero(*args):
+        zero_tests.append(args)
+        return is_zero(*args)
+
+    conn = ad_rep(so3_action())
+    curvature_g(conn)  # its construction runs zero tests of its own
+    monkeypatch.setattr(bundles, "is_zero", counting_is_zero)
+    first = is_flat_g(conn, ZeroPolicy())
+    ran = len(zero_tests)
+    assert first[0] and ran > 0
+    assert is_flat_g(conn, ZeroPolicy()) is first
+    assert is_flat_g(conn) is first  # the default policy is the same key
+    assert len(zero_tests) == ran
+    # another seed is another policy: its zero tests run again
+    assert is_flat_g(conn, ZeroPolicy(seed=1))[0]
+    assert len(zero_tests) == 2 * ran
+
+
+def test_derived_tables_are_read_only():
+    # What a connection keeps (its curvature, its flatness verdicts) stays
+    # true only while the tables it was derived from stay as they are.
+    g = so3_action()
+    conn = ad_rep(g)
+    tables = {
+        "GConnection.A": conn.A,
+        "TMConnection.gamma": TMConnection.flat(R3, 3).gamma,
+        "Algebroid.rho": g.rho,
+        "Algebroid.structure": g.structure,
+        "curvature_g": curvature_g(conn).components,
+    }
+    for name, table in tables.items():
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = Const(1)
 
 
 def test_curvature_g_matches_commutator_on_sections():

@@ -1,0 +1,62 @@
+"""Reports compared byte for byte against committed golden files.
+
+``golden/corpus`` holds the report of ``validate``, ``check`` and
+``identities`` on each corpus file, as ``cartankit <command>
+corpus/<file>.json`` prints it from the repository root.
+``golden/metric3d`` holds ``check`` on two 3-d metrics from
+``test_cli.py``: hyperbolic 3-space (``h3.json``) and diag(1, 1+x^2, z^2)
+(``diag3.json``), run from the directory that holds the spec.
+
+A change to a verdict, a witness or the last digit of a value fails
+here.  A deliberate change regenerates the files with the report loop of
+``.github/workflows/tier1.yml`` (its pass-1 reports are the corpus
+files) and shows the difference in review.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from cartankit.cli import run
+from test_cli import _metric_3d
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CORPUS_RUNS = [
+    (command, name)
+    for name in sorted(p.name for p in (ROOT / "corpus").glob("*.json"))
+    for command in ("validate", "check", "identities")
+]
+
+METRICS_3D = {
+    "h3.json": [["1/z^2", "0", "0"], ["0", "1/z^2", "0"], ["0", "0", "1/z^2"]],
+    "diag3.json": [["1", "0", "0"], ["0", "1+x^2", "0"], ["0", "0", "z^2"]],
+}
+
+
+def _report(capsys, *argv) -> str:
+    run(list(argv))
+    return capsys.readouterr().out
+
+
+def test_every_corpus_run_has_a_golden_report():
+    expected = {f"{command}-{name}" for command, name in CORPUS_RUNS}
+    assert len(expected) == 27
+    assert {p.name for p in (GOLDEN / "corpus").iterdir()} == expected
+
+
+@pytest.mark.parametrize("command,name", CORPUS_RUNS, ids=lambda v: v)
+def test_corpus_report_matches_golden(capsys, monkeypatch, command, name):
+    monkeypatch.chdir(ROOT)
+    report = _report(capsys, command, f"corpus/{name}")
+    assert report == (GOLDEN / "corpus" / f"{command}-{name}").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(METRICS_3D))
+def test_3d_metric_check_matches_golden(capsys, monkeypatch, tmp_path, name):
+    (tmp_path / name).write_text(json.dumps(_metric_3d(METRICS_3D[name])))
+    monkeypatch.chdir(tmp_path)
+    report = _report(capsys, "check", name)
+    assert report == (GOLDEN / "metric3d" / f"check-{name}").read_text()

@@ -9,6 +9,7 @@ from __future__ import annotations
 import gc
 import math
 import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -230,18 +231,42 @@ def test_diff_of_a_deep_product():
         sys.setrecursionlimit(limit)
 
 
+def test_deep_terms_print():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        term = Sym("x")
+        for _ in range(1500):
+            term = Call("sin", term)
+        text = "sin(" * 1500 + "x" + ")" * 1500
+        assert str(term) == text
+        assert repr(term) == f"<expr {text}>"
+        with pytest.raises(DomainError) as info:
+            evaluate(Call("log", term - 2), {"x": 0.5})
+        assert str(info.value) == f"log of non-positive value in log({text} - 2)"
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _probe_keys(name):
+    """The hash-cons keys that name a node holding the symbol ``name``; a
+    key holds its nodes through weak references."""
+    nodes = lambda key: [c() for c in key[1:] if isinstance(c, weakref.ref)]
+    return [
+        key
+        for key in symcore._HASHCONS.keys()
+        if any(c is not None and name in c.symbols() for c in nodes(key))
+    ]
+
+
 def test_hashcons_table_releases_dead_forms():
     def probe_keys():
-        return [
-            key
-            for key in symcore._HASHCONS.keys()
-            if any(isinstance(c, Expr) and "hashcons_probe" in c.symbols() for c in key[1:])
-        ]
+        return _probe_keys("hashcons_probe")
 
     probe = Call("exp", Sym("hashcons_probe"))
-    # The first form is new; the second is the exp(...) inside its own key;
-    # the third is the module constant ZERO, which never dies.  No entry may
-    # outlive the forms handed out.
+    # The first form is new; the second is the exp(...) named in its own
+    # key; the third is the module constant ZERO, which never dies.  No
+    # entry may outlive the forms handed out.
     exprs = [Add((probe, probe)), Add((probe, Const(0))), Add((probe, Neg(probe)))]
     forms = [canon(e) for e in exprs]
     assert forms == [Mul((Const(2), canon(probe))), canon(probe), Const(0)]
@@ -558,6 +583,39 @@ def test_diff_differentiates_a_shared_subterm_once():
     d = diff(Mul((shared, shared)), "x")
     assert d == _reference_diff(Mul((shared, shared)), "x")
     assert d.terms[0].factors[0] is d.terms[1].factors[1]
+
+
+@given(_expr_strategy(symcore.FUNCTIONS), st.sampled_from(["x", "y"]))
+@settings(max_examples=300, deadline=None)
+def test_diff_of_a_canonical_node_is_kept_canonical(e, name):
+    form = canon(e)
+    d = diff(form, name)
+    assert d == canon(_reference_diff(form, name))
+    assert diff(form, name) is d
+
+
+def test_kept_derivatives_die_with_their_nodes():
+    # d/dx sin(x) is cos(x), and the next derivative holds sin(x) again, so
+    # kept derivatives make reference cycles; neither they nor the table
+    # may keep the forms alive.
+    t = Sym("derivative_probe")
+    d = canon(Call("sin", t) * Call("exp", t) + Pow(t, 3) / (1 + t))
+    for _ in range(3):
+        d = diff(d, "derivative_probe")
+    assert _probe_keys("derivative_probe")
+    del t, d
+    gc.collect()
+    assert _probe_keys("derivative_probe") == []
+
+
+def test_a_copied_form_keeps_no_derivatives_of_the_original():
+    form = canon(p("sin(x)*y"))
+    diff(form, "x")
+    # x + 0 has the form of x, which the table stores as a copy
+    copied = canon(Add((form, Const(0))))
+    assert copied == form and copied is not form
+    assert copied._derivatives is None
+    assert diff(copied, "x") == diff(form, "x")
 
 
 # -- batched evaluation against the scalar reference ------------------------
