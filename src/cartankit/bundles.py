@@ -37,9 +37,6 @@ __all__ = [
     "vf_bracket",
     "lie_derivative",
     "tensor_contract",
-    "tensor_product",
-    "zero_tensor",
-    "scalar_field",
 ]
 
 UP = "upper"
@@ -306,29 +303,6 @@ class TensorField:
                         )
 
 
-def zero_tensor(chart: Chart, slots: Sequence, g_rank: Optional[int] = None) -> TensorField:
-    """All-zero tensor; ``g_rank`` sizes any algebroid-tagged slots."""
-    slots = tuple(slots)
-    shape = []
-    for variance, tag in slots:
-        if tag == TM:
-            shape.append(chart.dim)
-        else:
-            if g_rank is None:
-                raise ValueError("g_rank required for algebroid-tagged slots")
-            shape.append(g_rank)
-    arr = np.empty(tuple(shape), dtype=object)
-    arr[...] = Const(0)
-    return TensorField(chart, slots, arr)
-
-
-def scalar_field(chart: Chart, value) -> TensorField:
-    """A zero-slot tensor field (a single expression)."""
-    arr = np.empty((), dtype=object)
-    arr[()] = as_expr(value, chart)
-    return TensorField(chart, (), arr)
-
-
 def vf_bracket(V: Section, W: Section) -> Section:
     """Jacobi-Lie bracket of two vector fields."""
     if V.frame != "tm" or W.frame != "tm":
@@ -427,20 +401,3 @@ def tensor_contract(T: TensorField, upper: int, lower: int) -> TensorField:
     ]
     return TensorField(T.chart, slots, out, symmetric=sym, antisymmetric=anti)
 
-
-def tensor_product(T: TensorField, S: TensorField) -> TensorField:
-    """Outer product; declared symmetries carry over slotwise."""
-    if T.chart != S.chart:
-        raise ValueError("chart mismatch")
-    slots = T.slots + S.slots
-    shape = T.shape + S.shape
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*shape) if slots else ((),):
-        left = idx[: T.ndim]
-        right = idx[T.ndim :]
-        out[tuple(idx)] = canon(T.components[left] * S.components[right])
-    sym = list(T.symmetric) + [(i + T.ndim, j + T.ndim) for i, j in S.symmetric]
-    anti = list(T.antisymmetric) + [
-        (i + T.ndim, j + T.ndim) for i, j in S.antisymmetric
-    ]
-    return TensorField(T.chart, slots, out, symmetric=sym, antisymmetric=anti)

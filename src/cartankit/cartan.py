@@ -10,10 +10,13 @@ carries its witness point; a pass that needed the sampled tier is
 flagged as probabilistic.
 
 The compatibility check is deliberately computed twice, by two routes
-that share no code: once from the bracket/derivative defect written out
-directly (``compat_defect``), once from the jet-lift curvature in
-:mod:`cartankit.jet`.  ``check_cartan`` runs both and treats any
-disagreement as an internal bug, not as a property of the input.
+that share no code: once from the bracket/derivative defect
+C(d/dx^i, e_a, e_b) written out directly, once from the jet-lift
+curvature in :mod:`cartankit.jet`.  Both are independent closed-form
+derivations on frames from the anchor, structure and connection tables
+(:func:`frame_defects`, built once per pair and kept on the connection).
+``check_cartan`` runs both and treats any disagreement as an internal
+bug, not as a property of the input.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ from .connections import (
     GConnection,
     TMConnection,
     christoffel,
-    cov_deriv_g,
-    cov_deriv_tm,
     curvature_tm,
     g_tensor_deriv,
     induced_rep_on_g,
@@ -48,18 +49,24 @@ from .connections import (
     tensor_cov_deriv,
     torsion_g,
 )
-from .jet import JetSection, jet_bracket, jet_scale, splitting_curvature, splitting_from_connection
+from .jet import (
+    JetSection,
+    frame_lift_curvature,
+    jet_bracket,
+    jet_scale,
+    splitting_from_connection,
+)
 from .symcore import (
     Chart,
     Const,
     DegenerateError,
     Expr,
-    ZERO,
     ZeroPolicy,
     adjugate_inverse,
     canon,
     diff,
     evaluate_batch,
+    flat_sum,
     is_zero,
     sym_det,
 )
@@ -67,7 +74,8 @@ from .symcore import (
 __all__ = [
     "Verdict",
     "DegenerateError",
-    "compat_defect",
+    "FrameDefects",
+    "frame_defects",
     "check_cartan",
     "theorem_a_verdict",
     "transitive_symmetry_check",
@@ -211,81 +219,125 @@ def _aggregate(name, children, notes=()) -> Verdict:
     )
 
 
-def _coordinate_field(chart: Chart, i: int) -> Section:
-    comps = [Const(1) if k == i else Const(0) for k in range(chart.dim)]
-    return Section(chart, comps, "tm")
-
-
 # ---------------------------------------------------------------------------
 # Bracket compatibility, two routes
 # ---------------------------------------------------------------------------
 
 
-def compat_defect(
-    g: Algebroid, conn: TMConnection, V: Section, X: Section, Y: Section
-) -> Section:
-    """Defect of the connection against the algebroid bracket.
+def _section_form(e):
+    """The canonical form ``e`` takes as a component of a section: a
+    rational multiple of a sum is spread over the sum's terms."""
+    return canon(flat_sum((e,)))
+
+
+def _frame_compat_defect(g: Algebroid, conn: TMConnection) -> np.ndarray:
+    """Defect of the connection against the bracket on frames, from the
+    anchor, structure and connection tables.
 
     C(V, X, Y) = D_V [X,Y] - [D_V X, Y] - [X, D_V Y]
                  - D_{B_Y V} X + D_{B_X V} Y
 
     where D is the connection and B the companion action of sections on
-    vector fields (``induced_rep_on_tm``).  The defect is tensorial in
+    vector fields, Atm = ``induced_rep_on_tm``.  The defect is tensorial in
     all three arguments, so vanishing on frames means vanishing
-    everywhere; C = 0 for all triples is what makes the pair (g, D) a
-    geometry in the sense used throughout this package.
+    everywhere.  On V = d/dx^i, X = e_a, Y = e_b, with G[i,a,d] =
+    gamma[i,a,d] (the components of D_i e_a) and B^d = c^d_{ab}, the five
+    terms are
+
+        t1 = d_i B^d + gamma[i,e,d] B^e
+        t2 = -rho^j_b d_j G[i,a,d] + c^d_{eb} G[i,a,e]
+        t3 = rho^j_a d_j G[i,b,d] + c^d_{ae} G[i,b,e]
+        t4 = Atm[b,i,k] G[k,a,d]        t5 = Atm[a,i,k] G[k,b,d]
+
+    summed over repeated indices.  C[i, a, b, d] (for a < b; entries with
+    a >= b are None) is t1 - t2 - t3 - t4 + t5, one flat sum of these
+    products, whose factors are the canonical forms that building the
+    defect from sections gives them, so each entry's canonical form is
+    the section-level one.
     """
     if conn.chart != g.chart or conn.rank != g.rank:
         raise ValueError("connection does not target the algebroid")
-    if V.frame != "tm":
-        raise ValueError("first argument must be a vector field")
-    rep_tm = induced_rep_on_tm(g, conn)
-    t1 = cov_deriv_tm(conn, V, bracket(g, X, Y))
-    t2 = bracket(g, cov_deriv_tm(conn, V, X), Y)
-    t3 = bracket(g, X, cov_deriv_tm(conn, V, Y))
-    t4 = cov_deriv_tm(conn, cov_deriv_g(rep_tm, Y, V), X)
-    t5 = cov_deriv_tm(conn, cov_deriv_g(rep_tm, X, V), Y)
-    out = [
-        canon(
-            t1.components[c]
-            - t2.components[c]
-            - t3.components[c]
-            - t4.components[c]
-            + t5.components[c]
-        )
-        for c in range(g.rank)
-    ]
-    return Section(g.chart, out, "g")
+    chart = g.chart
+    n, r = chart.dim, g.rank
+    rho, c, gamma = g.rho, g.structure, conn.gamma
+    coords = chart.coords
+    Atm = induced_rep_on_tm(g, conn).A
+    G = np.empty((n, r, r), dtype=object)
+    for idx in np.ndindex(n, r, r):
+        G[idx] = _section_form(gamma[idx])
+    dG = np.empty((n, n, r, r), dtype=object)  # dG[j, i, a, d] = d_j G[i, a, d]
+    for idx in np.ndindex(n, n, r, r):
+        dG[idx] = diff(G[idx[1:]], coords[idx[0]])
+    W = np.empty((r, n, n), dtype=object)  # components of B_{e_a} d/dx^i
+    for idx in np.ndindex(r, n, n):
+        W[idx] = _section_form(Atm[idx])
+    out = np.empty((n, r, r, r), dtype=object)
+    for a in range(r):
+        for b in range(a + 1, r):
+            B = [_section_form(c[a, b, e]) for e in range(r)]
+            for d in range(r):
+                dB = [diff(B[d], x) for x in coords]
+                for i in range(n):
+                    terms = [dB[i]]
+                    for e in range(r):
+                        terms.append(gamma[i, e, d] * B[e])
+                        terms.append(-(c[e, b, d] * G[i, a, e]))
+                        terms.append(-(c[a, e, d] * G[i, b, e]))
+                    for j in range(n):
+                        terms.append(rho[j, b] * dG[j, i, a, d])
+                        terms.append(-(rho[j, a] * dG[j, i, b, d]))
+                        terms.append(-(W[b, i, j] * G[j, a, d]))
+                        terms.append(W[a, i, j] * G[j, b, d])
+                    out[i, a, b, d] = canon(flat_sum(terms))
+    return out
+
+
+@dataclass(frozen=True)
+class FrameDefects:
+    """Both routes' compatibility defects on frames, for pairs a < b.
+
+    ``direct[i, a, b, d]`` is C(d/dx^i, e_a, e_b)^d and ``lifted[a, b, d, i]``
+    the jet-lift curvature [s e_a, s e_b] - s[e_a, e_b] at d/dx^i, e_d
+    component; for a compatible pair both vanish, and entry for entry
+    they are equal.
+    """
+
+    direct: np.ndarray
+    lifted: np.ndarray
+
+
+def frame_defects(g: Algebroid, conn: TMConnection) -> FrameDefects:
+    """The two routes' frame tables, built once per pair and kept on
+    ``conn``: the bracket compatibility battery, the jet battery and the
+    route agreement identity all read these."""
+    return conn.kept(
+        g,
+        "frame_defects",
+        lambda: FrameDefects(
+            _frame_compat_defect(g, conn), frame_lift_curvature(g, conn)
+        ),
+    )
 
 
 def _compat_battery(g: Algebroid, conn: TMConnection, policy) -> Verdict:
-    items = []
-    for i in range(g.chart.dim):
-        V = _coordinate_field(g.chart, i)
-        for a in range(g.rank):
-            for b in range(a + 1, g.rank):
-                C = compat_defect(
-                    g, conn, V, g.frame_section(a), g.frame_section(b)
-                )
-                for c in range(g.rank):
-                    items.append(
-                        (f"C(d_{i}, e_{a}, e_{b}) component {c}", C.components[c])
-                    )
+    C = frame_defects(g, conn).direct
+    items = [
+        (f"C(d_{i}, e_{a}, e_{b}) component {c}", C[i, a, b, c])
+        for i in range(g.chart.dim)
+        for a, b in combinations(range(g.rank), 2)
+        for c in range(g.rank)
+    ]
     return _battery("bracket_compatibility", items, g.chart, policy)
 
 
 def _jet_battery(g: Algebroid, conn: TMConnection, policy) -> Verdict:
-    items = []
-    for a in range(g.rank):
-        for b in range(a + 1, g.rank):
-            corr = splitting_curvature(
-                g, conn, g.frame_section(a), g.frame_section(b)
-            )
-            for c in range(g.rank):
-                for i in range(g.chart.dim):
-                    items.append(
-                        (f"lift curvature (e_{a}, e_{b})[{c},{i}]", corr[c, i])
-                    )
+    L = frame_defects(g, conn).lifted
+    items = [
+        (f"lift curvature (e_{a}, e_{b})[{c},{i}]", L[a, b, c, i])
+        for a, b in combinations(range(g.rank), 2)
+        for c in range(g.rank)
+        for i in range(g.chart.dim)
+    ]
     return _battery("jet_splitting", items, g.chart, policy)
 
 
@@ -755,21 +807,16 @@ def riemann_pipeline(
 
     # lift-curvature identity: the jet curvature of the metric lift is
     # minus the coordinate curvature, entry for entry
-    tm = tangent_algebroid(chart)
-    f3_items = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            corr = splitting_curvature(
-                tm, lc, tm.frame_section(i), tm.frame_section(j)
-            )
-            for b in range(n):
-                for k in range(n):
-                    f3_items.append(
-                        (
-                            f"lift curvature ({i},{j})[{b},{k}] + R[{i},{j},{k},{b}]",
-                            corr[b, k] + R[i, j, k, b],
-                        )
-                    )
+    L = frame_lift_curvature(tangent_algebroid(chart), lc)
+    f3_items = [
+        (
+            f"lift curvature ({i},{j})[{b},{k}] + R[{i},{j},{k},{b}]",
+            L[i, j, b, k] + R[i, j, k, b],
+        )
+        for i, j in combinations(range(n), 2)
+        for b in range(n)
+        for k in range(n)
+    ]
     f3 = _battery("lift_curvature_identity", f3_items, chart, policy)
     if not f3.ok:
         raise AssertionError(
@@ -1065,7 +1112,7 @@ def _alternating_sum(
                     t = K[a, b, d] * theta[(d,) + rest + (be,)]
                     terms[be].append(t if plus else -t)
         for be in range(w):
-            value = canon(sum(terms[be], ZERO))
+            value = canon(flat_sum(terms[be]))
             # 0 - value spreads the sign over a sum's terms, as evaluating
             # the formula on the swapped arguments would; canon(-value)
             # would keep (-1)*(sum) as a single term.
@@ -1108,10 +1155,9 @@ def exterior_derivative(
         """Derivative of theta[rest] along frame a, per value component."""
         comps = [theta[rest + (be,)] for be in range(w)]
         return [
-            sum(
+            flat_sum(
                 [g.rho[i, a] * diff(comps[be], x) for i, x in enumerate(g.chart.coords)]
-                + [rep.A[a, ga, be] * comps[ga] for ga in range(w)],
-                ZERO,
+                + [rep.A[a, ga, be] * comps[ga] for ga in range(w)]
             )
             for be in range(w)
         ]
@@ -1638,13 +1684,15 @@ def identity_battery(
         )
 
     rep = induced_rep_on_g(g, conn)
-    dd = dual_connection(dual_connection(rep))
+    dual = dual_connection(rep)
+    # built afresh from the dual's coefficients, not handed back as rep
+    dd = dual_connection(dual)
     round_items = [
         (f"double dual A[{idx}]", dd.A[idx] - rep.A[idx])
         for idx in np.ndindex(*rep.A.shape)
     ]
     T = torsion_g(rep)
-    Ts = torsion_g(dual_connection(rep))
+    Ts = torsion_g(dual)
     round_items += [
         (f"torsion mirror [{idx}]", T.components[idx] + Ts.components[idx])
         for idx in np.ndindex(*T.shape)
@@ -1655,27 +1703,16 @@ def identity_battery(
         _tensor_battery("dual_curvature_exchange", dual_pair_defect(rep), policy)
     )
 
-    agreement_items = []
-    for a in range(g.rank):
-        for b in range(a + 1, g.rank):
-            corr = splitting_curvature(
-                g, conn, g.frame_section(a), g.frame_section(b)
-            )
-            for i in range(chart.dim):
-                C = compat_defect(
-                    g,
-                    conn,
-                    _coordinate_field(chart, i),
-                    g.frame_section(a),
-                    g.frame_section(b),
-                )
-                for c in range(g.rank):
-                    agreement_items.append(
-                        (
-                            f"route difference (e_{a},e_{b}) d_{i} comp {c}",
-                            C.components[c] - corr[c, i],
-                        )
-                    )
+    defects = frame_defects(g, conn)
+    agreement_items = [
+        (
+            f"route difference (e_{a},e_{b}) d_{i} comp {c}",
+            defects.direct[i, a, b, c] - defects.lifted[a, b, c, i],
+        )
+        for a, b in combinations(range(g.rank), 2)
+        for i in range(chart.dim)
+        for c in range(g.rank)
+    ]
     children.append(_battery("route_agreement", agreement_items, chart, policy))
 
     cart = check_cartan(g, conn, policy)

@@ -39,7 +39,6 @@ __all__ = [
     "cov_deriv_tm",
     "tensor_cov_deriv",
     "curvature_tm",
-    "is_flat_tm",
     "cov_deriv_g",
     "g_tensor_deriv",
     "curvature_g",
@@ -63,7 +62,10 @@ class TMConnection:
     frame section e_a in coordinate direction i.  ``target`` tags the
     bundle the connection acts on: "tm" for the tangent bundle (so the
     frame is the coordinate frame) or "g" for an algebroid.  ``gamma`` is
-    read-only.
+    read-only, so what is derived from it once stays true: for each
+    algebroid it is paired with, the connection keeps the induced
+    representations (:func:`induced_rep_on_g`, :func:`induced_rep_on_tm`)
+    and the frame defects of :func:`cartankit.cartan.frame_defects`.
     """
 
     def __init__(self, chart: Chart, gamma, target: str = "g"):
@@ -84,6 +86,15 @@ class TMConnection:
         self.gamma = out
         self.rank = gamma.shape[1]
         self.target = target
+        self._pairs = {}  # Algebroid -> {table name: what was derived}
+
+    def kept(self, g: Algebroid, name: str, build):
+        """What ``build()`` derives from the pair (``g``, this connection),
+        built on the first request and kept for every later one."""
+        tables = self._pairs.setdefault(g, {})
+        if name not in tables:
+            tables[name] = build()
+        return tables[name]
 
     @classmethod
     def flat(cls, chart: Chart, rank: int, target: str = "g") -> "TMConnection":
@@ -104,8 +115,9 @@ class GConnection:
     (the algebroid acting on itself) or "tm".
 
     ``A`` is read-only, so what is derived from it once stays true: the
-    connection keeps its curvature (:func:`curvature_g`) and its flatness
-    verdict per zero-test policy (:func:`is_flat_g`).
+    connection keeps its curvature (:func:`curvature_g`), its flatness
+    verdict per zero-test policy (:func:`is_flat_g`) and, for a
+    self-target connection, its dual (:func:`dual_connection`).
     """
 
     def __init__(self, g: Algebroid, A, target: str = "self"):
@@ -127,6 +139,7 @@ class GConnection:
         self.target_rank = m
         self._curvature = None
         self._flatness = {}  # ZeroPolicy -> is_flat_g's answer
+        self._dual = None
 
     @classmethod
     def zero(cls, g: Algebroid, target: str = "self") -> "GConnection":
@@ -232,12 +245,6 @@ def curvature_tm(conn: TMConnection) -> TensorField:
         out,
         antisymmetric=((0, 1),),
     )
-
-
-def is_flat_tm(conn: TMConnection, policy: Optional[ZeroPolicy] = None):
-    """(flat?, failing index, verdict) for the curvature of ``conn``."""
-    idx, verdict = curvature_tm(conn).is_zero_field(policy)
-    return idx is None, idx, verdict
 
 
 # ---------------------------------------------------------- G differentiation
@@ -395,9 +402,13 @@ def dual_connection(conn: GConnection) -> GConnection:
 
     Coefficients A*[a,b,c] = A[b,a,c] + c^c_{ab}; applying twice gives
     back the original coefficients exactly (an algebraic identity, used
-    as a regression elsewhere).
+    as a regression elsewhere).  Built once per connection and kept on
+    it; the dual of the dual is built from the dual's own coefficients,
+    never handed back as ``conn``, so that round trip stays a real check.
     """
     _require_self_target(conn, "dual_connection")
+    if conn._dual is not None:
+        return conn._dual
     g = conn.g
     r = g.rank
     out = np.empty((r, r, r), dtype=object)
@@ -405,7 +416,8 @@ def dual_connection(conn: GConnection) -> GConnection:
         for b in range(r):
             for c in range(r):
                 out[a, b, c] = canon(conn.A[b, a, c] + g.structure[a, b, c])
-    return GConnection(g, out, "self")
+    conn._dual = GConnection(g, out, "self")
+    return conn._dual
 
 
 def torsion_g(conn: GConnection) -> TensorField:
@@ -474,8 +486,13 @@ def induced_rep_on_g(g: Algebroid, conn: TMConnection) -> GConnection:
     """Derivative of X along the anchor of Y, plus the bracket.
 
     Coefficients Abar[a,b,c] = sum_i rho[i,b] gamma[i,a,c] + c^c_{ab}.
+    Built once per pair and kept on ``conn``.
     """
     _require_g_target(conn, g, "induced_rep_on_g")
+    return conn.kept(g, "induced_rep_on_g", lambda: _induced_rep_on_g(g, conn))
+
+
+def _induced_rep_on_g(g: Algebroid, conn: TMConnection) -> GConnection:
     r = g.rank
     out = np.empty((r, r, r), dtype=object)
     for a in range(r):
@@ -493,8 +510,13 @@ def induced_rep_on_tm(g: Algebroid, conn: TMConnection) -> GConnection:
     the anchor and correct by the flow of the anchored direction.
 
     Coefficients Atm[a,j,k] = sum_b rho[k,b] gamma[j,a,b] - d_j rho[k,a].
+    Built once per pair and kept on ``conn``.
     """
     _require_g_target(conn, g, "induced_rep_on_tm")
+    return conn.kept(g, "induced_rep_on_tm", lambda: _induced_rep_on_tm(g, conn))
+
+
+def _induced_rep_on_tm(g: Algebroid, conn: TMConnection) -> GConnection:
     chart = g.chart
     n, r = chart.dim, g.rank
     out = np.empty((r, n, n), dtype=object)

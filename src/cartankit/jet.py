@@ -9,31 +9,30 @@ through the anchor, plus the derivative action of each base on the other
 correction.
 
 This module is one of two independent routes to the compatibility
-defect of a connection (the other lives in :mod:`cartankit.cartan`);
-they are compared against each other in the acceptance battery and must
-never be merged.
+defect of a connection (the other lives in :mod:`cartankit.cartan`).  On
+frames, :func:`frame_lift_curvature` derives the jet-lift curvature in
+closed form from the anchor, structure and connection tables; the
+direct route derives the bracket defect from the same tables by its own
+formula, and the two are compared against each other in the acceptance
+battery.  They must never be merged.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from .algebroid import Algebroid, anchor_apply, bracket
 from .bundles import Section, as_expr
 from .connections import TMConnection
-from .symcore import Const, Expr, canon, diff
+from .symcore import ZERO, Const, canon, diff, flat_sum
 
 __all__ = [
     "JetSection",
     "jet_scale",
     "kappa",
     "jet_bracket",
-    "adjoint_action",
     "splitting_from_connection",
-    "splitting_curvature",
-    "anchor_pushforward",
+    "frame_lift_curvature",
 ]
 
 
@@ -65,12 +64,6 @@ class JetSection:
     @classmethod
     def vertical(cls, g: Algebroid, correction) -> "JetSection":
         return cls(g, g.zero_section(), correction)
-
-    def correction_column(self, i: int) -> Section:
-        """phi applied to the i-th coordinate vector field, as a section."""
-        return Section(
-            self.g.chart, [self.correction[b, i] for b in range(self.g.rank)], "g"
-        )
 
     def apply_correction(self, V: Section) -> Section:
         """phi(V) for a vector field V."""
@@ -182,44 +175,6 @@ def jet_bracket(J1: JetSection, J2: JetSection) -> JetSection:
     return JetSection(g, base, corr)
 
 
-def adjoint_action(J: JetSection, Y: Section) -> Section:
-    """ad_{(X, phi)} Y = [X, Y] - phi(#Y).
-
-    The minus sign on the vertical part is forced by the requirement
-    that this be a representation of the jet algebroid.
-    """
-    g = J.g
-    base_part = bracket(g, J.base, Y)
-    vert = J.apply_correction(anchor_apply(g, Y))
-    out = [
-        canon(base_part.components[b] - vert.components[b])
-        for b in range(g.rank)
-    ]
-    return Section(g.chart, out, "g")
-
-
-def anchor_pushforward(J: JetSection) -> JetSection:
-    """Image of a split jet under the jet prolongation of the anchor.
-
-    Lands in the jet algebroid of TM: base #X, correction # o phi.
-    """
-    from .algebroid import tangent_algebroid
-
-    g = J.g
-    chart = g.chart
-    tm = tangent_algebroid(chart)
-    base = anchor_apply(g, J.base)
-    base = Section(chart, base.components, "g")
-    corr = np.empty((chart.dim, chart.dim), dtype=object)
-    for k in range(chart.dim):
-        for i in range(chart.dim):
-            total = Const(0)
-            for b in range(g.rank):
-                total = total + g.rho[k, b] * J.correction[b, i]
-            corr[k, i] = canon(total)
-    return JetSection(tm, base, corr)
-
-
 def splitting_from_connection(
     g: Algebroid, conn: TMConnection, X: Section
 ) -> JetSection:
@@ -241,25 +196,78 @@ def splitting_from_connection(
     return JetSection(g, X, corr)
 
 
-def splitting_curvature(
-    g: Algebroid, conn: TMConnection, X: Section, Y: Section
-) -> np.ndarray:
-    """Bracket defect of the connection's jet lift: [sX, sY] - s[X, Y].
+def _section_form(e):
+    """The canonical form ``e`` takes as a component of a section: a
+    rational multiple of a sum is spread over the sum's terms."""
+    return canon(flat_sum((e,)))
 
-    The base components cancel identically (asserted); the returned
-    matrix is the purely vertical part, which vanishes for all section
-    pairs exactly when the lift is a morphism of brackets.
+
+def frame_lift_curvature(g: Algebroid, conn: TMConnection) -> np.ndarray:
+    """Bracket defect of the connection's jet lift on frames, from the
+    anchor, structure and connection tables.
+
+    L[a, b, d, i] (for a < b; entries with a >= b are None) is the
+    e_d-component of [s e_a, s e_b] - s[e_a, e_b] applied to d/dx^i, where
+    s X = (X, -(nabla X)) is :func:`splitting_from_connection`.  The base
+    part, [e_a, e_b] - [e_a, e_b], vanishes identically.  With the
+    corrections phi_a[d, i] = -gamma[i, a, d] and the frame bracket
+    B^d = c^d_{ab}, the correction part fib + kappa_12 - kappa_21 - s[X, Y]
+    of :func:`jet_bracket` reads
+
+        sum_{j,c} (phi_b[d,j] rho^j_c phi_a[c,i] - phi_a[d,j] rho^j_c phi_b[c,i])
+        + rho^j_a d_j phi_b[d,i] + c^d_{ae} phi_b[e,i] + phi_b[d,k] d_i rho^k_a
+        - rho^j_b d_j phi_a[d,i] - c^d_{be} phi_a[e,i] - phi_a[d,k] d_i rho^k_b
+        + d_i B^d + gamma[i,e,d] B^e
+
+    summed over repeated indices.  Each entry is one flat sum of these
+    products, whose factors are the canonical forms that building the
+    lift from sections gives them, so each entry's canonical form is the
+    section-level one.
     """
-    sX = splitting_from_connection(g, conn, X)
-    sY = splitting_from_connection(g, conn, Y)
-    lhs = jet_bracket(sX, sY)
-    rhs = splitting_from_connection(g, conn, bracket(g, X, Y))
-    defect = lhs - rhs
-    for b in range(g.rank):
-        base_defect = canon(defect.base.components[b])
-        if base_defect != Const(0):
-            raise AssertionError(
-                f"splitting curvature has nonzero base component {b}: "
-                f"{base_defect}"
-            )
-    return defect.correction
+    if conn.chart != g.chart or conn.rank != g.rank:
+        raise ValueError("connection does not target the algebroid")
+    chart = g.chart
+    n, r = chart.dim, g.rank
+    rho, c, gamma = g.rho, g.structure, conn.gamma
+    coords = chart.coords
+    # phi[a][d, i]: the lift's correction; dphi[a][j][d, i] = d_j phi[a][d, i]
+    phi = np.empty((r, r, n), dtype=object)
+    for a in range(r):
+        for d in range(r):
+            for i in range(n):
+                phi[a, d, i] = canon(-_section_form(gamma[i, a, d]))
+    dphi = np.empty((r, n, r, n), dtype=object)
+    for idx in np.ndindex(r, n, r, n):
+        a, j, d, i = idx
+        dphi[idx] = diff(phi[a, d, i], coords[j])
+    # d_i of the anchor's frame vector fields, as kappa differentiates them
+    drho = np.empty((r, n, n), dtype=object)
+    for a in range(r):
+        for k in range(n):
+            P = _section_form(rho[k, a])
+            for i in range(n):
+                drho[a, i, k] = diff(P, coords[i])
+    # anchored[j]: the frames whose vector field has a d/dx^j component
+    anchored = [[e for e in range(r) if rho[j, e] != ZERO] for j in range(n)]
+    out = np.empty((r, r, r, n), dtype=object)
+    for a in range(r):
+        for b in range(a + 1, r):
+            B = [_section_form(c[a, b, e]) for e in range(r)]
+            for d in range(r):
+                dB = [diff(B[d], x) for x in coords]
+                for i in range(n):
+                    terms = [dB[i]]
+                    for e in range(r):
+                        terms.append(gamma[i, e, d] * B[e])
+                        terms.append(c[a, e, d] * phi[b, e, i])
+                        terms.append(-(c[b, e, d] * phi[a, e, i]))
+                    for j in range(n):
+                        terms.append(rho[j, a] * dphi[b, j, d, i])
+                        terms.append(-(rho[j, b] * dphi[a, j, d, i]))
+                        terms.append(phi[b, d, j] * drho[a, i, j])
+                        terms.append(-(phi[a, d, j] * drho[b, i, j]))
+                        for e in anchored[j]:
+                            terms.append(phi[b, d, j] * rho[j, e] * phi[a, e, i])
+                            terms.append(-(phi[a, d, j] * rho[j, e] * phi[b, e, i]))
+                    out[a, b, d, i] = canon(flat_sum(terms))
+    return out

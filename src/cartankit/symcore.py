@@ -42,6 +42,7 @@ __all__ = [
     "DegenerateError",
     "parse",
     "canon",
+    "flat_sum",
     "diff",
     "evaluate",
     "evaluate_batch",
@@ -136,19 +137,28 @@ def _is_literal_zero(e: "Expr") -> bool:
     return isinstance(e, Const) and e.value == 0
 
 
-def _plus(a: "Expr", b: "Expr") -> "Expr":
-    """``a + b`` as one flat sum: the terms of an uncanonicalized ``Add``
-    operand are spliced in and a literal-zero operand is left out.  The
-    result canonicalizes exactly as ``Add((a, b))`` does, so it stays an
-    ``Add`` even with one term: ``canon`` spreads a rational multiple of
-    a sum over the sum's terms only inside a sum."""
-    terms = ()
-    for e in (a, b):
+def flat_sum(terms: Iterable["Expr"]) -> "Expr":
+    """One flat ``Add`` of ``terms``: the terms of an uncanonicalized
+    ``Add`` are spliced in and literal zeros are left out; ``ZERO`` if
+    nothing is left.  The result canonicalizes exactly as ``Add(terms)``
+    does, so it stays an ``Add`` even with one term: ``canon`` spreads a
+    rational multiple of a sum over the sum's terms only inside a sum.
+
+    This is the package's one sum builder: ``+`` and ``-`` go through it,
+    and so does every sum assembled from a list of terms, which then
+    costs one pass instead of a copy of the growing sum per term."""
+    out = []
+    for e in terms:
         if isinstance(e, Add) and e._canonical is None:
-            terms += e.terms
+            out.extend(e.terms)
         elif not _is_literal_zero(e):
-            terms += (e,)
-    return Add(terms) if terms else ZERO
+            out.append(e)
+    return Add(out) if out else ZERO
+
+
+def _plus(a: "Expr", b: "Expr") -> "Expr":
+    """``a + b`` as one flat sum (see :func:`flat_sum`)."""
+    return flat_sum((a, b))
 
 
 def _times(a: "Expr", b: "Expr") -> "Expr":

@@ -11,6 +11,7 @@ bundles, and cotangent algebroids of random 2d Poisson tensors.
 
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,10 @@ from cartankit.algebroid import (
 )
 from cartankit.bundles import TM, UP, Section, TensorField, as_expr
 from cartankit.cartan import (
-    _coordinate_field,
     _random_one_form,
-    compat_defect,
     dtheta_decomposition,
     exterior_derivative,
+    frame_defects,
     holonomy_check,
     parallelism_report,
     poisson_report,
@@ -51,9 +51,10 @@ from cartankit.connections import (
     morphism_curvature,
     torsion_g,
 )
-from cartankit.jet import jet_bracket, splitting_curvature, splitting_from_connection
+from cartankit.jet import jet_bracket, splitting_from_connection
 from cartankit.algebroid import bracket
 from cartankit.symcore import Chart, Const, ZeroPolicy, canon, diff, is_zero
+from test_cartan import assert_frame_defects_match_references
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 CORPUS_NAMES = (
@@ -170,27 +171,24 @@ def corpus_pairs():
 
 
 def _routes_agree(g, conn):
-    """Entrywise comparison of the two compatibility defect routes."""
-    chart = g.chart
+    """Entrywise comparison of the two compatibility defect routes, and of
+    each route's closed form against its section-level reference."""
+    defects = frame_defects(g, conn)
     checked = 0
-    for a in range(g.rank):
-        for b in range(a + 1, g.rank):
-            corr = splitting_curvature(g, conn, g.frame_section(a), g.frame_section(b))
-            for i in range(chart.dim):
-                C = compat_defect(
-                    g,
-                    conn,
-                    _coordinate_field(chart, i),
-                    g.frame_section(a),
-                    g.frame_section(b),
+    for a, b in combinations(range(g.rank), 2):
+        for i in range(g.chart.dim):
+            for c in range(g.rank):
+                v = is_zero(
+                    defects.direct[i, a, b, c] - defects.lifted[a, b, c, i],
+                    g.chart,
+                    POLICY,
                 )
-                for c in range(g.rank):
-                    v = is_zero(C.components[c] - corr[c, i], chart, POLICY)
-                    assert v.zero, (
-                        f"routes disagree at frame pair ({a},{b}), "
-                        f"direction {i}, component {c}: {v.value} at {v.witness}"
-                    )
-                    checked += 1
+                assert v.zero, (
+                    f"routes disagree at frame pair ({a},{b}), "
+                    f"direction {i}, component {c}: {v.value} at {v.witness}"
+                )
+                checked += 1
+    assert assert_frame_defects_match_references(g, conn, POLICY) == checked
     return checked
 
 
@@ -202,7 +200,8 @@ def test_criterion_1_compatibility_routes_agree(catalog, corpus_pairs):
         entries += _routes_agree(g, conn)
     print(
         f"[criterion 1] bracket-compatibility vs jet-splitting defects agree "
-        f"entrywise on 9 corpus + 20 random instances ({entries} entries): PASS"
+        f"entrywise, and each closed form makes its section-level reference's "
+        f"zero tests, on 9 corpus + 20 random instances ({entries} entries): PASS"
     )
 
 

@@ -9,11 +9,8 @@ from cartankit.bundles import (
     Section,
     TensorField,
     lie_derivative,
-    scalar_field,
     tensor_contract,
-    tensor_product,
     vf_bracket,
-    zero_tensor,
 )
 from cartankit.symcore import Chart, Const, canon, diff, is_zero, parse
 
@@ -27,6 +24,21 @@ def vf(chart, *comps):
 
 def expr(text, chart=R2):
     return canon(parse(text, chart))
+
+
+def outer(T, S):
+    """Outer product T (x) S, slots of T first."""
+    out = np.empty(T.shape + S.shape, dtype=object)
+    for idx in np.ndindex(*out.shape):
+        out[idx] = T.components[idx[: T.ndim]] * S.components[idx[T.ndim :]]
+    return TensorField(T.chart, T.slots + S.slots, out)
+
+
+def scalar(chart, f):
+    """A zero-slot tensor field."""
+    arr = np.empty((), dtype=object)
+    arr[()] = f
+    return TensorField(chart, (), arr)
 
 
 # ---------------------------------------------------------------- brackets
@@ -112,13 +124,13 @@ def test_trace_of_identity_endomorphism():
 def test_contraction_is_pairing():
     v = Section(R2, ("x", "y"), "tm").as_tensor()
     alpha = Section(R2, ("y", "1"), "tm*").as_tensor()
-    got = tensor_contract(tensor_product(v, alpha), 0, 1)
+    got = tensor_contract(outer(v, alpha), 0, 1)
     assert got[()] == expr("x*y + y")
 
 
 def test_contracting_two_upper_slots_fails():
     v = Section(R2, ("x", "y"), "tm").as_tensor()
-    both = tensor_product(v, v)
+    both = outer(v, v)
     with pytest.raises(ValueError, match="upper, lower"):
         tensor_contract(both, 0, 1)
 
@@ -127,7 +139,7 @@ def test_contraction_across_tags_fails():
     v = Section(R2, ("x", "y"), "tm").as_tensor()
     a = TensorField(R2, ((LOW, "g"),), ["1", "0"])
     with pytest.raises(ValueError, match="tags"):
-        tensor_contract(tensor_product(v, a), 0, 1)
+        tensor_contract(outer(v, a), 0, 1)
 
 
 # ------------------------------------------------------------ declarations
@@ -151,12 +163,6 @@ def test_tm_slot_size_enforced():
     with pytest.raises(ValueError, match="tangent-tagged"):
         TensorField(R2, ((UP, TM),), ["1", "0", "0"])
 
-
-def test_zero_tensor_shapes():
-    z = zero_tensor(R2, ((UP, "g"), (LOW, TM)), g_rank=3)
-    assert z.shape == (3, 2)
-    idx, verdict = z.is_zero_field()
-    assert idx is None
 
 
 # ------------------------------------------------------------- properties
@@ -214,7 +220,7 @@ def test_bracket_jacobi(fields):
 def test_scalar_lie_derivative_is_directional(fields):
     (V,) = fields
     f = expr("x^2*y + sin(x)")
-    got = lie_derivative(V, scalar_field(R2, f))[()]
+    got = lie_derivative(V, scalar(R2, f))[()]
     want = sum(
         (V.components[i] * diff(f, n) for i, n in enumerate(R2.coords)),
         Const(0),
@@ -228,8 +234,8 @@ def test_lie_derivative_leibniz_over_product(fields):
     (V,) = fields
     T = Section(R2, ("x", "y^2"), "tm").as_tensor()
     S = Section(R2, ("y", "x*y"), "tm*").as_tensor()
-    lhs = lie_derivative(V, tensor_product(T, S))
-    rhs = tensor_product(lie_derivative(V, T), S) + tensor_product(
+    lhs = lie_derivative(V, outer(T, S))
+    rhs = outer(lie_derivative(V, T), S) + outer(
         T, lie_derivative(V, S)
     )
     defect = lhs - rhs

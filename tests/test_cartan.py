@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cartankit.algebroid import (
+    Algebroid,
     LieAlgebra,
     bracket,
     build_action_algebroid,
@@ -18,8 +19,8 @@ from cartankit.cartan import (
     Verdict,
     abba_defect,
     check_cartan,
-    compat_defect,
     cotangent_connection,
+    frame_defects,
     dtheta_decomposition,
     exterior_derivative,
     fundamental_operator,
@@ -38,13 +39,15 @@ from cartankit.connections import (
     TMConnection,
     christoffel,
     cov_deriv_g,
+    cov_deriv_tm,
     curvature_tm,
     dual_connection,
     induced_rep_on_g,
     induced_rep_on_tm,
 )
 from cartankit.cli import Workspace, load_spec
-from cartankit.jet import splitting_curvature
+from cartankit.jet import frame_lift_curvature
+from test_jet import _reference_splitting_curvature
 from cartankit.symcore import (
     Call,
     Chart,
@@ -160,6 +163,77 @@ def test_verdict_as_dict_round_trips_children():
 # ------------------------------------------------- compatibility, two ways
 
 
+def _reference_compat_defect(g, conn, V, X, Y):
+    """Defect of the connection against the bracket, built from sections:
+    the reference for the direct route of ``frame_defects``.
+
+    C(V, X, Y) = D_V [X,Y] - [D_V X, Y] - [X, D_V Y]
+                 - D_{B_Y V} X + D_{B_X V} Y
+
+    where D is the connection and B the companion action of sections on
+    vector fields (``induced_rep_on_tm``).
+    """
+    if conn.chart != g.chart or conn.rank != g.rank:
+        raise ValueError("connection does not target the algebroid")
+    if V.frame != "tm":
+        raise ValueError("first argument must be a vector field")
+    rep_tm = induced_rep_on_tm(g, conn)
+    t1 = cov_deriv_tm(conn, V, bracket(g, X, Y))
+    t2 = bracket(g, cov_deriv_tm(conn, V, X), Y)
+    t3 = bracket(g, X, cov_deriv_tm(conn, V, Y))
+    t4 = cov_deriv_tm(conn, cov_deriv_g(rep_tm, Y, V), X)
+    t5 = cov_deriv_tm(conn, cov_deriv_g(rep_tm, X, V), Y)
+    out = [
+        canon(
+            t1.components[c]
+            - t2.components[c]
+            - t3.components[c]
+            - t4.components[c]
+            + t5.components[c]
+        )
+        for c in range(g.rank)
+    ]
+    return Section(g.chart, out, "g")
+
+
+def _coordinate_field(chart, i):
+    return Section(chart, ["1" if k == i else "0" for k in range(chart.dim)], "tm")
+
+
+def assert_same_zero_test(mine, ref, chart, where, policy=POLICY):
+    """Same zero test: zero, path and witness exactly, the value to the
+    last places (the same function can reach two canonical forms)."""
+    got, want = is_zero(mine, chart, policy), is_zero(ref, chart, policy)
+    assert (got.zero, got.path, got.witness) == (want.zero, want.path, want.witness), where
+    if want.value is None:
+        assert got.value is None, where
+    else:
+        assert got.value == pytest.approx(want.value, rel=1e-12), where
+
+
+def assert_frame_defects_match_references(g, conn, policy=POLICY):
+    """Each closed-form table against its section-level reference, entry
+    for entry; returns the number of entries compared."""
+    defects = frame_defects(g, conn)
+    chart = g.chart
+    count = 0
+    for a, b in combinations(range(g.rank), 2):
+        X, Y = g.frame_section(a), g.frame_section(b)
+        lifted = _reference_splitting_curvature(g, conn, X, Y)
+        for i in range(chart.dim):
+            direct = _reference_compat_defect(g, conn, _coordinate_field(chart, i), X, Y)
+            for c in range(g.rank):
+                where = (a, b, i, c)
+                assert_same_zero_test(
+                    defects.direct[i, a, b, c], direct.components[c], chart, where, policy
+                )
+                assert_same_zero_test(
+                    defects.lifted[a, b, c, i], lifted[c, i], chart, where, policy
+                )
+                count += 1
+    return count
+
+
 def test_so3_pair_is_compatible():
     g, conn = so3_pair()
     v = check_cartan(g, conn, POLICY)
@@ -176,35 +250,68 @@ def test_flat_but_incompatible_fails_both_routes():
     assert all(not c.ok for c in v.children)
 
 
-def test_compat_defect_rejects_non_vector_direction():
-    g, conn = so3_pair()
-    with pytest.raises(ValueError):
-        compat_defect(g, conn, g.frame_section(0), g.frame_section(0), g.frame_section(1))
-
-
-def test_compat_defect_rejects_rank_mismatch():
+def test_frame_defects_reject_rank_mismatch():
     g, _ = so3_pair()
     wrong = TMConnection.flat(R3, 2, target="g")
-    with pytest.raises(ValueError):
-        compat_defect(
-            g,
-            wrong,
-            Section(R3, ("1", "0", "0"), "tm"),
-            g.frame_section(0),
-            g.frame_section(1),
-        )
+    with pytest.raises(ValueError, match="does not target"):
+        frame_defects(g, wrong)
 
 
 def test_defect_matches_jet_curvature_entrywise_with_sign():
     # the two routes must agree entry for entry, not merely both vanish
     g, conn = flat_but_incompatible()
-    V = Section(R2, ("1", "0"), "tm")
-    C = compat_defect(g, conn, V, g.frame_section(0), g.frame_section(1))
-    corr = splitting_curvature(g, conn, g.frame_section(0), g.frame_section(1))
+    defects = frame_defects(g, conn)
+    C = [defects.direct[0, 0, 1, c] for c in range(2)]
     for c in range(2):
-        assert canon(C.components[c] - corr[c, 0]) == Const(0)
+        assert canon(C[c] - defects.lifted[0, 1, c, 0]) == Const(0)
     # and the defect is honestly nonzero for this pair
-    assert any(canon(C.components[c]) != Const(0) for c in range(2))
+    assert any(canon(C[c]) != Const(0) for c in range(2))
+
+
+def test_frame_defects_are_kept_per_pair():
+    g, conn = flat_but_incompatible()
+    assert frame_defects(g, conn) is frame_defects(g, conn)
+    other = tangent_algebroid(R2)
+    assert frame_defects(other, conn) is not frame_defects(g, conn)
+
+
+@pytest.mark.parametrize("seed,rank", [(0, 2), (1, 3), (2, 3), (3, 3)])
+def test_closed_form_frame_defects_match_section_references(seed, rank):
+    # seeded random anchor, structure and connection tables, axioms or
+    # not: the closed forms must make the same zero test as the routes
+    # built from sections, and the two routes must agree with each other
+    rng = np.random.default_rng([seed, rank])
+    pool = ["0", "0", "1", "-2", "x", "y", "x*y", "x^2 - y", "(x + y)^2", "1/(2 + x)"]
+    pick = lambda: str(rng.choice(pool))  # noqa: E731
+    rho = [[pick() for _ in range(rank)] for _ in range(2)]
+    c = [[["0"] * rank for _ in range(rank)] for _ in range(rank)]
+    for a, b in combinations(range(rank), 2):
+        for d in range(rank):
+            c[a][b][d] = pick()
+            c[b][a][d] = f"-({c[a][b][d]})"
+    g = Algebroid(R2, rank, rho, c)
+    gamma = [[[pick() for _ in range(rank)] for _ in range(rank)] for _ in range(2)]
+    conn = TMConnection(R2, gamma, target="g")
+    assert assert_frame_defects_match_references(g, conn) == 2 * rank * rank * (rank - 1) // 2
+    defects = frame_defects(g, conn)
+    for a, b in combinations(range(rank), 2):
+        for i in range(2):
+            for d in range(rank):
+                assert is_zero(
+                    defects.direct[i, a, b, d] - defects.lifted[a, b, d, i], R2, POLICY
+                ).zero
+
+
+def test_frame_lift_curvature_matches_reference_on_metric_lift():
+    # the lift-curvature identity reads this table on the tangent algebroid
+    for metric in (sphere_metric(), ellipsoid_metric()):
+        g = tangent_algebroid(metric.chart)
+        lc = christoffel(metric)
+        L = frame_lift_curvature(g, lc)
+        ref = _reference_splitting_curvature(g, lc, g.frame_section(0), g.frame_section(1))
+        for c in range(2):
+            for i in range(2):
+                assert L[0, 1, c, i] == canon(ref[c, i])
 
 
 def test_defect_vanishes_on_non_frame_sections_too():
@@ -213,7 +320,7 @@ def test_defect_vanishes_on_non_frame_sections_too():
     X = Section(R3, ("x", "1 - y", "x*z"), "g")
     Y = Section(R3, ("y^2", "3", "x + z"), "g")
     V = Section(R3, ("z", "x*y", "1"), "tm")
-    C = compat_defect(g, conn, V, X, Y)
+    C = _reference_compat_defect(g, conn, V, X, Y)
     for c in range(3):
         assert is_zero(C.components[c], R3, POLICY).zero
 
@@ -223,8 +330,8 @@ def test_defect_scales_tensorially_on_incompatible_pair():
     V = Section(R2, ("1", "0"), "tm")
     X, Y = g.frame_section(0), g.frame_section(1)
     f, h, k = (as_expr(s, R2) for s in ("x + 2", "y^2 + 1", "x*y + 3"))
-    lhs = compat_defect(g, conn, V.scale(f), X.scale(h), Y.scale(k))
-    base = compat_defect(g, conn, V, X, Y)
+    lhs = _reference_compat_defect(g, conn, V.scale(f), X.scale(h), Y.scale(k))
+    base = _reference_compat_defect(g, conn, V, X, Y)
     for c in range(2):
         assert is_zero(
             lhs.components[c] - f * h * k * base.components[c], R2, POLICY

@@ -34,7 +34,6 @@ from cartankit.connections import (
     induced_rep_on_g,
     induced_rep_on_tm,
     is_flat_g,
-    is_flat_tm,
     metric_inverse,
     morphism_curvature,
     tensor_cov_deriv,
@@ -184,8 +183,8 @@ def test_tensor_cov_deriv_demands_tm_target():
 
 
 def test_flat_curvature_vanishes():
-    flat, idx, _ = is_flat_tm(TMConnection.flat(R3, 3))
-    assert flat and idx is None
+    idx, _ = curvature_tm(TMConnection.flat(R3, 3)).is_zero_field()
+    assert idx is None
 
 
 def test_sphere_curvature_component():
@@ -204,8 +203,8 @@ def test_halfplane_has_constant_negative_curvature():
 
 
 def test_sphere_is_not_flat():
-    flat, idx, verdict = is_flat_tm(christoffel(sphere_metric()))
-    assert not flat and verdict.witness is not None
+    idx, verdict = curvature_tm(christoffel(sphere_metric())).is_zero_field()
+    assert idx is not None and verdict.witness is not None
 
 
 # ------------------------------------------------------- algebroid derivative
@@ -335,9 +334,14 @@ def test_double_dual_is_identity():
     g = so3_action()
     rng = np.random.default_rng(11)
     conn = GConnection(g, rng.integers(-2, 3, size=(3, 3, 3)).tolist())
-    dd = dual_connection(dual_connection(conn))
+    dual = dual_connection(conn)
+    dd = dual_connection(dual)
     for idx in np.ndindex(3, 3, 3):
         assert dd.A[idx] == conn.A[idx]
+    # the dual is kept on its connection, but the double dual is built from
+    # the dual's coefficients, not handed back: the round trip is a check
+    assert dual_connection(conn) is dual and dual_connection(dual) is dd
+    assert dd is not conn and dual is not conn
 
 
 def test_torsions_of_dual_pair_are_opposite():
@@ -368,6 +372,16 @@ def test_curvature_exchange_identity():
 
 
 # ------------------------------------------------- induced representations
+
+
+def test_induced_representations_are_kept_per_pair():
+    g = so3_action()
+    conn = TMConnection(R3, np.random.default_rng(6).integers(-2, 3, size=(3, 3, 3)).tolist())
+    assert induced_rep_on_g(g, conn) is induced_rep_on_g(g, conn)
+    assert induced_rep_on_tm(g, conn) is induced_rep_on_tm(g, conn)
+    # another algebroid of the same chart and rank gets its own
+    other = so3_action()
+    assert induced_rep_on_g(other, conn) is not induced_rep_on_g(g, conn)
 
 
 def test_tangent_induced_rep_is_the_dual():

@@ -5,15 +5,19 @@
 corpus/<file>.json`` prints it from the repository root.
 ``golden/metric3d`` holds ``check`` on two 3-d metrics from
 ``test_cli.py``: hyperbolic 3-space (``h3.json``) and diag(1, 1+x^2, z^2)
-(``diag3.json``), run from the directory that holds the spec.
+(``diag3.json``); ``golden/metric4d`` holds ``check`` on hyperbolic
+4-space (``h4.json``: 1/w^2 times the identity on [-1,1]^3 x [1/2,2],
+guard w).  Each runs from the directory that holds the spec.
 
 A change to a verdict, a witness or the last digit of a value fails
 here.  A deliberate change regenerates the files with the report loop of
-``.github/workflows/tier1.yml`` (its pass-1 reports are the corpus
-files) and shows the difference in review.
+``.github/workflows/tier1.yml`` (its pass-1 reports are these files,
+written by ``python tests/test_golden.py <directory>``) and shows the
+difference in review.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +39,22 @@ METRICS_3D = {
     "diag3.json": [["1", "0", "0"], ["0", "1+x^2", "0"], ["0", "0", "z^2"]],
 }
 
+H4 = {
+    "spec_version": 1,
+    "chart": {
+        "coords": ["x", "y", "z", "w"],
+        "box": [[-1, 1], [-1, 1], [-1, 1], ["1/2", 2]],
+        "guards": ["w"],
+    },
+    "metric": [["1/w^2" if i == j else "0" for j in range(4)] for i in range(4)],
+}
+
+# golden directory -> spec file name -> spec
+METRIC_SPECS = {
+    "metric3d": {name: _metric_3d(metric) for name, metric in METRICS_3D.items()},
+    "metric4d": {"h4.json": H4},
+}
+
 
 def _report(capsys, *argv) -> str:
     run(list(argv))
@@ -54,9 +74,32 @@ def test_corpus_report_matches_golden(capsys, monkeypatch, command, name):
     assert report == (GOLDEN / "corpus" / f"{command}-{name}").read_text()
 
 
-@pytest.mark.parametrize("name", sorted(METRICS_3D))
-def test_3d_metric_check_matches_golden(capsys, monkeypatch, tmp_path, name):
-    (tmp_path / name).write_text(json.dumps(_metric_3d(METRICS_3D[name])))
+def _metric_check_matches_golden(capsys, monkeypatch, tmp_path, folder, name):
+    (tmp_path / name).write_text(json.dumps(METRIC_SPECS[folder][name]))
     monkeypatch.chdir(tmp_path)
     report = _report(capsys, "check", name)
-    assert report == (GOLDEN / "metric3d" / f"check-{name}").read_text()
+    assert report == (GOLDEN / folder / f"check-{name}").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(METRICS_3D))
+def test_3d_metric_check_matches_golden(capsys, monkeypatch, tmp_path, name):
+    _metric_check_matches_golden(capsys, monkeypatch, tmp_path, "metric3d", name)
+
+
+def test_4d_metric_check_matches_golden(capsys, monkeypatch, tmp_path):
+    _metric_check_matches_golden(capsys, monkeypatch, tmp_path, "metric4d", "h4.json")
+
+
+def test_every_metric_spec_has_a_golden_report():
+    for folder, specs in METRIC_SPECS.items():
+        assert {p.name for p in (GOLDEN / folder).iterdir()} == {
+            f"check-{name}" for name in specs
+        }
+
+
+if __name__ == "__main__":
+    # write the metric specs, as <directory>/<golden directory>/<name>
+    for folder, specs in METRIC_SPECS.items():
+        (Path(sys.argv[1]) / folder).mkdir(parents=True, exist_ok=True)
+        for name, spec in specs.items():
+            (Path(sys.argv[1]) / folder / name).write_text(json.dumps(spec))

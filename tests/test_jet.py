@@ -14,18 +14,15 @@ from cartankit.connections import (
     GConnection,
     TMConnection,
     cov_deriv_g,
+    curvature_tm,
     induced_rep_on_g,
     induced_rep_on_tm,
-    is_flat_tm,
 )
 from cartankit.jet import (
     JetSection,
-    adjoint_action,
-    anchor_pushforward,
     jet_bracket,
     jet_scale,
     kappa,
-    splitting_curvature,
     splitting_from_connection,
 )
 from cartankit.symcore import Chart, Const, Sym, canon, diff, is_zero
@@ -47,6 +44,54 @@ def zero_anchor_rank2(chart=R2):
     zero_rho = [[0] * 2 for _ in range(chart.dim)]
     zero_c = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
     return Algebroid(chart, 2, zero_rho, zero_c)
+
+
+def _reference_splitting_curvature(g, conn, X, Y):
+    """Bracket defect of the connection's jet lift, [sX, sY] - s[X, Y], built
+    from sections: the reference for ``frame_lift_curvature``.
+
+    The base components cancel identically (asserted); the returned
+    matrix is the purely vertical part.
+    """
+    sX = splitting_from_connection(g, conn, X)
+    sY = splitting_from_connection(g, conn, Y)
+    defect = jet_bracket(sX, sY) - splitting_from_connection(g, conn, bracket(g, X, Y))
+    for b in range(g.rank):
+        base_defect = canon(defect.base.components[b])
+        if base_defect != Const(0):
+            raise AssertionError(
+                f"splitting curvature has nonzero base component {b}: "
+                f"{base_defect}"
+            )
+    return defect.correction
+
+
+def _adjoint_action(J, Y):
+    """ad_{(X, phi)} Y = [X, Y] - phi(#Y), the jet algebroid's action on
+    sections; it is a representation exactly when ``jet_bracket`` is right."""
+    g = J.g
+    base_part = bracket(g, J.base, Y)
+    vert = J.apply_correction(anchor_apply(g, Y))
+    return Section(
+        g.chart,
+        [base_part.components[b] - vert.components[b] for b in range(g.rank)],
+        "g",
+    )
+
+
+def _anchor_pushforward(J):
+    """Image of a split jet under the jet prolongation of the anchor: base
+    #X, correction # o phi, in the jet algebroid of TM."""
+    g = J.g
+    chart = g.chart
+    corr = np.empty((chart.dim, chart.dim), dtype=object)
+    for k in range(chart.dim):
+        for i in range(chart.dim):
+            corr[k, i] = sum(
+                (g.rho[k, b] * J.correction[b, i] for b in range(g.rank)), Const(0)
+            )
+    base = Section(chart, anchor_apply(g, J.base).components, "g")
+    return JetSection(tangent_algebroid(chart), base, corr)
 
 
 def matrix_is_zero(M, chart, probabilistic=True):
@@ -219,25 +264,15 @@ def test_jet_bracket_leibniz_in_second_slot():
 # ------------------------------------------------------------------- adjoint
 
 
-def test_adjoint_with_zero_correction_is_bracket():
-    g = so3_action()
-    X = Section(R3, ("x", "1", "0"), "g")
-    Y = Section(R3, ("0", "z", "y"), "g")
-    got = adjoint_action(JetSection.prolong(g, X), Y)
-    want = bracket(g, X, Y)
-    for b in range(3):
-        assert is_zero(got.components[b] - want.components[b], R3).zero
-
-
 def test_adjoint_representation_has_no_curvature():
     g = so3_action()
     rng = np.random.default_rng(21)
     J1, J2 = _random_jet(g, rng), _random_jet(g, rng)
     Y = Section(R3, ("z", "x*y", "1"), "g")
     direct = (
-        adjoint_action(J1, adjoint_action(J2, Y))
-        - adjoint_action(J2, adjoint_action(J1, Y))
-        - adjoint_action(jet_bracket(J1, J2), Y)
+        _adjoint_action(J1, _adjoint_action(J2, Y))
+        - _adjoint_action(J2, _adjoint_action(J1, Y))
+        - _adjoint_action(jet_bracket(J1, J2), Y)
     )
     assert all(is_zero(c, R3).zero for c in direct.components)
 
@@ -248,9 +283,9 @@ def test_adjoint_representation_flat_on_tangent_algebroid():
     J1, J2 = _random_jet(g, rng), _random_jet(g, rng)
     Y = Section(R2, ("x*y", "y"), "g")
     direct = (
-        adjoint_action(J1, adjoint_action(J2, Y))
-        - adjoint_action(J2, adjoint_action(J1, Y))
-        - adjoint_action(jet_bracket(J1, J2), Y)
+        _adjoint_action(J1, _adjoint_action(J2, Y))
+        - _adjoint_action(J2, _adjoint_action(J1, Y))
+        - _adjoint_action(jet_bracket(J1, J2), Y)
     )
     assert all(is_zero(c, R2).zero for c in direct.components)
 
@@ -293,7 +328,7 @@ def test_lift_composed_with_adjoint_gives_self_representation():
     for a in range(3):
         J = splitting_from_connection(g, conn, g.frame_section(a))
         for b in range(3):
-            got = adjoint_action(J, g.frame_section(b))
+            got = _adjoint_action(J, g.frame_section(b))
             want = cov_deriv_g(rep, g.frame_section(a), g.frame_section(b))
             for c in range(3):
                 assert is_zero(got.components[c] - want.components[c], R3).zero
@@ -306,9 +341,9 @@ def test_lift_pushed_through_anchor_gives_tm_representation():
     rep = induced_rep_on_tm(g, conn)
     tm = tangent_algebroid(R3)
     for a in range(3):
-        J = anchor_pushforward(splitting_from_connection(g, conn, g.frame_section(a)))
+        J = _anchor_pushforward(splitting_from_connection(g, conn, g.frame_section(a)))
         for j in range(3):
-            got = adjoint_action(J, tm.frame_section(j))
+            got = _adjoint_action(J, tm.frame_section(j))
             for k in range(3):
                 assert is_zero(got.components[k] - rep.A[a, j, k], R3).zero
 
@@ -321,7 +356,7 @@ def test_canonical_flat_lift_has_zero_curvature():
     conn = TMConnection.flat(R3, 3)
     X = Section(R3, ("x", "0", "z"), "g")
     Y = Section(R3, ("1", "y", "0"), "g")
-    out = splitting_curvature(g, conn, X, Y)
+    out = _reference_splitting_curvature(g, conn, X, Y)
     assert matrix_is_zero(out, R3)
 
 
@@ -333,9 +368,9 @@ def test_flat_but_incompatible_connection_has_lift_curvature():
     gamma[...] = Const(0)
     gamma[0, 1, 1] = canon(Const(-2) * Sym("x"))
     conn = TMConnection(R2, gamma)
-    flat, _, _ = is_flat_tm(conn)
-    assert flat
-    out = splitting_curvature(g, conn, g.frame_section(0), g.frame_section(1))
+    idx, _ = curvature_tm(conn).is_zero_field()
+    assert idx is None
+    out = _reference_splitting_curvature(g, conn, g.frame_section(0), g.frame_section(1))
     assert not matrix_is_zero(out, R2)
 
 
@@ -345,4 +380,4 @@ def test_lift_curvature_base_is_asserted_zero():
     conn = TMConnection(R3, rng.integers(-2, 3, size=(3, 3, 3)).tolist())
     X = Section(R3, ("x*y", "0", "1"), "g")
     Y = Section(R3, ("z", "1", "x"), "g")
-    splitting_curvature(g, conn, X, Y)  # must not raise
+    _reference_splitting_curvature(g, conn, X, Y)  # must not raise
