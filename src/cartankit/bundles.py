@@ -15,6 +15,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .symcore import (
+    ONE,
+    ZERO,
     Chart,
     Const,
     DegenerateError,
@@ -22,6 +24,7 @@ from .symcore import (
     ZeroPolicy,
     canon,
     diff,
+    flat_sum,
     is_zero,
     parse,
 )
@@ -152,19 +155,12 @@ class TensorField:
     ``slots`` is a sequence of (variance, tag) pairs, variance "upper" or
     "lower", tag "tm" or "g".  Tangent-tagged slots must have size equal
     to the chart dimension; algebroid-tagged slots take their size from
-    the component array (the algebroid rank).  Declared symmetric /
-    antisymmetric index pairs are verified at construction.
+    the component array (the algebroid rank).  Symmetries are not
+    declared: tensors the package builds have theirs by construction, and
+    outside data is checked with :meth:`check_pairs`.
     """
 
-    def __init__(
-        self,
-        chart: Chart,
-        slots: Sequence,
-        components,
-        symmetric: Iterable = (),
-        antisymmetric: Iterable = (),
-        policy: Optional[ZeroPolicy] = None,
-    ):
+    def __init__(self, chart: Chart, slots: Sequence, components):
         slots = tuple((str(v), str(t)) for v, t in slots)
         for variance, tag in slots:
             if variance not in (UP, LOW) or tag not in (TM, G):
@@ -182,9 +178,6 @@ class TensorField:
         self.chart = chart
         self.slots = slots
         self.components = arr
-        self.symmetric = tuple(tuple(p) for p in symmetric)
-        self.antisymmetric = tuple(tuple(p) for p in antisymmetric)
-        self.check_pairs(self.symmetric, self.antisymmetric, policy)
 
     @property
     def ndim(self) -> int:
@@ -242,13 +235,6 @@ class TensorField:
             out[idx] = canon(f * self.components[idx])
         return TensorField(self.chart, self.slots, out)
 
-    def map(self, fn) -> "TensorField":
-        """Apply ``fn`` to every component (symmetries are dropped)."""
-        out = np.empty(self.shape, dtype=object)
-        for idx in np.ndindex(*self.shape):
-            out[idx] = as_expr(fn(self.components[idx]), self.chart)
-        return TensorField(self.chart, self.slots, out)
-
     def is_zero_field(self, policy: Optional[ZeroPolicy] = None):
         """First failing component's verdict, or the last passing one."""
         policy = policy or ZeroPolicy()
@@ -275,7 +261,9 @@ class TensorField:
     ):
         """Raise ValueError unless the components are symmetric /
         antisymmetric under swapping each given pair of slots; a failing
-        pair raises :class:`DegenerateError` with the zero test's witness."""
+        pair raises :class:`DegenerateError` with the zero test's witness.
+        For data from outside: what the package builds has its symmetries
+        by construction."""
         policy = policy or ZeroPolicy()
         for sign, pairs in ((-1, symmetric), (1, antisymmetric)):
             for i, j in pairs:
@@ -304,29 +292,80 @@ class TensorField:
 
 
 def vf_bracket(V: Section, W: Section) -> Section:
-    """Jacobi-Lie bracket of two vector fields."""
+    """Jacobi-Lie bracket of two vector fields: the Lie derivative of W
+    along V."""
     if V.frame != "tm" or W.frame != "tm":
         raise ValueError("vf_bracket needs tangent sections")
     if V.chart != W.chart:
         raise ValueError("chart mismatch")
-    chart = V.chart
-    out = []
-    for j in range(chart.dim):
-        total = Const(0)
-        for i, name in enumerate(chart.coords):
-            total = total + V.components[i] * diff(W.components[j], name)
-            total = total - W.components[i] * diff(V.components[j], name)
-        out.append(total)
-    return Section(chart, out, "tm")
+    return Section(V.chart, lie_derivative(V, W.as_tensor()).components, "tm")
+
+
+def _directions(coords, rho=None) -> list:
+    """Derivations as (coordinate, coefficient) pairs: ``directions[z]``
+    differentiates f as the sum of coefficient * df/dcoordinate.  Without
+    ``rho`` these are the coordinate vector fields; with it, the vector
+    fields rho^i_z d/dx^i of its columns.  Literal-zero coefficients are
+    left out and a unit coefficient is None, so the coordinate frame, or
+    the identity anchor, costs no products."""
+    if rho is None:
+        return [[(x, None)] for x in coords]
+    return [
+        [
+            (x, None if rho[i, z] == ONE else rho[i, z])
+            for i, x in enumerate(coords)
+            if rho[i, z] != ZERO
+        ]
+        for z in range(rho.shape[1])
+    ]
+
+
+def _along(direction, f: Expr) -> list:
+    """The terms of the derivative of ``f`` along one of :func:`_directions`."""
+    return [diff(f, x) if c is None else c * diff(f, x) for x, c in direction]
+
+
+def _derivative(components: np.ndarray, directions, actions) -> np.ndarray:
+    """Derivative of a component array along each of ``directions``, kept
+    on a new last axis.
+
+    ``actions[axis]`` is (variance, A) for each axis of ``components``:
+    along direction z the frame element m of that slot has derivative
+    sum_k A[z, m, k] (element k), so an upper index k gains
+    A[z, m, k] T[..m..] and a lower index m loses A[z, m, k] T[..k..].
+    Each entry is one flat sum of these products and the derivative terms
+    of :func:`_along`.  This is the one tensor-derivative loop: coordinate
+    derivatives of tangent tensors (the tangent algebroid: identity
+    anchor, zero bracket), algebroid derivatives through an anchor and
+    Lie derivatives all come from it.
+    """
+    out = np.empty(components.shape + (len(directions),), dtype=object)
+    for idx in np.ndindex(*components.shape):
+        # neighbours[axis][m]: idx with its axis-th index replaced by m
+        neighbours = [
+            [components[idx[:axis] + (m,) + idx[axis + 1 :]] for m in range(size)]
+            for axis, size in enumerate(components.shape)
+        ]
+        for z, direction in enumerate(directions):
+            terms = _along(direction, components[idx])
+            for axis, (variance, A) in enumerate(actions):
+                k = idx[axis]
+                for m, piece in enumerate(neighbours[axis]):
+                    if variance == UP:
+                        terms.append(A[z, m, k] * piece)
+                    else:
+                        terms.append(-(A[z, k, m] * piece))
+            out[idx + (z,)] = canon(flat_sum(terms))
+    return out
 
 
 def lie_derivative(V: Section, T: TensorField) -> TensorField:
     """Lie derivative of a purely tangent-tagged tensor field.
 
-    The scalar case is the directional derivative; one upper slot gives
-    the vector-field bracket; on a lower pair (U, W) |-> V(T(U,W)) +
-    T([U,V]-correction...) expands to the usual coordinate formula
-    V^m d_m T_{jk} + T_{mk} d_j V^m + T_{jm} d_k V^m.
+    The derivative along the single direction V whose action on the
+    coordinate frame is A[m, k] = -d_m V^k: the usual coordinate formula
+    V^m d_m T_{jk} + T_{mk} d_j V^m + T_{jm} d_k V^m on a lower pair, and
+    the vector-field bracket on one upper slot.
     """
     if V.frame != "tm":
         raise ValueError("lie_derivative needs a tangent direction")
@@ -335,30 +374,16 @@ def lie_derivative(V: Section, T: TensorField) -> TensorField:
     for variance, tag in T.slots:
         if tag != TM:
             raise ValueError("lie_derivative only handles tangent-tagged slots")
-    chart = V.chart
-    coords = chart.coords
-    out = np.empty(T.shape, dtype=object)
-    for idx in np.ndindex(*T.shape) if T.ndim else ((),):
-        total = Const(0)
-        for m, name in enumerate(coords):
-            total = total + V.components[m] * diff(T.components[tuple(idx)], name)
-        for axis, (variance, tag) in enumerate(T.slots):
-            for m in range(chart.dim):
-                shifted = list(idx)
-                shifted[axis] = m
-                piece = T.components[tuple(shifted)]
-                if variance == UP:
-                    total = total - diff(V.components[idx[axis]], coords[m]) * piece
-                else:
-                    total = total + diff(V.components[m], coords[idx[axis]]) * piece
-        out[tuple(idx)] = canon(total)
-    return TensorField(
-        chart,
-        T.slots,
-        out,
-        symmetric=T.symmetric,
-        antisymmetric=T.antisymmetric,
+    coords = V.chart.coords
+    n = len(coords)
+    field = np.array(V.components, dtype=object).reshape(n, 1)
+    A = np.empty((1, n, n), dtype=object)
+    for m, k in np.ndindex(n, n):
+        A[0, m, k] = canon(-diff(V.components[k], coords[m]))
+    D = _derivative(
+        T.components, _directions(coords, field), [(v, A) for v, _ in T.slots]
     )
+    return TensorField(V.chart, T.slots, D[..., 0])
 
 
 def tensor_contract(T: TensorField, upper: int, lower: int) -> TensorField:
@@ -388,16 +413,4 @@ def tensor_contract(T: TensorField, upper: int, lower: int) -> TensorField:
             full[lower] = m
             total = total + T.components[tuple(full)]
         out[tuple(idx)] = canon(total)
-    remap = {k: pos for pos, k in enumerate(keep)}
-    sym = [
-        (remap[i], remap[j])
-        for i, j in T.symmetric
-        if i in remap and j in remap
-    ]
-    anti = [
-        (remap[i], remap[j])
-        for i, j in T.antisymmetric
-        if i in remap and j in remap
-    ]
-    return TensorField(T.chart, slots, out, symmetric=sym, antisymmetric=anti)
-
+    return TensorField(T.chart, slots, out)

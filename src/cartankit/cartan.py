@@ -35,7 +35,17 @@ from .algebroid import (
     tangent_algebroid,
     validate,
 )
-from .bundles import LOW, TM, UP, G, Section, TensorField, as_expr
+from .bundles import (
+    LOW,
+    TM,
+    UP,
+    G,
+    Section,
+    TensorField,
+    _along,
+    _directions,
+    as_expr,
+)
 from .connections import (
     GConnection,
     TMConnection,
@@ -62,6 +72,7 @@ from .symcore import (
     DegenerateError,
     Expr,
     ZeroPolicy,
+    _section_form,
     adjugate_inverse,
     canon,
     diff,
@@ -222,12 +233,6 @@ def _aggregate(name, children, notes=()) -> Verdict:
 # ---------------------------------------------------------------------------
 # Bracket compatibility, two routes
 # ---------------------------------------------------------------------------
-
-
-def _section_form(e):
-    """The canonical form ``e`` takes as a component of a section: a
-    rational multiple of a sum is spread over the sum's terms."""
-    return canon(flat_sum((e,)))
 
 
 def _frame_compat_defect(g: Algebroid, conn: TMConnection) -> np.ndarray:
@@ -1120,12 +1125,8 @@ def _alternating_sum(
             for perm in permutations(range(k + 1)):
                 odd = sum(p > q for p, q in combinations(perm, 2)) % 2
                 out[tuple(args[p] for p in perm) + (be,)] = swapped if odd else value
-    return TensorField(
-        theta.chart,
-        ((LOW, G),) * (k + 1) + ((UP, rep.target_tag),),
-        out,
-        antisymmetric=_argument_pairs(k + 1),
-    )
+    slots = ((LOW, G),) * (k + 1) + ((UP, rep.target_tag),)
+    return TensorField(theta.chart, slots, out)
 
 
 def exterior_derivative(
@@ -1151,12 +1152,14 @@ def exterior_derivative(
         raise ValueError("degree > 2 is not supported")
     theta.check_pairs(antisymmetric=_argument_pairs(k), policy=policy)
 
+    directions = _directions(g.chart.coords, g.rho)
+
     def act(a: int, rest: tuple) -> list:
         """Derivative of theta[rest] along frame a, per value component."""
         comps = [theta[rest + (be,)] for be in range(w)]
         return [
             flat_sum(
-                [g.rho[i, a] * diff(comps[be], x) for i, x in enumerate(g.chart.coords)]
+                _along(directions[a], comps[be])
                 + [rep.A[a, ga, be] * comps[ga] for ga in range(w)]
             )
             for be in range(w)
@@ -1325,11 +1328,13 @@ def parallelism_report(
     symmetry verdict for the pulled-back curvature.
 
     The induced connection is flat by construction; a failing flatness
-    battery is therefore raised as a bug, not reported.  The final
-    verdict is locally_symmetric exactly when the frame-valued
-    curvature is parallel for the induced connection; when the
-    curvature vanishes outright a note records that the coframe
-    satisfies its model structure equation.
+    battery is therefore raised as a bug, not reported.  An undecidable
+    battery (flatness, torsion identity or parallel curvature) makes the
+    verdict undecidable, with that battery as detail, unless the torsion
+    identity fails.  Otherwise the verdict is locally_symmetric exactly
+    when the frame-valued curvature is parallel for the induced
+    connection; when the curvature vanishes outright a note records that
+    the coframe satisfies its model structure equation.
     """
     policy = policy or ZeroPolicy()
     chart = P.chart
@@ -1337,7 +1342,7 @@ def parallelism_report(
     D = P.connection()
 
     flat = _tensor_battery("flat_connection", curvature_tm(D), policy)
-    if not flat.ok:
+    if flat.status == "fail":
         raise AssertionError(
             "connection induced by an invertible coframe must be flat; "
             "implementation bug"
@@ -1367,12 +1372,7 @@ def parallelism_report(
                 for a in range(n):
                     total = total + P.inverse[k, a] * Om[a, i, j]
                 tilde[i, j, k] = canon(total)
-    curvature_tensor = TensorField(
-        chart,
-        ((LOW, TM), (LOW, TM), (UP, TM)),
-        tilde,
-        antisymmetric=((0, 1),),
-    )
+    curvature_tensor = TensorField(chart, ((LOW, TM), (LOW, TM), (UP, TM)), tilde)
     transported = tensor_cov_deriv(D, curvature_tensor)
     parallel = _tensor_battery("curvature_parallel", transported, policy)
 
@@ -1396,36 +1396,47 @@ def parallelism_report(
         )
     if parallel.ok:
         status = "locally_symmetric"
-        theorem_c = Verdict(
-            "theorem_c",
-            status,
-            parallel.path,
-            children=(parallel,),
+    elif parallel.status == "undecidable":
+        status = "undecidable"
+    else:
+        status = "curved"
+    theorem_c = Verdict(
+        "theorem_c",
+        status,
+        parallel.path,
+        witness=parallel.witness,
+        value=parallel.value,
+        detail=parallel.detail,
+        children=(parallel,),
+    )
+
+    children = (flat, torsion_identity, model_flat, theorem_c)
+    undecided = [
+        v.name for v in (flat, torsion_identity, theorem_c) if v.status == "undecidable"
+    ]
+    if undecided and torsion_identity.status != "fail":
+        verdict = Verdict(
+            "parallelism",
+            "undecidable",
+            "undecidable",
+            detail=undecided[0],
+            children=children,
+            notes=tuple(notes),
         )
     else:
-        theorem_c = Verdict(
-            "theorem_c",
-            "curved",
-            parallel.path,
-            witness=parallel.witness,
-            value=parallel.value,
-            detail=parallel.detail,
-            children=(parallel,),
+        ok = torsion_identity.ok and theorem_c.ok
+        verdict = Verdict(
+            "parallelism",
+            theorem_c.status if torsion_identity.ok else "fail",
+            "probabilistic"
+            if "probabilistic" in (flat.path, torsion_identity.path, theorem_c.path)
+            else "symbolic",
+            witness=None if ok else (torsion_identity.witness or theorem_c.witness),
+            value=None if ok else (torsion_identity.value or theorem_c.value),
+            detail=None if ok else (torsion_identity.detail or theorem_c.detail),
+            children=children,
+            notes=tuple(notes),
         )
-
-    ok = torsion_identity.ok and theorem_c.ok
-    verdict = Verdict(
-        "parallelism",
-        theorem_c.status if torsion_identity.ok else "fail",
-        "probabilistic"
-        if "probabilistic" in (flat.path, torsion_identity.path, theorem_c.path)
-        else "symbolic",
-        witness=None if ok else (torsion_identity.witness or theorem_c.witness),
-        value=None if ok else (torsion_identity.value or theorem_c.value),
-        detail=None if ok else (torsion_identity.detail or theorem_c.detail),
-        children=(flat, torsion_identity, model_flat, theorem_c),
-        notes=tuple(notes),
-    )
     return ParallelismReport(
         parallelism=P,
         connection=D,

@@ -493,13 +493,11 @@ class Workspace:
     def poisson_tensor(self) -> TensorField:
         def make():
             with _building("poisson"):
-                return TensorField(
-                    self.spec.chart,
-                    ((UP, TM), (UP, TM)),
-                    self.spec.poisson,
-                    antisymmetric=((0, 1),),
-                    policy=self.policy,
+                pi = TensorField(
+                    self.spec.chart, ((UP, TM), (UP, TM)), self.spec.poisson
                 )
+                pi.check_pairs(antisymmetric=((0, 1),), policy=self.policy)
+                return pi
 
         return self._build("poisson_tensor", make)
 

@@ -21,14 +21,27 @@ from typing import Optional
 import numpy as np
 
 from .algebroid import Algebroid
-from .bundles import LOW, TM, UP, G, Section, TensorField, as_expr
+from .bundles import (
+    LOW,
+    TM,
+    UP,
+    G,
+    Section,
+    TensorField,
+    _along,
+    _derivative,
+    _directions,
+    as_expr,
+)
 from .symcore import (
+    ZERO,
     Chart,
     Const,
     ZeroPolicy,
     adjugate_inverse,
     canon,
     diff,
+    flat_sum,
     is_zero,
     sym_det,
 )
@@ -156,7 +169,47 @@ class GConnection:
         return f"<g-connection rank={self.g.rank} target={self.target}>"
 
 
-# --------------------------------------------------------- TM differentiation
+# ------------------------------------------------------------ differentiation
+#
+# A connection along TM is the tangent-algebroid case of one along an
+# algebroid: identity anchor, zero bracket.  So both kinds share one
+# derivative kernel (``bundles._derivative``) and one curvature kernel
+# (:func:`_curvature`); the public functions only check their inputs and
+# choose the anchor, bracket and action tables.
+
+
+def _section_derivative(directions, sigma: Section, A, X: Section) -> Section:
+    """X^z (directions[z] sigma + A[z] sigma): the tensor derivative of
+    ``sigma``, contracted with the direction section ``X``."""
+    D = _derivative(np.array(sigma.components, dtype=object), directions, [(UP, A)])
+    out = [
+        flat_sum([X.components[z] * D[be, z] for z in range(X.rank)])
+        for be in range(sigma.rank)
+    ]
+    return Section(sigma.chart, out, sigma.frame)
+
+
+def _curvature(directions, structure, A) -> np.ndarray:
+    """R[a,b,al,be] of the derivative along ``directions`` with action
+    ``A`` (see :func:`curvature_g`); ``structure`` is None for a zero
+    bracket.  This is the one curvature loop."""
+    r, m = A.shape[0], A.shape[1]
+    out = np.empty((r, r, m, m), dtype=object)
+    for a, b in np.ndindex(r, r):
+        # the nonzero structure functions c^c_{ab}
+        brackets = [] if structure is None else [
+            (c, structure[a, b, c]) for c in range(r) if structure[a, b, c] != ZERO
+        ]
+        for al, be in np.ndindex(m, m):
+            terms = _along(directions[a], A[b, al, be])
+            terms += [-t for t in _along(directions[b], A[a, al, be])]
+            for ga in range(m):
+                terms.append(A[a, ga, be] * A[b, al, ga])
+                terms.append(-(A[b, ga, be] * A[a, al, ga]))
+            for c, coeff in brackets:
+                terms.append(-(coeff * A[c, al, be]))
+            out[a, b, al, be] = canon(flat_sum(terms))
+    return out
 
 
 def cov_deriv_tm(conn: TMConnection, V: Section, sigma: Section) -> Section:
@@ -169,17 +222,7 @@ def cov_deriv_tm(conn: TMConnection, V: Section, sigma: Section) -> Section:
         raise ValueError(
             f"section rank {sigma.rank} does not match connection rank {conn.rank}"
         )
-    chart = conn.chart
-    out = []
-    for b in range(conn.rank):
-        total = Const(0)
-        for i, name in enumerate(chart.coords):
-            piece = diff(sigma.components[b], name)
-            for a in range(conn.rank):
-                piece = piece + conn.gamma[i, a, b] * sigma.components[a]
-            total = total + V.components[i] * piece
-        out.append(total)
-    return Section(chart, out, sigma.frame)
+    return _section_derivative(_directions(conn.chart.coords), sigma, conn.gamma, V)
 
 
 def tensor_cov_deriv(conn: TMConnection, T: TensorField) -> TensorField:
@@ -195,24 +238,12 @@ def tensor_cov_deriv(conn: TMConnection, T: TensorField) -> TensorField:
     for variance, tag in T.slots:
         if tag != TM:
             raise ValueError("tensor_cov_deriv only handles tangent-tagged slots")
-    chart = conn.chart
-    n = chart.dim
-    shape = T.shape + (n,)
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*T.shape) if T.ndim else ((),):
-        for i, name in enumerate(chart.coords):
-            total = diff(T.components[tuple(idx)], name)
-            for axis, (variance, tag) in enumerate(T.slots):
-                for m in range(n):
-                    shifted = list(idx)
-                    shifted[axis] = m
-                    piece = T.components[tuple(shifted)]
-                    if variance == UP:
-                        total = total + conn.gamma[i, m, idx[axis]] * piece
-                    else:
-                        total = total - conn.gamma[i, idx[axis], m] * piece
-            out[tuple(idx) + (i,)] = canon(total)
-    return TensorField(chart, T.slots + ((LOW, TM),), out)
+    D = _derivative(
+        T.components,
+        _directions(conn.chart.coords),
+        [(variance, conn.gamma) for variance, _ in T.slots],
+    )
+    return TensorField(conn.chart, T.slots + ((LOW, TM),), D)
 
 
 def curvature_tm(conn: TMConnection) -> TensorField:
@@ -220,34 +251,12 @@ def curvature_tm(conn: TMConnection) -> TensorField:
 
     R(d_i, d_j) e_a = R[i,j,a,b] e_b with
     R[i,j,a,b] = d_i gamma[j,a,b] - d_j gamma[i,a,b]
-                 + sum_c (gamma[i,c,b] gamma[j,a,c] - gamma[j,c,b] gamma[i,a,c]).
+                 + sum_c (gamma[i,c,b] gamma[j,a,c] - gamma[j,c,b] gamma[i,a,c]),
+    :func:`curvature_g` for the tangent algebroid.
     """
-    chart = conn.chart
-    n, r = chart.dim, conn.rank
     tag = TM if conn.target == "tm" else G
-    out = np.empty((n, n, r, r), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            for a in range(r):
-                for b in range(r):
-                    total = diff(conn.gamma[j, a, b], chart.coords[i]) - diff(
-                        conn.gamma[i, a, b], chart.coords[j]
-                    )
-                    for c in range(r):
-                        total = total + (
-                            conn.gamma[i, c, b] * conn.gamma[j, a, c]
-                            - conn.gamma[j, c, b] * conn.gamma[i, a, c]
-                        )
-                    out[i, j, a, b] = canon(total)
-    return TensorField(
-        chart,
-        ((LOW, TM), (LOW, TM), (LOW, tag), (UP, tag)),
-        out,
-        antisymmetric=((0, 1),),
-    )
-
-
-# ---------------------------------------------------------- G differentiation
+    R = _curvature(_directions(conn.chart.coords), None, conn.gamma)
+    return TensorField(conn.chart, ((LOW, TM), (LOW, TM), (LOW, tag), (UP, tag)), R)
 
 
 def cov_deriv_g(conn: GConnection, X: Section, sigma: Section) -> Section:
@@ -262,19 +271,7 @@ def cov_deriv_g(conn: GConnection, X: Section, sigma: Section) -> Section:
             f"section rank {sigma.rank} does not match target rank "
             f"{conn.target_rank}"
         )
-    chart = g.chart
-    out = []
-    for be in range(conn.target_rank):
-        total = Const(0)
-        for a in range(g.rank):
-            piece = Const(0)
-            for i, name in enumerate(chart.coords):
-                piece = piece + g.rho[i, a] * diff(sigma.components[be], name)
-            for al in range(conn.target_rank):
-                piece = piece + conn.A[a, al, be] * sigma.components[al]
-            total = total + X.components[a] * piece
-        out.append(total)
-    return Section(chart, out, sigma.frame)
+    return _section_derivative(_directions(g.chart.coords, g.rho), sigma, conn.A, X)
 
 
 def g_tensor_deriv(
@@ -306,28 +303,12 @@ def g_tensor_deriv(
             raise ValueError("tensor has algebroid slots but rep_g is missing")
         if tag == TM and rep_tm is None:
             raise ValueError("tensor has tangent slots but rep_tm is missing")
-    chart = g.chart
-    shape = T.shape + (g.rank,)
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*T.shape) if T.ndim else ((),):
-        for z in range(g.rank):
-            total = Const(0)
-            for i, name in enumerate(chart.coords):
-                total = total + g.rho[i, z] * diff(
-                    T.components[tuple(idx)], name
-                )
-            for axis, (variance, tag) in enumerate(T.slots):
-                A = rep_g.A if tag == G else rep_tm.A
-                for m in range(T.shape[axis]):
-                    shifted = list(idx)
-                    shifted[axis] = m
-                    piece = T.components[tuple(shifted)]
-                    if variance == UP:
-                        total = total + A[z, m, idx[axis]] * piece
-                    else:
-                        total = total - A[z, idx[axis], m] * piece
-            out[tuple(idx) + (z,)] = canon(total)
-    return TensorField(chart, T.slots + ((LOW, G),), out)
+    D = _derivative(
+        T.components,
+        _directions(g.chart.coords, g.rho),
+        [(variance, (rep_g if tag == G else rep_tm).A) for variance, tag in T.slots],
+    )
+    return TensorField(g.chart, T.slots + ((LOW, G),), D)
 
 
 def curvature_g(conn: GConnection) -> TensorField:
@@ -343,35 +324,11 @@ def curvature_g(conn: GConnection) -> TensorField:
     if conn._curvature is not None:
         return conn._curvature
     g = conn.g
-    chart = g.chart
-    r, m = g.rank, conn.target_rank
     tag = conn.target_tag
-    out = np.empty((r, r, m, m), dtype=object)
-    for a in range(r):
-        for b in range(r):
-            for al in range(m):
-                for be in range(m):
-                    total = Const(0)
-                    for i, name in enumerate(chart.coords):
-                        total = total + g.rho[i, a] * diff(
-                            conn.A[b, al, be], name
-                        )
-                        total = total - g.rho[i, b] * diff(
-                            conn.A[a, al, be], name
-                        )
-                    for ga in range(m):
-                        total = total + (
-                            conn.A[a, ga, be] * conn.A[b, al, ga]
-                            - conn.A[b, ga, be] * conn.A[a, al, ga]
-                        )
-                    for c in range(r):
-                        total = total - g.structure[a, b, c] * conn.A[c, al, be]
-                    out[a, b, al, be] = canon(total)
     R = TensorField(
-        chart,
+        g.chart,
         ((LOW, G), (LOW, G), (LOW, tag), (UP, tag)),
-        out,
-        antisymmetric=((0, 1),),
+        _curvature(_directions(g.chart.coords, g.rho), g.structure, conn.A),
     )
     R.components.flags.writeable = False
     conn._curvature = R
@@ -432,12 +389,7 @@ def torsion_g(conn: GConnection) -> TensorField:
                 out[a, b, c] = canon(
                     conn.A[a, b, c] - conn.A[b, a, c] - g.structure[a, b, c]
                 )
-    return TensorField(
-        g.chart,
-        ((LOW, G), (LOW, G), (UP, G)),
-        out,
-        antisymmetric=((0, 1),),
-    )
+    return TensorField(g.chart, ((LOW, G), (LOW, G), (UP, G)), out)
 
 
 def dual_pair_defect(conn: GConnection) -> TensorField:
@@ -535,28 +487,21 @@ def check_anchor_equivariance(
 ):
     """Self-test: the anchor intertwines the two induced representations.
 
-    Returns (ok, label, verdict); must pass for *every* input, so a
-    failure signals an implementation bug, not bad data.
+    That is, the anchor, as the tensor rho[k, b] with an upper tangent
+    and a lower algebroid slot, is parallel for them: its
+    :func:`g_tensor_deriv` through the pair vanishes.  Returns (ok,
+    label, verdict); must pass for *every* input, so a failure signals
+    an implementation bug, not bad data.
     """
     policy = policy or ZeroPolicy()
-    rep_g = induced_rep_on_g(g, conn)
-    rep_tm = induced_rep_on_tm(g, conn)
-    chart = g.chart
-    n, r = chart.dim, g.rank
-    for a in range(r):
-        for b in range(r):
-            for k in range(n):
-                lhs = Const(0)
-                for c in range(r):
-                    lhs = lhs + g.rho[k, c] * rep_g.A[a, b, c]
-                rhs = Const(0)
-                for i, name in enumerate(chart.coords):
-                    rhs = rhs + g.rho[i, a] * diff(g.rho[k, b], name)
-                for j in range(n):
-                    rhs = rhs + rep_tm.A[a, j, k] * g.rho[j, b]
-                verdict = is_zero(lhs - rhs, chart, policy)
-                if not verdict.zero:
-                    return False, f"pair ({a},{b}) component {k}", verdict
+    anchor = TensorField(g.chart, ((UP, TM), (LOW, G)), g.rho)
+    D = g_tensor_deriv(
+        anchor, rep_g=induced_rep_on_g(g, conn), rep_tm=induced_rep_on_tm(g, conn)
+    )
+    for a, b, k in np.ndindex(g.rank, g.rank, g.chart.dim):
+        verdict = is_zero(D[k, b, a], g.chart, policy)
+        if not verdict.zero:
+            return False, f"pair ({a},{b}) component {k}", verdict
     return True, None, None
 
 
@@ -611,9 +556,7 @@ def morphism_curvature(
                 for c in range(r):
                     pushed = pushed + g.structure[a, b, c] * phi[al, c]
                 out[a, b, al] = canon(lhs.components[al] - pushed)
-    return TensorField(
-        chart, ((LOW, G), (LOW, G), (UP, G)), out, antisymmetric=((0, 1),)
-    )
+    return TensorField(chart, ((LOW, G), (LOW, G), (UP, G)), out)
 
 
 # ------------------------------------------------------------------ riemannian

@@ -22,9 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from .algebroid import Algebroid, anchor_apply, bracket
-from .bundles import Section, as_expr
+from .bundles import UP, Section, _derivative, _directions, as_expr
 from .connections import TMConnection
-from .symcore import ZERO, Const, canon, diff, flat_sum
+from .symcore import ZERO, Const, _section_form, canon, diff, flat_sum
 
 __all__ = [
     "JetSection",
@@ -185,21 +185,15 @@ def splitting_from_connection(
     """
     if conn.chart != g.chart or conn.rank != g.rank:
         raise ValueError("connection does not target the algebroid")
-    chart = g.chart
-    corr = np.empty((g.rank, chart.dim), dtype=object)
-    for b in range(g.rank):
-        for i, name in enumerate(chart.coords):
-            total = diff(X.components[b], name)
-            for a in range(g.rank):
-                total = total + conn.gamma[i, a, b] * X.components[a]
-            corr[b, i] = canon(-total)
+    nabla = _derivative(
+        np.array(X.components, dtype=object),
+        _directions(g.chart.coords),
+        [(UP, conn.gamma)],
+    )
+    corr = np.empty(nabla.shape, dtype=object)
+    for idx in np.ndindex(*nabla.shape):
+        corr[idx] = canon(-nabla[idx])
     return JetSection(g, X, corr)
-
-
-def _section_form(e):
-    """The canonical form ``e`` takes as a component of a section: a
-    rational multiple of a sum is spread over the sum's terms."""
-    return canon(flat_sum((e,)))
 
 
 def frame_lift_curvature(g: Algebroid, conn: TMConnection) -> np.ndarray:

@@ -156,6 +156,12 @@ def flat_sum(terms: Iterable["Expr"]) -> "Expr":
     return Add(out) if out else ZERO
 
 
+def _section_form(e: "Expr") -> "Expr":
+    """The canonical form ``e`` takes as a component of a section: a
+    rational multiple of a sum is spread over the sum's terms."""
+    return canon(flat_sum((e,)))
+
+
 def _plus(a: "Expr", b: "Expr") -> "Expr":
     """``a + b`` as one flat sum (see :func:`flat_sum`)."""
     return flat_sum((a, b))

@@ -45,8 +45,8 @@ def lie_poisson_so3():
         R3,
         (("upper", "tm"), ("upper", "tm")),
         [["0", "z", "-y"], ["-z", "0", "x"], ["y", "-x", "0"]],
-        antisymmetric=((0, 1),),
     )
+    pi.check_pairs(antisymmetric=((0, 1),))
     return build_poisson_algebroid(pi)
 
 
@@ -347,8 +347,8 @@ def test_non_jacobi_bivector_rejected():
         R3,
         (("upper", "tm"), ("upper", "tm")),
         [["0", "z", "x"], ["-z", "0", "0"], ["-x", "0", "0"]],
-        antisymmetric=((0, 1),),
     )
+    pi.check_pairs(antisymmetric=((0, 1),))
     with pytest.raises(ValueError, match="not Poisson"):
         build_poisson_algebroid(pi)
 

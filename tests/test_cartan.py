@@ -82,33 +82,34 @@ def so3_pair():
 
 
 def euclid_metric():
-    return TensorField(
-        R2, ((LOW, TM), (LOW, TM)), [["1", "0"], ["0", "1"]], symmetric=((0, 1),)
-    )
+    sigma = TensorField(R2, ((LOW, TM), (LOW, TM)), [["1", "0"], ["0", "1"]])
+    sigma.check_pairs(symmetric=((0, 1),))
+    return sigma
 
 
 def sphere_metric():
-    return TensorField(
+    sigma = TensorField(
         SPHERE,
         ((LOW, TM), (LOW, TM)),
         [["1", "0"], ["0", "sin(theta)^2"]],
-        symmetric=((0, 1),),
     )
+    sigma.check_pairs(symmetric=((0, 1),))
+    return sigma
 
 
 def ellipsoid_metric():
-    return TensorField(
+    sigma = TensorField(
         SPHERE,
         ((LOW, TM), (LOW, TM)),
         [["1", "0"], ["0", "(1 + (3/10)*sin(theta)^2)*sin(theta)^2"]],
-        symmetric=((0, 1),),
     )
+    sigma.check_pairs(symmetric=((0, 1),))
+    return sigma
 
 
 def symplectic_pair():
-    pi = TensorField(
-        R2, ((UP, TM), (UP, TM)), [["0", "1"], ["-1", "0"]], antisymmetric=((0, 1),)
-    )
+    pi = TensorField(R2, ((UP, TM), (UP, TM)), [["0", "1"], ["-1", "0"]])
+    pi.check_pairs(antisymmetric=((0, 1),))
     g = build_poisson_algebroid(pi)
     return pi, g, TMConnection.flat(R2, 2, target="tm")
 
@@ -118,8 +119,8 @@ def so3_dual_poisson():
         R3,
         ((UP, TM), (UP, TM)),
         [["0", "z", "-y"], ["-z", "0", "x"], ["y", "-x", "0"]],
-        antisymmetric=((0, 1),),
     )
+    pi.check_pairs(antisymmetric=((0, 1),))
     return pi, TMConnection.flat(R3, 3, target="tm")
 
 
@@ -548,8 +549,8 @@ def test_hyperbolic_pipeline_passes():
         chart,
         ((LOW, TM), (LOW, TM)),
         [["1/y^2", "0"], ["0", "1/y^2"]],
-        symmetric=((0, 1),),
     )
+    sigma.check_pairs(symmetric=((0, 1),))
     rep = riemann_pipeline(sigma, policy=POLICY)
     assert rep.verdict.ok
 
@@ -565,9 +566,8 @@ def test_ellipsoid_pipeline_fails_with_witness():
 
 
 def test_degenerate_metric_rejected_with_point():
-    sigma = TensorField(
-        R2, ((LOW, TM), (LOW, TM)), [["x", "0"], ["0", "1"]], symmetric=((0, 1),)
-    )
+    sigma = TensorField(R2, ((LOW, TM), (LOW, TM)), [["x", "0"], ["0", "1"]])
+    sigma.check_pairs(symmetric=((0, 1),))
     with pytest.raises(ValueError, match="degenerate|signature"):
         riemann_pipeline(sigma, policy=POLICY)
 
@@ -648,8 +648,8 @@ def test_quadratic_bivector_fails_second_derivative_identity():
         chart,
         ((UP, TM), (UP, TM)),
         [["0", "1 + x^2"], ["-(1 + x^2)", "0"]],
-        antisymmetric=((0, 1),),
     )
+    pi.check_pairs(antisymmetric=((0, 1),))
     rep = poisson_report(pi, TMConnection.flat(chart, 2, target="tm"), POLICY)
     assert not rep.verdict.ok
     assert not rep.verdict.child("lemma_sx").ok

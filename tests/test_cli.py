@@ -278,6 +278,37 @@ def test_coframe_whose_determinant_changes_sign_is_rejected(capsys, tmp_path):
     assert witnesses[0][0] <= 0
 
 
+def test_coframe_with_an_undecidable_flatness_battery_is_undecidable(capsys, tmp_path):
+    # sqrt(x-2) is undefined on the whole box, so no zero test on the
+    # induced connection's curvature can be decided; the determinant
+    # (1+y)(1+x) has no such factor, so validate passes.
+    doc = {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y"], "box": [[0, 1], [0, 1]]},
+        "parallelism": {
+            "omega": [["1+y", "sqrt(x-2)*y"], ["0", "1+x"]],
+            "structure": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+        },
+    }
+    path = write_doc(tmp_path, doc)
+    code, rep = invoke(capsys, "validate", path)
+    assert (code, rep["status"]) == (0, "pass")
+    for command in ("check", "identities"):
+        code, rep = invoke(capsys, command, path)
+        assert (code, rep["status"]) == (1, "undecidable"), command
+    code, rep = invoke(capsys, "check", path)
+    [check] = rep["checks"]
+    assert (check["name"], check["status"], check["path"]) == (
+        "parallelism",
+        "undecidable",
+        "undecidable",
+    )
+    assert check["detail"] == "flat_connection"
+    children = {c["name"]: c["status"] for c in check["children"]}
+    assert children["flat_connection"] == "undecidable"
+    assert children["theorem_c"] == "undecidable"
+
+
 def test_action_field_with_a_pole_inside_the_box_is_rejected(capsys, tmp_path):
     # 1/x is undefined on x = 0, where no sample of the bracket test lands;
     # the scan of the field's divisors finds it at the box midpoint.

@@ -6,6 +6,8 @@ implementation existed; they pin both the index conventions and the
 signs.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from cartankit.algebroid import (
     tangent_algebroid,
 )
 from cartankit.bundles import LOW, TM, UP, Section, TensorField, tensor_contract
+from cartankit.cli import Workspace, load_spec
 from cartankit.connections import (
     GConnection,
     TMConnection,
@@ -52,21 +55,23 @@ HALFPLANE = Chart(("x", "y"), [(-1, 1), ("1/2", 2)], guards=(Sym("y"),))
 
 
 def sphere_metric():
-    return TensorField(
+    sigma = TensorField(
         SPHERE,
         ((LOW, TM), (LOW, TM)),
         [["1", "0"], ["0", "sin(theta)^2"]],
-        symmetric=((0, 1),),
     )
+    sigma.check_pairs(symmetric=((0, 1),))
+    return sigma
 
 
 def halfplane_metric():
-    return TensorField(
+    sigma = TensorField(
         HALFPLANE,
         ((LOW, TM), (LOW, TM)),
         [["1/y^2", "0"], ["0", "1/y^2"]],
-        symmetric=((0, 1),),
     )
+    sigma.check_pairs(symmetric=((0, 1),))
+    return sigma
 
 
 def so3_action():
@@ -162,8 +167,8 @@ def test_flat_derivative_of_linear_bivector():
         R3,
         ((UP, TM), (UP, TM)),
         [["0", "z", "-y"], ["-z", "0", "x"], ["y", "-x", "0"]],
-        antisymmetric=((0, 1),),
     )
+    pi.check_pairs(antisymmetric=((0, 1),))
     grad = tensor_cov_deriv(TMConnection.flat(R3, 3, "tm"), pi)
     # with zero coefficients this is the coordinate derivative: the
     # epsilon tensor, e.g. d_z Pi^{xy} = 1
@@ -205,6 +210,43 @@ def test_halfplane_has_constant_negative_curvature():
 def test_sphere_is_not_flat():
     idx, verdict = curvature_tm(christoffel(sphere_metric())).is_zero_field()
     assert idx is not None and verdict.witness is not None
+
+
+# ------------------------------------------------- the tangent-algebroid case
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def _probe(chart):
+    """A (1,2) tangent tensor with distinct polynomial entries."""
+    c, n = chart.coords, chart.dim
+    comps = [
+        [[f"{c[i]}*{c[j]} + {k}*{c[k]}^2" for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
+    return TensorField(chart, ((UP, TM), (LOW, TM), (LOW, TM)), comps)
+
+
+def _same_components(T, S):
+    assert T.shape == S.shape
+    for idx in np.ndindex(*T.shape):
+        assert T[idx] == S[idx], idx
+
+
+@pytest.mark.parametrize(
+    "name", ["sphere", "ellipsoid", "hyperbolic", "euclid", "affine_group_parallelism"]
+)
+def test_tm_calculus_is_the_tangent_algebroid_case(name):
+    # A connection along TM is a connection along the tangent algebroid
+    # (identity anchor, zero bracket) acting on TM: both give the same
+    # curvature and the same tensor derivatives, form for canonical form.
+    ws = Workspace(load_spec(CORPUS / f"{name}.json"), ZeroPolicy())
+    conn = ws.tm_connection()
+    as_g = GConnection(tangent_algebroid(conn.chart), conn.gamma, "tm")
+    R = curvature_tm(conn)
+    _same_components(R, curvature_g(as_g))
+    for T in (R, _probe(conn.chart)):
+        _same_components(tensor_cov_deriv(conn, T), g_tensor_deriv(T, rep_tm=as_g))
 
 
 # ------------------------------------------------------- algebroid derivative
@@ -270,8 +312,9 @@ def test_flatness_is_decided_once_per_policy(monkeypatch):
         return is_zero(*args)
 
     conn = ad_rep(so3_action())
-    curvature_g(conn)  # its construction runs zero tests of its own
     monkeypatch.setattr(bundles, "is_zero", counting_is_zero)
+    curvature_g(conn)
+    assert zero_tests == []  # built tensors are not re-checked
     first = is_flat_g(conn, ZeroPolicy())
     ran = len(zero_tests)
     assert first[0] and ran > 0
@@ -482,6 +525,9 @@ def test_radial_shear_curvature_lands_in_anchor_kernel():
     assert idx is not None
     for a in range(3):
         for b in range(3):
+            # antisymmetric by construction: no declaration checks it
+            for c in range(3):
+                assert is_zero(curv[a, b, c] + curv[b, a, c], R3).zero
             section = Section(R3, [curv[a, b, c] for c in range(3)], "g")
             pushed = anchor_apply(g, section)
             assert all(is_zero(c, R3).zero for c in pushed.components)

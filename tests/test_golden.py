@@ -3,11 +3,14 @@
 ``golden/corpus`` holds the report of ``validate``, ``check`` and
 ``identities`` on each corpus file, as ``cartankit <command>
 corpus/<file>.json`` prints it from the repository root.
-``golden/metric3d`` holds ``check`` on two 3-d metrics from
-``test_cli.py``: hyperbolic 3-space (``h3.json``) and diag(1, 1+x^2, z^2)
-(``diag3.json``); ``golden/metric4d`` holds ``check`` on hyperbolic
-4-space (``h4.json``: 1/w^2 times the identity on [-1,1]^3 x [1/2,2],
-guard w).  Each runs from the directory that holds the spec.
+``golden/metric3d`` holds ``check`` and ``identities`` on two 3-d metrics
+from ``test_cli.py``: hyperbolic 3-space (``h3.json``) and
+diag(1, 1+x^2, z^2) (``diag3.json``); ``identities`` on them is the one
+golden run of a rank-6 algebroid through ``g_tensor_deriv``,
+``curvature_g``, ``curvature_tm`` and the exterior derivative.
+``golden/metric4d`` holds ``check`` on hyperbolic 4-space (``h4.json``:
+1/w^2 times the identity on [-1,1]^3 x [1/2,2], guard w).  Each runs from
+the directory that holds the spec.
 
 A change to a verdict, a witness or the last digit of a value fails
 here.  A deliberate change regenerates the files with the report loop of
@@ -55,6 +58,9 @@ METRIC_SPECS = {
     "metric4d": {"h4.json": H4},
 }
 
+# golden directory -> the commands whose reports it holds
+METRIC_COMMANDS = {"metric3d": ("check", "identities"), "metric4d": ("check",)}
+
 
 def _report(capsys, *argv) -> str:
     run(list(argv))
@@ -74,26 +80,39 @@ def test_corpus_report_matches_golden(capsys, monkeypatch, command, name):
     assert report == (GOLDEN / "corpus" / f"{command}-{name}").read_text()
 
 
-def _metric_check_matches_golden(capsys, monkeypatch, tmp_path, folder, name):
+def _metric_report_matches_golden(
+    capsys, monkeypatch, tmp_path, folder, command, name
+):
     (tmp_path / name).write_text(json.dumps(METRIC_SPECS[folder][name]))
     monkeypatch.chdir(tmp_path)
-    report = _report(capsys, "check", name)
-    assert report == (GOLDEN / folder / f"check-{name}").read_text()
+    report = _report(capsys, command, name)
+    assert report == (GOLDEN / folder / f"{command}-{name}").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(METRICS_3D))
 def test_3d_metric_check_matches_golden(capsys, monkeypatch, tmp_path, name):
-    _metric_check_matches_golden(capsys, monkeypatch, tmp_path, "metric3d", name)
+    _metric_report_matches_golden(
+        capsys, monkeypatch, tmp_path, "metric3d", "check", name
+    )
+
+
+@pytest.mark.parametrize("name", sorted(METRICS_3D))
+def test_3d_metric_identities_matches_golden(capsys, monkeypatch, tmp_path, name):
+    _metric_report_matches_golden(
+        capsys, monkeypatch, tmp_path, "metric3d", "identities", name
+    )
 
 
 def test_4d_metric_check_matches_golden(capsys, monkeypatch, tmp_path):
-    _metric_check_matches_golden(capsys, monkeypatch, tmp_path, "metric4d", "h4.json")
+    _metric_report_matches_golden(
+        capsys, monkeypatch, tmp_path, "metric4d", "check", "h4.json"
+    )
 
 
 def test_every_metric_spec_has_a_golden_report():
     for folder, specs in METRIC_SPECS.items():
         assert {p.name for p in (GOLDEN / folder).iterdir()} == {
-            f"check-{name}" for name in specs
+            f"{command}-{name}" for name in specs for command in METRIC_COMMANDS[folder]
         }
 
 
