@@ -16,6 +16,7 @@ from .cartan import (
     check_cartan,
     holonomy_check,
     identity_battery,
+    metric_pair,
     parallelism_report,
     poisson_report,
     riemann_pipeline,
@@ -42,6 +43,7 @@ __all__ = [
     "check_cartan",
     "holonomy_check",
     "identity_battery",
+    "metric_pair",
     "parallelism_report",
     "poisson_report",
     "riemann_pipeline",

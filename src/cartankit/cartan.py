@@ -70,6 +70,7 @@ from .symcore import (
     Chart,
     Const,
     DegenerateError,
+    DomainError,
     Expr,
     ZeroPolicy,
     _section_form,
@@ -94,6 +95,7 @@ __all__ = [
     "reductive_connection",
     "RiemannReport",
     "riemann_pipeline",
+    "metric_pair",
     "cotangent_connection",
     "PoissonReport",
     "poisson_report",
@@ -354,9 +356,14 @@ def check_cartan(
     Runs the direct defect battery and the independent jet-lift
     curvature battery.  The two must agree; a split decision can only
     come from a bug in one of the routes and is raised, loudly, rather
-    than reported as a property of the input.
+    than reported as a property of the input.  The verdict is decided
+    once per pair and policy and kept on ``conn``.
     """
     policy = policy or ZeroPolicy()
+    return conn.kept(g, ("cartan", policy), lambda: _cartan_verdict(g, conn, policy))
+
+
+def _cartan_verdict(g: Algebroid, conn: TMConnection, policy) -> Verdict:
     direct = _compat_battery(g, conn, policy)
     lifted = _jet_battery(g, conn, policy)
     if "undecidable" not in (direct.status, lifted.status):
@@ -721,8 +728,6 @@ class RiemannReport:
     metric: TensorField
     connection: TMConnection
     curvature: TensorField
-    algebroid: Algebroid
-    cartan_connection: TMConnection
     h_frame: tuple
     verdict: Verdict
 
@@ -731,25 +736,14 @@ class RiemannReport:
         return self.verdict.ok
 
 
-def riemann_pipeline(
-    sigma: TensorField,
-    h_frame: Optional[Sequence] = None,
-    policy: Optional[ZeroPolicy] = None,
-) -> RiemannReport:
-    """Full metric pipeline: connection, curvature, homogeneity verdict.
-
-    The metric connection is the unique torsion-free compatible one; the
-    verdict asks whether its curvature is both invariant under the
-    metric-skew frame action and parallel.  A custom ``h_frame`` (list
-    of endomorphism coefficient matrices) replaces the default skew
-    basis in the invariance battery only; the algebroid construction
-    always uses the full skew frame.
+def _check_metric(sigma: TensorField, policy: ZeroPolicy) -> None:
+    """Reject a metric that is not a symmetric (0,2) tangent tensor,
+    nondegenerate over the sampling box.
 
     Raises :class:`DegenerateError` (with the witness) on a degenerate
-    or non-symmetric metric, :class:`DomainError` when its determinant
-    is undefined at a sample, and on any internal-identity failure.
+    or non-symmetric metric and :class:`DomainError` when its
+    determinant is undefined at a sample.
     """
-    policy = policy or ZeroPolicy()
     chart = sigma.chart
     n = chart.dim
     if sigma.slots != ((LOW, TM), (LOW, TM)):
@@ -771,6 +765,29 @@ def riemann_pipeline(
             raise DegenerateError(f"degenerate metric at {p}: det = {val}", p, val)
         raise DegenerateError("metric changes signature inside the box", p, val)
 
+
+def riemann_pipeline(
+    sigma: TensorField,
+    h_frame: Optional[Sequence] = None,
+    policy: Optional[ZeroPolicy] = None,
+) -> RiemannReport:
+    """Metric homogeneity verdict: connection, curvature and batteries.
+
+    The metric connection is the unique torsion-free compatible one; the
+    verdict asks whether its curvature is both invariant under the
+    metric-skew frame action and parallel.  A custom ``h_frame`` (list
+    of endomorphism coefficient matrices) replaces the default skew
+    basis in the invariance battery.  The verdict reads neither the
+    isometry algebroid nor its Cartan connection; :func:`metric_pair`
+    builds those.
+
+    Raises as :func:`_check_metric` does on a bad metric, ``ValueError``
+    on a non-skew ``h_frame``, and on any internal-identity failure.
+    """
+    policy = policy or ZeroPolicy()
+    _check_metric(sigma, policy)
+    chart = sigma.chart
+    n = chart.dim
     lc = christoffel(sigma)
     R = curvature_tm(lc)
 
@@ -829,14 +846,6 @@ def riemann_pipeline(
             "implementation bug"
         )
 
-    g_red, _ = _riemann_algebroid(sigma, lc, policy)
-    t = np.empty((g_red.rank, n), dtype=object)
-    t[...] = Const(0)
-    for i in range(n):
-        t[i, i] = Const(1)
-    rep_tm = _riemann_tangent_action(g_red, lc, frames_full=_skew_basis(sigma))
-    nabla = reductive_connection(g_red, t, rep_tm, policy)
-
     verdict = _aggregate(
         "riemann",
         [metricity, invariance, parallel, f3],
@@ -851,11 +860,32 @@ def riemann_pipeline(
         metric=sigma,
         connection=lc,
         curvature=R,
-        algebroid=g_red,
-        cartan_connection=nabla,
         h_frame=tuple(frames),
         verdict=verdict,
     )
+
+
+def metric_pair(
+    sigma: TensorField, policy: Optional[ZeroPolicy] = None
+) -> Tuple[Algebroid, TMConnection]:
+    """The metric's algebroid of infinitesimal isometries (tangent plus
+    skew endomorphisms, :func:`_riemann_algebroid`) and its Cartan
+    connection, built by the reductive construction from the identity
+    splitting and the tangent action of :func:`_riemann_tangent_action`.
+
+    Rejects a bad metric as :func:`riemann_pipeline` does.
+    """
+    policy = policy or ZeroPolicy()
+    _check_metric(sigma, policy)
+    n = sigma.chart.dim
+    lc = christoffel(sigma)
+    g_red, _ = _riemann_algebroid(sigma, lc, policy)
+    t = np.empty((g_red.rank, n), dtype=object)
+    t[...] = Const(0)
+    for i in range(n):
+        t[i, i] = Const(1)
+    rep_tm = _riemann_tangent_action(g_red, lc, frames_full=_skew_basis(sigma))
+    return g_red, reductive_connection(g_red, t, rep_tm, policy)
 
 
 def _riemann_tangent_action(g_red: Algebroid, lc: TMConnection, frames_full):
@@ -1682,6 +1712,10 @@ def identity_battery(
     ok, label, verdict = check_anchor_equivariance(g, conn, policy)
     if ok:
         children.append(Verdict("anchor_equivariance", "pass", "probabilistic"))
+    elif verdict.path == "undecidable":
+        children.append(
+            Verdict("anchor_equivariance", "undecidable", "undecidable", detail=label)
+        )
     else:
         children.append(
             Verdict(
@@ -1739,16 +1773,27 @@ def identity_battery(
             children.append(
                 _tensor_battery(f"d_decomposition_form_{s}", d1 - decomp, policy)
             )
-        scan = orbit_scan(g, samples=policy.samples, seed=policy.seed)
-        if scan.transitive:
+        try:
+            scan = orbit_scan(g, samples=policy.samples, seed=policy.seed)
+        except DomainError as exc:
             children.append(
-                _tensor_battery("anchored_curvature", abba_defect(g, conn), policy)
+                Verdict(
+                    "anchored_curvature",
+                    "undecidable",
+                    "undecidable",
+                    detail=f"anchor undefined inside the box: {exc}",
+                )
             )
         else:
-            notes.append(
-                "anchored-curvature identity skipped: algebroid is not "
-                "transitive on the box"
-            )
+            if scan.transitive:
+                children.append(
+                    _tensor_battery("anchored_curvature", abba_defect(g, conn), policy)
+                )
+            else:
+                notes.append(
+                    "anchored-curvature identity skipped: algebroid is not "
+                    "transitive on the box"
+                )
     else:
         notes.append(
             "flat-action batteries skipped: the pair is not compatible"

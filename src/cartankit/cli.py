@@ -56,6 +56,7 @@ from .cartan import (
     cotangent_connection,
     holonomy_check,
     identity_battery,
+    metric_pair,
     parallelism_report,
     poisson_report,
     riemann_pipeline,
@@ -593,8 +594,12 @@ class Workspace:
         kind = self.kind()
         n = self.spec.chart.dim
         if kind == "metric":
-            rep = self.riemann_report()
-            return rep.algebroid, rep.cartan_connection
+
+            def make():
+                with _building("metric"):
+                    return metric_pair(self.metric_tensor(), self.policy)
+
+            return self._build("metric_pair", make)
         if kind == "poisson":
             g = self.poisson_algebroid()
             base = self.named_connection("tm", n) or TMConnection.flat(

@@ -16,6 +16,7 @@ Index conventions (fixed across the package):
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -77,8 +78,9 @@ class TMConnection:
     frame is the coordinate frame) or "g" for an algebroid.  ``gamma`` is
     read-only, so what is derived from it once stays true: for each
     algebroid it is paired with, the connection keeps the induced
-    representations (:func:`induced_rep_on_g`, :func:`induced_rep_on_tm`)
-    and the frame defects of :func:`cartankit.cartan.frame_defects`.
+    representations (:func:`induced_rep_on_g`, :func:`induced_rep_on_tm`),
+    the frame defects of :func:`cartankit.cartan.frame_defects` and, per
+    zero-test policy, the :func:`cartankit.cartan.check_cartan` verdict.
     """
 
     def __init__(self, chart: Chart, gamma, target: str = "g"):
@@ -99,15 +101,16 @@ class TMConnection:
         self.gamma = out
         self.rank = gamma.shape[1]
         self.target = target
-        self._pairs = {}  # Algebroid -> {table name: what was derived}
+        self._pairs = {}  # Algebroid -> {key: what was derived}
 
-    def kept(self, g: Algebroid, name: str, build):
+    def kept(self, g: Algebroid, key, build):
         """What ``build()`` derives from the pair (``g``, this connection),
-        built on the first request and kept for every later one."""
+        built on the first request and kept for every later one.  ``key``
+        names the table, with the zero-test policy for a verdict."""
         tables = self._pairs.setdefault(g, {})
-        if name not in tables:
-            tables[name] = build()
-        return tables[name]
+        if key not in tables:
+            tables[key] = build()
+        return tables[key]
 
     @classmethod
     def flat(cls, chart: Chart, rank: int, target: str = "g") -> "TMConnection":
@@ -192,10 +195,12 @@ def _section_derivative(directions, sigma: Section, A, X: Section) -> Section:
 def _curvature(directions, structure, A) -> np.ndarray:
     """R[a,b,al,be] of the derivative along ``directions`` with action
     ``A`` (see :func:`curvature_g`); ``structure`` is None for a zero
-    bracket.  This is the one curvature loop."""
+    bracket.  This is the one curvature loop.  It builds a < b only:
+    R[a,a] is zero and R[b,a] = -R[a,b]."""
     r, m = A.shape[0], A.shape[1]
     out = np.empty((r, r, m, m), dtype=object)
-    for a, b in np.ndindex(r, r):
+    out[...] = ZERO
+    for a, b in combinations(range(r), 2):
         # the nonzero structure functions c^c_{ab}
         brackets = [] if structure is None else [
             (c, structure[a, b, c]) for c in range(r) if structure[a, b, c] != ZERO
@@ -208,7 +213,10 @@ def _curvature(directions, structure, A) -> np.ndarray:
                 terms.append(-(A[b, ga, be] * A[a, al, ga]))
             for c, coeff in brackets:
                 terms.append(-(coeff * A[c, al, be]))
-            out[a, b, al, be] = canon(flat_sum(terms))
+            out[a, b, al, be] = value = canon(flat_sum(terms))
+            # 0 - value spreads the sign over a sum's terms, as building
+            # the swapped entry would; canon(-value) would not
+            out[b, a, al, be] = canon(Const(0) - value)
     return out
 
 

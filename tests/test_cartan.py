@@ -26,6 +26,7 @@ from cartankit.cartan import (
     fundamental_operator,
     holonomy_check,
     identity_battery,
+    metric_pair,
     parallelism_report,
     principal_log,
     poisson_report,
@@ -366,12 +367,12 @@ def test_theorem_a_symplectic_cotangent_pair():
 
 def test_theorem_a_matches_riemann_verdict_on_sphere_and_ellipsoid():
     # flat reductive connection exactly when the metric verdict passes
-    rep = riemann_pipeline(sphere_metric(), policy=POLICY)
-    v = theorem_a_verdict(rep.algebroid, rep.cartan_connection, POLICY)
+    g, nabla = metric_pair(sphere_metric(), POLICY)
+    v = theorem_a_verdict(g, nabla, POLICY)
     assert v.status == "locally_symmetric"
 
-    rep2 = riemann_pipeline(ellipsoid_metric(), policy=POLICY)
-    v2 = theorem_a_verdict(rep2.algebroid, rep2.cartan_connection, POLICY)
+    g2, nabla2 = metric_pair(ellipsoid_metric(), POLICY)
+    v2 = theorem_a_verdict(g2, nabla2, POLICY)
     assert v2.status == "curved"
     assert v2.witness is not None
 
@@ -415,13 +416,12 @@ def test_abba_defect_shape_and_rank_guard():
 
 
 def euclid_reductive():
-    rep = riemann_pipeline(euclid_metric(), policy=POLICY)
-    return rep
+    return metric_pair(euclid_metric(), POLICY)
 
 
 def test_euclid_cartan_connection_frozen_coefficients():
-    rep = euclid_reductive()
-    gamma = rep.cartan_connection.gamma
+    _, nabla = euclid_reductive()
+    gamma = nabla.gamma
     expected = {(0, 2, 1): Const(-1), (1, 2, 0): Const(1)}
     for idx in np.ndindex(2, 3, 3):
         want = expected.get(idx, Const(0))
@@ -429,18 +429,16 @@ def test_euclid_cartan_connection_frozen_coefficients():
 
 
 def test_reductive_rejects_non_splitting():
-    rep = euclid_reductive()
-    g = rep.algebroid
+    g, nabla = euclid_reductive()
     t = np.empty((3, 2), dtype=object)
     t[...] = Const(0)
-    rep_tm = induced_rep_on_tm(g, rep.cartan_connection)
+    rep_tm = induced_rep_on_tm(g, nabla)
     with pytest.raises(ValueError, match="not a splitting"):
         reductive_connection(g, t, rep_tm, POLICY)
 
 
 def test_reductive_rejects_curved_action():
-    rep = euclid_reductive()
-    g = rep.algebroid
+    g, _ = euclid_reductive()
     t = np.empty((3, 2), dtype=object)
     t[...] = Const(0)
     t[0, 0] = t[1, 1] = Const(1)
@@ -453,19 +451,17 @@ def test_reductive_rejects_curved_action():
 
 
 def test_reductive_rejects_wrong_target():
-    rep = euclid_reductive()
-    g = rep.algebroid
+    g, nabla = euclid_reductive()
     t = np.empty((3, 2), dtype=object)
     t[...] = Const(0)
     t[0, 0] = t[1, 1] = Const(1)
     with pytest.raises(ValueError, match="tangent-target"):
-        reductive_connection(g, t, induced_rep_on_g(g, rep.cartan_connection), POLICY)
+        reductive_connection(g, t, induced_rep_on_g(g, nabla), POLICY)
 
 
 def test_changing_splitting_moves_only_vertical_coefficients():
-    rep = euclid_reductive()
-    g = rep.algebroid
-    rep_tm = induced_rep_on_tm(g, rep.cartan_connection)
+    g, nabla = euclid_reductive()
+    rep_tm = induced_rep_on_tm(g, nabla)
     t2 = np.empty((3, 2), dtype=object)
     t2[...] = Const(0)
     t2[0, 0] = t2[1, 1] = Const(1)
@@ -473,7 +469,7 @@ def test_changing_splitting_moves_only_vertical_coefficients():
     other = reductive_connection(g, t2, rep_tm, POLICY)
     diff_seen = False
     for idx in np.ndindex(2, 3, 3):
-        delta = canon(other.gamma[idx] - rep.cartan_connection.gamma[idx])
+        delta = canon(other.gamma[idx] - nabla.gamma[idx])
         if idx[2] < 2:  # tangent components must be untouched
             assert delta == Const(0), idx
         elif delta != Const(0):
@@ -488,8 +484,7 @@ def test_changing_splitting_moves_only_vertical_coefficients():
 def test_self_action_rebuild_is_splitting_independent():
     # rebuilding from the induced self-action is independent of the
     # splitting and reproduces the connection exactly
-    rep = euclid_reductive()
-    g, nabla = rep.algebroid, rep.cartan_connection
+    g, nabla = euclid_reductive()
     D = induced_rep_on_g(g, nabla)
 
     def rebuild(t):
@@ -519,7 +514,7 @@ def test_self_action_rebuild_is_splitting_independent():
 
 
 def test_euclid_pipeline_passes_symbolically():
-    rep = euclid_reductive()
+    rep = riemann_pipeline(euclid_metric(), policy=POLICY)
     assert rep.verdict.ok
     assert rep.locally_homogeneous
     assert rep.verdict.path == "symbolic"
@@ -529,7 +524,7 @@ def test_euclid_pipeline_passes_symbolically():
         "curvature_parallel",
         "lift_curvature_identity",
     ]
-    assert rep.algebroid.rank == 3
+    assert metric_pair(euclid_metric(), POLICY)[0].rank == 3
 
 
 def test_sphere_pipeline_passes_with_frozen_curvature():
@@ -1079,3 +1074,39 @@ def test_identity_battery_skips_flat_calculus_when_incompatible():
     assert not v.ok
     assert any("skipped" in n for n in v.notes)
     assert not any(c.name.startswith("d_squared") for c in v.children)
+
+
+def test_identity_battery_reports_undecidable_anchor_equivariance():
+    # sqrt(x - 2) is undefined on the whole box, so the equivariance zero
+    # test is undecidable: no witness exists, and none is invented
+    chart = Chart(("x",), [(0, 1)])
+    g = Algebroid(chart, 1, [["sqrt(x-2)"]], [[["0"]]])
+    conn = TMConnection(chart, [[["x"]]], target="g")
+    v = identity_battery(g, conn, POLICY, forms=1)
+    child = v.child("anchor_equivariance")
+    assert (child.status, child.path, child.witness) == ("undecidable", "undecidable", None)
+    assert child.detail == "pair (0,0) component 0"
+    assert v.status != "pass"
+
+
+def test_compatibility_is_decided_once_per_pair_and_policy(monkeypatch):
+    # metric_pair's reductive self-test decides compatibility; the
+    # identity battery on the same pair and policy reads that verdict
+    runs = []
+    for name in ("_compat_battery", "_jet_battery"):
+        real = getattr(cartan, name)
+
+        def counting(*args, _real=real, _name=name):
+            runs.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cartan, name, counting)
+    g, nabla = euclid_reductive()
+    assert runs == ["_compat_battery", "_jet_battery"]
+    v = identity_battery(g, nabla, POLICY, forms=1)
+    assert v.child("cartan") is check_cartan(g, nabla, POLICY)
+    assert check_cartan(g, nabla) is v.child("cartan")  # the default policy is the same key
+    assert len(runs) == 2
+    # another seed is another policy: both batteries run again
+    assert check_cartan(g, nabla, ZeroPolicy(seed=1)).ok
+    assert len(runs) == 4

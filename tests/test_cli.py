@@ -826,6 +826,45 @@ def test_identities_so3(capsys):
     assert "route_agreement" in names and "cartan" in names
 
 
+def test_identities_on_an_anchor_undefined_on_the_box_is_undecidable(capsys, tmp_path):
+    # The tables pass validate (every axiom cancels symbolically), but no
+    # sample of the box lies where sqrt(x - 5) is defined, so the orbit
+    # scan behind the anchored-curvature identity cannot be decided.
+    doc = {
+        "spec_version": 1,
+        "chart": {"coords": ["x"], "box": [[-1, 1]]},
+        "algebroid": {"rank": 1, "anchor": [["sqrt(x-5)"]], "structure": [[["0"]]]},
+    }
+    path = write_doc(tmp_path, doc)
+    code, rep = invoke(capsys, "validate", path)
+    assert (code, rep["status"]) == (0, "pass")
+    code, rep = invoke(capsys, "identities", path)
+    assert (code, rep["status"]) == (1, "undecidable")
+    [battery] = rep["checks"]
+    child = {c["name"]: c for c in battery["children"]}["anchored_curvature"]
+    assert (child["status"], child["path"]) == ("undecidable", "undecidable")
+    assert "witness" not in child
+    assert child["detail"].startswith("anchor undefined inside the box")
+
+
+def test_identities_on_a_metric_reads_no_h_frame(capsys, tmp_path):
+    # h_frame feeds check's invariance battery only: identities builds the
+    # isometry algebroid from the full skew frame, so a non-skew h_frame
+    # rejects check and leaves identities alone.
+    doc = {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y"], "box": [[-1, 1], [-1, 1]]},
+        "metric": [["1", "0"], ["0", "1"]],
+        "h_frame": [[["1", "0"], ["0", "0"]]],
+    }
+    path = write_doc(tmp_path, doc)
+    code, rep = invoke(capsys, "check", path)
+    assert (code, rep["checks"][0]["name"], rep["checks"][0]["status"]) == (1, "metric", "fail")
+    assert "not metric-skew" in rep["checks"][0]["detail"]
+    code, rep = invoke(capsys, "identities", path)
+    assert (code, rep["status"]) == (0, "pass")
+
+
 # ---------------------------------------------------------------------------
 # report mechanics
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ from ``test_cli.py``: hyperbolic 3-space (``h3.json``) and
 diag(1, 1+x^2, z^2) (``diag3.json``); ``identities`` on them is the one
 golden run of a rank-6 algebroid through ``g_tensor_deriv``,
 ``curvature_g``, ``curvature_tm`` and the exterior derivative.
-``golden/metric4d`` holds ``check`` on hyperbolic 4-space (``h4.json``:
-1/w^2 times the identity on [-1,1]^3 x [1/2,2], guard w).  Each runs from
-the directory that holds the spec.
+``golden/metric4d`` and ``golden/metric5d`` hold ``check`` on hyperbolic
+4- and 5-space (``h4.json``, ``h5.json``: 1/w^2 times the identity on
+[-1,1]^3 x [1/2,2] and [-1,1]^4 x [1/2,2], guard w).  Each runs from the
+directory that holds the spec.
 
 A change to a verdict, a witness or the last digit of a value fails
 here.  A deliberate change regenerates the files with the report loop of
@@ -25,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from cartankit import cartan
 from cartankit.cli import run
 from test_cli import _metric_3d
 
@@ -52,14 +54,29 @@ H4 = {
     "metric": [["1/w^2" if i == j else "0" for j in range(4)] for i in range(4)],
 }
 
+H5 = {
+    "spec_version": 1,
+    "chart": {
+        "coords": ["x", "y", "z", "u", "w"],
+        "box": [[-1, 1], [-1, 1], [-1, 1], [-1, 1], ["1/2", 2]],
+        "guards": ["w"],
+    },
+    "metric": [["1/w^2" if i == j else "0" for j in range(5)] for i in range(5)],
+}
+
 # golden directory -> spec file name -> spec
 METRIC_SPECS = {
     "metric3d": {name: _metric_3d(metric) for name, metric in METRICS_3D.items()},
     "metric4d": {"h4.json": H4},
+    "metric5d": {"h5.json": H5},
 }
 
 # golden directory -> the commands whose reports it holds
-METRIC_COMMANDS = {"metric3d": ("check", "identities"), "metric4d": ("check",)}
+METRIC_COMMANDS = {
+    "metric3d": ("check", "identities"),
+    "metric4d": ("check",),
+    "metric5d": ("check",),
+}
 
 
 def _report(capsys, *argv) -> str:
@@ -107,6 +124,26 @@ def test_4d_metric_check_matches_golden(capsys, monkeypatch, tmp_path):
     _metric_report_matches_golden(
         capsys, monkeypatch, tmp_path, "metric4d", "check", "h4.json"
     )
+
+
+def test_5d_metric_check_matches_golden(capsys, monkeypatch, tmp_path):
+    _metric_report_matches_golden(
+        capsys, monkeypatch, tmp_path, "metric5d", "check", "h5.json"
+    )
+
+
+def test_metric_check_builds_no_isometry_algebroid(capsys, monkeypatch):
+    # check prints the homogeneity verdict only, which reads the
+    # Levi-Civita curvature; the isometry algebroid and its Cartan
+    # connection are built for identities and the pair pipelines alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("check built the isometry algebroid")
+
+    monkeypatch.setattr(cartan, "_riemann_algebroid", refuse)
+    monkeypatch.setattr(cartan, "reductive_connection", refuse)
+    monkeypatch.chdir(ROOT)
+    report = _report(capsys, "check", "corpus/sphere.json")
+    assert report == (GOLDEN / "corpus" / "check-sphere.json").read_text()
 
 
 def test_every_metric_spec_has_a_golden_report():
