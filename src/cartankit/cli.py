@@ -859,6 +859,10 @@ def run(argv=None) -> int:
     sub.add_parser("identities", parents=[common])
 
     args = parser.parse_args(argv)
+    try:
+        ZeroPolicy(samples=args.samples, abs_tol=args.tol, rel_tol=args.tol)
+    except ValueError as exc:
+        parser.error(f"--samples/--tol: {exc}")
 
     report = {
         "tool": f"cartankit {__version__}",

@@ -133,7 +133,8 @@ class GConnection:
     ``A`` is read-only, so what is derived from it once stays true: the
     connection keeps its curvature (:func:`curvature_g`), its flatness
     verdict per zero-test policy (:func:`is_flat_g`) and, for a
-    self-target connection, its dual (:func:`dual_connection`).
+    self-target connection, its torsion (:func:`torsion_g`) and its dual
+    (:func:`dual_connection`).
     """
 
     def __init__(self, g: Algebroid, A, target: str = "self"):
@@ -154,6 +155,7 @@ class GConnection:
         self.target = target
         self.target_rank = m
         self._curvature = None
+        self._torsion = None
         self._flatness = {}  # ZeroPolicy -> is_flat_g's answer
         self._dual = None
 
@@ -386,8 +388,13 @@ def dual_connection(conn: GConnection) -> GConnection:
 
 
 def torsion_g(conn: GConnection) -> TensorField:
-    """T[a,b,c] = A[a,b,c] - A[b,a,c] - c^c_{ab}; antisymmetric in (a,b)."""
+    """T[a,b,c] = A[a,b,c] - A[b,a,c] - c^c_{ab}; antisymmetric in (a,b).
+
+    Computed once per connection and kept on it.
+    """
     _require_self_target(conn, "torsion_g")
+    if conn._torsion is not None:
+        return conn._torsion
     g = conn.g
     r = g.rank
     out = np.empty((r, r, r), dtype=object)
@@ -397,7 +404,10 @@ def torsion_g(conn: GConnection) -> TensorField:
                 out[a, b, c] = canon(
                     conn.A[a, b, c] - conn.A[b, a, c] - g.structure[a, b, c]
                 )
-    return TensorField(g.chart, ((LOW, G), (LOW, G), (UP, G)), out)
+    T = TensorField(g.chart, ((LOW, G), (LOW, G), (UP, G)), out)
+    T.components.flags.writeable = False
+    conn._torsion = T
+    return T
 
 
 def dual_pair_defect(conn: GConnection) -> TensorField:

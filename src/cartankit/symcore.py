@@ -10,7 +10,9 @@ chart's box with witness reporting.
 All numeric evaluation goes through one batched walk,
 :func:`evaluate_batch`: many expressions at many points, each DAG node
 computed once for all points, with a mask of the points where a value
-leaves the domain.  :func:`evaluate` is its one-point call.
+leaves the domain.  :func:`evaluate` is its one-point call.  A canonical
+node that :func:`is_zero` evaluates keeps its values on the zero test's
+sample set, so a request evaluates each node once per sample set.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def _coerce(value) -> "Expr":
     if isinstance(value, Expr):
         return value
     if isinstance(value, (int, Fraction)):
-        return Const(Fraction(value))
+        return Const(value)
     raise TypeError(f"cannot use {value!r} as an expression")
 
 
@@ -134,7 +136,7 @@ _IS_CANONICAL = object()
 def _is_literal_zero(e: "Expr") -> bool:
     if isinstance(e, Neg):
         e = e.operand
-    return isinstance(e, Const) and e.value == 0
+    return e is ZERO
 
 
 def flat_sum(terms: Iterable["Expr"]) -> "Expr":
@@ -185,12 +187,13 @@ class Expr:
     ``Add`` of its nonzero terms.
     """
 
-    __slots__ = ("_hash", "_canonical", "_key", "_derivatives", "__weakref__")
+    __slots__ = ("_hash", "_canonical", "_key", "_derivatives", "_sampled", "__weakref__")
 
     def __init__(self):
         self._canonical = None
         self._key = None
         self._derivatives = None
+        self._sampled = None  # (sample set, values, fault mask); see evaluate_batch
 
     # -- operator sugar (int and Fraction coerce to Const) --------------
 
@@ -248,13 +251,32 @@ class Expr:
         return frozenset(out)
 
 
-class Const(Expr):
+class _Interned(type):
+    """The metaclass of the leaf kinds: a leaf is interned by its value
+    (Filliatre & Conchon 2006), so ``Const(0) is ZERO`` and ``Sym("x") is
+    Sym("x")``.  A leaf is its own canonical form from birth.  Each kind's
+    ``_table`` holds its leaves weakly, keyed by ``_interned_by``."""
+
+    def __call__(cls, value):
+        leaf = cls._table.get(value)
+        if leaf is None:
+            # keyed by the normalised value, so Const("1/2") finds
+            # Const(Fraction(1, 2))
+            leaf = super().__call__(value)
+            leaf = cls._table.setdefault(getattr(leaf, cls._interned_by), leaf)
+        return leaf
+
+
+class Const(Expr, metaclass=_Interned):
     __slots__ = ("value",)
+    _table = weakref.WeakValueDictionary()
+    _interned_by = "value"
 
     def __init__(self, value):
         super().__init__()
-        self.value = Fraction(value)
+        self.value = value if type(value) is Fraction else Fraction(value)
         self._hash = hash(("c", self.value))
+        self._canonical = _IS_CANONICAL
 
     __hash__ = Expr.__hash__
 
@@ -262,13 +284,16 @@ class Const(Expr):
         return isinstance(other, Const) and self.value == other.value
 
 
-class Sym(Expr):
+class Sym(Expr, metaclass=_Interned):
     __slots__ = ("name",)
+    _table = weakref.WeakValueDictionary()
+    _interned_by = "name"
 
     def __init__(self, name: str):
         super().__init__()
         self.name = name
         self._hash = hash(("s", name))
+        self._canonical = _IS_CANONICAL
 
     __hash__ = Expr.__hash__
 
@@ -412,11 +437,10 @@ class Call(Expr):
 
 ZERO = Const(0)
 ONE = Const(1)
-ZERO._canonical = ONE._canonical = _IS_CANONICAL
 
 
 def const(value) -> Const:
-    return Const(Fraction(value))
+    return Const(value)
 
 
 def sym(name: str) -> Sym:
@@ -763,17 +787,20 @@ def canon(e: Expr) -> Expr:
             continue
         stack.pop()
         key = _hashcons_key(node)
-        if key is None:
-            node._canonical = _IS_CANONICAL
-            continue
         form = _HASHCONS.get(key)
         if form is None:
             form = _canon_node(node)
             if form._canonical is None:
                 _mark_canonical(form)
+            elif isinstance(form, (Const, Sym)):
+                # an interned leaf is shared already, and an entry for a
+                # leaf that outlives its users, such as ZERO, never dies
+                node._canonical = form
+                continue
             else:
-                # An existing form, such as ZERO or the x of x + 0, may
-                # outlive every user of this entry; a copy dies with them.
+                # An existing inner form, such as the sin(x)*y of
+                # sin(x)*y + 0, may outlive every user of this entry; a
+                # copy dies with them.
                 form = copy.copy(form)
                 form._derivatives = None
             _HASHCONS[key] = form
@@ -797,9 +824,9 @@ def _mark_canonical(form: Expr) -> None:
             stack.extend(node.children())
 
 
-def _hashcons_key(node: Expr) -> Optional[tuple]:
-    """Node kind plus weak references to its children's canonical forms;
-    None for a leaf (its own form)."""
+def _hashcons_key(node: Expr) -> tuple:
+    """Inner node kind plus weak references to its children's canonical
+    forms.  A leaf has no key: it is its own form from birth."""
     if isinstance(node, Add):
         return ("a",) + tuple(map(_ref, map(_form, node.terms)))
     if isinstance(node, Mul):
@@ -812,8 +839,6 @@ def _hashcons_key(node: Expr) -> Optional[tuple]:
         return ("f", node.func, _ref(_form(node.arg)))
     if isinstance(node, Neg):
         return ("n", _ref(_form(node.operand)))
-    if isinstance(node, (Const, Sym)):
-        return None
     raise TypeError(f"cannot canonicalize {type(node).__name__}")
 
 
@@ -1098,18 +1123,46 @@ class Evaluation:
     leaves its domain; values there are meaningless.
     """
 
-    def __init__(self, values: list, invalid: np.ndarray, faults: list):
+    def __init__(self, values: list, invalid: np.ndarray, faults: Optional[list]):
         self.values = values
         self.invalid = invalid
-        self._faults = faults  # (reason, culprit, mask), in evaluation order
+        # (reason, culprit, mask), in evaluation order; None on a sample
+        # set, where kept nodes were not walked
+        self._faults = faults
 
     def domain_error(self, row: int) -> DomainError:
         """The error that evaluating the expressions one after another at
-        point ``row`` meets first; ``row`` must be invalid."""
+        point ``row`` meets first; ``row`` must be invalid, and the points
+        must have been given as an array."""
+        if self._faults is None:
+            raise ValueError("an evaluation on a sample set records no faults")
         for reason, culprit, mask in self._faults:
             if mask[row]:
                 return DomainError(reason, culprit)
         raise ValueError(f"point {row} is inside the domain")
+
+
+class _SampleSet:
+    """The seeded sample points of one chart box for the zero test, one
+    object per value of (coords, box, count, seed): see
+    :meth:`Chart.sample_set`.  Canonical nodes evaluated on it keep their
+    values for it."""
+
+    __slots__ = ("points", "columns", "__weakref__")
+
+    def __init__(self, coords: tuple, points: np.ndarray):
+        points.flags.writeable = False
+        self.points = points
+        self.columns = {}
+        for k, name in enumerate(coords):
+            column = np.ascontiguousarray(points[:, k])
+            column.flags.writeable = False
+            self.columns[name] = column
+
+
+# (coords, box, count, seed) -> its sample set, held weakly: the charts
+# that drew it and the nodes that keep values on it hold it
+_SAMPLE_SETS: "weakref.WeakValueDictionary[tuple, _SampleSet]" = weakref.WeakValueDictionary()
 
 
 def evaluate(e: Expr, env: dict) -> float:
@@ -1141,19 +1194,38 @@ def evaluate_batch(exprs, coords, points) -> Evaluation:
     :class:`DomainError` for some expression: division by zero, ``log``
     of a non-positive value, ``sqrt`` of a negative value, ``0`` to a
     negative power, overflow, a non-finite result, or an unbound name.
+
+    ``points`` may also be a chart's sample set (:meth:`Chart.sample_set`,
+    as :func:`is_zero` passes it).  Then each canonical inner node keeps
+    its values and its fault mask (its own faults or its children's masks)
+    for that set, as it keeps its derivatives, and a later walk on the
+    same set reads them instead of walking the node again: a request
+    evaluates each node once per sample set, and the kept values die with
+    the node.  The non-finite check of each expression is not kept, so
+    ``invalid`` is the same whichever walk first met a shared node; only
+    :meth:`Evaluation.domain_error` needs an array of points.
     """
     exprs = list(exprs)  # the memo is keyed by id(): keep every node alive
-    points = np.asarray(points, dtype=float)
+    if isinstance(points, _SampleSet):
+        sample_set, columns, points = points, points.columns, points.points
+    else:
+        sample_set = None
+        points = np.asarray(points, dtype=float)
+        columns = {name: np.ascontiguousarray(points[:, k]) for k, name in enumerate(coords)}
     m = points.shape[0]
-    columns = {name: np.ascontiguousarray(points[:, k]) for k, name in enumerate(coords)}
     values = {}  # id(node) -> array over the points
+    masks = {}  # id(node) -> the points where its subtree faults, or None
+    own = {}  # id(node) -> the points where the node itself faults
     faults = []
 
     def fault(reason, node, mask):
         if mask.any():
             faults.append((reason, node, mask))
+            found = own.get(id(node))
+            own[id(node)] = mask if found is None else found | mask
 
     out = []
+    invalid = np.zeros(m, dtype=bool)
     with np.errstate(all="ignore"):
         for root in exprs:
             # stage 0 opens a node, 1 checks a divisor before its numerator
@@ -1164,30 +1236,47 @@ def evaluate_batch(exprs, coords, points) -> Evaluation:
                 if stage == 0:
                     if id(node) in values:
                         continue
+                    kept = node._sampled
+                    if kept is not None and kept[0] is sample_set:
+                        values[id(node)], masks[id(node)] = kept[1], kept[2]
+                        continue
                     if isinstance(node, Const):
-                        values[id(node)] = np.full(m, float(node.value))
+                        value = np.full(m, float(node.value))
                     elif isinstance(node, Sym):
-                        column = columns.get(node.name)
-                        if column is None:
-                            column = np.full(m, math.nan)
+                        value = columns.get(node.name)
+                        if value is None:
+                            value = np.full(m, math.nan)
                             fault("unbound coordinate", node, np.ones(m, dtype=bool))
-                        values[id(node)] = column
-                    elif isinstance(node, Div):
-                        stack += [(node, 2), (node.num, 0), (node, 1), (node.den, 0)]
                     else:
-                        stack.append((node, 2))
-                        stack.extend((c, 0) for c in reversed(node.children()))
+                        if isinstance(node, Div):
+                            stack += [(node, 2), (node.num, 0), (node, 1), (node.den, 0)]
+                        else:
+                            stack.append((node, 2))
+                            stack.extend((c, 0) for c in reversed(node.children()))
+                        continue
                 elif stage == 1:
                     fault("division by zero", node, values[id(node.den)] == 0.0)
+                    continue
                 else:
-                    values[id(node)] = _node_value(node, values, fault, m)
+                    value = _node_value(node, values, fault, m)
+                mask = own.pop(id(node), None)
+                for c in node.children():
+                    below = masks[id(c)]
+                    if below is not None:
+                        mask = below if mask is None else mask | below
+                values[id(node)], masks[id(node)] = value, mask
+                if stage == 2 and sample_set is not None and node._canonical is _IS_CANONICAL:
+                    value.flags.writeable = False
+                    node._sampled = (sample_set, value, mask)
             value = values[id(root)]
-            fault("non-finite result", root, ~np.isfinite(value))
+            if masks[id(root)] is not None:
+                invalid |= masks[id(root)]
+            bad = ~np.isfinite(value)
+            if bad.any():
+                faults.append(("non-finite result", root, bad))
+                invalid |= bad
             out.append(value)
-    invalid = np.zeros(m, dtype=bool)
-    for _, _, mask in faults:
-        invalid |= mask
-    return Evaluation(out, invalid, faults)
+    return Evaluation(out, invalid, None if sample_set is not None else faults)
 
 
 def _node_value(node: Expr, values: dict, fault, m: int) -> np.ndarray:
@@ -1327,12 +1416,21 @@ def divisor_factors(exprs: Iterable[Expr]) -> list:
 
 @dataclass(frozen=True)
 class ZeroPolicy:
-    """Sampling policy for the probabilistic tier of the zero test."""
+    """Sampling policy for the probabilistic tier of the zero test: at
+    least one sample, and finite tolerances that are not negative."""
 
     samples: int = 32
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
     seed: int = 0
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        for name in ("abs_tol", "rel_tol"):
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {tol}")
 
 
 DEFAULT_POLICY = ZeroPolicy()
@@ -1386,6 +1484,7 @@ class Chart:
                 raise ValueError("box intervals must have lo < hi")
         self.coords = coords
         self.box = box
+        self._sample_sets = {}  # (count, seed) -> sample_set's answer
         self.guards = tuple(guards)
         for guard in self.guards:
             self._check_guard(guard)
@@ -1414,6 +1513,21 @@ class Chart:
         lo = np.array([float(b[0]) for b in self.box])
         hi = np.array([float(b[1]) for b in self.box])
         return lo + rng.random((count, self.dim)) * (hi - lo)
+
+    def sample_set(self, count: int, seed: int) -> _SampleSet:
+        """``sample_points(count, seed)`` as the zero test's sample set:
+        one object for every chart with these coordinates and this box,
+        on which canonical nodes keep their values (see
+        :func:`evaluate_batch`)."""
+        found = self._sample_sets.get((count, seed))
+        if found is None:
+            key = (self.coords, self.box, count, seed)
+            found = _SAMPLE_SETS.get(key)
+            if found is None:
+                found = _SampleSet(self.coords, self.sample_points(count, seed))
+                _SAMPLE_SETS[key] = found
+            self._sample_sets[count, seed] = found
+        return found
 
     def env(self, point) -> dict:
         return dict(zip(self.coords, (float(x) for x in point)))
@@ -1474,8 +1588,9 @@ def is_zero(
         return ZeroVerdict(False, "symbolic", witness=mid, value=float(reduced.value))
 
     terms = reduced.terms if isinstance(reduced, Add) else (reduced,)
-    points = chart.sample_points(policy.samples, policy.seed)
-    batch = evaluate_batch(terms, chart.coords, points)
+    samples = chart.sample_set(policy.samples, policy.seed)
+    batch = evaluate_batch(terms, chart.coords, samples)
+    points = samples.points
     by_point = np.array(batch.values).T.tolist()
     scale = 0.0
     values = []  # (point, total) for valid samples

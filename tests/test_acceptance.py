@@ -29,6 +29,8 @@ from cartankit.algebroid import (
 from cartankit.bundles import TM, UP, Section, TensorField, as_expr
 from cartankit.cartan import (
     Parallelism,
+    _dtheta_decomposition,
+    _exterior_derivative,
     _random_one_form,
     dtheta_decomposition,
     exterior_derivative,
@@ -503,29 +505,35 @@ def test_criterion_9_deterministic_reports():
 # ---------------------------------------------------------------------------
 
 
-def _assert_plane_antisymmetric(T, where):
-    """T[a,b,...] + T[b,a,...] vanishes for every entry, the diagonal
-    included; returns the number of zero tests run."""
+def _assert_plane_antisymmetric(T, where, pairs=((0, 1),)):
+    """T[...,a,...,b,...] + T[...,b,...,a,...] vanishes for every entry,
+    the diagonal included, for each pair of slots in ``pairs``; returns
+    the number of zero tests run."""
     tests = 0
-    for idx in np.ndindex(*T.shape):
-        a, b = idx[:2]
-        if a > b:
-            continue
-        swapped = (b, a) + idx[2:]
-        v = is_zero(T[idx] + T[swapped], T.chart, POLICY)
-        assert v.zero, f"{where}: T{idx} + T{swapped} = {v.value} at {v.witness}"
-        tests += 1
+    for i, j in pairs:
+        for idx in np.ndindex(*T.shape):
+            if idx[i] > idx[j]:
+                continue
+            swapped = list(idx)
+            swapped[i], swapped[j] = idx[j], idx[i]
+            swapped = tuple(swapped)
+            v = is_zero(T[idx] + T[swapped], T.chart, POLICY)
+            assert v.zero, f"{where}: T{idx} + T{swapped} = {v.value} at {v.witness}"
+            tests += 1
     return tests
 
 
 def test_built_tensors_are_antisymmetric_by_construction(catalog, corpus_pairs):
     # The TensorField constructor takes no symmetry declarations, so the
     # antisymmetry of the curvatures and torsions the package builds,
-    # which computes each entry on its own, is gated here instead.
+    # which computes each entry on its own, is gated here instead.  So is
+    # that of the forms identity_battery builds and hands on to
+    # _exterior_derivative and _dtheta_decomposition unchecked.
     tests = 0
     pairs = list(corpus_pairs.items()) + [
         (f"instance {k}", pair) for k, pair in enumerate(catalog)
     ]
+    flat_actions = 0
     for name, (g, conn) in pairs:
         rep = induced_rep_on_g(g, conn)
         dual = dual_connection(rep)
@@ -539,6 +547,24 @@ def test_built_tensors_are_antisymmetric_by_construction(catalog, corpus_pairs):
         }
         for what, T in built.items():
             tests += _assert_plane_antisymmetric(T, f"{name}, {what}")
+        if not is_flat_g(rep, POLICY)[0]:
+            continue  # the battery builds no forms on a curved action
+        flat_actions += 1
+        for s in range(3):
+            theta = _random_one_form(g, seed=s)
+            d1 = exterior_derivative(rep, theta, POLICY)
+            forms = {
+                "d": (d1, ((0, 1),)),
+                "dd": (_exterior_derivative(rep, d1), ((0, 1), (1, 2))),
+                "dtheta decomposition": (
+                    _dtheta_decomposition(rep, theta, rep),
+                    ((0, 1),),
+                ),
+            }
+            for what, (T, slot_pairs) in forms.items():
+                where = f"{name}, {what} of form {s}"
+                tests += _assert_plane_antisymmetric(T, where, slot_pairs)
+    assert flat_actions >= len(corpus_pairs)
 
     # the coframe curvature tensor: the corpus coframe (curvature form
     # zero) and a sheared one whose curvature form is not
@@ -557,5 +583,6 @@ def test_built_tensors_are_antisymmetric_by_construction(catalog, corpus_pairs):
         tests += _assert_plane_antisymmetric(T, f"{name} curvature tensor")
     print(
         f"[construction] {tests} antisymmetry zero tests on curvatures, "
-        f"torsions and coframe curvature tensors of {len(pairs)} pairs: PASS"
+        f"torsions, coframe curvature tensors and the battery's forms on "
+        f"{flat_actions} flat actions, of {len(pairs)} pairs: PASS"
     )

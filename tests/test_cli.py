@@ -898,6 +898,22 @@ def test_seed_flag_overrides_file_seed(capsys):
     assert rep["seed"] == 0
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--samples", "0"], ["--samples", "-1"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"]],
+    ids=" ".join,
+)
+def test_unusable_samples_or_tol_is_a_usage_error(capsys, flags):
+    # no sample, or a tolerance no value can meet or every value meets,
+    # leaves nothing to decide: argparse's usage error, not a verdict
+    with pytest.raises(SystemExit) as exc:
+        run(["identities", str(CORPUS / "sphere.json"), *flags])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: cartankit") and "--samples/--tol" in err
+
+
 def test_report_carries_tool_and_name(capsys):
     _, rep = invoke(capsys, "check", str(CORPUS / "hyperbolic.json"))
     assert rep["tool"].startswith("cartankit ")

@@ -304,6 +304,17 @@ def test_curvature_g_is_computed_once_per_connection():
     assert curvature_g(GConnection(g, conn.A)) is not R
 
 
+def test_torsion_g_is_computed_once_per_connection():
+    g = so3_action()
+    conn = GConnection(g, np.random.default_rng(5).integers(-1, 2, size=(3, 3, 3)).tolist())
+    T = torsion_g(conn)
+    assert torsion_g(conn) is T
+    with pytest.raises(ValueError, match="read-only"):
+        T.components[0, 0, 0] = Const(1)
+    # a fresh connection with the same coefficients computes its own
+    assert torsion_g(GConnection(g, conn.A)) is not T
+
+
 def test_flatness_is_decided_once_per_policy(monkeypatch):
     zero_tests = []
 

@@ -15,8 +15,9 @@ directory that holds the spec.
 
 A change to a verdict, a witness or the last digit of a value fails
 here.  A deliberate change regenerates the files with the report loop of
-``.github/workflows/tier1.yml`` (its pass-1 reports are these files,
-written by ``python tests/test_golden.py <directory>``) and shows the
+``.github/workflows/tier1.yml`` (its pass-1 reports are these files;
+``python tests/test_golden.py <directory>`` writes the specs it runs and,
+from ``METRIC_COMMANDS``, the commands to run on them) and shows the
 difference in review.
 """
 
@@ -154,8 +155,11 @@ def test_every_metric_spec_has_a_golden_report():
 
 
 if __name__ == "__main__":
-    # write the metric specs, as <directory>/<golden directory>/<name>
+    # write the metric specs, as <directory>/<golden directory>/<name>, and
+    # the commands to run on them, as <directory>/<golden directory>/commands
     for folder, specs in METRIC_SPECS.items():
         (Path(sys.argv[1]) / folder).mkdir(parents=True, exist_ok=True)
         for name, spec in specs.items():
             (Path(sys.argv[1]) / folder / name).write_text(json.dumps(spec))
+        commands = " ".join(METRIC_COMMANDS[folder])
+        (Path(sys.argv[1]) / folder / "commands").write_text(commands + "\n")

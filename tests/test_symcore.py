@@ -192,6 +192,20 @@ def test_operators_drop_literal_zeros():
 # -- hash-consing ------------------------------------------------------------
 
 
+def test_leaves_are_interned_and_canonical_from_birth():
+    assert Const(0) is symcore.ZERO and Const(Fraction(1)) is symcore.ONE
+    half = Const(Fraction(1, 2))
+    assert Const("1/2") is half and Const(0.5) is half
+    assert Const(np.int64(3)) is Const(3) and type(Const(np.int64(3)).value) is Fraction
+    assert Sym("x") is Sym("x") and p("x") is Sym("x")
+    for leaf in (half, Sym("x")):
+        assert canon(leaf) is leaf
+    assert canon(p("x - x")) is symcore.ZERO
+    assert canon(p("x + 0")) is Sym("x")
+    assert symcore._is_literal_zero(Neg(Const(0)))
+    assert not symcore._is_literal_zero(Const(1))
+
+
 def test_structurally_equal_trees_share_one_canonical_form():
     text = "sin(x)*y + x^2/y - 3*(x - y)"
     a, b = p(text), p(text)
@@ -265,12 +279,13 @@ def test_hashcons_table_releases_dead_forms():
 
     probe = Call("exp", Sym("hashcons_probe"))
     # The first form is new; the second is the exp(...) named in its own
-    # key; the third is the module constant ZERO, which never dies.  No
-    # entry may outlive the forms handed out.
+    # key; the third is the interned leaf ZERO, which never dies, so its
+    # sum makes no entry.  No entry may outlive the forms handed out.
     exprs = [Add((probe, probe)), Add((probe, Const(0))), Add((probe, Neg(probe)))]
     forms = [canon(e) for e in exprs]
     assert forms == [Mul((Const(2), canon(probe))), canon(probe), Const(0)]
-    assert len(probe_keys()) == 5  # exp, its negation and the three sums
+    assert forms[2] is symcore.ZERO
+    assert len(probe_keys()) == 4  # exp, its negation and the first two sums
     del probe, exprs, forms
     gc.collect()
     assert probe_keys() == []
@@ -618,6 +633,21 @@ def test_a_copied_form_keeps_no_derivatives_of_the_original():
     assert diff(copied, "x") == diff(form, "x")
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"samples": 0},
+        {"samples": -1},
+        {"abs_tol": -1e-9},
+        {"rel_tol": math.nan},
+        {"abs_tol": math.inf},
+    ],
+)
+def test_zero_policy_needs_a_sample_and_finite_tolerances(fields):
+    with pytest.raises(ValueError):
+        ZeroPolicy(**fields)
+
+
 # -- batched evaluation against the scalar reference ------------------------
 
 
@@ -702,6 +732,9 @@ _HUGE = Call("exp", Call("exp", Const(6)))
 @example([Pow(_HUGE, 3)])
 @example([Call("exp", _HUGE)])
 @example([Mul((_HUGE, _HUGE)), Div(Const(1), Mul((_HUGE, _HUGE))), Call("sin", Mul((_HUGE, _HUGE)))])
+# alone, the reciprocal is valid everywhere: a non-finite inner value is
+# no fault
+@example([Div(Const(1), Mul((_HUGE, _HUGE)))])
 # the scalar path tests a divisor before it evaluates the numerator
 @example([Div(Call("log", Neg(Sym("x"))), Add((Sym("x"), Neg(Sym("x")))))])
 @settings(max_examples=300, deadline=None)
@@ -732,3 +765,153 @@ def test_batch_shares_subterms_and_flags_each_point():
     assert batch.values[0][3] == 2 * math.log(2.0)
     with pytest.raises(DomainError, match="division by zero"):
         evaluate(exprs[1], {"x": 2.0, "y": 1.0})
+
+
+# -- values kept on canonical nodes -----------------------------------------
+
+
+def _reference_is_zero(e, chart, policy=ZeroPolicy()):
+    """The zero test before nodes kept their sample values, kept as the
+    oracle: the sample points as an array, so nothing is kept or read."""
+    reduced = canon(e)
+    if isinstance(reduced, Const):
+        if reduced.value == 0:
+            return symcore.ZeroVerdict(True, "symbolic")
+        mid = chart.midpoint()
+        return symcore.ZeroVerdict(False, "symbolic", witness=mid, value=float(reduced.value))
+
+    terms = reduced.terms if isinstance(reduced, Add) else (reduced,)
+    points = chart.sample_points(policy.samples, policy.seed)
+    batch = evaluate_batch(terms, chart.coords, points)
+    by_point = np.array(batch.values).T.tolist()
+    scale = 0.0
+    values = []
+    for point, term_values, invalid in zip(points, by_point, batch.invalid):
+        if invalid:
+            continue
+        total = math.fsum(term_values)
+        if not math.isfinite(total):
+            continue
+        scale = max(scale, max(abs(v) for v in term_values))
+        values.append((tuple(point), total))
+
+    if not values:
+        return symcore.ZeroVerdict(False, "undecidable")
+
+    threshold = policy.abs_tol + policy.rel_tol * scale
+    worst_point, worst_value = max(values, key=lambda pv: abs(pv[1]))
+    if abs(worst_value) <= threshold:
+        return symcore.ZeroVerdict(True, "probabilistic")
+    return symcore.ZeroVerdict(False, "probabilistic", witness=worst_point, value=worst_value)
+
+
+# Subterms that leave the domain on part of the box XY or on all of it: a
+# pole, negative sqrt and log arguments, exp overflow (whose reciprocal is
+# 0, so only the fault shows it), and a product that overflows to inf with
+# no fault of its own (whose reciprocal is a valid 0)
+_FAULTY = [
+    p(text)
+    for text in (
+        "1/(x - y)",
+        "sqrt(x - 1)",
+        "log(y - 1)",
+        "exp(1000*x)",
+        "1/exp(1000*x)",
+        "exp(exp(6))*exp(exp(6) + 1)*x",
+        "1/(exp(exp(6))*exp(exp(6) + 1)*x)",
+        "1/(x - x)",
+    )
+]
+# the same coordinates on a second box: another sample set
+XY_WIDE = Chart(("x", "y"), ((-2, 2), (-2, 2)))
+
+
+@given(
+    st.lists(
+        st.one_of(_expr_strategy(symcore.FUNCTIONS), st.sampled_from(_FAULTY)),
+        min_size=2,
+        max_size=4,
+    ),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_kept_sample_values_give_the_reference_verdicts(parts, rnd):
+    # expressions that share their parts, asked on two boxes and two
+    # seeds in a shuffled order, so shared nodes are met first by any of
+    # them and their kept values are replaced and read back
+    exprs = list(parts)
+    for a, b in zip(parts, parts[1:]):
+        exprs += [Add((a, b)), Mul((a, b)), Div(a, b), Add((a, Neg(a)))]
+    asks = [
+        (e, chart, ZeroPolicy(samples=8, seed=seed))
+        for e in exprs
+        for chart in (XY, XY_WIDE)
+        for seed in (0, 1)
+    ]
+    rnd.shuffle(asks)
+    for e, chart, policy in asks:
+        got = is_zero(e, chart, policy)
+        # repr tells 0.0 from -0.0 and shows each float's last digit
+        assert repr(got) == repr(_reference_is_zero(e, chart, policy))
+
+
+def test_a_shared_node_is_evaluated_once_per_sample_set(monkeypatch):
+    chart = Chart(("memo_u", "memo_v"), ((1, 2), (1, 2)))
+    shared = canon(parse("sin(memo_u*memo_v)", chart))
+    first = parse("sin(memo_u*memo_v)*memo_u - memo_v", chart)
+    second = parse("exp(sin(memo_u*memo_v)) + memo_u", chart)
+    calls = []
+    real = symcore._node_value
+
+    def counting(node, *args):
+        calls.append(node)
+        return real(node, *args)
+
+    monkeypatch.setattr(symcore, "_node_value", counting)
+    evaluated = lambda: sum(node is shared for node in calls)
+    for e in (first, second, first):
+        is_zero(e, chart)
+    assert evaluated() == 1
+    # another seed is another sample set, on which the node is walked once
+    for e in (first, second):
+        is_zero(e, chart, ZeroPolicy(seed=1))
+    assert evaluated() == 2
+    # an equal chart draws the same sample set
+    is_zero(second, Chart(("memo_u", "memo_v"), ((1, 2), (1, 2))), ZeroPolicy(seed=1))
+    assert evaluated() == 2
+    # raw points, as holonomy and the box scans pass them, keep nothing
+    kept = shared._sampled
+    for _ in range(2):
+        evaluate_batch([shared], chart.coords, chart.sample_points(32, 0))
+    assert evaluated() == 4
+    assert shared._sampled is kept
+
+
+def test_kept_sample_values_die_with_their_node():
+    chart = Chart(("kept_probe",), ((1, 2),))
+    form = canon(parse("log(kept_probe + 2)*kept_probe", chart))
+    assert not is_zero(form, chart).zero
+    sample_set, values, mask = form._sampled
+    assert sample_set is chart.sample_set(32, 0) and mask is None
+    values = weakref.ref(values)
+    assert values() is not None
+    del form
+    gc.collect()
+    assert values() is None
+
+
+def test_domain_faults_are_kept_with_the_values():
+    # log(x - 1) faults on part of XY; the sum that holds it is invalid
+    # there whether it or the log is met first
+    chart = XY
+    inner = canon(p("log(x - 1)"))
+    outer = canon(p("log(x - 1) + y"))
+    assert repr(is_zero(inner, chart)) == repr(_reference_is_zero(inner, chart))
+    assert repr(is_zero(outer, chart)) == repr(_reference_is_zero(outer, chart))
+    invalid = chart.sample_points(32, 0)[:, 0] <= 1
+    assert invalid.any() and not invalid.all()
+    assert inner._sampled[2].tolist() == invalid.tolist()
+    batch = evaluate_batch([outer], chart.coords, chart.sample_set(32, 0))
+    assert batch.invalid.tolist() == invalid.tolist()
+    with pytest.raises(ValueError, match="records no faults"):
+        batch.domain_error(int(np.argmax(invalid)))
