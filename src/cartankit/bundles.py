@@ -312,9 +312,9 @@ def _directions(coords, rho=None) -> list:
         return [[(x, None)] for x in coords]
     return [
         [
-            (x, None if rho[i, z] == ONE else rho[i, z])
+            (x, None if rho[i, z] is ONE else rho[i, z])
             for i, x in enumerate(coords)
-            if rho[i, z] != ZERO
+            if rho[i, z] is not ZERO
         ]
         for z in range(rho.shape[1])
     ]

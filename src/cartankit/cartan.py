@@ -72,6 +72,7 @@ from .symcore import (
     DegenerateError,
     DomainError,
     Expr,
+    ZERO,
     ZeroPolicy,
     _section_form,
     adjugate_inverse,
@@ -405,7 +406,7 @@ def theorem_a_verdict(
     if flatness.ok:
         notes = []
         if g.origin == "action" and all(
-            canon(conn.gamma[idx]) == Const(0)
+            canon(conn.gamma[idx]) is ZERO
             for idx in np.ndindex(*conn.gamma.shape)
         ):
             notes.append(
@@ -672,7 +673,7 @@ def _riemann_algebroid(sigma: TensorField, lc: TMConnection, policy):
             rem = rem - jet_scale(jets[k], coeffs[k])
         for k in range(n):
             base = canon(rem.base.components[k])
-            if base != Const(0):
+            if base is not ZERO:
                 raise AssertionError(
                     f"jet expansion left a base remainder: {base}"
                 )
@@ -1225,9 +1226,9 @@ def dtheta_decomposition(
     if k not in (1, 2):
         raise ValueError("decomposition applies to degree 1 and 2 forms")
     theta.check_pairs(antisymmetric=_argument_pairs(k), policy=policy)
-    if rep.target == "self":
+    if rep.target == "self" and rep is not rep_on_g:
         same = all(
-            canon(rep.A[idx] - rep_on_g.A[idx]) == Const(0)
+            canon(rep.A[idx] - rep_on_g.A[idx]) is ZERO
             for idx in np.ndindex(*rep.A.shape)
         )
         if not same:
@@ -1235,14 +1236,6 @@ def dtheta_decomposition(
                 "algebroid-valued forms need the self-action itself as the "
                 "value action"
             )
-    return _dtheta_decomposition(rep, theta, rep_on_g)
-
-
-def _dtheta_decomposition(
-    rep: GConnection, theta: TensorField, rep_on_g: GConnection
-) -> TensorField:
-    """:func:`dtheta_decomposition` of inputs whose checks have passed, or
-    that the package built to pass them (``rep is rep_on_g``)."""
     if rep.target == "self":
         D = g_tensor_deriv(theta, rep_g=rep_on_g)
     else:
@@ -1781,11 +1774,11 @@ def identity_battery(
         for s in range(forms):
             theta = _random_one_form(g, seed=s)
             d1 = exterior_derivative(rep, theta, policy)
-            # d1 is alternating by construction (a test gates that) and rep
-            # is its own self-action, so the cores skip the input checks
+            # d1 is alternating by construction (a test gates that), so
+            # the core skips the input checks
             d2 = _exterior_derivative(rep, d1)
             children.append(_tensor_battery(f"d_squared_form_{s}", d2, policy))
-            decomp = _dtheta_decomposition(rep, theta, rep)
+            decomp = dtheta_decomposition(rep, theta, rep, policy)
             children.append(
                 _tensor_battery(f"d_decomposition_form_{s}", d1 - decomp, policy)
             )

@@ -205,7 +205,7 @@ def _curvature(directions, structure, A) -> np.ndarray:
     for a, b in combinations(range(r), 2):
         # the nonzero structure functions c^c_{ab}
         brackets = [] if structure is None else [
-            (c, structure[a, b, c]) for c in range(r) if structure[a, b, c] != ZERO
+            (c, structure[a, b, c]) for c in range(r) if structure[a, b, c] is not ZERO
         ]
         for al, be in np.ndindex(m, m):
             terms = _along(directions[a], A[b, al, be])

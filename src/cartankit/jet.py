@@ -242,7 +242,7 @@ def frame_lift_curvature(g: Algebroid, conn: TMConnection) -> np.ndarray:
             for i in range(n):
                 drho[a, i, k] = diff(P, coords[i])
     # anchored[j]: the frames whose vector field has a d/dx^j component
-    anchored = [[e for e in range(r) if rho[j, e] != ZERO] for j in range(n)]
+    anchored = [[e for e in range(r) if rho[j, e] is not ZERO] for j in range(n)]
     out = np.empty((r, r, r, n), dtype=object)
     for a in range(r):
         for b in range(a + 1, r):

@@ -951,11 +951,9 @@ def _canon_mul(parts: tuple) -> Expr:
 
 
 def _canon_div(num: Expr, den: Expr) -> Expr:
-    if isinstance(den, Const) and den.value != 0:
+    if isinstance(den, Const) and den is not ZERO:
         return _canon_mul((Const(1 / den.value), num))
-    if isinstance(num, Const) and num.value == 0 and not (
-        isinstance(den, Const) and den.value == 0
-    ):
+    if num is ZERO and den is not ZERO:
         return ZERO
     return Div(num, den)
 
@@ -966,7 +964,7 @@ def _canon_pow(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Const):
-        if base.value != 0:
+        if base is not ZERO:
             return Const(base.value**exponent)
         if exponent > 0:
             return ZERO
@@ -1144,11 +1142,10 @@ class Evaluation:
 
 class _SampleSet:
     """The seeded sample points of one chart box for the zero test, one
-    object per value of (coords, box, count, seed): see
-    :meth:`Chart.sample_set`.  Canonical nodes evaluated on it keep their
-    values for it."""
+    object per chart and (count, seed): see :meth:`Chart.sample_set`.
+    Canonical nodes evaluated on it keep their values for it."""
 
-    __slots__ = ("points", "columns", "__weakref__")
+    __slots__ = ("points", "columns")
 
     def __init__(self, coords: tuple, points: np.ndarray):
         points.flags.writeable = False
@@ -1158,11 +1155,6 @@ class _SampleSet:
             column = np.ascontiguousarray(points[:, k])
             column.flags.writeable = False
             self.columns[name] = column
-
-
-# (coords, box, count, seed) -> its sample set, held weakly: the charts
-# that drew it and the nodes that keep values on it hold it
-_SAMPLE_SETS: "weakref.WeakValueDictionary[tuple, _SampleSet]" = weakref.WeakValueDictionary()
 
 
 def evaluate(e: Expr, env: dict) -> float:
@@ -1516,16 +1508,11 @@ class Chart:
 
     def sample_set(self, count: int, seed: int) -> _SampleSet:
         """``sample_points(count, seed)`` as the zero test's sample set:
-        one object for every chart with these coordinates and this box,
-        on which canonical nodes keep their values (see
-        :func:`evaluate_batch`)."""
+        one object per chart and (count, seed), on which canonical nodes
+        keep their values (see :func:`evaluate_batch`)."""
         found = self._sample_sets.get((count, seed))
         if found is None:
-            key = (self.coords, self.box, count, seed)
-            found = _SAMPLE_SETS.get(key)
-            if found is None:
-                found = _SampleSet(self.coords, self.sample_points(count, seed))
-                _SAMPLE_SETS[key] = found
+            found = _SampleSet(self.coords, self.sample_points(count, seed))
             self._sample_sets[count, seed] = found
         return found
 
@@ -1582,7 +1569,7 @@ def is_zero(
     """
     reduced = canon(e)
     if isinstance(reduced, Const):
-        if reduced.value == 0:
+        if reduced is ZERO:
             return ZeroVerdict(True, "symbolic")
         mid = chart.midpoint()
         return ZeroVerdict(False, "symbolic", witness=mid, value=float(reduced.value))

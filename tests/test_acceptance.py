@@ -29,7 +29,6 @@ from cartankit.algebroid import (
 from cartankit.bundles import TM, UP, Section, TensorField, as_expr
 from cartankit.cartan import (
     Parallelism,
-    _dtheta_decomposition,
     _exterior_derivative,
     _random_one_form,
     dtheta_decomposition,
@@ -528,7 +527,7 @@ def test_built_tensors_are_antisymmetric_by_construction(catalog, corpus_pairs):
     # antisymmetry of the curvatures and torsions the package builds,
     # which computes each entry on its own, is gated here instead.  So is
     # that of the forms identity_battery builds and hands on to
-    # _exterior_derivative and _dtheta_decomposition unchecked.
+    # _exterior_derivative unchecked.
     tests = 0
     pairs = list(corpus_pairs.items()) + [
         (f"instance {k}", pair) for k, pair in enumerate(catalog)
@@ -557,7 +556,7 @@ def test_built_tensors_are_antisymmetric_by_construction(catalog, corpus_pairs):
                 "d": (d1, ((0, 1),)),
                 "dd": (_exterior_derivative(rep, d1), ((0, 1), (1, 2))),
                 "dtheta decomposition": (
-                    _dtheta_decomposition(rep, theta, rep),
+                    dtheta_decomposition(rep, theta, rep, POLICY),
                     ((0, 1),),
                 ),
             }

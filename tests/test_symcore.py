@@ -876,9 +876,6 @@ def test_a_shared_node_is_evaluated_once_per_sample_set(monkeypatch):
     for e in (first, second):
         is_zero(e, chart, ZeroPolicy(seed=1))
     assert evaluated() == 2
-    # an equal chart draws the same sample set
-    is_zero(second, Chart(("memo_u", "memo_v"), ((1, 2), (1, 2))), ZeroPolicy(seed=1))
-    assert evaluated() == 2
     # raw points, as holonomy and the box scans pass them, keep nothing
     kept = shared._sampled
     for _ in range(2):
