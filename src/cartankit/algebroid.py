@@ -27,6 +27,9 @@ from .symcore import (
     DegenerateError,
     ZeroPolicy,
     canon,
+    cmul,
+    cneg,
+    csum,
     divisor_factors,
     diff,
     evaluate_batch,
@@ -193,32 +196,27 @@ def bracket(g: Algebroid, X: Section, Y: Section) -> Section:
     _check_section(g, X, "bracket")
     _check_section(g, Y, "bracket")
     chart = g.chart
+    xs, ys = X.components, Y.components
     out = []
     for c in range(g.rank):
-        total = Const(0)
+        terms = []
         for a in range(g.rank):
             for i, name in enumerate(chart.coords):
-                total = total + g.rho[i, a] * X.components[a] * diff(
-                    Y.components[c], name
-                )
-                total = total - g.rho[i, a] * Y.components[a] * diff(
-                    X.components[c], name
-                )
+                terms.append(cmul(cmul(g.rho[i, a], xs[a]), diff(ys[c], name)))
+                terms.append(cneg(cmul(cmul(g.rho[i, a], ys[a]), diff(xs[c], name))))
             for b in range(g.rank):
-                total = total + g.structure[a, b, c] * X.components[a] * Y.components[b]
-        out.append(total)
+                terms.append(cmul(cmul(g.structure[a, b, c], xs[a]), ys[b]))
+        out.append(csum(terms))
     return Section(chart, out, X.frame if X.frame == Y.frame else "g")
 
 
 def anchor_apply(g: Algebroid, X: Section) -> Section:
     """The vector field rho^i_a X^a attached to a section."""
     _check_section(g, X, "anchor_apply")
-    out = []
-    for i in range(g.chart.dim):
-        total = Const(0)
-        for a in range(g.rank):
-            total = total + g.rho[i, a] * X.components[a]
-        out.append(total)
+    out = [
+        csum([cmul(g.rho[i, a], X.components[a]) for a in range(g.rank)])
+        for i in range(g.chart.dim)
+    ]
     return Section(g.chart, out, "tm")
 
 
@@ -271,13 +269,13 @@ def _jacobiator(g: Algebroid, a: int, b: int, c: int) -> list:
     from the tables: [[e_p,e_q],e_s]^d = c^e_{pq} c^d_{es} - rho^i_s d_i c^d_{pq}."""
     out = []
     for d in range(g.rank):
-        total = Const(0)
+        terms = []
         for p, q, s in ((a, b, c), (b, c, a), (c, a, b)):
             for e in range(g.rank):
-                total = total + g.structure[p, q, e] * g.structure[e, s, d]
+                terms.append(cmul(g.structure[p, q, e], g.structure[e, s, d]))
             for i, name in enumerate(g.chart.coords):
-                total = total - g.rho[i, s] * diff(g.structure[p, q, d], name)
-        out.append(total)
+                terms.append(cneg(cmul(g.rho[i, s], diff(g.structure[p, q, d], name))))
+        out.append(csum(terms))
     return out
 
 
@@ -308,13 +306,11 @@ def validate(g: Algebroid, policy: Optional[ZeroPolicy] = None) -> ValidationRep
     for a in range(r):
         for b in range(a + 1, r):
             for j in range(n):
-                total = Const(0)
-                for c in range(r):
-                    total = total + g.rho[j, c] * g.structure[a, b, c]
+                terms = [cmul(g.rho[j, c], g.structure[a, b, c]) for c in range(r)]
                 for i, name in enumerate(chart.coords):
-                    total = total - g.rho[i, a] * diff(g.rho[j, b], name)
-                    total = total + g.rho[i, b] * diff(g.rho[j, a], name)
-                hom.append((f"anchor-hom defect ({a},{b}) component {j}", total))
+                    terms.append(cneg(cmul(g.rho[i, a], diff(g.rho[j, b], name))))
+                    terms.append(cmul(g.rho[i, b], diff(g.rho[j, a], name)))
+                hom.append((f"anchor-hom defect ({a},{b}) component {j}", csum(terms)))
 
     jac = [
         (f"jacobi ({a},{b},{c}) component {d}", component)

@@ -23,8 +23,10 @@ from .symcore import (
     Expr,
     ZeroPolicy,
     canon,
+    cmul,
+    cneg,
+    csum,
     diff,
-    flat_sum,
     is_zero,
     parse,
 )
@@ -111,7 +113,7 @@ class Section:
         self._check_peer(other)
         return Section(
             self.chart,
-            [a + b for a, b in zip(self.components, other.components)],
+            [csum((a, b)) for a, b in zip(self.components, other.components)],
             self.frame,
         )
 
@@ -119,17 +121,17 @@ class Section:
         self._check_peer(other)
         return Section(
             self.chart,
-            [a - b for a, b in zip(self.components, other.components)],
+            [csum((a, cneg(b))) for a, b in zip(self.components, other.components)],
             self.frame,
         )
 
     def __neg__(self):
-        return Section(self.chart, [-c for c in self.components], self.frame)
+        return Section(self.chart, [cneg(c) for c in self.components], self.frame)
 
     def scale(self, f) -> "Section":
         """Multiply by a scalar expression."""
         f = as_expr(f, self.chart)
-        return Section(self.chart, [f * c for c in self.components], self.frame)
+        return Section(self.chart, [cmul(f, c) for c in self.components], self.frame)
 
     def as_tensor(self) -> "TensorField":
         """View as a one-slot tensor field."""
@@ -212,27 +214,27 @@ class TensorField:
         self._check_peer(other)
         out = np.empty(self.shape, dtype=object)
         for idx in np.ndindex(*self.shape):
-            out[idx] = canon(self.components[idx] + other.components[idx])
+            out[idx] = csum((self.components[idx], other.components[idx]))
         return TensorField(self.chart, self.slots, out)
 
     def __sub__(self, other):
         self._check_peer(other)
         out = np.empty(self.shape, dtype=object)
         for idx in np.ndindex(*self.shape):
-            out[idx] = canon(self.components[idx] - other.components[idx])
+            out[idx] = csum((self.components[idx], cneg(other.components[idx])))
         return TensorField(self.chart, self.slots, out)
 
     def __neg__(self):
         out = np.empty(self.shape, dtype=object)
         for idx in np.ndindex(*self.shape):
-            out[idx] = canon(-self.components[idx])
+            out[idx] = cneg(self.components[idx])
         return TensorField(self.chart, self.slots, out)
 
     def scale(self, f) -> "TensorField":
         f = as_expr(f, self.chart)
         out = np.empty(self.shape, dtype=object)
         for idx in np.ndindex(*self.shape):
-            out[idx] = canon(f * self.components[idx])
+            out[idx] = cmul(f, self.components[idx])
         return TensorField(self.chart, self.slots, out)
 
     def is_zero_field(self, policy: Optional[ZeroPolicy] = None):
@@ -321,8 +323,9 @@ def _directions(coords, rho=None) -> list:
 
 
 def _along(direction, f: Expr) -> list:
-    """The terms of the derivative of ``f`` along one of :func:`_directions`."""
-    return [diff(f, x) if c is None else c * diff(f, x) for x, c in direction]
+    """The canonical terms of the derivative of a canonical ``f`` along
+    one of :func:`_directions`."""
+    return [diff(f, x) if c is None else cmul(c, diff(f, x)) for x, c in direction]
 
 
 def _derivative(components: np.ndarray, directions, actions) -> np.ndarray:
@@ -333,8 +336,8 @@ def _derivative(components: np.ndarray, directions, actions) -> np.ndarray:
     along direction z the frame element m of that slot has derivative
     sum_k A[z, m, k] (element k), so an upper index k gains
     A[z, m, k] T[..m..] and a lower index m loses A[z, m, k] T[..k..].
-    Each entry is one flat sum of these products and the derivative terms
-    of :func:`_along`.  This is the one tensor-derivative loop: coordinate
+    Each entry is one canonical sum (:func:`csum`) of these products and
+    the derivative terms of :func:`_along`.  This is the one tensor-derivative loop: coordinate
     derivatives of tangent tensors (the tangent algebroid: identity
     anchor, zero bracket), algebroid derivatives through an anchor and
     Lie derivatives all come from it.
@@ -352,10 +355,10 @@ def _derivative(components: np.ndarray, directions, actions) -> np.ndarray:
                 k = idx[axis]
                 for m, piece in enumerate(neighbours[axis]):
                     if variance == UP:
-                        terms.append(A[z, m, k] * piece)
+                        terms.append(cmul(A[z, m, k], piece))
                     else:
-                        terms.append(-(A[z, k, m] * piece))
-            out[idx + (z,)] = canon(flat_sum(terms))
+                        terms.append(cneg(cmul(A[z, k, m], piece)))
+            out[idx + (z,)] = csum(terms)
     return out
 
 
@@ -379,7 +382,7 @@ def lie_derivative(V: Section, T: TensorField) -> TensorField:
     field = np.array(V.components, dtype=object).reshape(n, 1)
     A = np.empty((1, n, n), dtype=object)
     for m, k in np.ndindex(n, n):
-        A[0, m, k] = canon(-diff(V.components[k], coords[m]))
+        A[0, m, k] = cneg(diff(V.components[k], coords[m]))
     D = _derivative(
         T.components, _directions(coords, field), [(v, A) for v, _ in T.slots]
     )

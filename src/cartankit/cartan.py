@@ -77,9 +77,11 @@ from .symcore import (
     _section_form,
     adjugate_inverse,
     canon,
+    cmul,
+    cneg,
+    csum,
     diff,
     evaluate_batch,
-    flat_sum,
     is_zero,
     sym_det,
 )
@@ -258,7 +260,7 @@ def _frame_compat_defect(g: Algebroid, conn: TMConnection) -> np.ndarray:
         t4 = Atm[b,i,k] G[k,a,d]        t5 = Atm[a,i,k] G[k,b,d]
 
     summed over repeated indices.  C[i, a, b, d] (for a < b; entries with
-    a >= b are None) is t1 - t2 - t3 - t4 + t5, one flat sum of these
+    a >= b are None) is t1 - t2 - t3 - t4 + t5, one canonical sum of these
     products, whose factors are the canonical forms that building the
     defect from sections gives them, so each entry's canonical form is
     the section-level one.
@@ -288,15 +290,15 @@ def _frame_compat_defect(g: Algebroid, conn: TMConnection) -> np.ndarray:
                 for i in range(n):
                     terms = [dB[i]]
                     for e in range(r):
-                        terms.append(gamma[i, e, d] * B[e])
-                        terms.append(-(c[e, b, d] * G[i, a, e]))
-                        terms.append(-(c[a, e, d] * G[i, b, e]))
+                        terms.append(cmul(gamma[i, e, d], B[e]))
+                        terms.append(cneg(cmul(c[e, b, d], G[i, a, e])))
+                        terms.append(cneg(cmul(c[a, e, d], G[i, b, e])))
                     for j in range(n):
-                        terms.append(rho[j, b] * dG[j, i, a, d])
-                        terms.append(-(rho[j, a] * dG[j, i, b, d]))
-                        terms.append(-(W[b, i, j] * G[j, a, d]))
-                        terms.append(W[a, i, j] * G[j, b, d])
-                    out[i, a, b, d] = canon(flat_sum(terms))
+                        terms.append(cmul(rho[j, b], dG[j, i, a, d]))
+                        terms.append(cneg(cmul(rho[j, a], dG[j, i, b, d])))
+                        terms.append(cneg(cmul(W[b, i, j], G[j, a, d])))
+                        terms.append(cmul(W[a, i, j], G[j, b, d]))
+                    out[i, a, b, d] = csum(terms)
     return out
 
 
@@ -491,11 +493,11 @@ def abba_defect(g: Algebroid, conn: TMConnection) -> TensorField:
         for b in range(r):
             for z in range(r):
                 for d in range(r):
-                    total = -DT[a, b, d, z]
+                    terms = [cneg(DT[a, b, d, z])]
                     for i in range(n):
                         for j in range(n):
-                            total = total + g.rho[i, a] * g.rho[j, b] * R[i, j, z, d]
-                    out[a, b, z, d] = canon(total)
+                            terms.append(cmul(cmul(g.rho[i, a], g.rho[j, b]), R[i, j, z, d]))
+                    out[a, b, z, d] = csum(terms)
     return TensorField(
         g.chart, ((LOW, G), (LOW, G), (LOW, G), (UP, G)), out
     )
@@ -538,10 +540,9 @@ def reductive_connection(
     t = tc
     for k in range(n):
         for i in range(n):
-            total = Const(-1) if k == i else Const(0)
-            for b in range(r):
-                total = total + g.rho[k, b] * t[b, i]
-            v = is_zero(total, chart, policy)
+            terms = [Const(-1) if k == i else ZERO]
+            terms += [cmul(g.rho[k, b], t[b, i]) for b in range(r)]
+            v = is_zero(csum(terms), chart, policy)
             if not v.zero:
                 raise ValueError(
                     f"t is not a splitting of the anchor: component ({k},{i}) "
@@ -562,10 +563,9 @@ def reductive_connection(
         for a in range(r):
             br = bracket(g, t_i, g.frame_section(a))
             for b in range(r):
-                total = br.components[b]
-                for k in range(n):
-                    total = total + rep_tm.A[a, i, k] * t[b, k]
-                gamma[i, a, b] = canon(total)
+                gamma[i, a, b] = csum(
+                    [br.components[b]] + [cmul(rep_tm.A[a, i, k], t[b, k]) for k in range(n)]
+                )
     out = TMConnection(chart, gamma, target="g")
 
     induced = induced_rep_on_tm(g, out)
@@ -681,10 +681,7 @@ def _riemann_algebroid(sigma: TensorField, lc: TMConnection, policy):
         for p in range(m):
             # lambda^(i,j) = psi^j_m sigma^{mi} for the pair (i, j)
             i, j = [(a, b) for a in range(n) for b in range(a + 1, n)][p]
-            total = Const(0)
-            for mm in range(n):
-                total = total + psi[j, mm] * inv[mm, i]
-            coeffs.append(canon(total))
+            coeffs.append(csum([cmul(psi[j, mm], inv[mm, i]) for mm in range(n)]))
         for k in range(n):
             for l in range(n):
                 total = psi[k, l]
@@ -706,7 +703,7 @@ def _riemann_algebroid(sigma: TensorField, lc: TMConnection, policy):
             coeffs = expand(jet_bracket(jets[al], jets[be]))
             for ga in range(rank):
                 structure[al, be, ga] = coeffs[ga]
-                structure[be, al, ga] = canon(-coeffs[ga])
+                structure[be, al, ga] = cneg(coeffs[ga])
 
     rho = np.empty((n, rank), dtype=object)
     rho[...] = Const(0)
@@ -813,14 +810,14 @@ def riemann_pipeline(
             for j in range(i + 1, n):
                 for a in range(n):
                     for b in range(n):
-                        total = Const(0)
+                        terms = []
                         for mm in range(n):
-                            total = total + A[b, mm] * R[i, j, a, mm]
-                            total = total - A[mm, i] * R[mm, j, a, b]
-                            total = total - A[mm, j] * R[i, mm, a, b]
-                            total = total - R[i, j, mm, b] * A[mm, a]
+                            terms.append(cmul(A[b, mm], R[i, j, a, mm]))
+                            terms.append(cneg(cmul(A[mm, i], R[mm, j, a, b])))
+                            terms.append(cneg(cmul(A[mm, j], R[i, mm, a, b])))
+                            terms.append(cneg(cmul(R[i, j, mm, b], A[mm, a])))
                         invariance_items.append(
-                            (f"(E_{p} . R)[{i},{j},{a},{b}]", total)
+                            (f"(E_{p} . R)[{i},{j},{a},{b}]", csum(terms))
                         )
     invariance = _battery("h_invariance", invariance_items, chart, policy)
 
@@ -907,7 +904,7 @@ def _riemann_tangent_action(g_red: Algebroid, lc: TMConnection, frames_full):
     for p, E in enumerate(frames_full):
         for mm in range(n):
             for k in range(n):
-                A[n + p, mm, k] = canon(-E[k, mm])
+                A[n + p, mm, k] = cneg(E[k, mm])
     return GConnection(g_red, A, target="tm")
 
 
@@ -930,7 +927,7 @@ def cotangent_connection(conn: TMConnection) -> TMConnection:
     for i in range(n):
         for a in range(n):
             for b in range(n):
-                star[i, a, b] = canon(-conn.gamma[i, b, a])
+                star[i, a, b] = cneg(conn.gamma[i, b, a])
     return TMConnection(conn.chart, star, target="g")
 
 
@@ -1126,33 +1123,39 @@ def _alternating_sum(
           + sign * sum_{i<j} (-1)^(i+j) sum_d K[a_i, a_j, d] theta[d, rest]
 
     of a k-form ``theta`` on a rank-``r`` algebroid; ``lead(a, rest)``
-    returns L as a list over the value index.  The formula is evaluated on
-    strictly increasing argument tuples only: every permutation of one
-    gets its value times the permutation's sign, and entries with a
-    repeated argument are zero.  ``sign`` multiplies each K term rather
-    than K itself, so K terms collect exactly when K is a sum.
+    returns L as a list over the value index, each entry the list of
+    canonical terms whose sum it is.  A lead with a plus sign is spliced
+    into the entry's sum and one with a minus sign is the negation of its
+    sum.  The formula is evaluated on strictly increasing argument tuples
+    only: every permutation of one gets its value times the permutation's
+    sign, and entries with a repeated argument are zero.  ``sign``
+    multiplies each K term rather than K itself, so K terms collect
+    exactly when K is a sum.
     """
     k, w = theta.ndim - 1, rep.target_rank
     out = np.empty((r,) * (k + 1) + (w,), dtype=object)
-    out[...] = Const(0)
+    out[...] = ZERO
     for args in combinations(range(r), k + 1):
         terms = [[] for _ in range(w)]
         for i, a in enumerate(args):
-            for be, t in enumerate(lead(a, args[:i] + args[i + 1 :])):
-                terms[be].append(t if i % 2 == 0 else -t)
+            for be, ts in enumerate(lead(a, args[:i] + args[i + 1 :])):
+                if i % 2 == 0:
+                    terms[be] += ts
+                else:
+                    terms[be].append(cneg(csum(ts)))
         for (i, a), (j, b) in combinations(enumerate(args), 2):
             rest = tuple(c for c in args if c not in (a, b))
             plus = (-1) ** (i + j) * sign > 0
             for d in range(r):
                 for be in range(w):
-                    t = K[a, b, d] * theta[(d,) + rest + (be,)]
-                    terms[be].append(t if plus else -t)
+                    t = cmul(K[a, b, d], theta[(d,) + rest + (be,)])
+                    terms[be].append(t if plus else cneg(t))
         for be in range(w):
-            value = canon(flat_sum(terms[be]))
-            # 0 - value spreads the sign over a sum's terms, as evaluating
-            # the formula on the swapped arguments would; canon(-value)
-            # would keep (-1)*(sum) as a single term.
-            swapped = canon(Const(0) - value)
+            value = csum(terms[be])
+            # the sum of -value spreads the sign over a sum's terms, as
+            # evaluating the formula on the swapped arguments would;
+            # cneg(value) would keep (-1)*(sum) as a single term.
+            swapped = csum((cneg(value),))
             for perm in permutations(range(k + 1)):
                 odd = sum(p > q for p, q in combinations(perm, 2)) % 2
                 out[tuple(args[p] for p in perm) + (be,)] = swapped if odd else value
@@ -1191,13 +1194,12 @@ def _exterior_derivative(rep: GConnection, theta: TensorField) -> TensorField:
     directions = _directions(g.chart.coords, g.rho)
 
     def act(a: int, rest: tuple) -> list:
-        """Derivative of theta[rest] along frame a, per value component."""
+        """Derivative of theta[rest] along frame a, per value component,
+        as the list of its terms."""
         comps = [theta[rest + (be,)] for be in range(w)]
         return [
-            flat_sum(
-                _along(directions[a], comps[be])
-                + [rep.A[a, ga, be] * comps[ga] for ga in range(w)]
-            )
+            _along(directions[a], comps[be])
+            + [cmul(rep.A[a, ga, be], comps[ga]) for ga in range(w)]
             for be in range(w)
         ]
 
@@ -1242,7 +1244,7 @@ def dtheta_decomposition(
         D = g_tensor_deriv(theta, rep_g=rep_on_g, rep_tm=rep)
 
     def derivative(a: int, rest: tuple) -> list:
-        return [D[rest + (be, a)] for be in range(rep.target_rank)]
+        return [[D[rest + (be, a)]] for be in range(rep.target_rank)]
 
     T = torsion_g(rep_on_g)
     return _alternating_sum(rep, theta, derivative, T, -1, rep_on_g.g.rank)

@@ -863,6 +863,10 @@ def run(argv=None) -> int:
         ZeroPolicy(samples=args.samples, abs_tol=args.tol, rel_tol=args.tol)
     except ValueError as exc:
         parser.error(f"--samples/--tol: {exc}")
+    # as the schema requires of a file's seed: the sample draw takes no
+    # negative seed
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed: must be >= 0, got {args.seed}")
 
     report = {
         "tool": f"cartankit {__version__}",

@@ -40,9 +40,10 @@ from .symcore import (
     Const,
     ZeroPolicy,
     adjugate_inverse,
-    canon,
+    cmul,
+    cneg,
+    csum,
     diff,
-    flat_sum,
     is_zero,
     sym_det,
 )
@@ -188,7 +189,7 @@ def _section_derivative(directions, sigma: Section, A, X: Section) -> Section:
     ``sigma``, contracted with the direction section ``X``."""
     D = _derivative(np.array(sigma.components, dtype=object), directions, [(UP, A)])
     out = [
-        flat_sum([X.components[z] * D[be, z] for z in range(X.rank)])
+        csum([cmul(X.components[z], D[be, z]) for z in range(X.rank)])
         for be in range(sigma.rank)
     ]
     return Section(sigma.chart, out, sigma.frame)
@@ -209,16 +210,16 @@ def _curvature(directions, structure, A) -> np.ndarray:
         ]
         for al, be in np.ndindex(m, m):
             terms = _along(directions[a], A[b, al, be])
-            terms += [-t for t in _along(directions[b], A[a, al, be])]
+            terms += [cneg(t) for t in _along(directions[b], A[a, al, be])]
             for ga in range(m):
-                terms.append(A[a, ga, be] * A[b, al, ga])
-                terms.append(-(A[b, ga, be] * A[a, al, ga]))
+                terms.append(cmul(A[a, ga, be], A[b, al, ga]))
+                terms.append(cneg(cmul(A[b, ga, be], A[a, al, ga])))
             for c, coeff in brackets:
-                terms.append(-(coeff * A[c, al, be]))
-            out[a, b, al, be] = value = canon(flat_sum(terms))
-            # 0 - value spreads the sign over a sum's terms, as building
-            # the swapped entry would; canon(-value) would not
-            out[b, a, al, be] = canon(Const(0) - value)
+                terms.append(cneg(cmul(coeff, A[c, al, be])))
+            out[a, b, al, be] = value = csum(terms)
+            # the sum of -value spreads the sign over a sum's terms, as
+            # building the swapped entry would; cneg(value) would not
+            out[b, a, al, be] = csum((cneg(value),))
     return out
 
 
@@ -382,7 +383,7 @@ def dual_connection(conn: GConnection) -> GConnection:
     for a in range(r):
         for b in range(r):
             for c in range(r):
-                out[a, b, c] = canon(conn.A[b, a, c] + g.structure[a, b, c])
+                out[a, b, c] = csum((conn.A[b, a, c], g.structure[a, b, c]))
     conn._dual = GConnection(g, out, "self")
     return conn._dual
 
@@ -401,8 +402,8 @@ def torsion_g(conn: GConnection) -> TensorField:
     for a in range(r):
         for b in range(r):
             for c in range(r):
-                out[a, b, c] = canon(
-                    conn.A[a, b, c] - conn.A[b, a, c] - g.structure[a, b, c]
+                out[a, b, c] = csum(
+                    (conn.A[a, b, c], cneg(conn.A[b, a, c]), cneg(g.structure[a, b, c]))
                 )
     T = TensorField(g.chart, ((LOW, G), (LOW, G), (UP, G)), out)
     T.components.flags.writeable = False
@@ -431,11 +432,13 @@ def dual_pair_defect(conn: GConnection) -> TensorField:
         for b in range(r):
             for c in range(r):
                 for d in range(r):
-                    out[a, b, c, d] = canon(
-                        R[a, b, c, d]
-                        - DTs[a, b, d, c]
-                        - Rs[a, c, b, d]
-                        - Rs[c, b, a, d]
+                    out[a, b, c, d] = csum(
+                        (
+                            R[a, b, c, d],
+                            cneg(DTs[a, b, d, c]),
+                            cneg(Rs[a, c, b, d]),
+                            cneg(Rs[c, b, a, d]),
+                        )
                     )
     return TensorField(
         g.chart, ((LOW, G), (LOW, G), (LOW, G), (UP, G)), out
@@ -468,10 +471,10 @@ def _induced_rep_on_g(g: Algebroid, conn: TMConnection) -> GConnection:
     for a in range(r):
         for b in range(r):
             for c in range(r):
-                total = g.structure[a, b, c]
-                for i in range(g.chart.dim):
-                    total = total + g.rho[i, b] * conn.gamma[i, a, c]
-                out[a, b, c] = canon(total)
+                out[a, b, c] = csum(
+                    [g.structure[a, b, c]]
+                    + [cmul(g.rho[i, b], conn.gamma[i, a, c]) for i in range(g.chart.dim)]
+                )
     return GConnection(g, out, "self")
 
 
@@ -493,10 +496,10 @@ def _induced_rep_on_tm(g: Algebroid, conn: TMConnection) -> GConnection:
     for a in range(r):
         for j in range(n):
             for k in range(n):
-                total = -diff(g.rho[k, a], chart.coords[j])
-                for b in range(r):
-                    total = total + g.rho[k, b] * conn.gamma[j, a, b]
-                out[a, j, k] = canon(total)
+                out[a, j, k] = csum(
+                    [cneg(diff(g.rho[k, a], chart.coords[j]))]
+                    + [cmul(g.rho[k, b], conn.gamma[j, a, b]) for b in range(r)]
+                )
     return GConnection(g, out, "tm")
 
 
@@ -570,10 +573,8 @@ def morphism_curvature(
             phi_b = Section(chart, [phi[al, b] for al in range(h.rank)], "g")
             lhs = bracket(h, phi_a, phi_b)
             for al in range(h.rank):
-                pushed = Const(0)
-                for c in range(r):
-                    pushed = pushed + g.structure[a, b, c] * phi[al, c]
-                out[a, b, al] = canon(lhs.components[al] - pushed)
+                pushed = csum([cmul(g.structure[a, b, c], phi[al, c]) for c in range(r)])
+                out[a, b, al] = csum((lhs.components[al], cneg(pushed)))
     return TensorField(chart, ((LOW, G), (LOW, G), (UP, G)), out)
 
 
@@ -608,12 +609,18 @@ def christoffel(sigma: TensorField) -> TMConnection:
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                total = Const(0)
-                for l in range(n):
-                    total = total + inv[k, l] * (
-                        diff(sigma[j, l], chart.coords[i])
-                        + diff(sigma[i, l], chart.coords[j])
-                        - diff(sigma[i, j], chart.coords[l])
+                terms = [
+                    cmul(
+                        inv[k, l],
+                        csum(
+                            (
+                                diff(sigma[j, l], chart.coords[i]),
+                                diff(sigma[i, l], chart.coords[j]),
+                                cneg(diff(sigma[i, j], chart.coords[l])),
+                            )
+                        ),
                     )
-                out[i, j, k] = canon(half * total)
+                    for l in range(n)
+                ]
+                out[i, j, k] = cmul(half, csum(terms))
     return TMConnection(chart, out, target="tm")

@@ -24,7 +24,7 @@ import numpy as np
 from .algebroid import Algebroid, anchor_apply, bracket
 from .bundles import UP, Section, _derivative, _directions, as_expr
 from .connections import TMConnection
-from .symcore import ZERO, Const, _section_form, canon, diff, flat_sum
+from .symcore import ZERO, Const, _section_form, cmul, cneg, csum, diff
 
 __all__ = [
     "JetSection",
@@ -69,12 +69,10 @@ class JetSection:
         """phi(V) for a vector field V."""
         if V.frame != "tm":
             raise ValueError("correction applies to vector fields")
-        out = []
-        for b in range(self.g.rank):
-            total = Const(0)
-            for i in range(self.g.chart.dim):
-                total = total + self.correction[b, i] * V.components[i]
-            out.append(total)
+        out = [
+            csum([cmul(self.correction[b, i], V.components[i]) for i in range(self.g.chart.dim)])
+            for b in range(self.g.rank)
+        ]
         return Section(self.g.chart, out, "g")
 
     def __add__(self, other: "JetSection") -> "JetSection":
@@ -84,13 +82,13 @@ class JetSection:
             raise ValueError("jet sections of different algebroids")
         corr = np.empty(self.correction.shape, dtype=object)
         for idx in np.ndindex(*corr.shape):
-            corr[idx] = canon(self.correction[idx] + other.correction[idx])
+            corr[idx] = csum((self.correction[idx], other.correction[idx]))
         return JetSection(self.g, self.base + other.base, corr)
 
     def __neg__(self) -> "JetSection":
         corr = np.empty(self.correction.shape, dtype=object)
         for idx in np.ndindex(*corr.shape):
-            corr[idx] = canon(-self.correction[idx])
+            corr[idx] = cneg(self.correction[idx])
         return JetSection(self.g, -self.base, corr)
 
     def __sub__(self, other: "JetSection") -> "JetSection":
@@ -112,8 +110,8 @@ def jet_scale(J: JetSection, f) -> JetSection:
     corr = np.empty(J.correction.shape, dtype=object)
     for b in range(g.rank):
         for i, name in enumerate(g.chart.coords):
-            corr[b, i] = canon(
-                f * J.correction[b, i] - diff(f, name) * J.base.components[b]
+            corr[b, i] = csum(
+                (cmul(f, J.correction[b, i]), cneg(cmul(diff(f, name), J.base.components[b])))
             )
     return JetSection(g, J.base.scale(f), corr)
 
@@ -128,17 +126,22 @@ def kappa(g: Algebroid, X: Section, phi) -> np.ndarray:
     if phi.shape != (g.rank, g.chart.dim):
         raise ValueError("phi has the wrong shape")
     chart = g.chart
+    for idx in np.ndindex(*phi.shape):
+        phi[idx] = as_expr(phi[idx], chart)
     anchor_X = anchor_apply(g, X)
     out = np.empty(phi.shape, dtype=object)
     for i, name in enumerate(chart.coords):
         col = Section(chart, [phi[b, i] for b in range(g.rank)], "g")
         first = bracket(g, X, col)
         for b in range(g.rank):
-            total = first.components[b]
             # [d/dx^i, #X]^k = d_i (#X)^k
-            for k in range(chart.dim):
-                total = total + phi[b, k] * diff(anchor_X.components[k], name)
-            out[b, i] = canon(total)
+            out[b, i] = csum(
+                [first.components[b]]
+                + [
+                    cmul(phi[b, k], diff(anchor_X.components[k], name))
+                    for k in range(chart.dim)
+                ]
+            )
     return out
 
 
@@ -148,12 +151,12 @@ def _bob_bracket(g: Algebroid, phi1, phi2) -> np.ndarray:
     out = np.empty((r, n), dtype=object)
     for b in range(r):
         for i in range(n):
-            total = Const(0)
+            terms = []
             for j in range(n):
                 for c in range(r):
-                    total = total + phi2[b, j] * g.rho[j, c] * phi1[c, i]
-                    total = total - phi1[b, j] * g.rho[j, c] * phi2[c, i]
-            out[b, i] = canon(total)
+                    terms.append(cmul(cmul(phi2[b, j], g.rho[j, c]), phi1[c, i]))
+                    terms.append(cneg(cmul(cmul(phi1[b, j], g.rho[j, c]), phi2[c, i])))
+            out[b, i] = csum(terms)
     return out
 
 
@@ -171,7 +174,7 @@ def jet_bracket(J1: JetSection, J2: JetSection) -> JetSection:
     k21 = kappa(g, J2.base, J1.correction)
     corr = np.empty(fib.shape, dtype=object)
     for idx in np.ndindex(*fib.shape):
-        corr[idx] = canon(fib[idx] + k12[idx] - k21[idx])
+        corr[idx] = csum((fib[idx], k12[idx], cneg(k21[idx])))
     return JetSection(g, base, corr)
 
 
@@ -192,7 +195,7 @@ def splitting_from_connection(
     )
     corr = np.empty(nabla.shape, dtype=object)
     for idx in np.ndindex(*nabla.shape):
-        corr[idx] = canon(-nabla[idx])
+        corr[idx] = cneg(nabla[idx])
     return JetSection(g, X, corr)
 
 
@@ -229,7 +232,7 @@ def frame_lift_curvature(g: Algebroid, conn: TMConnection) -> np.ndarray:
     for a in range(r):
         for d in range(r):
             for i in range(n):
-                phi[a, d, i] = canon(-_section_form(gamma[i, a, d]))
+                phi[a, d, i] = cneg(_section_form(gamma[i, a, d]))
     dphi = np.empty((r, n, r, n), dtype=object)
     for idx in np.ndindex(r, n, r, n):
         a, j, d, i = idx
@@ -252,16 +255,18 @@ def frame_lift_curvature(g: Algebroid, conn: TMConnection) -> np.ndarray:
                 for i in range(n):
                     terms = [dB[i]]
                     for e in range(r):
-                        terms.append(gamma[i, e, d] * B[e])
-                        terms.append(c[a, e, d] * phi[b, e, i])
-                        terms.append(-(c[b, e, d] * phi[a, e, i]))
+                        terms.append(cmul(gamma[i, e, d], B[e]))
+                        terms.append(cmul(c[a, e, d], phi[b, e, i]))
+                        terms.append(cneg(cmul(c[b, e, d], phi[a, e, i])))
                     for j in range(n):
-                        terms.append(rho[j, a] * dphi[b, j, d, i])
-                        terms.append(-(rho[j, b] * dphi[a, j, d, i]))
-                        terms.append(phi[b, d, j] * drho[a, i, j])
-                        terms.append(-(phi[a, d, j] * drho[b, i, j]))
+                        terms.append(cmul(rho[j, a], dphi[b, j, d, i]))
+                        terms.append(cneg(cmul(rho[j, b], dphi[a, j, d, i])))
+                        terms.append(cmul(phi[b, d, j], drho[a, i, j]))
+                        terms.append(cneg(cmul(phi[a, d, j], drho[b, i, j])))
                         for e in anchored[j]:
-                            terms.append(phi[b, d, j] * rho[j, e] * phi[a, e, i])
-                            terms.append(-(phi[a, d, j] * rho[j, e] * phi[b, e, i]))
-                    out[a, b, d, i] = canon(flat_sum(terms))
+                            terms.append(cmul(cmul(phi[b, d, j], rho[j, e]), phi[a, e, i]))
+                            terms.append(
+                                cneg(cmul(cmul(phi[a, d, j], rho[j, e]), phi[b, e, i]))
+                            )
+                    out[a, b, d, i] = csum(terms)
     return out

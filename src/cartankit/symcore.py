@@ -7,6 +7,11 @@ rational-function rewriting), numeric evaluation with domain guards, and a
 two-tier zero test: exact cancellation first, then seeded sampling on the
 chart's box with witness reporting.
 
+Canonical forms are hash-consed, and :func:`cmul`, :func:`cneg` and
+:func:`csum` build them directly from canonical operands, with no raw tree
+in between.  A constant holds an ``int`` when its value is integral, so
+integer coefficients take machine-int arithmetic.
+
 All numeric evaluation goes through one batched walk,
 :func:`evaluate_batch`: many expressions at many points, each DAG node
 computed once for all points, with a mask of the points where a value
@@ -45,6 +50,9 @@ __all__ = [
     "parse",
     "canon",
     "flat_sum",
+    "cmul",
+    "cneg",
+    "csum",
     "diff",
     "evaluate",
     "evaluate_batch",
@@ -146,9 +154,10 @@ def flat_sum(terms: Iterable["Expr"]) -> "Expr":
     does, so it stays an ``Add`` even with one term: ``canon`` spreads a
     rational multiple of a sum over the sum's terms only inside a sum.
 
-    This is the package's one sum builder: ``+`` and ``-`` go through it,
-    and so does every sum assembled from a list of terms, which then
-    costs one pass instead of a copy of the growing sum per term."""
+    This is the raw sum builder: ``+`` and ``-`` go through it, and so
+    does every raw sum assembled from a list of terms, which then costs
+    one pass instead of a copy of the growing sum per term.  Its
+    canonical counterpart, for canonical terms, is :func:`csum`."""
     out = []
     for e in terms:
         if isinstance(e, Add) and e._canonical is None:
@@ -159,9 +168,9 @@ def flat_sum(terms: Iterable["Expr"]) -> "Expr":
 
 
 def _section_form(e: "Expr") -> "Expr":
-    """The canonical form ``e`` takes as a component of a section: a
-    rational multiple of a sum is spread over the sum's terms."""
-    return canon(flat_sum((e,)))
+    """The canonical form a canonical ``e`` takes as a component of a
+    section: a rational multiple of a sum is spread over the sum's terms."""
+    return csum((e,))
 
 
 def _plus(a: "Expr", b: "Expr") -> "Expr":
@@ -184,7 +193,9 @@ class Expr:
     :func:`canon` or :func:`is_zero` to normalize/decide.  ``+`` and
     ``-`` build flat sums and ``*`` drops products with a literal-zero
     factor, so an accumulation ``total = total + term`` stays one n-ary
-    ``Add`` of its nonzero terms.
+    ``Add`` of its nonzero terms.  On canonical operands, :func:`cmul`,
+    :func:`cneg` and :func:`csum` give the canonical forms of ``*``,
+    ``-`` and a sum without building the raw tree.
     """
 
     __slots__ = ("_hash", "_canonical", "_key", "_derivatives", "_sampled", "__weakref__")
@@ -258,7 +269,9 @@ class _Interned(type):
     ``_table`` holds its leaves weakly, keyed by ``_interned_by``."""
 
     def __call__(cls, value):
-        leaf = cls._table.get(value)
+        # the weak table's dict, not its Python-level get()
+        ref = cls._table.data.get(value)
+        leaf = None if ref is None else ref()
         if leaf is None:
             # keyed by the normalised value, so Const("1/2") finds
             # Const(Fraction(1, 2))
@@ -268,13 +281,23 @@ class _Interned(type):
 
 
 class Const(Expr, metaclass=_Interned):
+    """A rational constant.  ``value`` is an ``int`` when the value is
+    integral and a ``Fraction`` otherwise, so integer coefficients take
+    machine-int arithmetic; ``Const(2) is Const(Fraction(2))``, and both
+    hash alike since ``hash(2) == hash(Fraction(2))``."""
+
     __slots__ = ("value",)
     _table = weakref.WeakValueDictionary()
     _interned_by = "value"
 
     def __init__(self, value):
         super().__init__()
-        self.value = value if type(value) is Fraction else Fraction(value)
+        if type(value) is not int:
+            if type(value) is not Fraction:
+                value = Fraction(value)
+            if value.denominator == 1:
+                value = value.numerator
+        self.value = value
         self._hash = hash(("c", self.value))
         self._canonical = _IS_CANONICAL
 
@@ -437,6 +460,7 @@ class Call(Expr):
 
 ZERO = Const(0)
 ONE = Const(1)
+_MINUS_ONE = Const(-1)
 
 
 def const(value) -> Const:
@@ -595,7 +619,7 @@ def parse(text: str, chart: "Chart") -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _frac_text(value: Fraction) -> str:
+def _frac_text(value: Number) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -733,16 +757,17 @@ def _sort_key(e: Expr):
 
 def _split_coeff(term: Expr):
     """Decompose a canonical addend into (rational coefficient, monomial)."""
-    if isinstance(term, Const):
+    kind = type(term)
+    if kind is Const:
         return term.value, None
-    if isinstance(term, Mul) and isinstance(term.factors[0], Const):
+    if kind is Mul and type(term.factors[0]) is Const:
         rest = term.factors[1:]
         body = rest[0] if len(rest) == 1 else Mul(rest)
         return term.factors[0].value, body
-    return Fraction(1), term
+    return 1, term
 
 
-def _make_term(coeff: Fraction, monomial: Optional[Expr]) -> Expr:
+def _make_term(coeff: Number, monomial: Optional[Expr]) -> Expr:
     if monomial is None:
         return Const(coeff)
     if coeff == 1:
@@ -761,7 +786,35 @@ def _make_term(coeff: Fraction, monomial: Optional[Expr]) -> Expr:
 # (d/dx sin(x) is cos(x), whose derivative holds sin(x)); a strong key would
 # then reach its own value, and the entry would never die.
 _HASHCONS: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+_HASHCONS_REFS = _HASHCONS.data  # key -> weak reference to the form
 _ref = weakref.ref
+
+
+def _interned(key: tuple, build, *args) -> Expr:
+    """The canonical form under the hash-cons ``key``; on a miss
+    ``build(*args)`` makes it from canonical children.  This is the one
+    canonicalisation step: :func:`canon`'s walk and the canonical
+    constructors (:func:`cmul`, :func:`cneg`, :func:`csum`) all go through
+    it, so equal keys give one shared form whichever built it."""
+    ref = _HASHCONS_REFS.get(key)
+    if ref is not None:
+        form = ref()
+        if form is not None:
+            return form
+    form = build(*args)
+    if form._canonical is None:
+        _mark_canonical(form)
+    elif isinstance(form, (Const, Sym)):
+        # an interned leaf is shared already, and an entry for a leaf
+        # that outlives its users, such as ZERO, never dies
+        return form
+    else:
+        # An existing inner form, such as the sin(x)*y of sin(x)*y + 0,
+        # may outlive every user of this entry; a copy dies with them.
+        form = copy.copy(form)
+        form._derivatives = None
+    _HASHCONS[key] = form
+    return form
 
 
 def canon(e: Expr) -> Expr:
@@ -786,26 +839,63 @@ def canon(e: Expr) -> Expr:
             stack.extend(waiting)
             continue
         stack.pop()
-        key = _hashcons_key(node)
-        form = _HASHCONS.get(key)
-        if form is None:
-            form = _canon_node(node)
-            if form._canonical is None:
-                _mark_canonical(form)
-            elif isinstance(form, (Const, Sym)):
-                # an interned leaf is shared already, and an entry for a
-                # leaf that outlives its users, such as ZERO, never dies
-                node._canonical = form
-                continue
-            else:
-                # An existing inner form, such as the sin(x)*y of
-                # sin(x)*y + 0, may outlive every user of this entry; a
-                # copy dies with them.
-                form = copy.copy(form)
-                form._derivatives = None
-            _HASHCONS[key] = form
-        node._canonical = form
+        node._canonical = _canon_node(node)
     return _form(e)
+
+
+# Canonical constructors: canonical operands in, canonical form out, with
+# no raw tree in between.  The hash-cons key of each is the node kind plus
+# weak references to the canonical operands; ``canon``'s walk calls the
+# constructor of each node's kind, so a constructor returns what ``canon``
+# of the raw node returns.  A ``ZERO`` operand short-circuits as ``*`` and
+# :func:`flat_sum` do.
+
+
+def _sum(terms: tuple) -> Expr:
+    """``canon(Add(terms))`` for canonical ``terms``."""
+    return _interned(("a",) + tuple(map(_ref, terms)), _canon_add, terms)
+
+
+def _product(factors: tuple) -> Expr:
+    """``canon(Mul(factors))`` for canonical ``factors``."""
+    return _interned(("m",) + tuple(map(_ref, factors)), _canon_mul, factors)
+
+
+def cmul(a: Expr, b: Expr) -> Expr:
+    """``canon(a * b)`` for canonical ``a`` and ``b``."""
+    if a is ZERO or b is ZERO:
+        return ZERO
+    return _product((a, b))
+
+
+def cneg(a: Expr) -> Expr:
+    """``canon(-a)`` for canonical ``a``: -a is (-1)*a."""
+    if a is ZERO:
+        return ZERO
+    return _interned(("n", _ref(a)), _canon_mul, (_MINUS_ONE, a))
+
+
+def csum(terms: Iterable[Expr]) -> Expr:
+    """``canon(flat_sum(terms))`` for canonical ``terms``: ``ZERO`` terms
+    are left out, and what is left stays one sum, even of one term (see
+    :func:`flat_sum`)."""
+    kept = tuple(t for t in terms if t is not ZERO)
+    return _sum(kept) if kept else ZERO
+
+
+def _quotient(num: Expr, den: Expr) -> Expr:
+    """``canon(Div(num, den))`` for canonical ``num`` and ``den``."""
+    return _interned(("d", _ref(num), _ref(den)), _canon_div, num, den)
+
+
+def _power(base: Expr, exponent: int) -> Expr:
+    """``canon(Pow(base, exponent))`` for a canonical ``base``."""
+    return _interned(("p", _ref(base), exponent), _canon_pow, base, exponent)
+
+
+def _call(func: str, arg: Expr) -> Expr:
+    """``canon(Call(func, arg))`` for a canonical ``arg``."""
+    return _interned(("f", func, _ref(arg)), _canon_call, func, arg)
 
 
 def _form(node: Expr) -> Optional[Expr]:
@@ -824,43 +914,31 @@ def _mark_canonical(form: Expr) -> None:
             stack.extend(node.children())
 
 
-def _hashcons_key(node: Expr) -> tuple:
-    """Inner node kind plus weak references to its children's canonical
-    forms.  A leaf has no key: it is its own form from birth."""
-    if isinstance(node, Add):
-        return ("a",) + tuple(map(_ref, map(_form, node.terms)))
-    if isinstance(node, Mul):
-        return ("m",) + tuple(map(_ref, map(_form, node.factors)))
-    if isinstance(node, Div):
-        return ("d", _ref(_form(node.num)), _ref(_form(node.den)))
-    if isinstance(node, Pow):
-        return ("p", _ref(_form(node.base)), node.exponent)
-    if isinstance(node, Call):
-        return ("f", node.func, _ref(_form(node.arg)))
-    if isinstance(node, Neg):
-        return ("n", _ref(_form(node.operand)))
-    raise TypeError(f"cannot canonicalize {type(node).__name__}")
-
-
 def _canon_node(node: Expr) -> Expr:
-    """The canonical form of an inner node whose children have theirs."""
-    if isinstance(node, Add):
-        return _canon_add(tuple(map(_form, node.terms)))
-    if isinstance(node, Mul):
-        return _canon_mul(tuple(map(_form, node.factors)))
-    if isinstance(node, Div):
-        return _canon_div(_form(node.num), _form(node.den))
-    if isinstance(node, Pow):
-        return _canon_pow(_form(node.base), node.exponent)
-    if isinstance(node, Call):
-        return _canon_call(node.func, _form(node.arg))
-    return _canon_mul((Const(-1), _form(node.operand)))  # -a is (-1)*a
+    """The canonical form of an inner node whose children have theirs:
+    the canonical constructor of its kind, applied to their forms."""
+    kind = type(node)
+    if kind is Add:
+        return _sum(tuple(map(_form, node.terms)))
+    if kind is Mul:
+        return _product(tuple(map(_form, node.factors)))
+    if kind is Div:
+        return _quotient(_form(node.num), _form(node.den))
+    if kind is Pow:
+        return _power(_form(node.base), node.exponent)
+    if kind is Call:
+        return _call(node.func, _form(node.arg))
+    if kind is Neg:
+        return cneg(_form(node.operand))
+    raise TypeError(f"cannot canonicalize {kind.__name__}")
 
 
 def _canon_add(parts: tuple) -> Expr:
-    constant = Fraction(0)
-    collected: dict = {}
-    order: list = []
+    constant = 0
+    collected: dict = {}  # monomial -> its coefficient, in order of arrival
+    # monomial -> the one canonical part it came from, while it has one:
+    # the collected term is that part, so it is reused, not rebuilt
+    single: dict = {}
     stack = list(reversed(parts))
 
     def _collect(coeff, monomial):
@@ -869,17 +947,17 @@ def _canon_add(parts: tuple) -> Expr:
             constant += coeff
         elif monomial in collected:
             collected[monomial] += coeff
+            single.pop(monomial, None)
         else:
             collected[monomial] = coeff
-            order.append(monomial)
 
     while stack:
         part = stack.pop()
-        if isinstance(part, Add):
+        if type(part) is Add:
             stack.extend(reversed(part.terms))
             continue
         coeff, monomial = _split_coeff(part)
-        if isinstance(monomial, Add):
+        if type(monomial) is Add:
             # a rational multiple of a sum is still a sum: fold it in so
             # that a - a cancels exactly (this is like-term collection,
             # not distribution of general products)
@@ -887,10 +965,12 @@ def _canon_add(parts: tuple) -> Expr:
                 c2, m2 = _split_coeff(inner)
                 _collect(coeff * c2, m2)
             continue
+        if monomial is not None and monomial not in collected:
+            single[monomial] = part
         _collect(coeff, monomial)
     terms = [
-        _make_term(collected[m], m)
-        for m in sorted(order, key=_sort_key)
+        single.get(m) or _make_term(collected[m], m)
+        for m in sorted(collected, key=_sort_key)
         if collected[m] != 0
     ]
     if constant != 0:
@@ -903,39 +983,33 @@ def _canon_add(parts: tuple) -> Expr:
 
 
 def _canon_mul(parts: tuple) -> Expr:
-    coeff = Fraction(1)
-    powers: dict = {}
-    order: list = []
+    coeff = 1
+    powers: dict = {}  # base -> its exponent, in order of arrival
     stack = list(reversed(parts))
     while stack:
         part = stack.pop()
-        if isinstance(part, Mul):
+        kind = type(part)
+        if kind is Mul:
             stack.extend(reversed(part.factors))
             continue
-        if isinstance(part, Const):
+        if kind is Const:
             coeff *= part.value
             continue
-        if isinstance(part, Pow):
+        if kind is Pow:
             base, exponent = part.base, part.exponent
         else:
             base, exponent = part, 1
-        if base in powers:
-            powers[base] += exponent
-        else:
-            powers[base] = exponent
-            order.append(base)
+        powers[base] = powers.get(base, 0) + exponent
     if coeff == 0:
         return ZERO
-    factors = []
-    for base in sorted(order, key=_sort_key):
+    clean = []
+    for base in sorted(powers, key=_sort_key):
         exponent = powers[base]
         if exponent == 0:
             continue
-        factors.append(_canon_pow(base, exponent))
-    # re-fold: _canon_pow may return constants (e.g. merged exponents hit 0)
-    clean = []
-    for f in factors:
-        if isinstance(f, Const):
+        f = base if exponent == 1 else _canon_pow(base, exponent)
+        # re-fold: _canon_pow may return a constant
+        if type(f) is Const:
             coeff *= f.value
         else:
             clean.append(f)
@@ -952,7 +1026,8 @@ def _canon_mul(parts: tuple) -> Expr:
 
 def _canon_div(num: Expr, den: Expr) -> Expr:
     if isinstance(den, Const) and den is not ZERO:
-        return _canon_mul((Const(1 / den.value), num))
+        # Fraction(1, n), not 1 / n, which is a float for an int n
+        return _canon_mul((Const(Fraction(1, den.value)), num))
     if num is ZERO and den is not ZERO:
         return ZERO
     return Div(num, den)
@@ -965,7 +1040,9 @@ def _canon_pow(base: Expr, exponent: int) -> Expr:
         return base
     if isinstance(base, Const):
         if base is not ZERO:
-            return Const(base.value**exponent)
+            # an int to a negative power is a float: raise a Fraction
+            value = base.value if exponent > 0 else Fraction(base.value)
+            return Const(value**exponent)
         if exponent > 0:
             return ZERO
         return Pow(base, exponent)  # 0^negative: left for eval to flag
@@ -977,11 +1054,11 @@ def _canon_pow(base: Expr, exponent: int) -> Expr:
 
 
 _EXACT_CALLS = {
-    ("sin", Fraction(0)): Fraction(0),
-    ("cos", Fraction(0)): Fraction(1),
-    ("tan", Fraction(0)): Fraction(0),
-    ("exp", Fraction(0)): Fraction(1),
-    ("log", Fraction(1)): Fraction(0),
+    ("sin", 0): 0,
+    ("cos", 0): 1,
+    ("tan", 0): 0,
+    ("exp", 0): 1,
+    ("log", 1): 0,
 }
 
 
@@ -1048,10 +1125,11 @@ def _kept_derivative(node: Expr, name: str) -> Optional[Expr]:
 
 
 def _diff_canonical(e: Expr, name: str) -> Expr:
-    """:func:`diff` of a canonical node: each node's derivative is the
-    canonical form of its rule applied to its children's derivatives,
-    which equals the canonical form of the raw derivative, because
-    ``canon`` reads a node's children only through their forms."""
+    """:func:`diff` of a canonical node: each node's derivative is its
+    rule applied to its canonical children and their derivatives by the
+    canonical constructors (:func:`_canonical_rule`), which gives the
+    canonical form of the raw derivative, because ``canon`` reads a
+    node's children only through their forms."""
     stack = [e]
     while stack:
         node = stack[-1]
@@ -1064,11 +1142,53 @@ def _diff_canonical(e: Expr, name: str) -> Expr:
             stack.extend(waiting)
             continue
         stack.pop()
-        d = canon(_diff_node(node, name, [_kept_derivative(c, name) for c in children]))
+        d = _canonical_rule(node, [_kept_derivative(c, name) for c in children])
         if node._derivatives is None:
             node._derivatives = {}
         node._derivatives[name] = d
     return _kept_derivative(e, name)
+
+
+def _canonical_rule(e: Expr, d: list) -> Expr:
+    """The canonical derivative of a canonical inner node, given ``d``, its
+    children's canonical derivatives: :func:`_diff_node`'s rule, built by
+    the canonical constructors.  A term with a ``ZERO`` derivative factor
+    is left out, which changes no form: ``canon`` drops it too."""
+    if isinstance(e, Add):
+        return csum(d)
+    if isinstance(e, Mul):
+        factors = e.factors
+        return csum(
+            _product(factors[:i] + (di,) + factors[i + 1 :])
+            for i, di in enumerate(d)
+            if di is not ZERO
+        )
+    if isinstance(e, Div):
+        top = csum((cmul(d[0], e.den), cneg(cmul(e.num, d[1]))))
+        return _quotient(top, _power(e.den, 2))
+    if d[0] is ZERO:
+        return ZERO
+    if isinstance(e, Pow):
+        return _product((Const(e.exponent), _power(e.base, e.exponent - 1), d[0]))
+    if isinstance(e, Call):
+        if e.func == "sin":
+            outer = _call("cos", e.arg)
+        elif e.func == "cos":
+            outer = cneg(_call("sin", e.arg))
+        elif e.func == "tan":
+            outer = _sum((ONE, _power(e, 2)))
+        elif e.func == "exp":
+            outer = e
+        elif e.func == "log":
+            outer = _quotient(ONE, e.arg)
+        elif e.func == "sqrt":
+            outer = _quotient(ONE, cmul(Const(2), e))
+        else:  # pragma: no cover - FUNCTIONS is closed
+            raise ValueError(e.func)
+        return cmul(outer, d[0])
+    if isinstance(e, Neg):
+        return cneg(d[0])
+    raise TypeError(f"cannot differentiate {type(e).__name__}")
 
 
 def _diff_node(e: Expr, name: str, d: list) -> Expr:

@@ -914,6 +914,17 @@ def test_unusable_samples_or_tol_is_a_usage_error(capsys, flags):
     assert err.startswith("usage: cartankit") and "--samples/--tol" in err
 
 
+def test_negative_seed_is_a_usage_error(capsys):
+    # the schema requires a file's seed to be >= 0; a negative --seed is
+    # refused the same way, not reported as a failing verdict
+    with pytest.raises(SystemExit) as exc:
+        run(["check", str(CORPUS / "sphere.json"), "--seed", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: cartankit") and "--seed" in err
+
+
 def test_report_carries_tool_and_name(capsys):
     _, rep = invoke(capsys, "check", str(CORPUS / "hyperbolic.json"))
     assert rep["tool"].startswith("cartankit ")

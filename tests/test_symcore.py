@@ -6,6 +6,7 @@ implementation existed and are asserted against the canonical form.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import math
 import sys
@@ -196,7 +197,7 @@ def test_leaves_are_interned_and_canonical_from_birth():
     assert Const(0) is symcore.ZERO and Const(Fraction(1)) is symcore.ONE
     half = Const(Fraction(1, 2))
     assert Const("1/2") is half and Const(0.5) is half
-    assert Const(np.int64(3)) is Const(3) and type(Const(np.int64(3)).value) is Fraction
+    assert Const(np.int64(3)) is Const(3) and type(Const(np.int64(3)).value) is int
     assert Sym("x") is Sym("x") and p("x") is Sym("x")
     for leaf in (half, Sym("x")):
         assert canon(leaf) is leaf
@@ -204,6 +205,26 @@ def test_leaves_are_interned_and_canonical_from_birth():
     assert canon(p("x + 0")) is Sym("x")
     assert symcore._is_literal_zero(Neg(Const(0)))
     assert not symcore._is_literal_zero(Const(1))
+
+
+def test_integral_coefficients_are_ints_and_the_rest_stay_exact():
+    assert Const(Fraction(4, 2)).value == 2 and type(Const(Fraction(4, 2)).value) is int
+    assert Const(2) is Const(Fraction(2)) and hash(Const(2)) == hash(("c", Fraction(2)))
+    third = canon(p("x/3"))
+    assert third == Mul((Const(Fraction(1, 3)), Sym("x")))
+    assert type(third.factors[0].value) is Fraction
+    assert canon(Div(Sym("x"), Const(3))) == third
+    assert canon(Div(Sym("x"), Const(Fraction(2, 3)))) == Mul((Const(Fraction(3, 2)), Sym("x")))
+    half = canon(Pow(Const(2), -1))
+    assert half is Const(Fraction(1, 2)) and type(half.value) is Fraction
+    assert canon(Pow(Const(-3), -3)) is Const(Fraction(-1, 27))
+    assert canon(Pow(Const(Fraction(2, 3)), 2)).value == Fraction(4, 9)
+    # sums and products of ints stay ints; a fraction that sums to an
+    # integer comes back as an int
+    assert type(canon(p("2*x*3")).factors[0].value) is int
+    assert canon(p("1/2 + 1/2")) is symcore.ONE and type(symcore.ONE.value) is int
+    assert canon(p("sqrt(9/4)")).value == Fraction(3, 2)
+    assert canon(p("cos(0)")) is symcore.ONE
 
 
 def test_structurally_equal_trees_share_one_canonical_form():
@@ -607,6 +628,81 @@ def test_diff_of_a_canonical_node_is_kept_canonical(e, name):
     d = diff(form, name)
     assert d == canon(_reference_diff(form, name))
     assert diff(form, name) is d
+
+
+@contextlib.contextmanager
+def _fresh_table():
+    """Run with an empty hash-cons table, so canonical forms are built
+    afresh rather than read from entries that another route made."""
+    saved = symcore._HASHCONS, symcore._HASHCONS_REFS
+    symcore._HASHCONS = weakref.WeakValueDictionary()
+    symcore._HASHCONS_REFS = symcore._HASHCONS.data
+    try:
+        yield
+    finally:
+        symcore._HASHCONS, symcore._HASHCONS_REFS = saved
+
+
+def _assert_same_form(built, reference):
+    assert to_text(built) == to_text(reference)
+    assert built == reference
+    assert repr(is_zero(built, XY)) == repr(is_zero(reference, XY))
+
+
+_INNER_FORM = Mul((Call("sin", Sym("x")), Sym("y")))  # sin(x)*y, kept as it is
+
+
+@given(st.lists(_expr_strategy(), max_size=4))
+# a ZERO operand, and ZERO on both sides
+@example([Const(0), Call("sin", Sym("x"))])
+@example([Add((Sym("x"), Neg(Sym("x")))), Const(0)])
+# a product that folds to a leaf: x * x^-1 is 1
+@example([Sym("x"), Pow(Sym("x"), -1)])
+# an operand that is an existing inner form, which the build returns as
+# it is: 1 * sin(x)*y, and the one-term sum of sin(x)*y
+@example([Const(1), _INNER_FORM])
+@example([_INNER_FORM])
+@settings(max_examples=200, deadline=None)
+def test_canonical_constructors_match_canon_of_the_raw_node(operands):
+    # Each side in its own table, so neither reads the other's entries.
+    # canon's walk builds each node with its kind's constructor, so this
+    # checks what the constructors add: the ZERO short-circuits and csum's
+    # handling of its term list.
+    with _fresh_table():
+        forms = [canon(_rebuild(e)) for e in operands]
+        built = [symcore.csum(forms)]
+        if forms:
+            built.append(symcore.cneg(forms[0]))
+        if len(forms) >= 2:
+            built.append(symcore.cmul(forms[0], forms[1]))
+    with _fresh_table():
+        raw = [_rebuild(e) for e in operands]
+        reference = [canon(symcore.flat_sum(raw))]
+        if raw:
+            reference.append(canon(Neg(raw[0])))
+        if len(raw) >= 2:
+            reference.append(canon(raw[0] * raw[1]))
+    for b, r in zip(built, reference):
+        _assert_same_form(b, r)
+
+
+@given(_expr_strategy(symcore.FUNCTIONS), st.sampled_from(["x", "y"]))
+@example(Mul((Const(3), Sym("x"), Call("sin", Sym("y")))), "x")
+@example(Div(Sym("x"), Const(0)), "x")
+@example(Call("tan", Sym("x")) * Call("sqrt", Sym("y")), "y")
+@example(Neg(Call("tan", Sym("x"))), "x")
+# every rule: the six functions, a quotient, a power and a product
+@example(parse("sin(x)*cos(y) + tan(x*y) - exp(x)/log(y) + sqrt(x)*x^3", XY), "x")
+@example(parse("sin(x)*cos(y) + tan(x*y) - exp(x)/log(y) + sqrt(x)*x^3", XY), "y")
+@settings(max_examples=200, deadline=None)
+def test_canonical_derivative_matches_canon_of_the_raw_derivative(e, name):
+    # the raw derivative of a raw copy of the canonical form, canonicalised
+    with _fresh_table():
+        form = canon(_rebuild(e))
+        built = diff(form, name)
+    with _fresh_table():
+        reference = canon(diff(_rebuild(form), name))
+    _assert_same_form(built, reference)
 
 
 def test_kept_derivatives_die_with_their_nodes():
