@@ -97,19 +97,6 @@ class LieAlgebra:
         self.dim = dim
         self.structure = f
 
-    @classmethod
-    def abelian(cls, dim: int) -> "LieAlgebra":
-        return cls(dim, np.zeros((dim, dim, dim), dtype=int).tolist())
-
-    @classmethod
-    def so3(cls) -> "LieAlgebra":
-        # [e_a, e_b] = eps_{abc} e_c
-        f = np.zeros((3, 3, 3), dtype=int)
-        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            f[a, b, c] = 1
-            f[b, a, c] = -1
-        return cls(3, f.tolist())
-
     def __repr__(self):
         return f"<lie-algebra dim={self.dim}>"
 

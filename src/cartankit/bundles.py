@@ -41,7 +41,6 @@ __all__ = [
     "as_expr",
     "vf_bracket",
     "lie_derivative",
-    "tensor_contract",
 ]
 
 UP = "upper"
@@ -387,33 +386,3 @@ def lie_derivative(V: Section, T: TensorField) -> TensorField:
         T.components, _directions(coords, field), [(v, A) for v, _ in T.slots]
     )
     return TensorField(V.chart, T.slots, D[..., 0])
-
-
-def tensor_contract(T: TensorField, upper: int, lower: int) -> TensorField:
-    """Contract an upper slot with a lower slot of the same tag."""
-    if not (0 <= upper < T.ndim and 0 <= lower < T.ndim) or upper == lower:
-        raise ValueError("contraction needs two distinct slots")
-    uv, ut = T.slots[upper]
-    lv, lt = T.slots[lower]
-    if uv != UP or lv != LOW:
-        raise ValueError(
-            f"contraction needs (upper, lower); got ({uv}, {lv})"
-        )
-    if ut != lt:
-        raise ValueError(f"contraction across unlike tags ({ut}, {lt})")
-    keep = [k for k in range(T.ndim) if k not in (upper, lower)]
-    slots = tuple(T.slots[k] for k in keep)
-    shape = tuple(T.shape[k] for k in keep)
-    size = T.shape[upper]
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*shape) if slots else ((),):
-        total = Const(0)
-        for m in range(size):
-            full = [None] * T.ndim
-            for pos, k in enumerate(keep):
-                full[k] = idx[pos]
-            full[upper] = m
-            full[lower] = m
-            total = total + T.components[tuple(full)]
-        out[tuple(idx)] = canon(total)
-    return TensorField(T.chart, slots, out)

@@ -15,6 +15,11 @@ closed form from the anchor, structure and connection tables; the
 direct route derives the bracket defect from the same tables by its own
 formula, and the two are compared against each other in the acceptance
 battery.  They must never be merged.
+
+The section-level calculus (:class:`JetSection`, :func:`jet_bracket`,
+:func:`jet_scale`, :func:`splitting_from_connection`) is also the test
+reference for the metric's isometry algebroid, whose structure functions
+:mod:`cartankit.cartan` builds from the Christoffel table.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 from .algebroid import Algebroid, anchor_apply, bracket
 from .bundles import UP, Section, _derivative, _directions, as_expr
 from .connections import TMConnection
-from .symcore import ZERO, Const, _section_form, cmul, cneg, csum, diff
+from .symcore import ZERO, _section_form, cmul, cneg, csum, diff
 
 __all__ = [
     "JetSection",
@@ -56,24 +61,8 @@ class JetSection:
         self.correction = out
 
     @classmethod
-    def prolong(cls, g: Algebroid, X: Section) -> "JetSection":
-        zero = np.empty((g.rank, g.chart.dim), dtype=object)
-        zero[...] = Const(0)
-        return cls(g, X, zero)
-
-    @classmethod
     def vertical(cls, g: Algebroid, correction) -> "JetSection":
         return cls(g, g.zero_section(), correction)
-
-    def apply_correction(self, V: Section) -> Section:
-        """phi(V) for a vector field V."""
-        if V.frame != "tm":
-            raise ValueError("correction applies to vector fields")
-        out = [
-            csum([cmul(self.correction[b, i], V.components[i]) for i in range(self.g.chart.dim)])
-            for b in range(self.g.rank)
-        ]
-        return Section(self.g.chart, out, "g")
 
     def __add__(self, other: "JetSection") -> "JetSection":
         if other.g is not self.g and (

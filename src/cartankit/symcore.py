@@ -250,16 +250,6 @@ class Expr:
     def children(self) -> tuple["Expr", ...]:
         return ()
 
-    def symbols(self) -> frozenset:
-        out = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Sym):
-                out.add(node.name)
-            else:
-                stack.extend(node.children())
-        return frozenset(out)
 
 
 class _Interned(type):

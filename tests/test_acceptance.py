@@ -60,6 +60,7 @@ from cartankit.jet import jet_bracket, splitting_from_connection
 from cartankit.algebroid import bracket
 from cartankit.symcore import Chart, Const, ZeroPolicy, canon, diff, is_zero
 from test_cartan import assert_frame_defects_match_references
+from test_algebroid import so3_algebra
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 CORPUS_NAMES = (
@@ -125,7 +126,7 @@ def _instance(k):
                 Section(chart, ("-z", "0", "x"), "tm"),
                 Section(chart, ("y", "-x", "0"), "tm"),
             ]
-            g = build_action_algebroid(LieAlgebra.so3(), fields, POLICY)
+            g = build_action_algebroid(so3_algebra(), fields, POLICY)
         else:
             chart = _box_chart(1)
             fields = [Section(chart, ("1",), "tm"), Section(chart, ("x",), "tm")]
@@ -407,7 +408,7 @@ def test_criterion_8_unconditional_self_tests(catalog, corpus_pairs):
         Section(chart3, ("-z", "0", "x"), "tm"),
         Section(chart3, ("y", "-x", "0"), "tm"),
     ]
-    g3 = build_action_algebroid(LieAlgebra.so3(), fields, POLICY)
+    g3 = build_action_algebroid(so3_algebra(), fields, POLICY)
     phi = [["1+x^2", "0", "0"], ["x*y", "1", "0"], ["x*z", "0", "1"]]
     curv = morphism_curvature(phi, g3, g3, POLICY)
     idx, _ = curv.is_zero_field(POLICY)

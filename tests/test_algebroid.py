@@ -27,6 +27,19 @@ R2 = Chart(("x", "y"), [(-1, 1), (-1, 1)])
 R3 = Chart(("x", "y", "z"), [(-1, 1), (-1, 1), (-1, 1)])
 
 
+def so3_algebra():
+    # [e_a, e_b] = eps_{abc} e_c
+    f = np.zeros((3, 3, 3), dtype=int)
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        f[a, b, c] = 1
+        f[b, a, c] = -1
+    return LieAlgebra(3, f.tolist())
+
+
+def abelian_algebra(dim):
+    return LieAlgebra(dim, np.zeros((dim, dim, dim), dtype=int).tolist())
+
+
 def so3_rotation_fields(chart=R3):
     # V_a^j = eps_{ajk} x^k: infinitesimal rotations about the three axes
     return [
@@ -37,7 +50,7 @@ def so3_rotation_fields(chart=R3):
 
 
 def so3_action(chart=R3):
-    return build_action_algebroid(LieAlgebra.so3(), so3_rotation_fields(chart))
+    return build_action_algebroid(so3_algebra(), so3_rotation_fields(chart))
 
 
 def lie_poisson_so3():
@@ -54,7 +67,7 @@ def lie_poisson_so3():
 
 
 def test_so3_structure_constants_satisfy_jacobi():
-    LieAlgebra.so3()
+    so3_algebra()
 
 
 def test_broken_jacobi_is_rejected():
@@ -87,7 +100,7 @@ def test_tangent_bracket_is_vector_field_bracket():
 
 def test_abelian_translation_action_constant_sections_commute():
     fields = [Section(R2, ("1", "0"), "tm"), Section(R2, ("0", "1"), "tm")]
-    g = build_action_algebroid(LieAlgebra.abelian(2), fields)
+    g = build_action_algebroid(abelian_algebra(2), fields)
     e0, e1 = g.frame_section(0), g.frame_section(1)
     got = bracket(g, e0, e1)
     assert all(c == Const(0) for c in got.components)
@@ -284,7 +297,7 @@ def test_validate_reports_leibniz_symbolic_on_any_tables():
 
 def test_translation_action_has_identity_anchor():
     fields = [Section(R2, ("1", "0"), "tm"), Section(R2, ("0", "1"), "tm")]
-    g = build_action_algebroid(LieAlgebra.abelian(2), fields)
+    g = build_action_algebroid(abelian_algebra(2), fields)
     assert g.rho[0, 0] == Const(1) and g.rho[1, 1] == Const(1)
     assert g.rho[0, 1] == Const(0) and g.rho[1, 0] == Const(0)
     assert all(
@@ -305,7 +318,7 @@ def test_negated_rotation_field_rejected():
     fields = so3_rotation_fields()
     fields[2] = -fields[2]
     with pytest.raises(ValueError, match="not an infinitesimal action"):
-        build_action_algebroid(LieAlgebra.so3(), fields)
+        build_action_algebroid(so3_algebra(), fields)
 
 
 # ---------------------------------------------------------------- poisson

@@ -9,7 +9,6 @@ from cartankit.bundles import (
     Section,
     TensorField,
     lie_derivative,
-    tensor_contract,
     vf_bracket,
 )
 from cartankit.symcore import Chart, Const, canon, diff, is_zero, parse
@@ -112,36 +111,6 @@ def test_lie_derivative_rejects_algebroid_slots():
     T = TensorField(R2, ((UP, "g"),), ["1", "0", "0"])
     with pytest.raises(ValueError, match="tangent-tagged"):
         lie_derivative(vf(R2, "1", "0"), T)
-
-
-# --------------------------------------------------------------- contract
-
-
-def test_trace_of_identity_endomorphism():
-    ident = TensorField(R3, ((UP, TM), (LOW, TM)), np.eye(3, dtype=int).tolist())
-    tr = tensor_contract(ident, 0, 1)
-    assert tr[()] == Const(3)
-
-
-def test_contraction_is_pairing():
-    v = Section(R2, ("x", "y"), "tm").as_tensor()
-    alpha = Section(R2, ("y", "1"), "tm*").as_tensor()
-    got = tensor_contract(outer(v, alpha), 0, 1)
-    assert got[()] == expr("x*y + y")
-
-
-def test_contracting_two_upper_slots_fails():
-    v = Section(R2, ("x", "y"), "tm").as_tensor()
-    both = outer(v, v)
-    with pytest.raises(ValueError, match="upper, lower"):
-        tensor_contract(both, 0, 1)
-
-
-def test_contraction_across_tags_fails():
-    v = Section(R2, ("x", "y"), "tm").as_tensor()
-    a = TensorField(R2, ((LOW, "g"),), ["1", "0"])
-    with pytest.raises(ValueError, match="tags"):
-        tensor_contract(outer(v, a), 0, 1)
 
 
 # ------------------------------------------------------------ declarations

@@ -11,6 +11,7 @@ from cartankit.algebroid import (
     build_action_algebroid,
     build_poisson_algebroid,
     tangent_algebroid,
+    validate,
 )
 from cartankit import cartan
 from cartankit.bundles import LOW, TM, UP, G, Section, TensorField, as_expr
@@ -45,20 +46,32 @@ from cartankit.connections import (
     dual_connection,
     induced_rep_on_g,
     induced_rep_on_tm,
+    metric_inverse,
 )
-from cartankit.cli import Workspace, load_spec
-from cartankit.jet import frame_lift_curvature
+from cartankit.cli import GeometrySpec, Workspace, load_spec
+from cartankit.jet import (
+    JetSection,
+    frame_lift_curvature,
+    jet_bracket,
+    splitting_from_connection,
+)
+from test_golden import METRIC_SPECS
 from test_jet import _reference_splitting_curvature
 from cartankit.symcore import (
+    ZERO,
     Call,
     Chart,
     Const,
     Sym,
     ZeroPolicy,
     canon,
+    cmul,
+    cneg,
+    csum,
     evaluate,
     is_zero,
 )
+from test_algebroid import so3_algebra
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -78,7 +91,7 @@ def so3_pair():
         Section(R3, ("-z", "0", "x"), "tm"),
         Section(R3, ("y", "-x", "0"), "tm"),
     ]
-    g = build_action_algebroid(LieAlgebra.so3(), fields)
+    g = build_action_algebroid(so3_algebra(), fields)
     return g, TMConnection.flat(R3, 3, target="g")
 
 
@@ -516,7 +529,6 @@ def test_self_action_rebuild_is_splitting_independent():
 def test_euclid_pipeline_passes_symbolically():
     rep = riemann_pipeline(euclid_metric(), policy=POLICY)
     assert rep.verdict.ok
-    assert rep.locally_homogeneous
     assert rep.verdict.path == "symbolic"
     assert [c.name for c in rep.verdict.children] == [
         "metric_compatibility",
@@ -525,6 +537,54 @@ def test_euclid_pipeline_passes_symbolically():
         "lift_curvature_identity",
     ]
     assert metric_pair(euclid_metric(), POLICY)[0].rank == 3
+
+
+def _isometry_algebroid_metric(name):
+    """A corpus metric, or h3, diag3 or h4 from the golden specs."""
+    if (CORPUS / f"{name}.json").exists():
+        spec = load_spec(CORPUS / f"{name}.json")
+    else:
+        folder = "metric4d" if name == "h4" else "metric3d"
+        spec = GeometrySpec(METRIC_SPECS[folder][f"{name}.json"])
+    return Workspace(spec, POLICY).metric_tensor()
+
+
+@pytest.mark.parametrize(
+    "name", ["sphere", "hyperbolic", "ellipsoid", "euclid", "h3", "diag3", "h4"]
+)
+def test_isometry_algebroid_matches_jet_brackets(name):
+    # reference route: the jet bracket of each pair of frames (lifts of
+    # the coordinate fields through the metric connection, then the skew
+    # basis embedded vertically), read off in the skew frame
+    sigma = _isometry_algebroid_metric(name)
+    chart = sigma.chart
+    n = chart.dim
+    lc = christoffel(sigma)
+    g = cartan._riemann_algebroid(sigma, lc)
+    tm = tangent_algebroid(chart)
+    skew = cartan._skew_basis(sigma)
+    inv = metric_inverse(sigma)
+    jets = [splitting_from_connection(tm, lc, tm.frame_section(i)) for i in range(n)]
+    jets += [JetSection.vertical(tm, E) for E in skew]
+    assert g.rank == len(jets) == n + n * (n - 1) // 2
+    for al, be in combinations(range(g.rank), 2):
+        J = jet_bracket(jets[al], jets[be])
+        assert all(canon(c) is ZERO for c in J.base.components)
+        psi = J.correction
+        lam = [
+            csum([cmul(psi[j, m], inv[m, i]) for m in range(n)])
+            for i, j in combinations(range(n), 2)
+        ]
+        assert list(g.structure[al, be]) == [ZERO] * n + lam
+        assert list(g.structure[be, al]) == [ZERO] * n + [cneg(c) for c in lam]
+        for k in range(n):
+            for l in range(n):
+                residual = psi[k, l] - sum(
+                    (c * E[k, l] for c, E in zip(lam, skew)), Const(0)
+                )
+                assert is_zero(residual, chart, POLICY).zero, (al, be, k, l)
+    assert all(e is ZERO for al in range(g.rank) for e in g.structure[al, al])
+    assert validate(g, POLICY).ok
 
 
 def test_sphere_pipeline_passes_with_frozen_curvature():

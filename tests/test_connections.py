@@ -13,14 +13,13 @@ import pytest
 
 from cartankit import bundles
 from cartankit.algebroid import (
-    LieAlgebra,
     anchor_apply,
     bracket,
     build_action_algebroid,
     build_foliation_algebroid,
     tangent_algebroid,
 )
-from cartankit.bundles import LOW, TM, UP, Section, TensorField, tensor_contract
+from cartankit.bundles import LOW, TM, UP, Section, TensorField
 from cartankit.cli import Workspace, load_spec
 from cartankit.connections import (
     GConnection,
@@ -43,6 +42,7 @@ from cartankit.connections import (
     torsion_g,
 )
 from cartankit.symcore import Call, Chart, Const, Sym, ZeroPolicy, canon, diff, is_zero, parse
+from test_algebroid import abelian_algebra, so3_algebra
 
 R2 = Chart(("x", "y"), [(-1, 1), (-1, 1)])
 R3 = Chart(("x", "y", "z"), [(-1, 1), (-1, 1), (-1, 1)])
@@ -80,7 +80,7 @@ def so3_action():
         Section(R3, ("-z", "0", "x"), "tm"),
         Section(R3, ("y", "-x", "0"), "tm"),
     ]
-    return build_action_algebroid(LieAlgebra.so3(), fields)
+    return build_action_algebroid(so3_algebra(), fields)
 
 
 def ad_rep(g):
@@ -254,7 +254,7 @@ def test_tm_calculus_is_the_tangent_algebroid_case(name):
 
 def test_translation_action_leibniz():
     fields = [Section(R2, ("1", "0"), "tm"), Section(R2, ("0", "1"), "tm")]
-    g = build_action_algebroid(LieAlgebra.abelian(2), fields)
+    g = build_action_algebroid(abelian_algebra(2), fields)
     conn = GConnection.zero(g)
     sigma = Section(R2, ("1", "1"), "g")
     scaled = sigma.scale(Sym("x"))
@@ -410,7 +410,7 @@ def test_torsions_of_dual_pair_are_opposite():
 
 def test_abelian_zero_connection_is_self_dual():
     fields = [Section(R2, ("1", "0"), "tm"), Section(R2, ("0", "1"), "tm")]
-    g = build_action_algebroid(LieAlgebra.abelian(2), fields)
+    g = build_action_algebroid(abelian_algebra(2), fields)
     conn = GConnection.zero(g)
     dual = dual_connection(conn)
     assert all(dual.A[idx] == Const(0) for idx in np.ndindex(2, 2, 2))

@@ -10,8 +10,9 @@ golden run of a rank-6 algebroid through ``g_tensor_deriv``,
 ``curvature_g``, ``curvature_tm`` and the exterior derivative.
 ``golden/metric4d`` and ``golden/metric5d`` hold ``check`` on hyperbolic
 4- and 5-space (``h4.json``, ``h5.json``: 1/w^2 times the identity on
-[-1,1]^3 x [1/2,2] and [-1,1]^4 x [1/2,2], guard w).  Each runs from the
-directory that holds the spec.
+[-1,1]^3 x [1/2,2] and [-1,1]^4 x [1/2,2], guard w), and
+``golden/metric4d`` also ``identities`` on H^4, the battery of a rank-10
+isometry algebroid.  Each runs from the directory that holds the spec.
 
 A change to a verdict, a witness or the last digit of a value fails
 here.  A deliberate change regenerates the files with the report loop of
@@ -75,7 +76,7 @@ METRIC_SPECS = {
 # golden directory -> the commands whose reports it holds
 METRIC_COMMANDS = {
     "metric3d": ("check", "identities"),
-    "metric4d": ("check",),
+    "metric4d": ("check", "identities"),
     "metric5d": ("check",),
 }
 
@@ -124,6 +125,12 @@ def test_3d_metric_identities_matches_golden(capsys, monkeypatch, tmp_path, name
 def test_4d_metric_check_matches_golden(capsys, monkeypatch, tmp_path):
     _metric_report_matches_golden(
         capsys, monkeypatch, tmp_path, "metric4d", "check", "h4.json"
+    )
+
+
+def test_4d_metric_identities_matches_golden(capsys, monkeypatch, tmp_path):
+    _metric_report_matches_golden(
+        capsys, monkeypatch, tmp_path, "metric4d", "identities", "h4.json"
     )
 
 

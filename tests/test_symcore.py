@@ -283,6 +283,19 @@ def test_deep_terms_print():
         sys.setrecursionlimit(limit)
 
 
+def _symbols(e):
+    """The names of the symbols in ``e``."""
+    out = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sym):
+            out.add(node.name)
+        else:
+            stack.extend(node.children())
+    return out
+
+
 def _probe_keys(name):
     """The hash-cons keys that name a node holding the symbol ``name``; a
     key holds its nodes through weak references."""
@@ -290,7 +303,7 @@ def _probe_keys(name):
     return [
         key
         for key in symcore._HASHCONS.keys()
-        if any(c is not None and name in c.symbols() for c in nodes(key))
+        if any(c is not None and name in _symbols(c) for c in nodes(key))
     ]
 
 
