@@ -13,6 +13,11 @@ golden run of a rank-6 algebroid through ``g_tensor_deriv``,
 [-1,1]^3 x [1/2,2] and [-1,1]^4 x [1/2,2], guard w), and
 ``golden/metric4d`` also ``identities`` on H^4, the battery of a rank-10
 isometry algebroid.  Each runs from the directory that holds the spec.
+``golden/pipelines`` holds ``check --pipeline <pipeline>`` for the pair
+pipelines ``theorem-a`` and ``transitive`` on the sphere, ellipsoid and
+hyperbolic corpus files, as ``check-<pipeline>-<file>.json``, run from
+the repository root: the verdicts on a metric's isometry algebroid and
+its Cartan connection.
 
 A change to a verdict, a witness or the last digit of a value fails
 here.  A deliberate change regenerates the files with the report loop of
@@ -39,6 +44,13 @@ CORPUS_RUNS = [
     (command, name)
     for name in sorted(p.name for p in (ROOT / "corpus").glob("*.json"))
     for command in ("validate", "check", "identities")
+]
+
+# the pair pipelines run on metric corpus files
+PIPELINE_RUNS = [
+    (pipeline, name)
+    for name in ("ellipsoid.json", "hyperbolic.json", "sphere.json")
+    for pipeline in ("theorem-a", "transitive")
 ]
 
 METRICS_3D = {
@@ -97,6 +109,18 @@ def test_corpus_report_matches_golden(capsys, monkeypatch, command, name):
     monkeypatch.chdir(ROOT)
     report = _report(capsys, command, f"corpus/{name}")
     assert report == (GOLDEN / "corpus" / f"{command}-{name}").read_text()
+
+
+def test_every_pipeline_run_has_a_golden_report():
+    expected = {f"check-{pipeline}-{name}" for pipeline, name in PIPELINE_RUNS}
+    assert {p.name for p in (GOLDEN / "pipelines").iterdir()} == expected
+
+
+@pytest.mark.parametrize("pipeline,name", PIPELINE_RUNS, ids=lambda v: v)
+def test_pair_pipeline_report_matches_golden(capsys, monkeypatch, pipeline, name):
+    monkeypatch.chdir(ROOT)
+    report = _report(capsys, "check", f"corpus/{name}", "--pipeline", pipeline)
+    assert report == (GOLDEN / "pipelines" / f"check-{pipeline}-{name}").read_text()
 
 
 def _metric_report_matches_golden(
