@@ -30,7 +30,6 @@ import numpy as np
 from .algebroid import (
     Algebroid,
     LieAlgebra,
-    bracket,
     orbit_scan,
     tangent_algebroid,
 )
@@ -515,11 +514,15 @@ def reductive_connection(
 
         D_V X = t(rep_tm_X V) + [t V, X]
 
-    read off on coordinate directions and frames.  Any splitting
-    combined with any flat action yields a compatible connection whose
-    induced tangent action is ``rep_tm`` again; both facts are verified
-    as self-tests on the way out.  Different splittings change only the
-    vertical part of the coefficients.
+    read off on coordinate directions and frames
+    (:func:`_reductive_connection`).  Any splitting combined with any
+    flat action yields a compatible connection whose induced tangent
+    action is ``rep_tm`` again; both facts hold by construction, and the
+    tests gate them.  Different splittings change only the vertical part
+    of the coefficients.
+
+    Raises ``ValueError`` when ``t`` is not a splitting of the anchor or
+    ``rep_tm`` is not a flat tangent-target action of ``g``.
     """
     policy = policy or ZeroPolicy()
     chart = g.chart
@@ -549,36 +552,30 @@ def reductive_connection(
             f"rep_tm has curvature at component {idx}: witness "
             f"{verdict.witness} = {verdict.value}"
         )
+    return _reductive_connection(g, t, rep_tm.A)
 
+
+def _reductive_connection(g: Algebroid, t: np.ndarray, A: np.ndarray) -> TMConnection:
+    """D_V X = t(A_X V) + [t V, X] on V = d/dx^i and X = e_a, from the
+    tables: canonical ``t[b, i]`` and tangent action ``A[a, i, k]``.
+
+    With e_a constant, [t V, e_a]^b = c[d,a,b] t[d,i] - rho[j,a] d_j t[b,i],
+    so
+
+        gamma[i,a,b] = -rho[j,a] d_j t[b,i] + c[d,a,b] t[d,i] + A[a,i,k] t[b,k].
+    """
+    chart = g.chart
+    n, r = chart.dim, g.rank
     gamma = np.empty((n, r, r), dtype=object)
-    for i in range(n):
-        t_i = Section(chart, [t[b, i] for b in range(r)], "g")
-        for a in range(r):
-            br = bracket(g, t_i, g.frame_section(a))
-            for b in range(r):
-                gamma[i, a, b] = csum(
-                    [br.components[b]] + [cmul(rep_tm.A[a, i, k], t[b, k]) for k in range(n)]
-                )
-    out = TMConnection(chart, gamma, target="g")
-
-    induced = induced_rep_on_tm(g, out)
-    for a in range(r):
-        for j in range(n):
-            for k in range(n):
-                v = is_zero(induced.A[a, j, k] - rep_tm.A[a, j, k], chart, policy)
-                if not v.zero:
-                    raise AssertionError(
-                        "reductive construction does not induce its own "
-                        f"tangent action back (component ({a},{j},{k}), "
-                        f"witness {v.witness} = {v.value}); implementation bug"
-                    )
-    cart = check_cartan(g, out, policy)
-    if not cart.ok:
-        raise AssertionError(
-            "reductive construction produced an incompatible connection "
-            f"(defect at {cart.witness}); implementation bug"
-        )
-    return out
+    for i, a, b in np.ndindex(n, r, r):
+        terms = [
+            cneg(cmul(g.rho[j, a], diff(t[b, i], name)))
+            for j, name in enumerate(chart.coords)
+        ]
+        terms += [cmul(g.structure[d, a, b], t[d, i]) for d in range(r)]
+        terms += [cmul(A[a, i, k], t[b, k]) for k in range(n)]
+        gamma[i, a, b] = csum(terms)
+    return TMConnection(chart, gamma, target="g")
 
 
 # ---------------------------------------------------------------------------
@@ -590,22 +587,18 @@ def _skew_basis(sigma: TensorField):
     """Default metric-skew endomorphism frame E_(i,j), i < j.
 
     (E_(i,j))^k_l = sigma_{li} d^k_j - sigma_{lj} d^k_i; spans the
-    skew algebra pointwise wherever sigma is nondegenerate.
+    skew algebra pointwise wherever sigma is nondegenerate, and is skew
+    by construction (a test gates it with :func:`_check_skew`).
     """
     n = sigma.chart.dim
     frames = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            E = np.empty((n, n), dtype=object)
-            for k in range(n):
-                for l in range(n):
-                    total = Const(0)
-                    if k == j:
-                        total = total + sigma[l, i]
-                    if k == i:
-                        total = total - sigma[l, j]
-                    E[k, l] = canon(total)
-            frames.append(E)
+    for i, j in combinations(range(n), 2):
+        E = np.empty((n, n), dtype=object)
+        E[...] = ZERO
+        for l in range(n):
+            E[j, l] = csum([sigma[l, i]])
+            E[i, l] = csum([cneg(sigma[l, j])])
+        frames.append(E)
     return frames
 
 
@@ -614,9 +607,10 @@ def _check_skew(sigma: TensorField, E, label: str, policy):
     n = sigma.chart.dim
     for k in range(n):
         for l in range(n):
-            total = Const(0)
-            for m in range(n):
-                total = total + sigma[k, m] * E[m, l] + sigma[l, m] * E[m, k]
+            total = csum(
+                [cmul(sigma[k, m], E[m, l]) for m in range(n)]
+                + [cmul(sigma[l, m], E[m, k]) for m in range(n)]
+            )
             v = is_zero(total, sigma.chart, policy)
             if not v.zero:
                 raise ValueError(
@@ -635,13 +629,14 @@ def _coerce_endo(mat, chart: Chart):
     return out
 
 
-def _riemann_algebroid(sigma: TensorField, lc: TMConnection):
+def _riemann_algebroid(sigma: TensorField, lc: TMConnection, skew):
     """Tangent-plus-skew algebroid carried by a metric.
 
     Frames: the jet lifts u_i of the coordinate fields through the
-    metric connection, followed by the skew basis E_p embedded
-    vertically.  Both are jets with a constant base on the tangent
-    algebroid, so each is its correction C: C_i[b, j] = -gamma[j, i, b]
+    metric connection, followed by the skew basis E_p
+    (:func:`_skew_basis`) embedded vertically.  Both are jets with a
+    constant base on the tangent algebroid, so each is its correction
+    C: C_i[b, j] = -gamma[j, i, b]
     for u_i (:func:`~cartankit.jet.splitting_from_connection`) and E_p
     itself for E_p.  The jet bracket of two such frames has zero base
     and the correction
@@ -660,7 +655,6 @@ def _riemann_algebroid(sigma: TensorField, lc: TMConnection):
     chart = sigma.chart
     n = chart.dim
     inv = metric_inverse(sigma)
-    skew = _skew_basis(sigma)
     rank = n + len(skew)
 
     corrections = []
@@ -774,8 +768,8 @@ def riemann_pipeline(
         frames = _skew_basis(sigma)
     else:
         frames = [_coerce_endo(matrix, chart) for matrix in h_frame]
-    for p, E in enumerate(frames):
-        _check_skew(sigma, E, f"h_frame[{p}]", policy)
+        for p, E in enumerate(frames):
+            _check_skew(sigma, E, f"h_frame[{p}]", policy)
 
     invariance_items = []
     for p, A in enumerate(frames):
@@ -841,8 +835,12 @@ def metric_pair(
 ) -> Tuple[Algebroid, TMConnection]:
     """The metric's algebroid of infinitesimal isometries (tangent plus
     skew endomorphisms, :func:`_riemann_algebroid`) and its Cartan
-    connection, built by the reductive construction from the identity
-    splitting and the tangent action of :func:`_riemann_tangent_action`.
+    connection, built by the reductive construction
+    (:func:`_reductive_connection`) from the identity splitting and the
+    tangent action of :func:`_riemann_tangent_action`.  The splitting
+    and the action's flatness hold by construction, so neither is
+    re-checked here; the tests gate both, and the connection's
+    compatibility.
 
     Rejects a bad metric as :func:`riemann_pipeline` does.
     """
@@ -850,35 +848,29 @@ def metric_pair(
     _check_metric(sigma, policy)
     n = sigma.chart.dim
     lc = christoffel(sigma)
-    g_red = _riemann_algebroid(sigma, lc)
+    skew = _skew_basis(sigma)
+    g_red = _riemann_algebroid(sigma, lc, skew)
     t = np.empty((g_red.rank, n), dtype=object)
-    t[...] = Const(0)
+    t[...] = ZERO
     for i in range(n):
         t[i, i] = Const(1)
-    rep_tm = _riemann_tangent_action(g_red, lc, frames_full=_skew_basis(sigma))
-    return g_red, reductive_connection(g_red, t, rep_tm, policy)
+    return g_red, _reductive_connection(g_red, t, _riemann_tangent_action(lc, skew))
 
 
-def _riemann_tangent_action(g_red: Algebroid, lc: TMConnection, frames_full):
-    """Action of the metric algebroid on vector fields.
+def _riemann_tangent_action(lc: TMConnection, skew) -> np.ndarray:
+    """Action A[a, m, k] of the metric algebroid on vector fields.
 
     Lifted coordinate fields act through the metric connection; vertical
     skew frames act by minus their endomorphism.  This is the flat
     action fed to the reductive construction.
     """
-    chart = g_red.chart
-    n = chart.dim
-    A = np.empty((g_red.rank, n, n), dtype=object)
-    A[...] = Const(0)
-    for i in range(n):
-        for mm in range(n):
-            for k in range(n):
-                A[i, mm, k] = lc.gamma[i, mm, k]
-    for p, E in enumerate(frames_full):
-        for mm in range(n):
-            for k in range(n):
-                A[n + p, mm, k] = cneg(E[k, mm])
-    return GConnection(g_red, A, target="tm")
+    n = lc.chart.dim
+    A = np.empty((n + len(skew), n, n), dtype=object)
+    A[:n] = lc.gamma
+    for p, E in enumerate(skew):
+        for mm, k in np.ndindex(n, n):
+            A[n + p, mm, k] = cneg(E[k, mm])
+    return A
 
 
 # ---------------------------------------------------------------------------

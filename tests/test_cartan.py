@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -560,9 +561,9 @@ def test_isometry_algebroid_matches_jet_brackets(name):
     chart = sigma.chart
     n = chart.dim
     lc = christoffel(sigma)
-    g = cartan._riemann_algebroid(sigma, lc)
-    tm = tangent_algebroid(chart)
     skew = cartan._skew_basis(sigma)
+    g = cartan._riemann_algebroid(sigma, lc, skew)
+    tm = tangent_algebroid(chart)
     inv = metric_inverse(sigma)
     jets = [splitting_from_connection(tm, lc, tm.frame_section(i)) for i in range(n)]
     jets += [JetSection.vertical(tm, E) for E in skew]
@@ -585,6 +586,73 @@ def test_isometry_algebroid_matches_jet_brackets(name):
                 assert is_zero(residual, chart, POLICY).zero, (al, be, k, l)
     assert all(e is ZERO for al in range(g.rank) for e in g.structure[al, al])
     assert validate(g, POLICY).ok
+
+
+def _section_level_reductive_gamma(g, t, A):
+    # reference route: D_V e_a = [t V, e_a] + t(A_a V), with one
+    # section-level algebroid bracket per coordinate direction and frame
+    chart = g.chart
+    n, r = chart.dim, g.rank
+    gamma = np.empty((n, r, r), dtype=object)
+    for i in range(n):
+        t_i = Section(chart, [t[b, i] for b in range(r)], "g")
+        for a in range(r):
+            br = bracket(g, t_i, g.frame_section(a))
+            for b in range(r):
+                gamma[i, a, b] = csum(
+                    [br.components[b]] + [cmul(A[a, i, k], t[b, k]) for k in range(n)]
+                )
+    return gamma
+
+
+@pytest.mark.parametrize(
+    "name", ["sphere", "hyperbolic", "ellipsoid", "h3", "diag3", "h4", "euclid-t2"]
+)
+def test_reductive_core_matches_section_level_construction(name):
+    # metric_pair's inputs, or euclid's with the non-constant splitting
+    # t2: the default skew basis is skew, the identity splitting (and t2)
+    # splits the anchor and the tangent action is flat, so the public
+    # reductive_connection accepts them.  Its connection has the
+    # canonical form of the section-level reference entry for entry,
+    # induces the tangent action back and is compatible: all by
+    # construction, none re-checked at run time
+    sigma = _isometry_algebroid_metric(name.removesuffix("-t2"))
+    n = sigma.chart.dim
+    lc = christoffel(sigma)
+    skew = cartan._skew_basis(sigma)
+    for p, E in enumerate(skew):
+        cartan._check_skew(sigma, E, f"skew[{p}]", POLICY)
+    g = cartan._riemann_algebroid(sigma, lc, skew)
+    A = cartan._riemann_tangent_action(lc, skew)
+    t = np.empty((g.rank, n), dtype=object)
+    t[...] = ZERO
+    for i in range(n):
+        t[i, i] = Const(1)
+    if name == "euclid-t2":
+        t[2, 0], t[2, 1] = as_expr("y", sigma.chart), as_expr("x^2", sigma.chart)
+    nabla = reductive_connection(g, t, GConnection(g, A, target="tm"), POLICY)
+    reference = _section_level_reductive_gamma(g, t, A)
+    built = [nabla] if name == "euclid-t2" else [nabla, metric_pair(sigma, POLICY)[1]]
+    for conn in built:
+        assert all(conn.gamma[idx] == reference[idx] for idx in np.ndindex(*reference.shape))
+    back = induced_rep_on_tm(g, nabla)
+    for idx in np.ndindex(*A.shape):
+        assert is_zero(back.A[idx] - A[idx], sigma.chart, POLICY).zero, idx
+    assert check_cartan(g, nabla, POLICY).ok
+
+
+def test_metric_pair_makes_no_bracket_flatness_or_compatibility_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("metric_pair re-derived what holds by construction")
+
+    # every module's binding, wherever a caller imported the name from
+    modules = [m for key, m in sys.modules.items() if key.startswith("cartankit")]
+    for module in modules:
+        for name in ("bracket", "is_flat_g", "_compat_battery", "_jet_battery"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for name in ("sphere", "h4"):
+        metric_pair(_isometry_algebroid_metric(name), POLICY)
 
 
 def test_sphere_pipeline_passes_with_frozen_curvature():
@@ -1150,8 +1218,9 @@ def test_identity_battery_reports_undecidable_anchor_equivariance():
 
 
 def test_compatibility_is_decided_once_per_pair_and_policy(monkeypatch):
-    # metric_pair's reductive self-test decides compatibility; the
-    # identity battery on the same pair and policy reads that verdict
+    # metric_pair decides no compatibility: its connection is compatible
+    # by construction.  The identity battery decides it once, and
+    # check_cartan on the same pair and policy reads that verdict
     runs = []
     for name in ("_compat_battery", "_jet_battery"):
         real = getattr(cartan, name)
@@ -1162,8 +1231,9 @@ def test_compatibility_is_decided_once_per_pair_and_policy(monkeypatch):
 
         monkeypatch.setattr(cartan, name, counting)
     g, nabla = euclid_reductive()
-    assert runs == ["_compat_battery", "_jet_battery"]
+    assert runs == []
     v = identity_battery(g, nabla, POLICY, forms=1)
+    assert runs == ["_compat_battery", "_jet_battery"]
     assert v.child("cartan") is check_cartan(g, nabla, POLICY)
     assert check_cartan(g, nabla) is v.child("cartan")  # the default policy is the same key
     assert len(runs) == 2

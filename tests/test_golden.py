@@ -172,7 +172,7 @@ def test_metric_check_builds_no_isometry_algebroid(capsys, monkeypatch):
         raise AssertionError("check built the isometry algebroid")
 
     monkeypatch.setattr(cartan, "_riemann_algebroid", refuse)
-    monkeypatch.setattr(cartan, "reductive_connection", refuse)
+    monkeypatch.setattr(cartan, "_reductive_connection", refuse)
     monkeypatch.chdir(ROOT)
     report = _report(capsys, "check", "corpus/sphere.json")
     assert report == (GOLDEN / "corpus" / "check-sphere.json").read_text()
