@@ -12,7 +12,10 @@ golden run of a rank-6 algebroid through ``g_tensor_deriv``,
 4- and 5-space (``h4.json``, ``h5.json``: 1/w^2 times the identity on
 [-1,1]^3 x [1/2,2] and [-1,1]^4 x [1/2,2], guard w), and
 ``golden/metric4d`` also ``identities`` on H^4, the battery of a rank-10
-isometry algebroid.  Each runs from the directory that holds the spec.
+isometry algebroid.  ``golden/rejections`` holds ``validate``, ``check``
+and ``identities`` on specs whose objects are rejected while they are
+built (``REJECTIONS``): the fail and undecidable shapes of the reports.
+Each runs from the directory that holds the spec.
 ``golden/pipelines`` holds ``check --pipeline <pipeline>`` for the pair
 pipelines ``theorem-a`` and ``transitive`` on the sphere, ellipsoid and
 hyperbolic corpus files, as ``check-<pipeline>-<file>.json``, run from
@@ -35,7 +38,7 @@ import pytest
 
 from cartankit import cartan
 from cartankit.cli import run
-from test_cli import _metric_3d
+from test_cli import _metric_3d, broken_jacobi_algebroid, minimal_poisson
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -78,11 +81,73 @@ H5 = {
     "metric": [["1/w^2" if i == j else "0" for j in range(5)] for i in range(5)],
 }
 
+
+def _on_square(box, **objects):
+    return {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y"], "box": [box, box]},
+        **objects,
+    }
+
+
+_ZERO_2 = [["0", "0"], ["0", "0"]]
+
+# one spec per rejection: each object fails, or cannot decide, the check
+# that builds it
+REJECTIONS = {
+    # the jacobiator's component 0 is -1
+    "broken_jacobi.json": broken_jacobi_algebroid(),
+    # [d/dx, x^2 d/dy] = 2x d/dy, but the structure functions are zero
+    "anchor_hom.json": _on_square(
+        [-1, 1],
+        algebroid={
+            "rank": 2,
+            "anchor": [["1", "0"], ["0", "x^2"]],
+            "structure": [_ZERO_2, _ZERO_2],
+        },
+    ),
+    "non_symmetric_metric.json": _on_square([-1, 1], metric=[["2", "x"], ["0", "2"]]),
+    # Pi^01 + Pi^10 = x + y
+    "non_antisymmetric_poisson.json": minimal_poisson(
+        {"poisson": [["0", "x"], ["y", "0"]]}
+    ),
+    # the Jacobi defect is x
+    "non_jacobi_poisson.json": {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y", "z"], "box": [[-1, 1], [-1, 1], [-1, 1]]},
+        "poisson": [["0", "x", "0"], ["-x", "0", "y"], ["0", "-y", "0"]],
+    },
+    # [x d/dx, x d/dy] = x d/dy, but the algebra is abelian
+    "non_closing_action.json": _on_square(
+        [-1, 2],
+        lie_algebra={"structure": [_ZERO_2, _ZERO_2]},
+        action_fields=[["x", "0"], ["0", "x"]],
+    ),
+    # [d/dx, d/dy + x d/dz] = d/dz leaves the span
+    "non_integrable_foliation.json": {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y", "z"], "box": [[-1, 1], [-1, 1], [-1, 1]]},
+        "foliation_frame": [["1", "0", "0"], ["0", "1", "x"]],
+    },
+    "non_skew_h_frame.json": _on_square(
+        [-1, 1],
+        metric=[["1", "0"], ["0", "1"]],
+        h_frame=[[["1", "0"], ["0", "0"]]],
+    ),
+    # sqrt(x - 5) is undefined on the whole box
+    "undecidable_h_frame.json": _on_square(
+        [0, 1],
+        metric=[["1", "0"], ["0", "1"]],
+        h_frame=[[["sqrt(x-5)", "0"], ["0", "0"]]],
+    ),
+}
+
 # golden directory -> spec file name -> spec
 METRIC_SPECS = {
     "metric3d": {name: _metric_3d(metric) for name, metric in METRICS_3D.items()},
     "metric4d": {"h4.json": H4},
     "metric5d": {"h5.json": H5},
+    "rejections": REJECTIONS,
 }
 
 # golden directory -> the commands whose reports it holds
@@ -90,6 +155,7 @@ METRIC_COMMANDS = {
     "metric3d": ("check", "identities"),
     "metric4d": ("check", "identities"),
     "metric5d": ("check",),
+    "rejections": ("validate", "check", "identities"),
 }
 
 
@@ -161,6 +227,14 @@ def test_4d_metric_identities_matches_golden(capsys, monkeypatch, tmp_path):
 def test_5d_metric_check_matches_golden(capsys, monkeypatch, tmp_path):
     _metric_report_matches_golden(
         capsys, monkeypatch, tmp_path, "metric5d", "check", "h5.json"
+    )
+
+
+@pytest.mark.parametrize("command", METRIC_COMMANDS["rejections"])
+@pytest.mark.parametrize("name", sorted(REJECTIONS))
+def test_rejection_report_matches_golden(capsys, monkeypatch, tmp_path, command, name):
+    _metric_report_matches_golden(
+        capsys, monkeypatch, tmp_path, "rejections", command, name
     )
 
 
