@@ -5,8 +5,9 @@ An algebroid is stored as raw frame data: anchor components rho[i][a]
 and structure functions structure[a][b][c] with [e_a, e_b] = c^c_{ab} e_c.
 Antisymmetry, the anchor homomorphism and Jacobi are *checked*, not
 assumed: ``validate`` decides them from the anchor and structure tables
-and returns per-axiom verdicts, so that deliberately broken inputs can be
-diagnosed instead of rejected at construction.  Leibniz holds by
+and returns a :class:`~cartankit.bundles.Verdict` with one child per
+axiom, so that deliberately broken inputs can be diagnosed instead of
+rejected at construction.  Leibniz holds by
 construction, because ``bracket`` is the Leibniz extension of the frame
 brackets.
 """
@@ -20,7 +21,15 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bundles import Section, TensorField, as_expr
+from .bundles import (
+    Section,
+    TensorField,
+    Verdict,
+    _aggregate,
+    _battery,
+    _require_zero,
+    as_expr,
+)
 from .symcore import (
     Chart,
     Const,
@@ -33,15 +42,12 @@ from .symcore import (
     divisor_factors,
     diff,
     evaluate_batch,
-    is_zero,
     sym_det,
 )
 
 __all__ = [
     "LieAlgebra",
     "Algebroid",
-    "AxiomCheck",
-    "ValidationReport",
     "OrbitScan",
     "bracket",
     "anchor_apply",
@@ -207,50 +213,6 @@ def anchor_apply(g: Algebroid, X: Section) -> Section:
     return Section(g.chart, out, "tm")
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    ok: bool
-    path: str
-    witness: Optional[tuple] = None
-    value: Optional[float] = None
-    detail: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: Tuple[AxiomCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def __getitem__(self, name: str) -> AxiomCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def _axiom_from_verdicts(name, items, chart, policy):
-    """Reduce labelled expressions to a single AxiomCheck via is_zero."""
-    worst_path = "symbolic"
-    for label, e in items:
-        verdict = is_zero(e, chart, policy)
-        if verdict.path == "probabilistic":
-            worst_path = "probabilistic"
-        if verdict.path == "undecidable" or not verdict.zero:
-            return AxiomCheck(
-                name,
-                False,
-                verdict.path,
-                witness=verdict.witness,
-                value=verdict.value,
-                detail=label,
-            )
-    return AxiomCheck(name, True, worst_path)
-
-
 def _jacobiator(g: Algebroid, a: int, b: int, c: int) -> list:
     """Components of [[e_a,e_b],e_c] + [[e_b,e_c],e_a] + [[e_c,e_a],e_b],
     from the tables: [[e_p,e_q],e_s]^d = c^e_{pq} c^d_{es} - rho^i_s d_i c^d_{pq}."""
@@ -266,8 +228,9 @@ def _jacobiator(g: Algebroid, a: int, b: int, c: int) -> list:
     return out
 
 
-def validate(g: Algebroid, policy: Optional[ZeroPolicy] = None) -> ValidationReport:
-    """Per-axiom verdicts: antisymmetry, anchor homomorphism, Jacobi, Leibniz.
+def validate(g: Algebroid, policy: Optional[ZeroPolicy] = None) -> Verdict:
+    """Per-axiom verdicts, aggregated: antisymmetry, anchor homomorphism,
+    Jacobi, Leibniz.
 
     The first three are checked on frames, from ``rho`` and ``structure``;
     Leibniz holds by construction of :func:`bracket` and is reported
@@ -305,15 +268,17 @@ def validate(g: Algebroid, policy: Optional[ZeroPolicy] = None) -> ValidationRep
         for d, component in enumerate(_jacobiator(g, a, b, c))
     ]
 
-    checks = (
-        _axiom_from_verdicts("antisymmetry", anti, chart, policy),
-        _axiom_from_verdicts("anchor_hom", hom, chart, policy),
-        _axiom_from_verdicts("jacobi", jac, chart, policy),
-        # bracket is the Leibniz extension of the frame brackets, so
-        # [X, fY] = f[X, Y] + rho(X)(f) Y holds for any rho and c
-        AxiomCheck("leibniz", True, "symbolic"),
+    return _aggregate(
+        "algebroid_axioms",
+        [
+            _battery("antisymmetry", anti, chart, policy),
+            _battery("anchor_hom", hom, chart, policy),
+            _battery("jacobi", jac, chart, policy),
+            # bracket is the Leibniz extension of the frame brackets, so
+            # [X, fY] = f[X, Y] + rho(X)(f) Y holds for any rho and c
+            Verdict("leibniz", "pass"),
+        ],
     )
-    return ValidationReport(checks)
 
 
 # ------------------------------------------------------------------ builders
@@ -363,8 +328,9 @@ def build_action_algebroid(
             else:
                 message = f"divisor {factor} of action field {a} changes sign inside the box"
             raise DegenerateError(message, p, val)
-    for a in range(algebra.dim):
-        for b in range(a + 1, algebra.dim):
+
+    def bracket_defects():
+        for a, b in combinations(range(algebra.dim), 2):
             lhs = vf_bracket(action_fields[a], action_fields[b])
             rhs = Section(chart, [Const(0)] * chart.dim, "tm")
             for c in range(algebra.dim):
@@ -372,15 +338,13 @@ def build_action_algebroid(
                     Const(algebra.structure[a, b, c])
                 )
             for j in range(chart.dim):
-                verdict = is_zero(
-                    lhs.components[j] - rhs.components[j], chart, policy
+                yield (
+                    f"not an infinitesimal action: bracket defect for pair "
+                    f"({a},{b}) component {j}",
+                    lhs.components[j] - rhs.components[j],
                 )
-                if not verdict.zero:
-                    raise DegenerateError.from_verdict(
-                        f"not an infinitesimal action: bracket defect for pair "
-                        f"({a},{b}) component {j}",
-                        verdict,
-                    )
+
+    _require_zero(bracket_defects(), chart, policy)
     n, r = chart.dim, algebra.dim
     rho = [[action_fields[a].components[i] for a in range(r)] for i in range(n)]
     structure = [
@@ -407,27 +371,28 @@ def build_poisson_algebroid(
     n = chart.dim
     if pi.slots != (("upper", "tm"), ("upper", "tm")):
         raise ValueError("poisson tensor must be a (2,0) tangent tensor")
-    for i in range(n):
-        for j in range(i, n):
-            verdict = is_zero(pi[i, j] + pi[j, i], chart, policy)
-            if not verdict.zero:
-                raise DegenerateError.from_verdict(
-                    f"poisson tensor not antisymmetric at ({i},{j})", verdict
-                )
+    _require_zero(
+        (
+            (f"poisson tensor not antisymmetric at ({i},{j})", pi[i, j] + pi[j, i])
+            for i in range(n)
+            for j in range(i, n)
+        ),
+        chart,
+        policy,
+    )
+
     # the cyclic Jacobi sum is alternating in (i,j,k), so strict triples
     # suffice; for n <= 2 every antisymmetric bivector is Poisson
-    for i, j, k in combinations(range(n), 3):
-        total = Const(0)
-        for l, name in enumerate(chart.coords):
-            total = total + pi[i, l] * diff(pi[j, k], name)
-            total = total + pi[j, l] * diff(pi[k, i], name)
-            total = total + pi[k, l] * diff(pi[i, j], name)
-        total = canon(total)
-        verdict = is_zero(total, chart, policy)
-        if not verdict.zero:
-            raise DegenerateError.from_verdict(
-                f"Pi not Poisson: Jacobi defect for triple ({i},{j},{k})", verdict
-            )
+    def jacobi_defects():
+        for i, j, k in combinations(range(n), 3):
+            total = Const(0)
+            for l, name in enumerate(chart.coords):
+                total = total + pi[i, l] * diff(pi[j, k], name)
+                total = total + pi[j, l] * diff(pi[k, i], name)
+                total = total + pi[k, l] * diff(pi[i, j], name)
+            yield f"Pi not Poisson: Jacobi defect for triple ({i},{j},{k})", canon(total)
+
+    _require_zero(jacobi_defects(), chart, policy)
     rho = [[pi[a, i] for a in range(n)] for i in range(n)]
     structure = [
         [[diff(pi[a, b], chart.coords[k]) for k in range(n)] for b in range(n)]
@@ -496,8 +461,11 @@ def build_foliation_algebroid(
     det = sym_det(sub)
 
     structure = [[[Const(0)] * k for _ in range(k)] for _ in range(k)]
-    for a in range(k):
-        for b in range(a + 1, k):
+
+    # fills in structure pair by pair; the fold runs it to its end unless
+    # a residual is not zero
+    def residuals():
+        for a, b in combinations(range(k), 2):
             w = vf_bracket(frame[a], frame[b])
             coeffs = []
             for col in range(k):
@@ -514,16 +482,16 @@ def build_foliation_algebroid(
                 residual = w.components[i]
                 for c in range(k):
                     residual = residual - coeffs[c] * cols[i, c]
-                verdict = is_zero(residual, chart, policy)
-                if not verdict.zero:
-                    raise DegenerateError.from_verdict(
-                        f"not integrable / brackets do not close: pair "
-                        f"({a},{b}) leaves the span in component {i}",
-                        verdict,
-                    )
+                yield (
+                    f"not integrable / brackets do not close: pair "
+                    f"({a},{b}) leaves the span in component {i}",
+                    residual,
+                )
             for c in range(k):
                 structure[a][b][c] = coeffs[c]
                 structure[b][a][c] = canon(-coeffs[c])
+
+    _require_zero(residuals(), chart, policy)
 
     rho = [[frame[a].components[i] for a in range(k)] for i in range(n)]
     return Algebroid(chart, k, rho, structure, origin="foliation")

@@ -6,11 +6,20 @@ against the declared algebroid frame, and a tensor field is a
 multi-indexed array of expressions whose slots are tagged with the bundle
 they index (tangent or algebroid) and their variance.  No chart
 transitions, no abstract bundles.
+
+Every verdict reduces to batteries of zero tests over a chart, and they
+are folded here, once.  A battery walks labelled expressions through
+:func:`symcore.is_zero` and folds the outcomes into a :class:`Verdict`:
+the first failure wins and carries its witness point; a pass that
+needed the sampled tier is flagged as probabilistic.  A construction
+whose input must satisfy such a battery (:func:`_require_zero`) raises
+:class:`DegenerateError` from the same fold instead.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +41,7 @@ from .symcore import (
 )
 
 __all__ = [
+    "Verdict",
     "Section",
     "TensorField",
     "UP",
@@ -265,31 +275,162 @@ class TensorField:
         pair raises :class:`DegenerateError` with the zero test's witness.
         For data from outside: what the package builds has its symmetries
         by construction."""
-        policy = policy or ZeroPolicy()
-        for sign, pairs in ((-1, symmetric), (1, antisymmetric)):
-            for i, j in pairs:
-                if not (0 <= i < self.ndim and 0 <= j < self.ndim) or i == j:
-                    raise ValueError(f"bad symmetry pair ({i}, {j})")
-                if self.slots[i] != self.slots[j]:
-                    raise ValueError(
-                        f"symmetry pair ({i}, {j}) spans unlike slots"
-                    )
-                for idx in np.ndindex(*self.shape):
-                    if idx[i] > idx[j]:
-                        continue
-                    swapped = list(idx)
-                    swapped[i], swapped[j] = swapped[j], swapped[i]
-                    defect = self.components[idx] + sign * self.components[
-                        tuple(swapped)
-                    ]
-                    verdict = is_zero(defect, self.chart, policy)
-                    if not verdict.zero:
-                        kind = "symmetric" if sign == -1 else "antisymmetric"
-                        raise DegenerateError.from_verdict(
-                            f"declared {kind} pair ({i}, {j}) fails at "
-                            f"index {idx}",
-                            verdict,
+
+        def defects():
+            for sign, pairs in ((-1, symmetric), (1, antisymmetric)):
+                kind = "symmetric" if sign == -1 else "antisymmetric"
+                for i, j in pairs:
+                    if not (0 <= i < self.ndim and 0 <= j < self.ndim) or i == j:
+                        raise ValueError(f"bad symmetry pair ({i}, {j})")
+                    if self.slots[i] != self.slots[j]:
+                        raise ValueError(
+                            f"symmetry pair ({i}, {j}) spans unlike slots"
                         )
+                    for idx in np.ndindex(*self.shape):
+                        if idx[i] > idx[j]:
+                            continue
+                        swapped = list(idx)
+                        swapped[i], swapped[j] = swapped[j], swapped[i]
+                        yield (
+                            f"declared {kind} pair ({i}, {j}) fails at index {idx}",
+                            self.components[idx]
+                            + sign * self.components[tuple(swapped)],
+                        )
+
+        _require_zero(defects(), self.chart, policy or ZeroPolicy())
+
+
+# ---------------------------------------------------------------------------
+# Verdicts
+# ---------------------------------------------------------------------------
+
+
+#: statuses that count as a positive outcome
+_OK_STATUSES = ("pass", "locally_symmetric")
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of one named check, possibly aggregating children.
+
+    ``status`` is "pass"/"fail"/"undecidable" for plain batteries; the
+    classification verdicts reuse the slot for their labels
+    ("locally_symmetric", "curved", "not_cartan").  A failing verdict
+    always carries a witness point (inherited from the failing child
+    when aggregated).  ``path`` records the strongest tier that was
+    needed: "symbolic" means every constituent cancelled exactly.
+    """
+
+    name: str
+    status: str
+    path: str = "symbolic"
+    witness: Optional[tuple] = None
+    value: Optional[float] = None
+    detail: Optional[str] = None
+    children: Tuple["Verdict", ...] = ()
+    notes: Tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.status == "fail" and self.witness is None:
+            raise ValueError(f"failing verdict {self.name!r} has no witness")
+
+    @property
+    def ok(self) -> bool:
+        return self.status in _OK_STATUSES
+
+    def child(self, name: str) -> "Verdict":
+        for c in self.children:
+            if c.name == name:
+                return c
+        raise KeyError(name)
+
+    def as_dict(self) -> dict:
+        out = {"name": self.name, "status": self.status, "path": self.path}
+        if self.witness is not None:
+            out["witness"] = [float(x) for x in self.witness]
+        if self.value is not None:
+            out["value"] = self.value
+        if self.detail is not None:
+            out["detail"] = self.detail
+        if self.notes:
+            out["notes"] = list(self.notes)
+        if self.children:
+            out["children"] = [c.as_dict() for c in self.children]
+        return out
+
+    def __repr__(self):
+        flag = "" if self.path == "symbolic" else f" [{self.path}]"
+        return f"<verdict {self.name}: {self.status}{flag}>"
+
+
+def _battery(name, labelled, chart, policy) -> Verdict:
+    """Fold labelled expressions into one verdict; first failure wins.
+
+    This is the one fold over :func:`is_zero`: it stops at the first
+    expression that is not zero, so when ``labelled`` is a generator,
+    nothing after it is built."""
+    worst = "symbolic"
+    for label, e in labelled:
+        v = is_zero(e, chart, policy)
+        if v.path == "undecidable":
+            return Verdict(name, "undecidable", "undecidable", detail=label)
+        if v.path == "probabilistic":
+            worst = "probabilistic"
+        if not v.zero:
+            return Verdict(
+                name, "fail", v.path, witness=v.witness, value=v.value, detail=label
+            )
+    return Verdict(name, "pass", worst)
+
+
+def _tensor_battery(name, T: TensorField, policy) -> Verdict:
+    return _battery(
+        name,
+        (
+            (f"component {idx}", T.components[idx])
+            for idx in np.ndindex(*T.shape)
+        ),
+        T.chart,
+        policy,
+    )
+
+
+def _require_zero(labelled, chart: Chart, policy: ZeroPolicy) -> None:
+    """Raise :class:`DegenerateError` on the first labelled expression
+    that is not zero, whether it fails or is undecidable: the message is
+    its label, and the error carries the witness, value and path."""
+    verdict = _battery("required_zero", labelled, chart, policy)
+    if not verdict.ok:
+        raise DegenerateError.from_verdict(verdict.detail, verdict)
+
+
+def _aggregate(name, children, notes=()) -> Verdict:
+    """Combine child verdicts: any fail -> fail, else any undecidable ->
+    undecidable, else pass; witness and path are inherited."""
+    status, witness, value, detail, path = "pass", None, None, None, "symbolic"
+    for c in children:
+        if c.path == "probabilistic" and path == "symbolic":
+            path = "probabilistic"
+    for c in children:
+        if c.status == "undecidable" and status == "pass":
+            status, detail, path = "undecidable", c.name, "undecidable"
+    for c in children:
+        if not c.ok and c.status != "undecidable":
+            status = "fail"
+            witness, value = c.witness, c.value
+            detail = c.name if c.detail is None else f"{c.name}: {c.detail}"
+            path = c.path
+            break
+    return Verdict(
+        name,
+        status,
+        path,
+        witness=witness,
+        value=value,
+        detail=detail,
+        children=tuple(children),
+        notes=tuple(notes),
+    )
 
 
 def vf_bracket(V: Section, W: Section) -> Section:

@@ -3,11 +3,8 @@ reductive constructions, the metric and Poisson reports, invariant
 calculus on flat representations, coframe geometries, and a numeric
 holonomy cross-check.
 
-Everything here reduces to batteries of zero tests over a chart.  A
-battery walks labelled expressions through :func:`symcore.is_zero` and
-folds the outcomes into a :class:`Verdict`: the first failure wins and
-carries its witness point; a pass that needed the sampled tier is
-flagged as probabilistic.
+Every verdict here is a :class:`Verdict` folded from batteries of zero
+tests by :mod:`cartankit.bundles`.
 
 The compatibility check is deliberately computed twice, by two routes
 that share no code: once from the bracket/derivative defect
@@ -40,8 +37,13 @@ from .bundles import (
     G,
     Section,
     TensorField,
+    Verdict,
+    _aggregate,
     _along,
+    _battery,
     _directions,
+    _require_zero,
+    _tensor_battery,
     as_expr,
 )
 from .connections import (
@@ -105,126 +107,6 @@ __all__ = [
     "principal_log",
     "identity_battery",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Verdicts
-# ---------------------------------------------------------------------------
-
-
-#: statuses that count as a positive outcome
-_OK_STATUSES = ("pass", "locally_symmetric")
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one named check, possibly aggregating children.
-
-    ``status`` is "pass"/"fail"/"undecidable" for plain batteries; the
-    classification verdicts reuse the slot for their labels
-    ("locally_symmetric", "curved", "not_cartan").  A failing verdict
-    always carries a witness point (inherited from the failing child
-    when aggregated).  ``path`` records the strongest tier that was
-    needed: "symbolic" means every constituent cancelled exactly.
-    """
-
-    name: str
-    status: str
-    path: str = "symbolic"
-    witness: Optional[tuple] = None
-    value: Optional[float] = None
-    detail: Optional[str] = None
-    children: Tuple["Verdict", ...] = ()
-    notes: Tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.status == "fail" and self.witness is None:
-            raise ValueError(f"failing verdict {self.name!r} has no witness")
-
-    @property
-    def ok(self) -> bool:
-        return self.status in _OK_STATUSES
-
-    def child(self, name: str) -> "Verdict":
-        for c in self.children:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def as_dict(self) -> dict:
-        out = {"name": self.name, "status": self.status, "path": self.path}
-        if self.witness is not None:
-            out["witness"] = [float(x) for x in self.witness]
-        if self.value is not None:
-            out["value"] = self.value
-        if self.detail is not None:
-            out["detail"] = self.detail
-        if self.notes:
-            out["notes"] = list(self.notes)
-        if self.children:
-            out["children"] = [c.as_dict() for c in self.children]
-        return out
-
-    def __repr__(self):
-        flag = "" if self.path == "symbolic" else f" [{self.path}]"
-        return f"<verdict {self.name}: {self.status}{flag}>"
-
-
-def _battery(name, labelled, chart, policy) -> Verdict:
-    """Fold labelled expressions into one verdict; first failure wins."""
-    worst = "symbolic"
-    for label, e in labelled:
-        v = is_zero(e, chart, policy)
-        if v.path == "undecidable":
-            return Verdict(name, "undecidable", "undecidable", detail=label)
-        if v.path == "probabilistic":
-            worst = "probabilistic"
-        if not v.zero:
-            return Verdict(
-                name, "fail", v.path, witness=v.witness, value=v.value, detail=label
-            )
-    return Verdict(name, "pass", worst)
-
-
-def _tensor_battery(name, T: TensorField, policy) -> Verdict:
-    return _battery(
-        name,
-        (
-            (f"component {idx}", T.components[idx])
-            for idx in np.ndindex(*T.shape)
-        ),
-        T.chart,
-        policy,
-    )
-
-
-def _aggregate(name, children, notes=()) -> Verdict:
-    """Combine child verdicts: any fail -> fail, else any undecidable ->
-    undecidable, else pass; witness and path are inherited."""
-    status, witness, value, detail, path = "pass", None, None, None, "symbolic"
-    for c in children:
-        if c.path == "probabilistic" and path == "symbolic":
-            path = "probabilistic"
-    for c in children:
-        if c.status == "undecidable" and status == "pass":
-            status, detail, path = "undecidable", c.name, "undecidable"
-    for c in children:
-        if not c.ok and c.status != "undecidable":
-            status = "fail"
-            witness, value = c.witness, c.value
-            detail = c.name if c.detail is None else f"{c.name}: {c.detail}"
-            path = c.path
-            break
-    return Verdict(
-        name,
-        status,
-        path,
-        witness=witness,
-        value=value,
-        detail=detail,
-        children=tuple(children),
-        notes=tuple(notes),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -713,13 +595,17 @@ def _check_metric(sigma: TensorField, policy: ZeroPolicy) -> None:
     n = chart.dim
     if sigma.slots != ((LOW, TM), (LOW, TM)):
         raise ValueError("metric must be a (0,2) tangent tensor")
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = is_zero(sigma[i, j] - sigma[j, i], chart, policy)
-            if not v.zero:
-                raise DegenerateError.from_verdict(
-                    f"metric is not symmetric: ({i},{j}) vs ({j},{i})", v
-                )
+    _require_zero(
+        (
+            (
+                f"metric is not symmetric: ({i},{j}) vs ({j},{i})",
+                sigma[i, j] - sigma[j, i],
+            )
+            for i, j in combinations(range(n), 2)
+        ),
+        chart,
+        policy,
+    )
 
     # pointwise nondegeneracy over the sampling box
     det = sym_det([[sigma[i, j] for j in range(n)] for i in range(n)])
@@ -1689,24 +1575,10 @@ def identity_battery(
     chart = g.chart
     children = []
 
-    ok, label, verdict = check_anchor_equivariance(g, conn, policy)
-    if ok:
-        children.append(Verdict("anchor_equivariance", "pass", "probabilistic"))
-    elif verdict.path == "undecidable":
-        children.append(
-            Verdict("anchor_equivariance", "undecidable", "undecidable", detail=label)
-        )
-    else:
-        children.append(
-            Verdict(
-                "anchor_equivariance",
-                "fail",
-                verdict.path,
-                witness=verdict.witness,
-                value=verdict.value,
-                detail=label,
-            )
-        )
+    anchor = check_anchor_equivariance(g, conn, policy)
+    if anchor.ok:
+        anchor = Verdict("anchor_equivariance", "pass", "probabilistic")
+    children.append(anchor)
 
     rep = induced_rep_on_g(g, conn)
     dual = dual_connection(rep)

@@ -40,17 +40,15 @@ from . import __version__
 from .algebroid import (
     Algebroid,
     LieAlgebra,
-    ValidationReport,
     build_action_algebroid,
     build_foliation_algebroid,
     build_poisson_algebroid,
     tangent_algebroid,
 )
 from .algebroid import validate as validate_algebroid
-from .bundles import LOW, TM, UP, Section, TensorField
+from .bundles import LOW, TM, UP, Section, TensorField, Verdict, _battery
 from .cartan import (
     DegenerateError,
-    _battery,
     Parallelism,
     check_cartan,
     cotangent_connection,
@@ -463,7 +461,7 @@ class Workspace:
 
         return self._build("action_algebroid", make)
 
-    def direct_algebroid_axioms(self) -> Tuple[Algebroid, ValidationReport]:
+    def direct_algebroid_axioms(self) -> Tuple[Algebroid, Verdict]:
         """The declared anchor and structure tables, and their axiom verdicts."""
 
         def make():
@@ -478,8 +476,8 @@ class Workspace:
         """The declared algebroid, once its tables pass every axiom: the
         first axiom that fails rejects the build with its witness and
         value, and one that is undecidable leaves the build undecidable."""
-        g, report = self.direct_algebroid_axioms()
-        for c in report.checks:
+        g, axioms = self.direct_algebroid_axioms()
+        for c in axioms.children:
             if not c.ok:
                 outcome = "is undecidable" if c.path == "undecidable" else "fails"
                 raise BuildFailure(
@@ -646,26 +644,6 @@ def _check_dict(name, status, path="symbolic", **extra) -> dict:
     return out
 
 
-def _axiom_dicts(report) -> List[dict]:
-    out = []
-    for c in report.checks:
-        if c.path == "undecidable":
-            status = "undecidable"
-        else:
-            status = "pass" if c.ok else "fail"
-        d = _check_dict(
-            c.name,
-            status,
-            c.path,
-            detail=c.detail,
-            value=c.value,
-        )
-        if c.witness is not None:
-            d["witness"] = [float(x) for x in c.witness]
-        out.append(d)
-    return out
-
-
 def _metric_checks(ws: Workspace) -> List[dict]:
     sigma = ws.metric_tensor()
     chart, policy = ws.spec.chart, ws.policy
@@ -717,7 +695,7 @@ def cmd_validate(ws: Workspace) -> List[dict]:
         )
 
     def axioms(g):
-        return _axiom_dicts(validate_algebroid(g, ws.policy))
+        return [c.as_dict() for c in validate_algebroid(g, ws.policy).children]
 
     for label, present, builder, on_pass in (
         ("action_algebroid", spec.action_fields is not None, ws.action_algebroid, axioms),
@@ -725,7 +703,7 @@ def cmd_validate(ws: Workspace) -> List[dict]:
             "algebroid",
             spec.algebroid_tables is not None,
             ws.direct_algebroid_axioms,
-            lambda built: _axiom_dicts(built[1]),
+            lambda built: [c.as_dict() for c in built[1].children],
         ),
         ("poisson_algebroid", spec.poisson is not None, ws.poisson_algebroid, axioms),
         ("foliation_algebroid", spec.foliation_frame is not None, ws.foliation_algebroid, axioms),

@@ -29,7 +29,9 @@ from .bundles import (
     G,
     Section,
     TensorField,
+    Verdict,
     _along,
+    _battery,
     _derivative,
     _directions,
     as_expr,
@@ -505,25 +507,28 @@ def _induced_rep_on_tm(g: Algebroid, conn: TMConnection) -> GConnection:
 
 def check_anchor_equivariance(
     g: Algebroid, conn: TMConnection, policy: Optional[ZeroPolicy] = None
-):
+) -> Verdict:
     """Self-test: the anchor intertwines the two induced representations.
 
     That is, the anchor, as the tensor rho[k, b] with an upper tangent
     and a lower algebroid slot, is parallel for them: its
-    :func:`g_tensor_deriv` through the pair vanishes.  Returns (ok,
-    label, verdict); must pass for *every* input, so a failure signals
-    an implementation bug, not bad data.
+    :func:`g_tensor_deriv` through the pair vanishes.  Returns the
+    ``anchor_equivariance`` battery; must pass for *every* input, so a
+    failure signals an implementation bug, not bad data.
     """
-    policy = policy or ZeroPolicy()
     anchor = TensorField(g.chart, ((UP, TM), (LOW, G)), g.rho)
     D = g_tensor_deriv(
         anchor, rep_g=induced_rep_on_g(g, conn), rep_tm=induced_rep_on_tm(g, conn)
     )
-    for a, b, k in np.ndindex(g.rank, g.rank, g.chart.dim):
-        verdict = is_zero(D[k, b, a], g.chart, policy)
-        if not verdict.zero:
-            return False, f"pair ({a},{b}) component {k}", verdict
-    return True, None, None
+    return _battery(
+        "anchor_equivariance",
+        (
+            (f"pair ({a},{b}) component {k}", D[k, b, a])
+            for a, b, k in np.ndindex(g.rank, g.rank, g.chart.dim)
+        ),
+        g.chart,
+        policy or ZeroPolicy(),
+    )
 
 
 # ------------------------------------------------------------------- morphisms

@@ -397,8 +397,8 @@ def test_criterion_7_invariant_calculus(corpus_pairs):
 def test_criterion_8_unconditional_self_tests(catalog, corpus_pairs):
     pairs = list(corpus_pairs.values()) + catalog
     for k, (g, conn) in enumerate(pairs):
-        ok, label, verdict = check_anchor_equivariance(g, conn, POLICY)
-        assert ok, f"anchor equivariance broken on pair {k}: {label}"
+        verdict = check_anchor_equivariance(g, conn, POLICY)
+        assert verdict.ok, f"anchor equivariance broken on pair {k}: {verdict.detail}"
 
     # morphism curvature always lands in the anchor kernel, including for
     # maps whose curvature is nonzero

@@ -482,8 +482,8 @@ def test_anchor_equivariance_self_test():
     g = so3_action()
     rng = np.random.default_rng(17)
     gamma = rng.integers(-2, 3, size=(3, 3, 3)).tolist()
-    ok, label, verdict = check_anchor_equivariance(g, TMConnection(R3, gamma))
-    assert ok, f"equivariance broken at {label}: {verdict}"
+    verdict = check_anchor_equivariance(g, TMConnection(R3, gamma))
+    assert verdict.ok, f"equivariance broken at {verdict.detail}: {verdict}"
 
 
 def test_anchor_equivariance_detects_broken_axioms():
@@ -496,10 +496,9 @@ def test_anchor_equivariance_detects_broken_axioms():
     bad[0, 1, 2] = canon(parse("1 + x", R3))
     bad[1, 0, 2] = canon(parse("-(1+x)", R3))
     broken = Algebroid(R3, 3, g.rho, bad)
-    ok, label, verdict = check_anchor_equivariance(
-        broken, TMConnection.flat(R3, 3)
-    )
-    assert not ok and verdict.witness is not None
+    verdict = check_anchor_equivariance(broken, TMConnection.flat(R3, 3))
+    assert verdict.status == "fail" and verdict.witness is not None
+    assert verdict.detail.startswith("pair (")
 
 
 # ------------------------------------------------------------------ morphisms
