@@ -76,7 +76,6 @@ from .symcore import (
     csum,
     diff,
     evaluate_batch,
-    is_zero,
     sym_det,
 )
 
@@ -403,7 +402,8 @@ def reductive_connection(
     tests gate them.  Different splittings change only the vertical part
     of the coefficients.
 
-    Raises ``ValueError`` when ``t`` is not a splitting of the anchor or
+    Raises :class:`DegenerateError` when ``t`` is not a splitting of the
+    anchor, or cannot be decided to be one, and ``ValueError`` when
     ``rep_tm`` is not a flat tangent-target action of ``g``.
     """
     policy = policy or ZeroPolicy()
@@ -416,16 +416,21 @@ def reductive_connection(
     for idx in np.ndindex(*t.shape):
         tc[idx] = as_expr(t[idx], chart)
     t = tc
-    for k in range(n):
-        for i in range(n):
-            terms = [Const(-1) if k == i else ZERO]
-            terms += [cmul(g.rho[k, b], t[b, i]) for b in range(r)]
-            v = is_zero(csum(terms), chart, policy)
-            if not v.zero:
-                raise ValueError(
-                    f"t is not a splitting of the anchor: component ({k},{i}) "
-                    f"= {v.value} at {v.witness}"
-                )
+    _require_zero(
+        (
+            (
+                f"t is not a splitting of the anchor: component ({k},{i})",
+                csum(
+                    [Const(-1) if k == i else ZERO]
+                    + [cmul(g.rho[k, b], t[b, i]) for b in range(r)]
+                ),
+            )
+            for k in range(n)
+            for i in range(n)
+        ),
+        chart,
+        policy,
+    )
     if rep_tm.target != "tm" or rep_tm.g is not g:
         raise ValueError("rep_tm must be a tangent-target action of this algebroid")
     flat, idx, verdict = is_flat_g(rep_tm, policy)
@@ -487,18 +492,21 @@ def _skew_basis(sigma: TensorField):
 def _check_skew(sigma: TensorField, E, label: str, policy):
     """sigma(EV, W) + sigma(V, EW) = 0, componentwise."""
     n = sigma.chart.dim
-    for k in range(n):
-        for l in range(n):
-            total = csum(
-                [cmul(sigma[k, m], E[m, l]) for m in range(n)]
-                + [cmul(sigma[l, m], E[m, k]) for m in range(n)]
+    _require_zero(
+        (
+            (
+                f"{label} is not metric-skew: component ({k},{l})",
+                csum(
+                    [cmul(sigma[k, m], E[m, l]) for m in range(n)]
+                    + [cmul(sigma[l, m], E[m, k]) for m in range(n)]
+                ),
             )
-            v = is_zero(total, sigma.chart, policy)
-            if not v.zero:
-                raise ValueError(
-                    f"{label} is not metric-skew: component ({k},{l}) = "
-                    f"{v.value} at {v.witness}"
-                )
+            for k in range(n)
+            for l in range(n)
+        ),
+        sigma.chart,
+        policy,
+    )
 
 
 def _coerce_endo(mat, chart: Chart):
@@ -632,8 +640,9 @@ def riemann_pipeline(
     isometry algebroid nor its Cartan connection; :func:`metric_pair`
     builds those.
 
-    Raises as :func:`_check_metric` does on a bad metric, ``ValueError``
-    on a non-skew ``h_frame``, and on any internal-identity failure.
+    Raises as :func:`_check_metric` does on a bad metric,
+    :class:`DegenerateError` on an ``h_frame`` that is not skew or cannot
+    be decided to be, and on any internal-identity failure.
     """
     policy = policy or ZeroPolicy()
     _check_metric(sigma, policy)

@@ -33,6 +33,7 @@ from .bundles import (
     _along,
     _battery,
     _derivative,
+    _require_zero,
     _directions,
     as_expr,
 )
@@ -46,7 +47,6 @@ from .symcore import (
     cneg,
     csum,
     diff,
-    is_zero,
     sym_det,
 )
 
@@ -543,7 +543,8 @@ def morphism_curvature(
     """Bracket defect of an anchored fiberwise map between algebroids.
 
     ``phi[al][a]`` maps the g-frame into h.  The anchors must agree
-    through phi (checked; rejected with witness).  The result has
+    through phi (checked; rejected with :class:`DegenerateError` and its
+    witness).  The result has
     components ([phi e_a, phi e_b]_h - phi [e_a, e_b]_g)^al.
     """
     from .algebroid import bracket
@@ -559,17 +560,16 @@ def morphism_curvature(
     for idx in np.ndindex(*phi.shape):
         phi_canon[idx] = as_expr(phi[idx], chart)
     phi = phi_canon
-    for a in range(g.rank):
-        for i in range(chart.dim):
-            defect = -g.rho[i, a]
-            for al in range(h.rank):
-                defect = defect + h.rho[i, al] * phi[al, a]
-            verdict = is_zero(defect, chart, policy)
-            if not verdict.zero:
-                raise ValueError(
-                    f"anchor incompatibility at frame {a} component {i}: "
-                    f"witness {verdict.witness} = {verdict.value}"
-                )
+
+    def anchor_defects():
+        for a in range(g.rank):
+            for i in range(chart.dim):
+                defect = -g.rho[i, a]
+                for al in range(h.rank):
+                    defect = defect + h.rho[i, al] * phi[al, a]
+                yield f"anchor incompatibility at frame {a} component {i}", defect
+
+    _require_zero(anchor_defects(), chart, policy)
     r = g.rank
     out = np.empty((r, r, h.rank), dtype=object)
     for a in range(r):

@@ -865,6 +865,32 @@ def test_identities_on_a_metric_reads_no_h_frame(capsys, tmp_path):
     assert (code, rep["status"]) == (0, "pass")
 
 
+def test_h_frame_skewness_is_rejected_with_the_zero_tests_verdict(capsys, tmp_path):
+    # A non-skew h_frame fails with the exact tier's witness and value; one
+    # whose skewness is undefined on the whole box is undecidable, with no
+    # witness, not a failure.
+    def metric_check(box, h_frame):
+        doc = {
+            "spec_version": 1,
+            "chart": {"coords": ["x", "y"], "box": [box, box]},
+            "metric": [["1", "0"], ["0", "1"]],
+            "h_frame": [h_frame],
+        }
+        code, rep = invoke(capsys, "check", write_doc(tmp_path, doc))
+        [check] = rep["checks"]
+        assert check["name"] == "metric"
+        return code, rep["status"], check
+
+    code, status, check = metric_check([-1, 1], [["1", "0"], ["0", "0"]])
+    assert (code, status, check["status"], check["path"]) == (1, "fail", "fail", "symbolic")
+    assert (check["witness"], check["value"]) == ([0.0, 0.0], 2.0)
+    assert check["detail"].startswith("h_frame[0] is not metric-skew: component (0,0)")
+    code, status, check = metric_check([0, 1], [["sqrt(x-5)", "0"], ["0", "0"]])
+    assert (code, status) == (1, "undecidable")
+    assert (check["status"], check["path"]) == ("undecidable", "undecidable")
+    assert "witness" not in check and "value" not in check
+
+
 # ---------------------------------------------------------------------------
 # report mechanics
 # ---------------------------------------------------------------------------
