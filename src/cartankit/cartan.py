@@ -1584,10 +1584,7 @@ def identity_battery(
     chart = g.chart
     children = []
 
-    anchor = check_anchor_equivariance(g, conn, policy)
-    if anchor.ok:
-        anchor = Verdict("anchor_equivariance", "pass", "probabilistic")
-    children.append(anchor)
+    children.append(check_anchor_equivariance(g, conn, policy))
 
     rep = induced_rep_on_g(g, conn)
     dual = dual_connection(rep)
