@@ -474,10 +474,15 @@ def test_chart_validation():
 
 
 def _expr_strategy(funcs=("sin", "cos", "exp")):
+    coordinates = st.sampled_from(["x", "y"]).map(Sym)
     leaves = st.one_of(
         st.integers(min_value=-4, max_value=4).map(Const),
-        st.sampled_from(["x", "y"]).map(Sym),
+        coordinates,
         st.fractions(min_value=-2, max_value=2, max_denominator=8).map(Const),
+        # a function of a coordinate: the recursion alone draws one in
+        # about 7 of 200 derandomized draws, too few to exercise each
+        # function's rules
+        st.builds(Call, st.sampled_from(funcs), coordinates),
     )
 
     def extend(children):
