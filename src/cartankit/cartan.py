@@ -403,8 +403,9 @@ def reductive_connection(
     of the coefficients.
 
     Raises :class:`DegenerateError` when ``t`` is not a splitting of the
-    anchor, or cannot be decided to be one, and ``ValueError`` when
-    ``rep_tm`` is not a flat tangent-target action of ``g``.
+    anchor or ``rep_tm`` is not flat, or either cannot be decided, and
+    ``ValueError`` when ``rep_tm`` is not a tangent-target action of
+    ``g``.
     """
     policy = policy or ZeroPolicy()
     chart = g.chart
@@ -435,9 +436,8 @@ def reductive_connection(
         raise ValueError("rep_tm must be a tangent-target action of this algebroid")
     flat, idx, verdict = is_flat_g(rep_tm, policy)
     if not flat:
-        raise ValueError(
-            f"rep_tm has curvature at component {idx}: witness "
-            f"{verdict.witness} = {verdict.value}"
+        raise DegenerateError.from_verdict(
+            f"rep_tm has curvature at component {idx}", verdict
         )
     return _reductive_connection(g, t, rep_tm.A)
 

@@ -63,6 +63,7 @@ from cartankit.symcore import (
     Call,
     Chart,
     Const,
+    DegenerateError,
     Sym,
     ZeroPolicy,
     canon,
@@ -462,6 +463,29 @@ def test_reductive_rejects_curved_action():
     bad = GConnection(g, A, target="tm")
     with pytest.raises(ValueError, match="curvature"):
         reductive_connection(g, t, bad, POLICY)
+
+
+def test_reductive_reports_undecidable_checks_as_undecidable():
+    # sqrt(x - 5) is undefined on the whole box, so neither the splitting
+    # nor the flatness can be decided: each rejection carries the
+    # undecidable path and no witness
+    g, nabla = euclid_reductive()
+    rep_tm = induced_rep_on_tm(g, nabla)
+    t = np.empty((3, 2), dtype=object)
+    t[...] = Const(0)
+    t[0, 0] = t[1, 1] = Const(1)
+    unsure_t = t.copy()
+    unsure_t[0, 0] = as_expr("1 + sqrt(x-5)", R2)
+    A = np.empty((3, 2, 2), dtype=object)
+    A[...] = Const(0)
+    A[0, 0, 1] = "y*sqrt(x-5)"
+    for args, message in (
+        ((unsure_t, rep_tm), "not a splitting"),
+        ((t, GConnection(g, A, target="tm")), "has curvature"),
+    ):
+        with pytest.raises(DegenerateError, match=message) as caught:
+            reductive_connection(g, *args, POLICY)
+        assert (caught.value.path, caught.value.point) == ("undecidable", None)
 
 
 def test_reductive_rejects_wrong_target():
