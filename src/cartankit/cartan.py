@@ -914,9 +914,9 @@ def poisson_report(
 def _require_flat(rep: GConnection, policy, who: str):
     flat, idx, verdict = is_flat_g(rep, policy)
     if not flat:
-        raise ValueError(
-            f"{who} needs a flat action, but curvature component {idx} is "
-            f"{verdict.value} at {verdict.witness}"
+        raise DegenerateError.from_verdict(
+            f"{who} needs a flat action, but curvature component {idx} is not zero",
+            verdict,
         )
 
 

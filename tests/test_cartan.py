@@ -917,13 +917,18 @@ def test_exterior_derivative_rejects_crooked_two_form():
 
 def test_exterior_derivative_rejects_curved_action():
     g, _ = flat_but_incompatible()
-    A = np.empty((2, 2, 2), dtype=object)
-    A[...] = Const(0)
-    A[0, 0, 1] = "y"
-    curved = GConnection(g, A, target="self")
     theta = TensorField(R2, ((LOW, G), (UP, G)), [["x", "0"], ["0", "1"]])
-    with pytest.raises(ValueError, match="flat"):
-        exterior_derivative(curved, theta, POLICY)
+    # a curved action fails with a witness; one whose curvature is
+    # undefined on the whole box is undecidable, with none
+    for entry, path in (("y", "symbolic"), ("y*sqrt(x-5)", "undecidable")):
+        A = np.empty((2, 2, 2), dtype=object)
+        A[...] = Const(0)
+        A[0, 0, 1] = entry
+        curved = GConnection(g, A, target="self")
+        with pytest.raises(DegenerateError, match="flat") as caught:
+            exterior_derivative(curved, theta, POLICY)
+        assert caught.value.path == path
+        assert (caught.value.point is None) == (path == "undecidable")
 
 
 def test_dtheta_decomposition_matches_derivative():
