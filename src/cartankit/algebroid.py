@@ -7,9 +7,8 @@ Antisymmetry, the anchor homomorphism and Jacobi are *checked*, not
 assumed: ``validate`` decides them from the anchor and structure tables
 and returns a :class:`~cartankit.bundles.Verdict` with one child per
 axiom, so that deliberately broken inputs can be diagnosed instead of
-rejected at construction.  Leibniz holds by
-construction, because ``bracket`` is the Leibniz extension of the frame
-brackets.
+rejected at construction.  Leibniz holds by construction, because
+``bracket`` is the Leibniz extension of the frame brackets.
 """
 
 from __future__ import annotations

@@ -437,7 +437,7 @@ def reductive_connection(
     flat, idx, verdict = is_flat_g(rep_tm, policy)
     if not flat:
         raise DegenerateError.from_verdict(
-            f"rep_tm has curvature at component {idx}", verdict
+            f"rep_tm must be flat: curvature component {idx}", verdict
         )
     return _reductive_connection(g, t, rep_tm.A)
 
@@ -915,8 +915,7 @@ def _require_flat(rep: GConnection, policy, who: str):
     flat, idx, verdict = is_flat_g(rep, policy)
     if not flat:
         raise DegenerateError.from_verdict(
-            f"{who} needs a flat action, but curvature component {idx} is not zero",
-            verdict,
+            f"{who} needs a flat action: curvature component {idx}", verdict
         )
 
 

@@ -33,8 +33,8 @@ from .bundles import (
     _along,
     _battery,
     _derivative,
-    _require_zero,
     _directions,
+    _require_zero,
     as_expr,
 )
 from .symcore import (

@@ -481,7 +481,7 @@ def test_reductive_reports_undecidable_checks_as_undecidable():
     A[0, 0, 1] = "y*sqrt(x-5)"
     for args, message in (
         ((unsure_t, rep_tm), "not a splitting"),
-        ((t, GConnection(g, A, target="tm")), "has curvature"),
+        ((t, GConnection(g, A, target="tm")), "must be flat"),
     ):
         with pytest.raises(DegenerateError, match=message) as caught:
             reductive_connection(g, *args, POLICY)
