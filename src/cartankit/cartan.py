@@ -1382,6 +1382,13 @@ def holonomy_check(
     so the returned defect log(H) + side^2 R is third order in the side
     length.  Fixed-step RK4; the loops this is meant for are tiny and
     the coefficients smooth, so adaptivity would buy nothing.
+
+    Each RK4 step multiplies the frame by I + E_s, and the step
+    increments E_s of all four sides are built in batched products and
+    composed pairwise (:func:`_compose_increments`), in ceil(log2(4*steps))
+    batched products, with rounding that grows like the log of the step
+    count, not like the step count.  A flat connection's
+    increments are zero, so its holonomy is exactly the identity.
     """
     if conn.target != "tm":
         raise ValueError("holonomy transport needs a tangent connection")
@@ -1410,28 +1417,25 @@ def holonomy_check(
                     f"loop exits the sampling box at {tuple(corner.tolist())}"
                 )
 
-    M = np.eye(n)
     dt = 1.0 / steps
     # RK4 needs the generator at the side's 2*steps+1 nodes start + direction
     # * ((s + frac) * dt), frac in {0, 1/2, 1}; s + frac = node/2 exactly
     times = np.arange(2 * steps + 1) * 0.5 * dt
+    increments = []
     for start, end in zip(corners[:-1], corners[1:]):
         direction = end - start
         nodes = start + direction * times[:, None]
         minus_K = -_transport_generators(conn, direction, nodes)
-        # dM/dt = A(t) M is linear, so step s of RK4 is M <- M + E_s M,
+        # dM/dt = A(t) M is linear, so step s of RK4 is M <- (I + E_s) M,
         # with k1..k4 = A0 M, B2 M, B3 M, B4 M for the generators A0, A1,
         # A2 at the step's start, midpoint and end.  All E_s of a side
-        # come from three batched products.  Adding the increment to M,
-        # rather than forming (I + E_s) M, keeps rounding where the
-        # stage-by-stage loop had it: around loops of the flat
-        # affine-group coframe, one ulp off the identity against ten.
+        # come from three batched products.
         A0, A1, A2 = minus_K[0:-1:2], minus_K[1::2], minus_K[2::2]
         B2 = A1 + 0.5 * dt * (A1 @ A0)
         B3 = A1 + 0.5 * dt * (A1 @ B2)
         B4 = A2 + dt * (A2 @ B3)
-        for E in dt / 6.0 * (A0 + 2 * B2 + 2 * B3 + B4):
-            M = M + E @ M
+        increments.append(dt / 6.0 * (A0 + 2 * B2 + 2 * B3 + B4))
+    M = np.eye(n) + _compose_increments(np.concatenate(increments))
 
     R = curvature_tm(conn)
     batch = evaluate_batch(
@@ -1455,6 +1459,25 @@ def holonomy_check(
         curvature_term=h * h * curv,
         defect=defect,
     )
+
+
+def _compose_increments(E: np.ndarray) -> np.ndarray:
+    """F with I + F = (I + E[-1]) ... (I + E[1]) (I + E[0]).
+
+    The product is associative, so it is reduced pairwise, a tree of
+    depth ceil(log2(len(E))) with one batched product per level
+    (Blelloch 1990).  Its rounding error grows like the log of the
+    number of factors, as pairwise summation's does (Higham 2002,
+    section 4.2).  Adjacent factors combine in increment form,
+    (I + b)(I + a) = I + (a + b + b a), which keeps the small increments
+    apart from I: zero increments compose to exactly zero.
+    """
+    while len(E) > 1:
+        odd = len(E) % 2
+        a, b = E[0 : len(E) - odd : 2], E[1::2]
+        pairs = a + b + b @ a
+        E = np.concatenate((pairs, E[-1:])) if odd else pairs
+    return E[0]
 
 
 def principal_log(M) -> np.ndarray:

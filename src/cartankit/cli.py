@@ -2,8 +2,8 @@
 
 A GeometrySpec is a JSON document holding one chart and the geometric
 objects living on it (tables of expression strings; see
-schema/geometry_spec.schema.json for the field-by-field index
-conventions).  Commands:
+geometry_spec.schema.json, next to this module, for the field-by-field
+index conventions).  Commands:
 
     cartankit validate <file>       axioms / well-formedness of every object
     cartankit check <file> --pipeline {cartan,theorem-a,transitive,
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -73,7 +74,7 @@ from .symcore import (
     to_text,
 )
 
-_SCHEMA_PATH = Path(__file__).resolve().parent.parent.parent / "schema" / "geometry_spec.schema.json"
+_SCHEMA_PATH = Path(__file__).with_name("geometry_spec.schema.json")
 
 PIPELINES = ("cartan", "theorem-a", "transitive", "riemann", "poisson", "geometry")
 
@@ -92,26 +93,150 @@ def _pointer(parts) -> str:
 
 
 def _load_schema() -> dict:
-    candidates = [_SCHEMA_PATH]
-    # editable installs see the repo schema; installed trees keep a copy
-    # next to the package
-    candidates.append(Path(__file__).resolve().parent / "geometry_spec.schema.json")
-    for c in candidates:
-        if c.is_file():
-            return json.loads(c.read_text())
-    raise RuntimeError("geometry_spec.schema.json not found")
+    return json.loads(_SCHEMA_PATH.read_text())
 
 
 def schema_errors(doc) -> List[Tuple[str, str]]:
-    """Sorted (pointer, message) pairs; empty means structurally valid."""
+    """Sorted (pointer, message) pairs; empty means structurally valid.
+
+    Validity is decided by :func:`_conforms`; jsonschema runs only on a
+    document that check does not accept, so every rejection carries
+    jsonschema's own message and pointer."""
+    schema = _load_schema()
+    if _conforms(doc, schema):
+        return []
     import jsonschema
 
-    validator = jsonschema.Draft7Validator(_load_schema())
+    validator = jsonschema.Draft7Validator(schema)
     found = []
     for err in validator.iter_errors(doc):
         found.append((_pointer(err.absolute_path), err.message))
     found.sort()
     return found
+
+
+class _Unsupported(Exception):
+    """A schema keyword or a value type that :func:`_conforms` does not
+    interpret."""
+
+
+def _conforms(doc, schema: dict) -> bool:
+    """Whether ``doc`` is valid under the Draft-7 ``schema``, decided
+    without jsonschema for the keywords the spec schema uses.
+
+    On JSON values each keyword means what it means to jsonschema's
+    ``Draft7Validator`` (``True`` is not the integer 1, ``2.0`` is an
+    integer, ``pattern`` is ``re.search``), so a True answer is
+    jsonschema's.  Any other keyword, a non-local ``$ref``, or a value
+    that JSON cannot hold gives False, and the caller asks jsonschema."""
+    try:
+        return _matches(doc, schema, schema)
+    except _Unsupported:
+        return False
+
+
+# annotations: they constrain nothing
+_ANNOTATIONS = frozenset(("$schema", "$id", "title", "description", "definitions"))
+_JSON_SCALARS = (str, int, float, bool, type(None))
+_JSON_TYPES = {
+    "object": lambda v: type(v) is dict,
+    "array": lambda v: type(v) is list,
+    "string": lambda v: type(v) is str,
+    "integer": lambda v: type(v) is int or (type(v) is float and v.is_integer()),
+    "number": lambda v: type(v) in (int, float),
+    "boolean": lambda v: type(v) is bool,
+    "null": lambda v: v is None,
+}
+
+
+def _json_equal(value, const) -> bool:
+    # jsonschema's equality: True and 1 differ, 1 and 1.0 do not
+    if type(const) not in _JSON_SCALARS:
+        raise _Unsupported("const or enum value that is not a scalar")
+    return value == const and (type(value) is bool) == (type(const) is bool)
+
+
+def _is_type(value, name) -> bool:
+    if name not in _JSON_TYPES:
+        raise _Unsupported(f"type {name!r}")
+    return _JSON_TYPES[name](value)
+
+
+def _matches(value, schema, root) -> bool:
+    if type(schema) is bool:
+        return schema
+    if type(value) not in (dict, list) + _JSON_SCALARS:
+        raise _Unsupported(f"value of type {type(value).__name__}")
+    if "$ref" in schema:  # Draft 7: $ref's siblings are ignored
+        ref = schema["$ref"]
+        if not ref.startswith("#/") or "~" in ref or "%" in ref:
+            raise _Unsupported(f"$ref {ref!r}")
+        target = root
+        for part in ref[2:].split("/"):
+            target = target[part]
+        return _matches(value, target, root)
+    for key, rule in schema.items():
+        if key in _ANNOTATIONS:
+            continue
+        check = _KEYWORDS.get(key)
+        if check is None:
+            raise _Unsupported(f"keyword {key!r}")
+        if not check(value, rule, schema, root):
+            return False
+    return True
+
+
+def _properties_match(value, properties, schema, root) -> bool:
+    return type(value) is not dict or all(
+        _matches(value[name], sub, root)
+        for name, sub in properties.items()
+        if name in value
+    )
+
+
+def _additional_match(value, rule, schema, root) -> bool:
+    if type(value) is not dict:
+        return True
+    declared = schema.get("properties", {})
+    extras = [name for name in value if name not in declared]
+    if type(rule) is bool:
+        return rule or not extras
+    return all(_matches(value[name], rule, root) for name in extras)
+
+
+def _items_match(value, rule, schema, root) -> bool:
+    if type(rule) is list:
+        raise _Unsupported("items given as a list")
+    return type(value) is not list or all(_matches(v, rule, root) for v in value)
+
+
+def _one_of_matches(value, branches, schema, root) -> bool:
+    return sum(_matches(value, sub, root) for sub in branches) == 1
+
+
+_NUMBER = _JSON_TYPES["number"]
+
+_KEYWORDS = {
+    "type": lambda v, rule, schema, root: any(
+        _is_type(v, name) for name in ([rule] if type(rule) is str else rule)
+    ),
+    "const": lambda v, rule, schema, root: _json_equal(v, rule),
+    "enum": lambda v, rule, schema, root: any(_json_equal(v, c) for c in rule),
+    "pattern": lambda v, rule, schema, root: (
+        type(v) is not str or re.search(rule, v) is not None
+    ),
+    "minimum": lambda v, rule, schema, root: not (_NUMBER(v) and v < rule),
+    "minLength": lambda v, rule, schema, root: type(v) is not str or len(v) >= rule,
+    "minItems": lambda v, rule, schema, root: type(v) is not list or len(v) >= rule,
+    "maxItems": lambda v, rule, schema, root: type(v) is not list or len(v) <= rule,
+    "items": _items_match,
+    "properties": _properties_match,
+    "required": lambda v, rule, schema, root: (
+        type(v) is not dict or all(name in v for name in rule)
+    ),
+    "additionalProperties": _additional_match,
+    "oneOf": _one_of_matches,
+}
 
 
 # ---------------------------------------------------------------------------

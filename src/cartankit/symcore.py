@@ -27,6 +27,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -118,12 +119,15 @@ class DegenerateError(ValueError):
     @classmethod
     def from_verdict(cls, message: str, verdict: "ZeroVerdict") -> "DegenerateError":
         """The rejection of an expression that must vanish but whose zero
-        test ``verdict`` fails: it carries the verdict's witness, value and
-        path into the report."""
+        test ``verdict`` fails or is undecidable: it carries the verdict's
+        witness, value and path into the report, and an undecidable
+        test's message says that no sample decided it."""
         point = None
         if verdict.witness is not None:
             point = tuple(float(x) for x in verdict.witness)
             message = f"{message} at {point} = {verdict.value}"
+        elif verdict.path == "undecidable":
+            message = f"{message}: undecidable, every sample point left the domain"
         return cls(message, point, verdict.value, verdict.path)
 
 
@@ -1403,7 +1407,7 @@ def _node_value(node: Expr, values: dict, fault, m: int) -> np.ndarray:
         exponent = node.exponent
         if exponent < 0:
             fault("zero base with negative exponent", node, base == 0.0)
-        out = _pointwise(lambda v: v**exponent, base)
+        out = _pointwise(pow, base, exponent)
         fault("overflow", node, np.isfinite(base) & ~np.isfinite(out))
         return out
     if isinstance(node, Call):
@@ -1420,19 +1424,22 @@ def _node_value(node: Expr, values: dict, fault, m: int) -> np.ndarray:
     raise TypeError(f"cannot evaluate {type(node).__name__}")
 
 
-def _pointwise(fn, column: np.ndarray) -> np.ndarray:
-    """``fn`` applied to each float of ``column``.  Where it raises, the
-    value is inf on overflow and nan otherwise; the caller flags it."""
+def _pointwise(fn, column: np.ndarray, *constants) -> np.ndarray:
+    """``fn(v, *constants)`` for each float v of ``column``.  Where it
+    raises, the value is inf on overflow and nan otherwise; the caller
+    flags it."""
     floats = column.tolist()
     try:
-        return np.fromiter(map(fn, floats), dtype=float, count=len(floats))
+        return np.fromiter(
+            map(fn, floats, *map(repeat, constants)), dtype=float, count=len(floats)
+        )
     except (OverflowError, ValueError, ZeroDivisionError):
-        return np.array([_guarded(fn, v) for v in floats], dtype=float)
+        return np.array([_guarded(fn, v, *constants) for v in floats], dtype=float)
 
 
-def _guarded(fn, value: float) -> float:
+def _guarded(fn, value: float, *constants) -> float:
     try:
-        return fn(value)
+        return fn(value, *constants)
     except OverflowError:
         return math.inf
     except (ValueError, ZeroDivisionError):

@@ -4,6 +4,7 @@ Commands run in-process through cli.run() so that a whole corpus sweep
 stays cheap; stdout is captured and parsed back as JSON.
 """
 
+import copy
 import importlib
 import importlib.metadata
 import json
@@ -15,8 +16,9 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cartankit.cli import GeometrySpec, load_spec, run, schema_errors
+from cartankit.cli import GeometrySpec, _conforms, _load_schema, load_spec, run, schema_errors
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -56,6 +58,86 @@ def test_corpus_passes_schema():
     for name in CORPUS_FILES:
         doc = json.loads((CORPUS / name).read_text())
         assert schema_errors(doc) == [], name
+
+
+def _spec_docs():
+    # the corpus and the specs behind the golden reports; test_golden
+    # imports this module, so it is imported here, not at the top
+    from test_golden import METRIC_SPECS
+
+    docs = [json.loads((CORPUS / name).read_text()) for name in CORPUS_FILES]
+    return docs + [doc for specs in METRIC_SPECS.values() for doc in specs.values()]
+
+
+def test_fast_schema_check_accepts_every_corpus_and_golden_spec():
+    schema = _load_schema()
+    for doc in _spec_docs():
+        assert _conforms(doc, schema), doc.get("name")
+
+
+def _containers(doc):
+    """Every object and array in ``doc``, root first."""
+    if isinstance(doc, (dict, list)):
+        yield doc
+        for value in doc.values() if isinstance(doc, dict) else doc:
+            yield from _containers(value)
+
+
+def _json_values():
+    scalars = st.one_of(
+        st.booleans(), st.none(), st.integers(-3, 3), st.sampled_from([0.5, 2.0, -1.0]),
+        st.sampled_from(["", "x", "1/2", "x +* y"]),
+    )
+    return st.one_of(
+        scalars,
+        st.lists(scalars, max_size=2),
+        st.dictionaries(st.sampled_from(["a", "rank"]), scalars, max_size=1),
+    )
+
+
+@st.composite
+def _mutated_spec(draw):
+    """A corpus or golden spec with one to three mutations: a dropped
+    key, an unknown key, a value of the wrong JSON type, an emptied
+    array, a bad coordinate name or a negative seed."""
+    doc = copy.deepcopy(draw(st.sampled_from(_spec_docs())))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "unknown", "retype", "empty", "coord", "seed"]))
+        containers = list(_containers(doc))
+        objects = [c for c in containers if isinstance(c, dict)]
+        arrays = [c for c in containers if isinstance(c, list)]
+        if kind == "drop" and any(objects):
+            node = draw(st.sampled_from([o for o in objects if o]))
+            del node[draw(st.sampled_from(sorted(node)))]
+        elif kind == "unknown" and objects:
+            node = draw(st.sampled_from(objects))
+            node[draw(st.sampled_from(["zz", "seed", "rank", "guards"]))] = draw(_json_values())
+        elif kind == "retype" and any(containers):
+            node = draw(st.sampled_from([c for c in containers if c]))
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            node[draw(st.sampled_from(keys))] = draw(_json_values())
+        elif kind == "empty" and arrays:
+            draw(st.sampled_from(arrays)).clear()
+        elif kind == "coord":
+            chart = doc.get("chart")
+            coords = chart.get("coords") if isinstance(chart, dict) else None
+            if isinstance(coords, list) and coords:
+                bad = draw(st.sampled_from(["1x", "", "x-y", "x y", "x\n", "\u00e9", "_ok"]))
+                coords[draw(st.integers(0, len(coords) - 1))] = bad
+        elif kind == "seed":
+            doc["seed"] = draw(st.one_of(st.integers(max_value=-1), st.sampled_from([True, -0.5, 1.0])))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_spec())
+def test_fast_schema_check_decides_as_jsonschema(doc):
+    # on JSON documents the check is exact: it accepts what jsonschema
+    # accepts, and above all never what jsonschema rejects
+    import jsonschema
+
+    schema = _load_schema()
+    assert _conforms(doc, schema) == jsonschema.Draft7Validator(schema).is_valid(doc)
 
 
 def test_corpus_round_trips_exactly():
@@ -806,6 +888,44 @@ def test_holonomy_runs_without_scipy():
     assert out.split() == ["0", "[]"]
 
 
+def test_valid_specs_do_not_import_jsonschema():
+    # jsonschema only explains a rejection; a fresh interpreter, so no
+    # other test's imports count
+    script = (
+        "import contextlib, io, sys\n"
+        "from cartankit.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [run(['validate', 'corpus/sphere.json']),\n"
+        "             run(['validate', 'corpus/so3_action.json']),\n"
+        "             run(['holonomy', 'corpus/hyperbolic.json', '--point', '0', '1.5',\n"
+        "                  '--plane', '0', '1', '--side', '0.02', '--steps', '16'])]\n"
+        "print(codes, 'jsonschema' in sys.modules)\n"
+    )
+    root = CORPUS.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["[0,", "0,", "0]", "False"]
+
+
+def test_package_copied_out_of_the_checkout_finds_its_schema(tmp_path):
+    # an installed package is a copy of src/cartankit with no checkout
+    # around it: the schema must travel inside the package
+    src = CORPUS.parent / "src" / "cartankit"
+    shutil.copytree(src, tmp_path / "cartankit", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(CORPUS / "sphere.json", tmp_path / "sphere.json")
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    done = subprocess.run(
+        [sys.executable, "-m", "cartankit.cli", "validate", "sphere.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    rep = json.loads(done.stdout)
+    assert rep["status"] == "pass"
+    assert rep["tool"].startswith("cartankit ")
+
+
 def test_holonomy_needs_transport_connection(capsys, tmp_path):
     code, rep = invoke(
         capsys,
@@ -889,6 +1009,10 @@ def test_h_frame_skewness_is_rejected_with_the_zero_tests_verdict(capsys, tmp_pa
     assert (code, status) == (1, "undecidable")
     assert (check["status"], check["path"]) == ("undecidable", "undecidable")
     assert "witness" not in check and "value" not in check
+    assert check["detail"] == (
+        "h_frame[0] is not metric-skew: component (0,0): "
+        "undecidable, every sample point left the domain"
+    )
 
 
 # ---------------------------------------------------------------------------
