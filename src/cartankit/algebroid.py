@@ -321,12 +321,13 @@ def build_action_algebroid(
             bad = chart.vanishing_witness(factor, policy.samples, policy.seed)
             if bad is None:
                 continue
-            p, val = bad
-            if abs(val) <= 1e-9:
-                message = f"action field {a} has a pole at {p}: {factor} = {val}"
+            if bad.near_zero:
+                message = (
+                    f"action field {a} has a pole at {bad.point}: {factor} = {bad.value}"
+                )
             else:
                 message = f"divisor {factor} of action field {a} changes sign inside the box"
-            raise DegenerateError(message, p, val)
+            raise DegenerateError(message, bad.point, bad.value)
 
     def bracket_defects():
         for a, b in combinations(range(algebra.dim), 2):
@@ -499,7 +500,11 @@ def build_foliation_algebroid(
 # ------------------------------------------------------------------- orbits
 
 
-def orbit_rank(g: Algebroid, point, threshold: float = 1e-9) -> int:
+#: singular values at or below this count as zero in the anchor's rank
+_RANK_CUTOFF = 1e-9
+
+
+def orbit_rank(g: Algebroid, point, threshold: float = _RANK_CUTOFF) -> int:
     """Numeric rank of the anchor at a point (singular-value cutoff)."""
     M = g.anchor_matrix_at(point)
     s = np.linalg.svd(M, compute_uv=False)
@@ -514,9 +519,20 @@ class OrbitScan:
 
 
 def orbit_scan(g: Algebroid, samples: int = 32, seed: int = 0) -> OrbitScan:
-    """Rank profile over seeded sample points; transitive = full rank everywhere."""
+    """Rank profile over seeded sample points; transitive = full rank everywhere.
+
+    The ranks are :func:`orbit_rank`'s at each point, from one evaluation
+    of the anchor over all of them and one stacked SVD.  An anchor
+    undefined at a sample raises the :class:`DomainError` of the first
+    such sample, as :func:`orbit_rank` would there.
+    """
     points = g.chart.sample_points(samples, seed)
-    ranks = tuple(orbit_rank(g, p) for p in points)
+    batch = evaluate_batch(g.rho.ravel(), g.chart.coords, points)
+    if batch.invalid.any():
+        raise batch.domain_error(int(np.argmax(batch.invalid)))
+    anchors = np.array(batch.values).T.reshape((len(points),) + g.rho.shape)
+    s = np.linalg.svd(anchors, compute_uv=False)
+    ranks = tuple(int(k) for k in np.sum(s > _RANK_CUTOFF, axis=1))
     return OrbitScan(
         ranks=ranks,
         transitive=all(r == g.chart.dim for r in ranks),

@@ -65,7 +65,6 @@ from .symcore import (
     Const,
     DegenerateError,
     DomainError,
-    Expr,
     ZERO,
     ZeroPolicy,
     _section_form,
@@ -89,6 +88,8 @@ __all__ = [
     "transitive_symmetry_check",
     "abba_defect",
     "reductive_connection",
+    "MetricChecks",
+    "metric_checks",
     "RiemannReport",
     "riemann_pipeline",
     "metric_pair",
@@ -591,38 +592,83 @@ class RiemannReport:
     verdict: Verdict
 
 
-def _check_metric(sigma: TensorField, policy: ZeroPolicy) -> None:
-    """Reject a metric that is not a symmetric (0,2) tangent tensor,
-    nondegenerate over the sampling box.
+@dataclass(frozen=True)
+class MetricChecks:
+    """The two checks on a metric table, as ``validate`` reports them, and
+    ``rejection``: the error of the first that fails or is undecidable,
+    which :func:`_check_metric` raises, or None."""
 
-    Raises :class:`DegenerateError` (with the witness) on a degenerate
-    or non-symmetric metric and :class:`DomainError` when its
-    determinant is undefined at a sample.
+    symmetric: Verdict
+    nondegenerate: Verdict
+    rejection: Optional[Exception]
+
+
+def metric_checks(sigma: TensorField, policy: ZeroPolicy) -> MetricChecks:
+    """Symmetry of a (0,2) tangent tensor, entry by entry, and
+    nondegeneracy over the sampling box, from its determinant.
+
+    A failing or undecidable symmetry item rejects the metric with a
+    :class:`DegenerateError` carrying the witness; a determinant that
+    vanishes or changes sign on the box, with one carrying the witness;
+    and a determinant undefined at a sample, with the
+    :class:`DomainError`, which makes the nondegeneracy verdict
+    undecidable.
     """
     chart = sigma.chart
     n = chart.dim
-    if sigma.slots != ((LOW, TM), (LOW, TM)):
-        raise ValueError("metric must be a (0,2) tangent tensor")
-    _require_zero(
+    symmetric = _battery(
+        "metric_symmetric",
         (
-            (
-                f"metric is not symmetric: ({i},{j}) vs ({j},{i})",
-                sigma[i, j] - sigma[j, i],
-            )
+            (f"({i},{j}) vs ({j},{i})", sigma[i, j] - sigma[j, i])
             for i, j in combinations(range(n), 2)
         ),
         chart,
         policy,
     )
+    rejections = []
+    if not symmetric.ok:
+        rejections.append(
+            DegenerateError.from_verdict(
+                f"metric is not symmetric: {symmetric.detail}", symmetric
+            )
+        )
 
     # pointwise nondegeneracy over the sampling box
     det = sym_det([[sigma[i, j] for j in range(n)] for i in range(n)])
-    bad = chart.vanishing_witness(det, policy.samples, policy.seed)
-    if bad is not None:
-        p, val = bad
-        if abs(val) <= 1e-9:
-            raise DegenerateError(f"degenerate metric at {p}: det = {val}", p, val)
-        raise DegenerateError("metric changes signature inside the box", p, val)
+    name = "metric_nondegenerate"
+    try:
+        bad = chart.vanishing_witness(det, policy.samples, policy.seed)
+    except DomainError as exc:
+        nondegenerate = Verdict(name, "undecidable", "undecidable")
+        rejections.append(exc)
+    else:
+        if bad is None:
+            nondegenerate = Verdict(name, "pass", "probabilistic")
+        else:
+            nondegenerate = Verdict(name, "fail", "probabilistic", witness=bad.point)
+            p, val = bad.point, bad.value
+            rejections.append(
+                DegenerateError(f"degenerate metric at {p}: det = {val}", p, val)
+                if bad.near_zero
+                else DegenerateError("metric changes signature inside the box", p, val)
+            )
+    return MetricChecks(symmetric, nondegenerate, rejections[0] if rejections else None)
+
+
+def _check_metric(sigma: TensorField, policy: ZeroPolicy) -> None:
+    """Reject a metric that is not a symmetric (0,2) tangent tensor,
+    nondegenerate over the sampling box.
+
+    Raises ``ValueError`` on the wrong slots, and else the rejection of
+    :func:`metric_checks`: :class:`DegenerateError` (with the witness) on
+    a degenerate or non-symmetric metric and :class:`DomainError` when
+    its determinant is undefined at a sample.
+    """
+    if sigma.slots != ((LOW, TM), (LOW, TM)):
+        raise ValueError("metric must be a (0,2) tangent tensor")
+    rejection = metric_checks(sigma, policy).rejection
+    if rejection is not None:
+        raise rejection
 
 
 def riemann_pipeline(
@@ -1150,8 +1196,8 @@ class Parallelism:
         det = sym_det(M)
         bad = chart.vanishing_witness(det, 32, seed=0)
         if bad is not None:
-            p, val = bad
-            if abs(val) <= 1e-9:
+            p, val = bad.point, bad.value
+            if bad.near_zero:
                 raise DegenerateError(f"coframe is singular at {p}: det = {val}", p, val)
             raise DegenerateError(
                 f"coframe is singular inside the box: det = {val} at {p} has "
@@ -1570,19 +1616,40 @@ def _transport_generators(conn: TMConnection, direction, nodes) -> np.ndarray:
 
 
 def _random_one_form(g: Algebroid, seed: int) -> TensorField:
-    """Seeded degree-<=1 polynomial one-form valued in the algebroid."""
+    """Seeded degree-<=1 polynomial one-form valued in the algebroid:
+    entry (a, b) is c_0 + c_1 x^1 + ... + c_n x^n, each c drawn from
+    -2..2."""
     rng = np.random.default_rng([seed, g.rank, g.chart.dim])
-    pool = [-2, -1, 0, 1, 2]
+    # one draw of every coefficient: the stream of one draw per coefficient
+    coeffs = rng.choice([-2, -1, 0, 1, 2], size=(g.rank, g.rank, 1 + g.chart.dim))
+    coords = [as_expr(name, g.chart) for name in g.chart.coords]
     comps = np.empty((g.rank, g.rank), dtype=object)
-    for a in range(g.rank):
-        for be in range(g.rank):
-            e: Expr = Const(int(rng.choice(pool)))
-            for name in g.chart.coords:
-                coeff = int(rng.choice(pool))
-                if coeff:
-                    e = e + Const(coeff) * as_expr(name, g.chart)
-            comps[a, be] = canon(e)
+    for a, be in np.ndindex(g.rank, g.rank):
+        constant, *linear = coeffs[a, be].tolist()
+        comps[a, be] = csum(
+            [Const(constant)] + [cmul(Const(c), x) for c, x in zip(linear, coords)]
+        )
     return TensorField(g.chart, ((LOW, G), (UP, G)), comps)
+
+
+def _form_battery(name, shape, entry, chart: Chart, policy) -> Verdict:
+    """:func:`_tensor_battery` on an alternating form of ``shape``
+    (argument slots, then the value slot) whose entry at an index is
+    ``entry(idx)``, zero-testing only its defining entries: those whose
+    arguments strictly increase, in ``np.ndindex`` order.
+
+    The verdict is the full scan's.  An entry with a repeated argument
+    is ZERO, and a swapped one is the exact negation of its increasing
+    one, so it passes, fails or is undecidable with it on the same path;
+    and the earliest permutation of a tuple in ``np.ndindex`` order is
+    the increasing one, so the first failing or undecidable entry is the
+    same, with its label, witness and value.
+    """
+    k, r, w = len(shape) - 1, shape[0], shape[-1]
+    indices = (args + (be,) for args in combinations(range(r), k) for be in range(w))
+    return _battery(
+        name, ((f"component {idx}", entry(idx)) for idx in indices), chart, policy
+    )
 
 
 def identity_battery(
@@ -1597,8 +1664,10 @@ def identity_battery(
     round trip, the dual curvature-exchange identity, and entrywise
     agreement of the two compatibility routes.  When the pair is
     compatible, also runs the flat-action batteries (squared exterior
-    derivative and the derivative decomposition on seeded one-forms)
-    and, if additionally transitive, the anchored-curvature identity.
+    derivative and the derivative decomposition on seeded one-forms,
+    each zero-testing the defining entries of its alternating form,
+    see :func:`_form_battery`) and, if additionally transitive, the
+    anchored-curvature identity.
     """
     from .connections import check_anchor_equivariance, dual_connection, dual_pair_defect
 
@@ -1650,10 +1719,21 @@ def identity_battery(
             # d1 is alternating by construction (a test gates that), so
             # the core skips the input checks
             d2 = _exterior_derivative(rep, d1)
-            children.append(_tensor_battery(f"d_squared_form_{s}", d2, policy))
-            decomp = dtheta_decomposition(rep, theta, rep, policy)
             children.append(
-                _tensor_battery(f"d_decomposition_form_{s}", d1 - decomp, policy)
+                _form_battery(
+                    f"d_squared_form_{s}", d2.shape, d2.__getitem__, chart, policy
+                )
+            )
+            decomp = dtheta_decomposition(rep, theta, rep, policy)
+            # each entry of d1 - decomp as TensorField.__sub__ builds it
+            children.append(
+                _form_battery(
+                    f"d_decomposition_form_{s}",
+                    d1.shape,
+                    lambda idx: csum((d1[idx], cneg(decomp[idx]))),
+                    chart,
+                    policy,
+                )
             )
         try:
             scan = orbit_scan(g, samples=policy.samples, seed=policy.seed)

@@ -47,7 +47,7 @@ from .algebroid import (
     tangent_algebroid,
 )
 from .algebroid import validate as validate_algebroid
-from .bundles import LOW, TM, UP, Section, TensorField, Verdict, _battery
+from .bundles import LOW, TM, UP, Section, TensorField, Verdict
 from .cartan import (
     DegenerateError,
     Parallelism,
@@ -55,6 +55,7 @@ from .cartan import (
     cotangent_connection,
     holonomy_check,
     identity_battery,
+    metric_checks,
     metric_pair,
     parallelism_report,
     poisson_report,
@@ -70,7 +71,6 @@ from .symcore import (
     ZeroPolicy,
     canon,
     parse,
-    sym_det,
     to_text,
 )
 
@@ -770,33 +770,8 @@ def _check_dict(name, status, path="symbolic", **extra) -> dict:
 
 
 def _metric_checks(ws: Workspace) -> List[dict]:
-    sigma = ws.metric_tensor()
-    chart, policy = ws.spec.chart, ws.policy
-    n = chart.dim
-    pairs = (
-        (f"({i},{j}) vs ({j},{i})", sigma[i, j] - sigma[j, i])
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
-    checks = [_battery("metric_symmetric", pairs, chart, policy).as_dict()]
-    det = sym_det([[sigma[i, j] for j in range(n)] for i in range(n)])
-    try:
-        bad = chart.vanishing_witness(det, policy.samples, policy.seed)
-    except DomainError:
-        checks.append(_check_dict("metric_nondegenerate", "undecidable", "undecidable"))
-        return checks
-    if bad is None:
-        checks.append(_check_dict("metric_nondegenerate", "pass", "probabilistic"))
-    else:
-        checks.append(
-            _check_dict(
-                "metric_nondegenerate",
-                "fail",
-                "probabilistic",
-                witness=list(bad[0]),
-            )
-        )
-    return checks
+    checks = metric_checks(ws.metric_tensor(), ws.policy)
+    return [checks.symmetric.as_dict(), checks.nondegenerate.as_dict()]
 
 
 def cmd_validate(ws: Workspace) -> List[dict]:

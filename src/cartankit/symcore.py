@@ -45,6 +45,7 @@ __all__ = [
     "Chart",
     "ZeroPolicy",
     "ZeroVerdict",
+    "BoxWitness",
     "ParseError",
     "DomainError",
     "DegenerateError",
@@ -1563,6 +1564,18 @@ class ZeroVerdict:
         return self.zero
 
 
+@dataclass(frozen=True)
+class BoxWitness:
+    """Where :meth:`Chart.vanishing_witness` found an expression that is
+    not bounded away from zero on the box: the ``point``, the ``value``
+    there, and the case found.  ``near_zero`` is True for a value within
+    1e-9 of zero, False for a sign opposite to the midpoint's."""
+
+    point: tuple
+    value: float
+    near_zero: bool
+
+
 class Chart:
     """A coordinate chart: ordered names plus a rational sampling box.
 
@@ -1639,14 +1652,15 @@ class Chart:
     def midpoint(self) -> tuple:
         return tuple(float((lo + hi) / 2) for lo, hi in self.box)
 
-    def vanishing_witness(self, e: Expr, count: int, seed: int):
+    def vanishing_witness(self, e: Expr, count: int, seed: int) -> Optional[BoxWitness]:
         """Where ``e`` fails to be bounded away from zero on the box.
 
         Evaluates ``e`` at ``count`` seeded samples and the midpoint; a
         :class:`DomainError` anywhere propagates.  Returns None when every
         |value| exceeds 1e-9 and every sample has the midpoint's sign.
-        Otherwise returns ``(point, value)``: the first near-zero point,
-        else the first sample whose sign is opposite to the midpoint's.
+        Otherwise returns the :class:`BoxWitness` of the first near-zero
+        point, else of the first sample whose sign is opposite to the
+        midpoint's.
         """
         grid = np.vstack([self.sample_points(count, seed), [self.midpoint()]])
         batch = evaluate_batch([e], self.coords, grid)
@@ -1656,10 +1670,10 @@ class Chart:
         values = batch.values[0].tolist()
         for p, v in zip(points, values):
             if abs(v) <= 1e-9:
-                return p, v
+                return BoxWitness(p, v, near_zero=True)
         for p, v in zip(points, values):
             if (v < 0.0) != (values[-1] < 0.0):
-                return p, v
+                return BoxWitness(p, v, near_zero=False)
         return None
 
     def _check_guard(self, guard: Expr):

@@ -20,7 +20,7 @@ from cartankit.algebroid import (
     validate,
 )
 from cartankit.bundles import Section, TensorField, Verdict
-from cartankit.symcore import Chart, Const, canon, diff, is_zero, parse
+from cartankit.symcore import Chart, Const, DomainError, canon, diff, is_zero, parse
 
 R2 = Chart(("x", "y"), [(-1, 1), (-1, 1)])
 R3 = Chart(("x", "y", "z"), [(-1, 1), (-1, 1), (-1, 1)])
@@ -429,6 +429,50 @@ def test_so3_orbits_are_spheres():
     assert orbit_rank(g, (0.0, 0.0, 0.0)) == 0
     scan = orbit_scan(g)
     assert not scan.transitive
+
+
+def test_orbit_scan_ranks_are_orbit_rank_at_each_sample():
+    # one evaluation over every sample and one stacked SVD give each
+    # sample the rank orbit_rank finds there, where the rank varies too:
+    # sqrt(x^2) - x vanishes for x >= 0 only, and x^2/10^8 falls below
+    # the singular-value cutoff for |x| < 0.32
+    kinked = Algebroid(R2, 1, [["sqrt(x^2) - x"], ["0"]], [[["0"]]])
+    tiny = Algebroid(R2, 1, [["x^2/100000000"], ["0"]], [[["0"]]])
+    ranks = set()
+    for g in (tangent_algebroid(R2), so3_action(), kinked, tiny):
+        for samples, seed in ((32, 0), (7, 3)):
+            scan = orbit_scan(g, samples, seed)
+            points = g.chart.sample_points(samples, seed)
+            assert scan.ranks == tuple(orbit_rank(g, p) for p in points)
+            ranks.update(scan.ranks)
+    assert {0, 1, 2} <= ranks
+
+
+@pytest.mark.parametrize(
+    "anchor",
+    [
+        [["sqrt(x)", "0"], ["0", "log(y)"]],
+        [["log(y)", "0"], ["0", "sqrt(x)"]],
+        [["sqrt(y + 1/10)", "0"], ["0", "log(x + 1/2)"]],
+    ],
+)
+def test_orbit_scan_raises_the_first_undefined_samples_error(anchor):
+    # the error orbit_rank meets first, sample by sample, on an anchor
+    # undefined on part of the box in two ways: the first sample leaves
+    # both domains in the first two anchors; in the third, the first
+    # sample outside a domain leaves log's, and the last one sqrt's
+    g = Algebroid(R2, 2, anchor, [[["0", "0"], ["0", "0"]]] * 2)
+    expected = None
+    for p in R2.sample_points(32, 0):
+        try:
+            orbit_rank(g, p)
+        except DomainError as exc:
+            expected = str(exc)
+            break
+    assert expected is not None
+    with pytest.raises(DomainError) as caught:
+        orbit_scan(g)
+    assert str(caught.value) == expected
 
 
 def test_zero_poisson_orbit_rank_zero():

@@ -16,7 +16,7 @@ from cartankit.algebroid import (
     validate,
 )
 from cartankit import cartan
-from cartankit.bundles import LOW, TM, UP, G, Section, TensorField, as_expr
+from cartankit.bundles import LOW, TM, UP, G, Section, TensorField, _tensor_battery, as_expr
 from cartankit.cartan import (
     Parallelism,
     Verdict,
@@ -29,6 +29,7 @@ from cartankit.cartan import (
     fundamental_operator,
     holonomy_check,
     identity_battery,
+    metric_checks,
     metric_pair,
     parallelism_report,
     principal_log,
@@ -65,6 +66,7 @@ from cartankit.symcore import (
     Chart,
     Const,
     DegenerateError,
+    DomainError,
     Sym,
     ZeroPolicy,
     canon,
@@ -1278,6 +1280,173 @@ def test_identity_battery_reports_undecidable_anchor_equivariance():
     assert (child.status, child.path, child.witness) == ("undecidable", "undecidable", None)
     assert child.detail == "pair (0,0) component 0"
     assert v.status != "pass"
+
+
+@pytest.fixture(scope="module")
+def battery_pairs():
+    """The pair of every corpus file and of H^3 and diag3, as the
+    ``identities`` command builds them."""
+    pairs = {
+        path.stem: Workspace(load_spec(path), POLICY).pair()
+        for path in sorted(CORPUS.glob("*.json"))
+    }
+    for name in ("h3.json", "diag3.json"):
+        spec = GeometrySpec(METRIC_SPECS["metric3d"][name])
+        pairs[name] = Workspace(spec, POLICY).pair()
+    return pairs
+
+
+def _reference_one_form(g, seed):
+    """The entries of ``_random_one_form``, with one draw per coefficient
+    and each entry summed with ``+`` and canonicalised."""
+    rng = np.random.default_rng([seed, g.rank, g.chart.dim])
+    pool = [-2, -1, 0, 1, 2]
+    comps = np.empty((g.rank, g.rank), dtype=object)
+    for a, be in np.ndindex(g.rank, g.rank):
+        e = Const(int(rng.choice(pool)))
+        for name in g.chart.coords:
+            coeff = int(rng.choice(pool))
+            if coeff:
+                e = e + Const(coeff) * as_expr(name, g.chart)
+        comps[a, be] = canon(e)
+    return comps
+
+
+def test_random_one_form_matches_one_draw_per_coefficient(battery_pairs):
+    for name, (g, _) in battery_pairs.items():
+        for seed in range(10):
+            theta = cartan._random_one_form(g, seed)
+            reference = _reference_one_form(g, seed)
+            assert theta.slots == ((LOW, G), (UP, G))
+            assert theta.shape == reference.shape
+            for idx in np.ndindex(*reference.shape):
+                assert theta[idx] is reference[idx], (name, seed, idx)
+
+
+def test_flat_action_batteries_decide_as_the_full_scan(battery_pairs):
+    # identity_battery zero-tests the entries of each alternating form
+    # whose arguments increase; the verdict (status, path, witness, value
+    # and detail) must be that of the scan over every entry.  Besides the
+    # battery's passing forms, d1 itself fails, d1 of a form undefined on
+    # the whole box is undecidable, and forms that take each argument
+    # tuple's entries from one of the two or from zero put the first
+    # failing or undecidable entry at different places.
+    statuses = set()
+    compatible = 0
+    for name, (g, conn) in battery_pairs.items():
+        v = identity_battery(g, conn, POLICY)
+        if not v.child("cartan").ok:
+            continue
+        compatible += 1
+        rep = induced_rep_on_g(g, conn)
+        undefined = f"sqrt(-1 - {g.chart.coords[0]}^2)"
+        for s in range(3):
+            theta = cartan._random_one_form(g, s)
+            d1 = exterior_derivative(rep, theta, POLICY)
+            decomp = dtheta_decomposition(rep, theta, rep, POLICY)
+            full = {
+                f"d_squared_form_{s}": cartan._exterior_derivative(rep, d1),
+                f"d_decomposition_form_{s}": d1 - decomp,
+            }
+            for child, T in full.items():
+                assert v.child(child) == _tensor_battery(child, T, POLICY), (name, child)
+            nowhere = exterior_derivative(rep, theta.scale(undefined), POLICY)
+            mixed = []
+            for shift in range(3):
+                out = np.empty(d1.shape, dtype=object)
+                for idx in np.ndindex(*d1.shape):
+                    a, b, be = sorted(idx[:2]) + [idx[2]]
+                    pick = (5 * a + 3 * b + 2 * be + shift) % 3
+                    out[idx] = (ZERO, d1[idx], nowhere[idx])[pick]
+                mixed.append(TensorField(g.chart, d1.slots, out))
+            for T in [d1, nowhere] + mixed:
+                restricted = cartan._form_battery(
+                    "form", T.shape, T.__getitem__, T.chart, POLICY
+                )
+                assert restricted == _tensor_battery("form", T, POLICY), (name, s)
+                statuses.add(restricted.status)
+    assert compatible == len(battery_pairs) - 1  # all but the foliation
+    assert statuses >= {"fail", "undecidable"}
+
+
+def test_box_scan_rejections_keep_their_messages():
+    # vanishing_witness decides between a near-zero value and a sign
+    # change; each caller words the two cases its own way
+    def rejection(build):
+        with pytest.raises(DegenerateError) as caught:
+            build()
+        return str(caught.value), caught.value.point, caught.value.value
+
+    wide = Chart(("x", "y"), [(-1, 2), (-1, 1)])
+    zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    abelian = LieAlgebra(1, [[[0]]])
+
+    def field(chart):
+        return lambda: build_action_algebroid(
+            abelian, [Section(chart, ("1/x", "0"), "tm")]
+        )
+
+    def metric(chart, table):
+        sigma = TensorField(chart, ((LOW, TM), (LOW, TM)), table)
+        return lambda: cartan._check_metric(sigma, POLICY)
+
+    def coframe(chart):
+        return lambda: Parallelism(chart, LieAlgebra(2, zero), [["x", "0"], ["0", "1"]])
+
+    sign_change = (-0.8073459978495195, 0.12737161669421093)
+    assert R2.vanishing_witness(Sym("x"), 32, 0).near_zero
+    assert not wide.vanishing_witness(Sym("x"), 32, 0).near_zero
+    assert rejection(field(R2)) == (
+        "action field 0 has a pole at (0.0, 0.0): x = 0.0", (0.0, 0.0), 0.0
+    )
+    assert rejection(field(wide)) == (
+        "divisor x of action field 0 changes sign inside the box",
+        sign_change,
+        sign_change[0],
+    )
+    degenerate = (-0.19220592498525635, -0.05517761743209881)
+    assert rejection(metric(R2, [["1", "0"], ["0", "0"]])) == (
+        f"degenerate metric at {degenerate}: det = 0.0", degenerate, 0.0
+    )
+    assert rejection(metric(wide, [["x", "0"], ["0", "1"]])) == (
+        "metric changes signature inside the box", sign_change, sign_change[0]
+    )
+    assert rejection(coframe(R2)) == (
+        "coframe is singular at (0.0, 0.0): det = 0.0", (0.0, 0.0), 0.0
+    )
+    assert rejection(coframe(wide)) == (
+        f"coframe is singular inside the box: det = {sign_change[0]} at "
+        f"{sign_change} has the opposite sign to the midpoint's",
+        sign_change,
+        sign_change[0],
+    )
+
+
+def test_metric_checks_reject_on_the_first_failing_check():
+    def checks(table, chart=R2):
+        return metric_checks(TensorField(chart, ((LOW, TM), (LOW, TM)), table), POLICY)
+
+    found = checks([["1", "0"], ["0", "1"]])
+    assert (found.symmetric.status, found.symmetric.path) == ("pass", "symbolic")
+    assert (found.nondegenerate.status, found.nondegenerate.path) == ("pass", "probabilistic")
+    assert found.rejection is None
+    # not symmetric and degenerate: the symmetry item rejects
+    found = checks([["1", "x"], ["0", "0"]])
+    assert (found.symmetric.status, found.symmetric.detail) == ("fail", "(0,1) vs (1,0)")
+    assert found.nondegenerate.status == "fail"
+    assert found.nondegenerate.value is None
+    assert str(found.rejection).startswith("metric is not symmetric: (0,1) vs (1,0) at ")
+    assert found.rejection.point == found.symmetric.witness
+    # a determinant undefined at a sample: undecidable, rejected with the
+    # DomainError
+    found = checks([["1/x", "0"], ["0", "1"]])
+    assert found.symmetric.ok
+    assert (found.nondegenerate.status, found.nondegenerate.path) == (
+        "undecidable",
+        "undecidable",
+    )
+    assert isinstance(found.rejection, DomainError)
+    assert str(found.rejection) == "division by zero in 1/x"
 
 
 def test_compatibility_is_decided_once_per_pair_and_policy(monkeypatch):

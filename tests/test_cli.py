@@ -964,7 +964,9 @@ def test_identities_on_an_anchor_undefined_on_the_box_is_undecidable(capsys, tmp
     child = {c["name"]: c for c in battery["children"]}["anchored_curvature"]
     assert (child["status"], child["path"]) == ("undecidable", "undecidable")
     assert "witness" not in child
-    assert child["detail"].startswith("anchor undefined inside the box")
+    assert child["detail"] == (
+        "anchor undefined inside the box: sqrt of negative value in sqrt(-5 + x)"
+    )
 
 
 def test_identities_on_a_metric_reads_no_h_frame(capsys, tmp_path):
