@@ -462,6 +462,12 @@ def _directions(coords, rho=None) -> list:
     ]
 
 
+def _nonzero(entries) -> list:
+    """The (index, entry) pairs of the ``entries`` that are not ``ZERO``:
+    the support that the tensor kernels loop over."""
+    return [(i, e) for i, e in enumerate(entries) if e is not ZERO]
+
+
 def _along(direction, f: Expr) -> list:
     """The canonical terms of the derivative of a canonical ``f`` along
     one of :func:`_directions`."""
@@ -477,27 +483,30 @@ def _derivative(components: np.ndarray, directions, actions) -> np.ndarray:
     sum_k A[z, m, k] (element k), so an upper index k gains
     A[z, m, k] T[..m..] and a lower index m loses A[z, m, k] T[..k..].
     Each entry is one canonical sum (:func:`csum`) of these products and
-    the derivative terms of :func:`_along`.  This is the one tensor-derivative loop: coordinate
-    derivatives of tangent tensors (the tangent algebroid: identity
-    anchor, zero bracket), algebroid derivatives through an anchor and
-    Lie derivatives all come from it.
+    the derivative terms of :func:`_along`; the products loop over the
+    actions' nonzero entries only.  This is the one tensor-derivative
+    loop: coordinate derivatives of tangent tensors (the tangent
+    algebroid: identity anchor, zero bracket), algebroid derivatives
+    through an anchor and Lie derivatives all come from it.
     """
+    # support[axis][z][k]: the (m, coefficient) pairs by which index k of
+    # that axis gains coefficient * T[..m..] along direction z; a lower
+    # index gains by the negated transpose
+    support = []
+    for variance, A in actions:
+        if variance != UP:
+            A = np.frompyfunc(cneg, 1, 1)(A.transpose(0, 2, 1))
+        support.append(
+            [[_nonzero(A[z, :, k]) for k in range(A.shape[2])] for z in range(A.shape[0])]
+        )
     out = np.empty(components.shape + (len(directions),), dtype=object)
     for idx in np.ndindex(*components.shape):
-        # neighbours[axis][m]: idx with its axis-th index replaced by m
-        neighbours = [
-            [components[idx[:axis] + (m,) + idx[axis + 1 :]] for m in range(size)]
-            for axis, size in enumerate(components.shape)
-        ]
         for z, direction in enumerate(directions):
             terms = _along(direction, components[idx])
-            for axis, (variance, A) in enumerate(actions):
-                k = idx[axis]
-                for m, piece in enumerate(neighbours[axis]):
-                    if variance == UP:
-                        terms.append(cmul(A[z, m, k], piece))
-                    else:
-                        terms.append(cneg(cmul(A[z, k, m], piece)))
+            for axis, pairs in enumerate(support):
+                head, tail = idx[:axis], idx[axis + 1 :]
+                for m, coeff in pairs[z][idx[axis]]:
+                    terms.append(cmul(coeff, components[head + (m,) + tail]))
             out[idx + (z,)] = csum(terms)
     return out
 

@@ -42,6 +42,7 @@ from .bundles import (
     _along,
     _battery,
     _directions,
+    _nonzero,
     _require_zero,
     _tensor_battery,
     as_expr,
@@ -355,23 +356,32 @@ def abba_defect(g: Algebroid, conn: TMConnection) -> TensorField:
     with R the coordinate curvature of the connection and B the induced
     self-action.  Vanishes identically whenever the pair passes
     ``check_cartan``; exposed so the identity can be exercised directly.
+    The defect is antisymmetric in (a, b): it is built for a <= b, from
+    the nonzero anchor products only, and defect[b,a] is the sum of
+    -defect[a,b].
     """
     if conn.chart != g.chart or conn.rank != g.rank:
         raise ValueError("connection does not target the algebroid")
     R = curvature_tm(conn)
     rep = induced_rep_on_g(g, conn)
     DT = g_tensor_deriv(torsion_g(rep), rep_g=rep)
-    r, n = g.rank, g.chart.dim
+    r = g.rank
+    anchored = [_nonzero(g.rho[:, a]) for a in range(r)]
     out = np.empty((r, r, r, r), dtype=object)
     for a in range(r):
-        for b in range(r):
+        for b in range(a, r):
+            products = [
+                (i, j, cmul(ra, rb)) for i, ra in anchored[a] for j, rb in anchored[b]
+            ]
             for z in range(r):
                 for d in range(r):
                     terms = [cneg(DT[a, b, d, z])]
-                    for i in range(n):
-                        for j in range(n):
-                            terms.append(cmul(cmul(g.rho[i, a], g.rho[j, b]), R[i, j, z, d]))
-                    out[a, b, z, d] = csum(terms)
+                    for i, j, coeff in products:
+                        if R[i, j, z, d] is not ZERO:
+                            terms.append(cmul(coeff, R[i, j, z, d]))
+                    out[a, b, z, d] = value = csum(terms)
+                    if b > a:
+                        out[b, a, z, d] = csum((cneg(value),))
     return TensorField(
         g.chart, ((LOW, G), (LOW, G), (LOW, G), (UP, G)), out
     )
@@ -1038,6 +1048,7 @@ def _alternating_sum(
     exactly when K is a sum.
     """
     k, w = theta.ndim - 1, rep.target_rank
+    brackets = {(a, b): _nonzero(K[a, b]) for a, b in combinations(range(r), 2)}
     out = np.empty((r,) * (k + 1) + (w,), dtype=object)
     out[...] = ZERO
     for args in combinations(range(r), k + 1):
@@ -1051,9 +1062,9 @@ def _alternating_sum(
         for (i, a), (j, b) in combinations(enumerate(args), 2):
             rest = tuple(c for c in args if c not in (a, b))
             plus = (-1) ** (i + j) * sign > 0
-            for d in range(r):
+            for d, coeff in brackets[a, b]:
                 for be in range(w):
-                    t = cmul(K[a, b, d], theta[(d,) + rest + (be,)])
+                    t = cmul(coeff, theta[(d,) + rest + (be,)])
                     terms[be].append(t if plus else cneg(t))
         for be in range(w):
             value = csum(terms[be])
@@ -1104,13 +1115,15 @@ def _exterior_derivative(rep: GConnection, theta: TensorField) -> TensorField:
     # 2-form on a rank-r algebroid is differentiated at r(r-1)(r-2)/2
     # entry-directions per value component, where _derivative would take
     # all r^2(r-1) off-diagonal ones: 6x the work at rank 3, 2.3x at 15.
+    columns = [[_nonzero(rep.A[a, :, be]) for be in range(w)] for a in range(g.rank)]
+
     def act(a: int, rest: tuple) -> list:
         """Derivative of theta[rest] along frame a, per value component,
         as the list of its terms."""
         comps = [theta[rest + (be,)] for be in range(w)]
         return [
             _along(directions[a], comps[be])
-            + [cmul(rep.A[a, ga, be], comps[ga]) for ga in range(w)]
+            + [cmul(coeff, comps[ga]) for ga, coeff in columns[a][be]]
             for be in range(w)
         ]
 

@@ -34,6 +34,7 @@ from .bundles import (
     _battery,
     _derivative,
     _directions,
+    _nonzero,
     _require_zero,
     as_expr,
 )
@@ -203,19 +204,21 @@ def _curvature(directions, structure, A) -> np.ndarray:
     bracket.  This is the one curvature loop.  It builds a < b only:
     R[a,a] is zero and R[b,a] = -R[a,b]."""
     r, m = A.shape[0], A.shape[1]
+    rows = [[_nonzero(A[a, al]) for al in range(m)] for a in range(r)]
     out = np.empty((r, r, m, m), dtype=object)
     out[...] = ZERO
     for a, b in combinations(range(r), 2):
         # the nonzero structure functions c^c_{ab}
-        brackets = [] if structure is None else [
-            (c, structure[a, b, c]) for c in range(r) if structure[a, b, c] is not ZERO
-        ]
+        brackets = [] if structure is None else _nonzero(structure[a, b])
         for al, be in np.ndindex(m, m):
             terms = _along(directions[a], A[b, al, be])
             terms += [cneg(t) for t in _along(directions[b], A[a, al, be])]
-            for ga in range(m):
-                terms.append(cmul(A[a, ga, be], A[b, al, ga]))
-                terms.append(cneg(cmul(A[b, ga, be], A[a, al, ga])))
+            for ga, f in rows[b][al]:
+                if A[a, ga, be] is not ZERO:
+                    terms.append(cmul(A[a, ga, be], f))
+            for ga, f in rows[a][al]:
+                if A[b, ga, be] is not ZERO:
+                    terms.append(cneg(cmul(A[b, ga, be], f)))
             for c, coeff in brackets:
                 terms.append(cneg(cmul(coeff, A[c, al, be])))
             out[a, b, al, be] = value = csum(terms)
@@ -420,7 +423,9 @@ def dual_pair_defect(conn: GConnection) -> TensorField:
     dual torsion:
       defect[a,b,c,d] = R[a,b,c,d] - (D T*)[a,b,d,c]
                         - R*[a,c,b,d] - R*[c,b,a,d]
-    which must vanish for every self-target connection.
+    which must vanish for every self-target connection.  The defect is
+    antisymmetric in (a, b): it is built for a <= b, and defect[b,a] is
+    the sum of -defect[a,b].
     """
     _require_self_target(conn, "dual_pair_defect")
     g = conn.g
@@ -431,10 +436,10 @@ def dual_pair_defect(conn: GConnection) -> TensorField:
     DTs = g_tensor_deriv(torsion_g(dual), rep_g=dual)
     out = np.empty((r, r, r, r), dtype=object)
     for a in range(r):
-        for b in range(r):
+        for b in range(a, r):
             for c in range(r):
                 for d in range(r):
-                    out[a, b, c, d] = csum(
+                    out[a, b, c, d] = value = csum(
                         (
                             R[a, b, c, d],
                             cneg(DTs[a, b, d, c]),
@@ -442,6 +447,8 @@ def dual_pair_defect(conn: GConnection) -> TensorField:
                             cneg(Rs[c, b, a, d]),
                         )
                     )
+                    if b > a:
+                        out[b, a, c, d] = csum((cneg(value),))
     return TensorField(
         g.chart, ((LOW, G), (LOW, G), (LOW, G), (UP, G)), out
     )

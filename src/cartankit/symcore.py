@@ -7,10 +7,11 @@ rational-function rewriting), numeric evaluation with domain guards, and a
 two-tier zero test: exact cancellation first, then seeded sampling on the
 chart's box with witness reporting.
 
-Canonical forms are hash-consed, and :func:`cmul`, :func:`cneg` and
-:func:`csum` build them directly from canonical operands, with no raw tree
-in between.  A constant holds an ``int`` when its value is integral, so
-integer coefficients take machine-int arithmetic.
+Canonical forms are hash-consed by structure, so each is one object, and
+:func:`cmul`, :func:`cneg` and :func:`csum` build them directly from
+canonical operands, with no raw tree in between.  A constant holds an
+``int`` when its value is integral, so integer coefficients take
+machine-int arithmetic.
 
 All numeric evaluation goes through one batched walk,
 :func:`evaluate_batch`: many expressions at many points, each DAG node
@@ -22,7 +23,6 @@ sample set, so a request evaluates each node once per sample set.
 
 from __future__ import annotations
 
-import copy
 import math
 import weakref
 from dataclasses import dataclass
@@ -358,11 +358,14 @@ class Add(Expr):
 
 
 class Mul(Expr):
-    __slots__ = ("factors",)
+    # _split: a canonical product's (coefficient, monomial) split, kept
+    # once known (see _split_coeff)
+    __slots__ = ("factors", "_split")
 
     def __init__(self, factors: Iterable[Expr]):
         super().__init__()
         self.factors = tuple(factors)
+        self._split = None
         self._hash = hash(("m",) + tuple(f._hash for f in self.factors))
 
     def children(self):
@@ -751,14 +754,19 @@ def _sort_key(e: Expr):
 
 
 def _split_coeff(term: Expr):
-    """Decompose a canonical addend into (rational coefficient, monomial)."""
+    """Decompose a canonical addend into (rational coefficient, monomial).
+    A product with a coefficient keeps its split: the monomial is the
+    canonical product of its other factors, built once."""
     kind = type(term)
     if kind is Const:
         return term.value, None
     if kind is Mul and type(term.factors[0]) is Const:
-        rest = term.factors[1:]
-        body = rest[0] if len(rest) == 1 else Mul(rest)
-        return term.factors[0].value, body
+        split = term._split
+        if split is None:
+            rest = term.factors[1:]
+            body = rest[0] if len(rest) == 1 else _node(Mul, _cons_key("m", rest), rest)
+            split = term._split = (term.factors[0].value, body)
+        return split
     return 1, term
 
 
@@ -767,15 +775,24 @@ def _make_term(coeff: Number, monomial: Optional[Expr]) -> Expr:
         return Const(coeff)
     if coeff == 1:
         return monomial
-    if isinstance(monomial, Mul):
-        return Mul((Const(coeff),) + monomial.factors)
-    return Mul((Const(coeff), monomial))
+    lead = Const(coeff)
+    factors = (lead,) + (monomial.factors if type(monomial) is Mul else (monomial,))
+    term = _node(Mul, _cons_key("m", factors), factors)
+    if term._split is None:
+        term._split = (lead.value, monomial)
+    return term
 
 
-# Hash-consing table (Filliatre & Conchon 2006): the node kind plus its
-# canonical children -> the canonical form.  Keys hold weak references to
-# canonical nodes, never raw trees, and values are held weakly too, so the
-# table keeps no node alive and an entry dies with its canonical form.
+# Hash-consing table (Filliatre & Conchon 2006), holding two kinds of
+# entry under one key scheme: the node kind plus its canonical operands.
+# A structure entry names a canonical node by its own kind and children,
+# so each canonical form is one object; every node the canonical builders
+# create is interned there (see _node), bottom-up.  An alias entry names
+# the form that a constructor built from other operands (the x + 0 whose
+# form is x).  The two agree: the constructor of a canonical node's kind,
+# applied to its children, returns the node.  Keys hold weak references
+# to canonical nodes, never raw trees, and values are held weakly too, so
+# the table keeps no node alive and an entry dies with its canonical form.
 # Weak keys matter because a canonical node keeps its derivatives (see
 # :func:`diff`), and a derivative can hold a form whose key names the node
 # (d/dx sin(x) is cos(x), whose derivative holds sin(x)); a strong key would
@@ -785,30 +802,46 @@ _HASHCONS_REFS = _HASHCONS.data  # key -> weak reference to the form
 _ref = weakref.ref
 
 
+def _cons_key(kind: str, operands: Iterable[Expr]) -> tuple:
+    """The hash-cons key of ``kind`` applied to canonical ``operands``."""
+    return (kind, *map(_ref, operands))
+
+
+def _node(cls, key: tuple, *fields) -> Expr:
+    """The canonical node ``cls(*fields)`` of canonical children, under
+    its structure ``key``: the live node if there is one, else a new node,
+    marked canonical and interned."""
+    ref = _HASHCONS_REFS.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = cls(*fields)
+    node._canonical = _IS_CANONICAL
+    _HASHCONS[key] = node
+    return node
+
+
 def _interned(key: tuple, build, *args) -> Expr:
     """The canonical form under the hash-cons ``key``; on a miss
     ``build(*args)`` makes it from canonical children.  This is the one
     canonicalisation step: :func:`canon`'s walk and the canonical
     constructors (:func:`cmul`, :func:`cneg`, :func:`csum`) all go through
-    it, so equal keys give one shared form whichever built it."""
+    it, so equal keys give one shared form whichever built it, and the
+    builders intern what they build by its structure (:func:`_node`), so
+    equal forms are one object whatever their keys."""
     ref = _HASHCONS_REFS.get(key)
     if ref is not None:
         form = ref()
         if form is not None:
             return form
     form = build(*args)
-    if form._canonical is None:
-        _mark_canonical(form)
-    elif isinstance(form, (Const, Sym)):
-        # an interned leaf is shared already, and an entry for a leaf
-        # that outlives its users, such as ZERO, never dies
-        return form
-    else:
-        # An existing inner form, such as the sin(x)*y of sin(x)*y + 0,
-        # may outlive every user of this entry; a copy dies with them.
-        form = copy.copy(form)
-        form._derivatives = None
-    _HASHCONS[key] = form
+    # a leaf is shared already, and an entry for a leaf that outlives
+    # its users, such as ZERO, would never die
+    if type(form) is not Const and type(form) is not Sym:
+        ref = _HASHCONS_REFS.get(key)
+        if ref is None or ref() is not form:
+            _HASHCONS[key] = form
     return form
 
 
@@ -818,7 +851,8 @@ def canon(e: Expr) -> Expr:
     quotient rewriting.
 
     Walks the tree in post order with an explicit stack, not recursion,
-    and hash-conses: structurally equal inputs share one canonical object.
+    and hash-conses by structure: equal canonical forms are one object,
+    whatever they were built from.
     """
     form = _form(e)
     if form is not None:
@@ -848,12 +882,12 @@ def canon(e: Expr) -> Expr:
 
 def _sum(terms: tuple) -> Expr:
     """``canon(Add(terms))`` for canonical ``terms``."""
-    return _interned(("a",) + tuple(map(_ref, terms)), _canon_add, terms)
+    return _interned(_cons_key("a", terms), _canon_add, terms)
 
 
 def _product(factors: tuple) -> Expr:
     """``canon(Mul(factors))`` for canonical ``factors``."""
-    return _interned(("m",) + tuple(map(_ref, factors)), _canon_mul, factors)
+    return _interned(_cons_key("m", factors), _canon_mul, factors)
 
 
 def cmul(a: Expr, b: Expr) -> Expr:
@@ -880,7 +914,7 @@ def csum(terms: Iterable[Expr]) -> Expr:
 
 def _quotient(num: Expr, den: Expr) -> Expr:
     """``canon(Div(num, den))`` for canonical ``num`` and ``den``."""
-    return _interned(("d", _ref(num), _ref(den)), _canon_div, num, den)
+    return _interned(_cons_key("d", (num, den)), _canon_div, num, den)
 
 
 def _power(base: Expr, exponent: int) -> Expr:
@@ -897,16 +931,6 @@ def _form(node: Expr) -> Optional[Expr]:
     """The node's canonical form, or None if not yet computed."""
     form = node._canonical
     return node if form is _IS_CANONICAL else form
-
-
-def _mark_canonical(form: Expr) -> None:
-    """Mark a freshly built form and its freshly built subterms canonical."""
-    stack = [form]
-    while stack:
-        node = stack.pop()
-        if node._canonical is None:
-            node._canonical = _IS_CANONICAL
-            stack.extend(node.children())
 
 
 def _canon_node(node: Expr) -> Expr:
@@ -974,7 +998,7 @@ def _canon_add(parts: tuple) -> Expr:
         return ZERO
     if len(terms) == 1:
         return terms[0]
-    return Add(tuple(terms))
+    return _node(Add, _cons_key("a", terms), terms)
 
 
 def _canon_mul(parts: tuple) -> Expr:
@@ -1016,7 +1040,7 @@ def _canon_mul(parts: tuple) -> Expr:
         clean.insert(0, Const(coeff))
     if len(clean) == 1:
         return clean[0]
-    return Mul(tuple(clean))
+    return _node(Mul, _cons_key("m", clean), clean)
 
 
 def _canon_div(num: Expr, den: Expr) -> Expr:
@@ -1025,7 +1049,7 @@ def _canon_div(num: Expr, den: Expr) -> Expr:
         return _canon_mul((Const(Fraction(1, den.value)), num))
     if num is ZERO and den is not ZERO:
         return ZERO
-    return Div(num, den)
+    return _node(Div, _cons_key("d", (num, den)), num, den)
 
 
 def _canon_pow(base: Expr, exponent: int) -> Expr:
@@ -1040,12 +1064,12 @@ def _canon_pow(base: Expr, exponent: int) -> Expr:
             return Const(value**exponent)
         if exponent > 0:
             return ZERO
-        return Pow(base, exponent)  # 0^negative: left for eval to flag
-    if isinstance(base, Pow):
+        # 0^negative: left for eval to flag
+    elif isinstance(base, Pow):
         return _canon_pow(base.base, base.exponent * exponent)
-    if isinstance(base, Mul):
+    elif isinstance(base, Mul):
         return _canon_mul(tuple(_canon_pow(f, exponent) for f in base.factors))
-    return Pow(base, exponent)
+    return _node(Pow, ("p", _ref(base), exponent), base, exponent)
 
 
 _EXACT_CALLS = {
@@ -1068,7 +1092,7 @@ def _canon_call(func: str, arg: Expr) -> Expr:
             )
             if root * root == arg.value:
                 return Const(root)
-    return Call(func, arg)
+    return _node(Call, ("f", func, _ref(arg)), func, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -1082,9 +1106,9 @@ def diff(e: Expr, name: str) -> Expr:
     The derivative of a canonical node (one that :func:`canon` returned)
     is canonical, and the node keeps it: each node of a canonical term is
     differentiated once per coordinate, however often it is asked for, and
-    a second call returns the same object.  Structurally equal canonical
-    nodes share their derivatives as far as the hash-cons table shares the
-    nodes.  The derivative of any other tree is a raw tree.
+    a second call returns the same object.  Equal canonical nodes are one
+    object, so a function is differentiated once per coordinate however
+    it was built.  The derivative of any other tree is a raw tree.
 
     Both walk the tree in post order with an explicit stack, not
     recursion; a subterm that occurs more than once in ``e`` is

@@ -15,7 +15,7 @@ from cartankit.algebroid import (
     tangent_algebroid,
     validate,
 )
-from cartankit import cartan
+from cartankit import bundles, cartan, symcore
 from cartankit.bundles import LOW, TM, UP, G, Section, TensorField, _tensor_battery, as_expr
 from cartankit.cartan import (
     Parallelism,
@@ -45,11 +45,15 @@ from cartankit.connections import (
     christoffel,
     cov_deriv_g,
     cov_deriv_tm,
+    curvature_g,
     curvature_tm,
     dual_connection,
+    dual_pair_defect,
+    g_tensor_deriv,
     induced_rep_on_g,
     induced_rep_on_tm,
     metric_inverse,
+    torsion_g,
 )
 from cartankit.cli import GeometrySpec, Workspace, load_spec
 from cartankit.jet import (
@@ -639,10 +643,11 @@ def test_reductive_core_matches_section_level_construction(name):
     # metric_pair's inputs, or euclid's with the non-constant splitting
     # t2: the default skew basis is skew, the identity splitting (and t2)
     # splits the anchor and the tangent action is flat, so the public
-    # reductive_connection accepts them.  Its connection has the
-    # canonical form of the section-level reference entry for entry,
-    # induces the tangent action back and is compatible: all by
-    # construction, none re-checked at run time
+    # reductive_connection accepts them.  Its connection's entries are
+    # the section-level reference's canonical forms themselves (each form
+    # is one object, however it was built), it induces the tangent action
+    # back and is compatible: all by construction, none re-checked at run
+    # time
     sigma = _isometry_algebroid_metric(name.removesuffix("-t2"))
     n = sigma.chart.dim
     lc = christoffel(sigma)
@@ -661,7 +666,7 @@ def test_reductive_core_matches_section_level_construction(name):
     reference = _section_level_reductive_gamma(g, t, A)
     built = [nabla] if name == "euclid-t2" else [nabla, metric_pair(sigma, POLICY)[1]]
     for conn in built:
-        assert all(conn.gamma[idx] == reference[idx] for idx in np.ndindex(*reference.shape))
+        assert all(conn.gamma[idx] is reference[idx] for idx in np.ndindex(*reference.shape))
     back = induced_rep_on_tm(g, nabla)
     for idx in np.ndindex(*A.shape):
         assert is_zero(back.A[idx] - A[idx], sigma.chart, POLICY).zero, idx
@@ -1367,6 +1372,131 @@ def test_flat_action_batteries_decide_as_the_full_scan(battery_pairs):
                 statuses.add(restricted.status)
     assert compatible == len(battery_pairs) - 1  # all but the foliation
     assert statuses >= {"fail", "undecidable"}
+
+
+def _reference_derivative(components, directions, actions):
+    """``bundles._derivative`` over every index of every action: the
+    reference for its loop over the actions' nonzero entries."""
+    out = np.empty(components.shape + (len(directions),), dtype=object)
+    for idx in np.ndindex(*components.shape):
+        for z, direction in enumerate(directions):
+            terms = bundles._along(direction, components[idx])
+            for axis, (variance, A) in enumerate(actions):
+                k = idx[axis]
+                for m in range(components.shape[axis]):
+                    piece = components[idx[:axis] + (m,) + idx[axis + 1 :]]
+                    if variance == UP:
+                        terms.append(cmul(A[z, m, k], piece))
+                    else:
+                        terms.append(cneg(cmul(A[z, k, m], piece)))
+            out[idx + (z,)] = csum(terms)
+    return out
+
+
+def _reference_torsion_derivative(rep):
+    T = torsion_g(rep)
+    g = rep.g
+    directions = bundles._directions(g.chart.coords, g.rho)
+    return _reference_derivative(
+        T.components, directions, [(v, rep.A) for v, _ in T.slots]
+    )
+
+
+def _reference_dual_pair_defect(rep):
+    """``dual_pair_defect`` with every entry built from its own formula."""
+    r = rep.g.rank
+    dual = dual_connection(rep)
+    R, Rs = curvature_g(rep), curvature_g(dual)
+    DTs = _reference_torsion_derivative(dual)
+    out = np.empty((r,) * 4, dtype=object)
+    for a, b, c, d in np.ndindex(*out.shape):
+        out[a, b, c, d] = csum(
+            (R[a, b, c, d], cneg(DTs[a, b, d, c]), cneg(Rs[a, c, b, d]), cneg(Rs[c, b, a, d]))
+        )
+    return out
+
+
+def _reference_abba_defect(g, conn):
+    """``abba_defect`` with every entry built from its own formula, over
+    every anchor product."""
+    R = curvature_tm(conn)
+    DT = _reference_torsion_derivative(induced_rep_on_g(g, conn))
+    r, n = g.rank, g.chart.dim
+    out = np.empty((r,) * 4, dtype=object)
+    for a, b, z, d in np.ndindex(*out.shape):
+        terms = [cneg(DT[a, b, d, z])]
+        for i, j in np.ndindex(n, n):
+            terms.append(cmul(cmul(g.rho[i, a], g.rho[j, b]), R[i, j, z, d]))
+        out[a, b, z, d] = csum(terms)
+    return out
+
+
+def test_support_loops_build_the_full_index_entries(battery_pairs):
+    # The tensor kernels loop over the tables' nonzero entries, and the
+    # two defects build a <= b and fill b > a with the sum of the negated
+    # entry.  Every derivative entry, and every defect entry with a <= b,
+    # must be the very form the full-index build gives.  The swapped
+    # entries are negations only mathematically, not always canonically,
+    # so each defect's battery must also decide as the reference's: same
+    # status, path, witness, value and detail.
+    pairs = dict(battery_pairs)
+    h4 = GeometrySpec(METRIC_SPECS["metric4d"]["h4.json"])
+    pairs["h4.json"] = Workspace(h4, POLICY).pair()
+    statuses = set()
+    for name, (g, conn) in pairs.items():
+        rep = induced_rep_on_g(g, conn)
+        for action in (rep, dual_connection(rep)):
+            built = g_tensor_deriv(torsion_g(action), rep_g=action).components
+            reference = _reference_torsion_derivative(action)
+            for idx in np.ndindex(*reference.shape):
+                assert built[idx] is reference[idx], (name, idx)
+        defects = {
+            "dual_curvature_exchange": (dual_pair_defect(rep), _reference_dual_pair_defect(rep)),
+            "anchored_curvature": (abba_defect(g, conn), _reference_abba_defect(g, conn)),
+        }
+        for label, (built, reference) in defects.items():
+            for idx in np.ndindex(*reference.shape):
+                if idx[0] <= idx[1]:
+                    assert built[idx] is reference[idx], (name, label, idx)
+            verdict = _tensor_battery(label, built, POLICY)
+            expected = _tensor_battery(
+                label, TensorField(g.chart, built.slots, reference), POLICY
+            )
+            assert verdict == expected, (name, label)
+            statuses.add(verdict.status)
+    assert statuses >= {"pass", "fail"}
+
+
+def _duplicate_forms():
+    """(live canonical forms in the hash-cons table that are == to another
+    live one without being it, distinct live forms)."""
+    groups = {}
+    for form in list(symcore._HASHCONS.values()):
+        groups.setdefault(form, {})[id(form)] = form
+    return sum(len(g) - 1 for g in groups.values()), len(groups)
+
+
+@pytest.mark.parametrize("name", ["sphere", "so3_action", "h3.json"])
+def test_identities_build_one_object_per_canonical_form(name, monkeypatch):
+    # Probed at each battery of identity_battery, while the forms it
+    # zero-tests are alive: no two live canonical forms are equal without
+    # being one object, so none is differentiated or sampled twice.
+    probes = []
+    for kernel in ("_form_battery", "_tensor_battery"):
+
+        def probed(*args, _kernel=getattr(cartan, kernel), **kwargs):
+            probes.append(_duplicate_forms())
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(cartan, kernel, probed)
+    if name in METRIC_SPECS["metric3d"]:
+        spec = GeometrySpec(METRIC_SPECS["metric3d"][name])
+    else:
+        spec = load_spec(CORPUS / f"{name}.json")
+    g, conn = Workspace(spec, POLICY).pair()
+    assert identity_battery(g, conn, POLICY).ok
+    assert [d for d, _ in probes] == [0] * len(probes)
+    assert len(probes) >= 7 and max(n for _, n in probes) > 30
 
 
 def test_box_scan_rejections_keep_their_messages():

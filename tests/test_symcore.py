@@ -319,7 +319,9 @@ def test_hashcons_table_releases_dead_forms():
     forms = [canon(e) for e in exprs]
     assert forms == [Mul((Const(2), canon(probe))), canon(probe), Const(0)]
     assert forms[2] is symcore.ZERO
-    assert len(probe_keys()) == 4  # exp, its negation and the first two sums
+    # exp, its negation and the first two sums, and the structure entries
+    # of the products 2*exp(...) and (-1)*exp(...)
+    assert len(probe_keys()) == 6
     del probe, exprs, forms
     gc.collect()
     assert probe_keys() == []
@@ -737,14 +739,19 @@ def test_kept_derivatives_die_with_their_nodes():
     assert _probe_keys("derivative_probe") == []
 
 
-def test_a_copied_form_keeps_no_derivatives_of_the_original():
-    form = canon(p("sin(x)*y"))
-    diff(form, "x")
-    # x + 0 has the form of x, which the table stores as a copy
-    copied = canon(Add((form, Const(0))))
-    assert copied == form and copied is not form
-    assert copied._derivatives is None
-    assert diff(copied, "x") == diff(form, "x")
+def test_an_aliased_form_is_the_form_itself():
+    # f + 0 has the form of f: the table's entry for the sum names f
+    # itself, which keeps its derivatives, and the entry dies with f
+    t = Sym("alias_probe")
+    form = canon(Call("sin", t) * Sym("y"))
+    d = diff(form, "alias_probe")
+    assert canon(Add((form, Const(0)))) is form
+    assert form._derivatives == {"alias_probe": d}
+    assert diff(form, "alias_probe") is d
+    assert symcore._HASHCONS[("a", weakref.ref(form), weakref.ref(Const(0)))] is form
+    del t, form, d
+    gc.collect()
+    assert _probe_keys("alias_probe") == []
 
 
 @pytest.mark.parametrize(
