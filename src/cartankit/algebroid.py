@@ -25,7 +25,9 @@ from .bundles import (
     TensorField,
     Verdict,
     _aggregate,
+    _along,
     _battery,
+    _directions,
     _require_zero,
     as_expr,
 )
@@ -215,14 +217,14 @@ def anchor_apply(g: Algebroid, X: Section) -> Section:
 def _jacobiator(g: Algebroid, a: int, b: int, c: int) -> list:
     """Components of [[e_a,e_b],e_c] + [[e_b,e_c],e_a] + [[e_c,e_a],e_b],
     from the tables: [[e_p,e_q],e_s]^d = c^e_{pq} c^d_{es} - rho^i_s d_i c^d_{pq}."""
+    directions = _directions(g.chart.coords, g.rho)
     out = []
     for d in range(g.rank):
         terms = []
         for p, q, s in ((a, b, c), (b, c, a), (c, a, b)):
             for e in range(g.rank):
                 terms.append(cmul(g.structure[p, q, e], g.structure[e, s, d]))
-            for i, name in enumerate(g.chart.coords):
-                terms.append(cneg(cmul(g.rho[i, s], diff(g.structure[p, q, d], name))))
+            terms += [cneg(t) for t in _along(directions[s], g.structure[p, q, d])]
         out.append(csum(terms))
     return out
 
@@ -251,14 +253,14 @@ def validate(g: Algebroid, policy: Optional[ZeroPolicy] = None) -> Verdict:
                     )
                 )
 
+    directions = _directions(chart.coords, g.rho)
     hom = []
     for a in range(r):
         for b in range(a + 1, r):
             for j in range(n):
                 terms = [cmul(g.rho[j, c], g.structure[a, b, c]) for c in range(r)]
-                for i, name in enumerate(chart.coords):
-                    terms.append(cneg(cmul(g.rho[i, a], diff(g.rho[j, b], name))))
-                    terms.append(cmul(g.rho[i, b], diff(g.rho[j, a], name)))
+                terms += [cneg(t) for t in _along(directions[a], g.rho[j, b])]
+                terms += _along(directions[b], g.rho[j, a])
                 hom.append((f"anchor-hom defect ({a},{b}) component {j}", csum(terms)))
 
     jac = [

@@ -41,6 +41,7 @@ from .bundles import (
     _aggregate,
     _along,
     _battery,
+    _derivative,
     _directions,
     _nonzero,
     _require_zero,
@@ -50,6 +51,7 @@ from .bundles import (
 from .connections import (
     GConnection,
     TMConnection,
+    _curvature,
     christoffel,
     curvature_tm,
     g_tensor_deriv,
@@ -464,12 +466,10 @@ def _reductive_connection(g: Algebroid, t: np.ndarray, A: np.ndarray) -> TMConne
     """
     chart = g.chart
     n, r = chart.dim, g.rank
+    directions = _directions(chart.coords, g.rho)
     gamma = np.empty((n, r, r), dtype=object)
     for i, a, b in np.ndindex(n, r, r):
-        terms = [
-            cneg(cmul(g.rho[j, a], diff(t[b, i], name)))
-            for j, name in enumerate(chart.coords)
-        ]
+        terms = [cneg(d) for d in _along(directions[a], t[b, i])]
         terms += [cmul(g.structure[d, a, b], t[d, i]) for d in range(r)]
         terms += [cmul(A[a, i, k], t[b, k]) for k in range(n)]
         gamma[i, a, b] = csum(terms)
@@ -544,45 +544,34 @@ def _riemann_algebroid(sigma: TensorField, lc: TMConnection, skew):
 
         psi = d_al C_be - d_be C_al + C_be C_al - C_al C_be,
 
-    where d_al is d/dx^al for a lift and is left out for a skew frame.
-    psi is metric-skew by construction (a curvature of the metric
-    connection, a covariant derivative of an E_p, or a commutator of two
-    E_p), so it lies in the span of the E_p, and its coefficient on E_p,
-    for the pair p = (i, j), is psi^j_m sigma^{mi}.  These are the
-    structure functions; the tangent components are zero.  Neither the
-    span nor the axioms are re-checked here: the tests compare the table
-    with the jet brackets of :mod:`cartankit.jet` and validate it.
+    where d_al is d/dx^al for a lift and is left out for a skew frame:
+    the curvature (:func:`~cartankit.connections._curvature`) of the
+    action A[al, b, i] = C_al[b, i] along those directions, with no
+    bracket.  psi is metric-skew by construction (a curvature of the
+    metric connection, a covariant derivative of an E_p, or a commutator
+    of two E_p), so it lies in the span of the E_p, and its coefficient
+    on E_p, for the pair p = (i, j), is psi^j_m sigma^{mi}.  These are
+    the structure functions; the tangent components are zero.  Neither
+    the span nor the axioms are re-checked here: the tests compare the
+    table with the jet brackets of :mod:`cartankit.jet` and validate it.
     """
     chart = sigma.chart
     n = chart.dim
     inv = metric_inverse(sigma)
     rank = n + len(skew)
 
-    corrections = []
-    for i in range(n):
-        C = np.empty((n, n), dtype=object)
-        for b, j in np.ndindex(n, n):
-            C[b, j] = cneg(_section_form(lc.gamma[j, i, b]))
-        corrections.append(C)
-    corrections += skew
+    A = np.empty((rank, n, n), dtype=object)
+    for i, b, j in np.ndindex(n, n, n):
+        A[i, b, j] = cneg(_section_form(lc.gamma[j, i, b]))
+    for p, E in enumerate(skew):
+        A[n + p] = E
+    psi = _curvature(_directions(chart.coords) + [[]] * len(skew), None, A)
 
     structure = np.empty((rank, rank, rank), dtype=object)
     structure[...] = ZERO
     for al, be in combinations(range(rank), 2):
-        Ca, Cb = corrections[al], corrections[be]
-        psi = np.empty((n, n), dtype=object)
-        for b, i in np.ndindex(n, n):
-            terms = []
-            if al < n:
-                terms.append(diff(Cb[b, i], chart.coords[al]))
-            if be < n:
-                terms.append(cneg(diff(Ca[b, i], chart.coords[be])))
-            for k in range(n):
-                terms.append(cmul(Cb[b, k], Ca[k, i]))
-                terms.append(cneg(cmul(Ca[b, k], Cb[k, i])))
-            psi[b, i] = csum(terms)
         for p, (i, j) in enumerate(combinations(range(n), 2)):
-            lam = csum([cmul(psi[j, m], inv[m, i]) for m in range(n)])
+            lam = csum([cmul(psi[al, be, j, m], inv[m, i]) for m in range(n)])
             structure[al, be, n + p] = lam
             structure[be, al, n + p] = cneg(lam)
 
@@ -722,21 +711,18 @@ def riemann_pipeline(
         for p, E in enumerate(frames):
             _check_skew(sigma, E, f"h_frame[{p}]", policy)
 
-    invariance_items = []
-    for p, A in enumerate(frames):
-        for i in range(n):
-            for j in range(i + 1, n):
-                for a in range(n):
-                    for b in range(n):
-                        terms = []
-                        for mm in range(n):
-                            terms.append(cmul(A[b, mm], R[i, j, a, mm]))
-                            terms.append(cneg(cmul(A[mm, i], R[mm, j, a, b])))
-                            terms.append(cneg(cmul(A[mm, j], R[i, mm, a, b])))
-                            terms.append(cneg(cmul(R[i, j, mm, b], A[mm, a])))
-                        invariance_items.append(
-                            (f"(E_{p} . R)[{i},{j},{a},{b}]", csum(terms))
-                        )
+    # (E_p . R): the derivation of R along each frame, whose action on
+    # the coordinate frame is E_p transposed
+    actions = np.empty((len(frames), n, n), dtype=object)
+    for p, E in enumerate(frames):
+        actions[p] = E.T
+    ER = _derivative(R.components, [[]] * len(frames), [(v, actions) for v, _ in R.slots])
+    invariance_items = [
+        (f"(E_{p} . R)[{i},{j},{a},{b}]", ER[i, j, a, b, p])
+        for p in range(len(frames))
+        for i, j in combinations(range(n), 2)
+        for a, b in np.ndindex(n, n)
+    ]
     invariance = _battery("h_invariance", invariance_items, chart, policy)
 
     parallel = _tensor_battery(

@@ -870,7 +870,7 @@ def cmd_holonomy(ws: Workspace, point, plane, side, steps) -> List[dict]:
         res = holonomy_check(conn, point, tuple(plane), side, steps=steps)
     except ValueError as exc:
         raise SpecError(str(exc)) from None
-    bound = max(ws.policy.abs_tol, abs(side) ** 3)
+    bound = max(ws.policy.tol, abs(side) ** 3)
     ok = res.defect_norm <= bound
     d = _check_dict(
         "holonomy_consistency",
@@ -938,7 +938,7 @@ def run(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        ZeroPolicy(samples=args.samples, abs_tol=args.tol, rel_tol=args.tol)
+        ZeroPolicy(samples=args.samples, tol=args.tol)
     except ValueError as exc:
         parser.error(f"--samples/--tol: {exc}")
     # as the schema requires of a file's seed: the sample draw takes no
@@ -955,9 +955,7 @@ def run(argv=None) -> int:
     try:
         spec = load_spec(args.file)
         seed = args.seed if args.seed is not None else spec.seed
-        policy = ZeroPolicy(
-            samples=args.samples, abs_tol=args.tol, rel_tol=args.tol, seed=seed
-        )
+        policy = ZeroPolicy(samples=args.samples, tol=args.tol, seed=seed)
         ws = Workspace(spec, policy)
         report.update(seed=seed, samples=args.samples, tol=args.tol)
         if spec.name:

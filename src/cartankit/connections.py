@@ -158,10 +158,15 @@ class GConnection:
         self.A = out
         self.target = target
         self.target_rank = m
-        self._curvature = None
-        self._torsion = None
-        self._flatness = {}  # ZeroPolicy -> is_flat_g's answer
-        self._dual = None
+        self._kept = {}  # key -> what was derived
+
+    def kept(self, key, build):
+        """What ``build()`` derives from this connection, built on the
+        first request and kept for every later one.  ``key`` names it,
+        with the zero-test policy for a verdict."""
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
 
     @classmethod
     def zero(cls, g: Algebroid, target: str = "self") -> "GConnection":
@@ -337,8 +342,10 @@ def curvature_g(conn: GConnection) -> TensorField:
 
     Computed once per connection and kept on it.
     """
-    if conn._curvature is not None:
-        return conn._curvature
+    return conn.kept("curvature", lambda: _curvature_g(conn))
+
+
+def _curvature_g(conn: GConnection) -> TensorField:
     g = conn.g
     tag = conn.target_tag
     R = TensorField(
@@ -347,7 +354,6 @@ def curvature_g(conn: GConnection) -> TensorField:
         _curvature(_directions(g.chart.coords, g.rho), g.structure, conn.A),
     )
     R.components.flags.writeable = False
-    conn._curvature = R
     return R
 
 
@@ -355,11 +361,12 @@ def is_flat_g(conn: GConnection, policy: Optional[ZeroPolicy] = None):
     """(flat?, failing index, verdict) for the curvature of ``conn``,
     decided once per connection and policy."""
     policy = policy or ZeroPolicy()
-    found = conn._flatness.get(policy)
-    if found is None:
+
+    def decide():
         idx, verdict = curvature_g(conn).is_zero_field(policy)
-        found = conn._flatness[policy] = (idx is None, idx, verdict)
-    return found
+        return idx is None, idx, verdict
+
+    return conn.kept(("flatness", policy), decide)
 
 
 # --------------------------------------------------------------------- duality
@@ -380,8 +387,10 @@ def dual_connection(conn: GConnection) -> GConnection:
     never handed back as ``conn``, so that round trip stays a real check.
     """
     _require_self_target(conn, "dual_connection")
-    if conn._dual is not None:
-        return conn._dual
+    return conn.kept("dual", lambda: _dual_connection(conn))
+
+
+def _dual_connection(conn: GConnection) -> GConnection:
     g = conn.g
     r = g.rank
     out = np.empty((r, r, r), dtype=object)
@@ -389,8 +398,7 @@ def dual_connection(conn: GConnection) -> GConnection:
         for b in range(r):
             for c in range(r):
                 out[a, b, c] = csum((conn.A[b, a, c], g.structure[a, b, c]))
-    conn._dual = GConnection(g, out, "self")
-    return conn._dual
+    return GConnection(g, out, "self")
 
 
 def torsion_g(conn: GConnection) -> TensorField:
@@ -399,8 +407,10 @@ def torsion_g(conn: GConnection) -> TensorField:
     Computed once per connection and kept on it.
     """
     _require_self_target(conn, "torsion_g")
-    if conn._torsion is not None:
-        return conn._torsion
+    return conn.kept("torsion", lambda: _torsion_g(conn))
+
+
+def _torsion_g(conn: GConnection) -> TensorField:
     g = conn.g
     r = g.rank
     out = np.empty((r, r, r), dtype=object)
@@ -412,7 +422,6 @@ def torsion_g(conn: GConnection) -> TensorField:
                 )
     T = TensorField(g.chart, ((LOW, G), (LOW, G), (UP, G)), out)
     T.components.flags.writeable = False
-    conn._torsion = T
     return T
 
 

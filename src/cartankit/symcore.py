@@ -11,7 +11,9 @@ Canonical forms are hash-consed by structure, so each is one object, and
 :func:`cmul`, :func:`cneg` and :func:`csum` build them directly from
 canonical operands, with no raw tree in between.  A constant holds an
 ``int`` when its value is integral, so integer coefficients take
-machine-int arithmetic.
+machine-int arithmetic.  :func:`diff` differentiates canonical forms
+only, with one table of derivative rules: a raw tree is canonicalised
+first, and each canonical node keeps its derivatives.
 
 All numeric evaluation goes through one batched walk,
 :func:`evaluate_batch`: many expressions at many points, each DAG node
@@ -63,8 +65,6 @@ __all__ = [
     "sym_det",
     "adjugate_inverse",
     "divisor_factors",
-    "const",
-    "sym",
     "ZERO",
     "ONE",
     "FUNCTIONS",
@@ -459,14 +459,6 @@ class Call(Expr):
 ZERO = Const(0)
 ONE = Const(1)
 _MINUS_ONE = Const(-1)
-
-
-def const(value) -> Const:
-    return Const(value)
-
-
-def sym(name: str) -> Sym:
-    return Sym(name)
 
 
 # ---------------------------------------------------------------------------
@@ -1101,54 +1093,21 @@ def _canon_call(func: str, arg: Expr) -> Expr:
 
 
 def diff(e: Expr, name: str) -> Expr:
-    """Partial derivative with respect to the coordinate ``name``.
+    """Partial derivative with respect to the coordinate ``name``: the
+    canonical derivative of ``canon(e)``.
 
-    The derivative of a canonical node (one that :func:`canon` returned)
-    is canonical, and the node keeps it: each node of a canonical term is
-    differentiated once per coordinate, however often it is asked for, and
-    a second call returns the same object.  Equal canonical nodes are one
-    object, so a function is differentiated once per coordinate however
-    it was built.  The derivative of any other tree is a raw tree.
-
-    Both walk the tree in post order with an explicit stack, not
-    recursion; a subterm that occurs more than once in ``e`` is
-    differentiated once.
+    Each node's derivative is its rule applied to its canonical children
+    and their derivatives by the canonical constructors
+    (:func:`_canonical_rule`), which gives the canonical form of the raw
+    derivative, because ``canon`` reads a node's children only through
+    their forms.  The node keeps it: each node is differentiated once per
+    coordinate, however often it is asked for, and a second call returns
+    the same object.  Equal canonical nodes are one object, so a function
+    is differentiated once per coordinate however it was built.  The walk
+    is in post order with an explicit stack, not recursion.
     """
-    if e._canonical is _IS_CANONICAL:
-        return _diff_canonical(e, name)
-    done = {}  # id(node) -> its derivative; e keeps every node alive
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if id(node) in done:
-            stack.pop()
-            continue
-        waiting = [c for c in node.children() if id(c) not in done]
-        if waiting:
-            stack.extend(waiting)
-            continue
-        stack.pop()
-        done[id(node)] = _diff_node(node, name, [done[id(c)] for c in node.children()])
-    return done[id(e)]
-
-
-def _kept_derivative(node: Expr, name: str) -> Optional[Expr]:
-    """The canonical derivative of a canonical node, if known; a leaf's is
-    known without being kept."""
-    if isinstance(node, Const):
-        return ZERO
-    if isinstance(node, Sym):
-        return ONE if node.name == name else ZERO
-    kept = node._derivatives
-    return None if kept is None else kept.get(name)
-
-
-def _diff_canonical(e: Expr, name: str) -> Expr:
-    """:func:`diff` of a canonical node: each node's derivative is its
-    rule applied to its canonical children and their derivatives by the
-    canonical constructors (:func:`_canonical_rule`), which gives the
-    canonical form of the raw derivative, because ``canon`` reads a
-    node's children only through their forms."""
+    if e._canonical is not _IS_CANONICAL:
+        e = canon(e)
     stack = [e]
     while stack:
         node = stack[-1]
@@ -1168,11 +1127,23 @@ def _diff_canonical(e: Expr, name: str) -> Expr:
     return _kept_derivative(e, name)
 
 
+def _kept_derivative(node: Expr, name: str) -> Optional[Expr]:
+    """The canonical derivative of a canonical node, if known; a leaf's is
+    known without being kept."""
+    if isinstance(node, Const):
+        return ZERO
+    if isinstance(node, Sym):
+        return ONE if node.name == name else ZERO
+    kept = node._derivatives
+    return None if kept is None else kept.get(name)
+
+
 def _canonical_rule(e: Expr, d: list) -> Expr:
     """The canonical derivative of a canonical inner node, given ``d``, its
-    children's canonical derivatives: :func:`_diff_node`'s rule, built by
-    the canonical constructors.  A term with a ``ZERO`` derivative factor
-    is left out, which changes no form: ``canon`` drops it too."""
+    children's canonical derivatives, built by the canonical
+    constructors: the one table of derivative rules.  A term with a
+    ``ZERO`` derivative factor is left out, which changes no form:
+    ``canon`` drops it too."""
     if isinstance(e, Add):
         return csum(d)
     if isinstance(e, Mul):
@@ -1207,43 +1178,6 @@ def _canonical_rule(e: Expr, d: list) -> Expr:
         return cmul(outer, d[0])
     if isinstance(e, Neg):
         return cneg(d[0])
-    raise TypeError(f"cannot differentiate {type(e).__name__}")
-
-
-def _diff_node(e: Expr, name: str, d: list) -> Expr:
-    """The derivative of one node, given ``d``, its children's derivatives."""
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Sym):
-        return ONE if e.name == name else ZERO
-    if isinstance(e, Neg):
-        return Neg(d[0])
-    if isinstance(e, Add):
-        return Add(tuple(d))
-    if isinstance(e, Mul):
-        return Add(
-            tuple(Mul(e.factors[:i] + (d[i],) + e.factors[i + 1 :]) for i in range(len(d)))
-        )
-    if isinstance(e, Div):
-        return Div(Add((Mul((d[0], e.den)), Neg(Mul((e.num, d[1]))))), Pow(e.den, 2))
-    if isinstance(e, Pow):
-        return Mul((Const(e.exponent), Pow(e.base, e.exponent - 1), d[0]))
-    if isinstance(e, Call):
-        if e.func == "sin":
-            outer = Call("cos", e.arg)
-        elif e.func == "cos":
-            outer = Neg(Call("sin", e.arg))
-        elif e.func == "tan":
-            outer = Add((ONE, Pow(Call("tan", e.arg), 2)))
-        elif e.func == "exp":
-            outer = e
-        elif e.func == "log":
-            outer = Div(ONE, e.arg)
-        elif e.func == "sqrt":
-            outer = Div(ONE, Mul((Const(2), e)))
-        else:  # pragma: no cover - FUNCTIONS is closed
-            raise ValueError(e.func)
-        return Mul((outer, d[0]))
     raise TypeError(f"cannot differentiate {type(e).__name__}")
 
 
@@ -1551,20 +1485,18 @@ def divisor_factors(exprs: Iterable[Expr]) -> list:
 @dataclass(frozen=True)
 class ZeroPolicy:
     """Sampling policy for the probabilistic tier of the zero test: at
-    least one sample, and finite tolerances that are not negative."""
+    least one sample, and a finite tolerance that is not negative, both
+    absolute and relative to the terms' scale."""
 
     samples: int = 32
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
+    tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
-        for name in ("abs_tol", "rel_tol"):
-            tol = getattr(self, name)
-            if not (math.isfinite(tol) and tol >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {tol}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 DEFAULT_POLICY = ZeroPolicy()
@@ -1718,7 +1650,7 @@ def is_zero(
 
     Tier one: exact -- is the canonical form the literal 0 (or a nonzero
     rational)?  Tier two: evaluate at ``policy.samples`` seeded points; the
-    expression passes as zero iff every |value| <= abs_tol + rel_tol*scale,
+    expression passes as zero iff every |value| <= tol + tol*scale,
     where scale is the largest magnitude attained by any single collected
     term over all valid samples.  Fails with the largest-magnitude witness.
     """
@@ -1748,7 +1680,7 @@ def is_zero(
     if not values:
         return ZeroVerdict(False, "undecidable")
 
-    threshold = policy.abs_tol + policy.rel_tol * scale
+    threshold = policy.tol + policy.tol * scale
     worst_point, worst_value = max(values, key=lambda pv: abs(pv[1]))
     if abs(worst_value) <= threshold:
         return ZeroVerdict(True, "probabilistic")

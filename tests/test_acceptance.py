@@ -75,7 +75,7 @@ CORPUS_NAMES = (
     "foliation_r3",
 )
 
-POLICY = ZeroPolicy(samples=32, abs_tol=1e-9, rel_tol=1e-9, seed=0)
+POLICY = ZeroPolicy(samples=32, tol=1e-9, seed=0)
 CATALOG_SEED = 20260823
 COORDS = ("x", "y", "z")
 

@@ -77,6 +77,7 @@ from cartankit.symcore import (
     cmul,
     cneg,
     csum,
+    diff,
     evaluate,
     is_zero,
 )
@@ -1465,6 +1466,103 @@ def test_support_loops_build_the_full_index_entries(battery_pairs):
             assert verdict == expected, (name, label)
             statuses.add(verdict.status)
     assert statuses >= {"pass", "fail"}
+
+
+def _reference_isometry_structure(sigma, lc, skew):
+    """``_riemann_algebroid``'s structure functions, with each bracket
+    correction psi built by its own loop: the reference for the
+    curvature kernel's build."""
+    chart = sigma.chart
+    n = chart.dim
+    inv = metric_inverse(sigma)
+    rank = n + len(skew)
+    corrections = []
+    for i in range(n):
+        C = np.empty((n, n), dtype=object)
+        for b, j in np.ndindex(n, n):
+            C[b, j] = cneg(csum([lc.gamma[j, i, b]]))
+        corrections.append(C)
+    corrections += skew
+    structure = np.empty((rank, rank, rank), dtype=object)
+    structure[...] = ZERO
+    for al, be in combinations(range(rank), 2):
+        Ca, Cb = corrections[al], corrections[be]
+        psi = np.empty((n, n), dtype=object)
+        for b, i in np.ndindex(n, n):
+            terms = []
+            if al < n:
+                terms.append(diff(Cb[b, i], chart.coords[al]))
+            if be < n:
+                terms.append(cneg(diff(Ca[b, i], chart.coords[be])))
+            for k in range(n):
+                terms.append(cmul(Cb[b, k], Ca[k, i]))
+                terms.append(cneg(cmul(Ca[b, k], Cb[k, i])))
+            psi[b, i] = csum(terms)
+        for p, (i, j) in enumerate(combinations(range(n), 2)):
+            lam = csum([cmul(psi[j, m], inv[m, i]) for m in range(n)])
+            structure[al, be, n + p] = lam
+            structure[be, al, n + p] = cneg(lam)
+    return structure
+
+
+def _reference_h_invariance(R, frames):
+    """``riemann_pipeline``'s invariance items, each (E_p . R) entry
+    built by its own loop: the reference for the derivative kernel's
+    build."""
+    n = R.chart.dim
+    items = []
+    for p, A in enumerate(frames):
+        for i, j in combinations(range(n), 2):
+            for a, b in np.ndindex(n, n):
+                terms = []
+                for mm in range(n):
+                    terms.append(cmul(A[b, mm], R[i, j, a, mm]))
+                    terms.append(cneg(cmul(A[mm, i], R[mm, j, a, b])))
+                    terms.append(cneg(cmul(A[mm, j], R[i, mm, a, b])))
+                    terms.append(cneg(cmul(R[i, j, mm, b], A[mm, a])))
+                items.append((f"(E_{p} . R)[{i},{j},{a},{b}]", csum(terms)))
+    return items
+
+
+def _varied_h_frame(sigma):
+    """Two metric-skew frames with nonconstant coefficients: a function
+    times the first skew basis element, and the sum of the first and
+    last."""
+    skew = cartan._skew_basis(sigma)
+    x = as_expr(sigma.chart.coords[0], sigma.chart)
+    scaled = np.frompyfunc(lambda e: cmul(cmul(x, x), e), 1, 1)(skew[0])
+    summed = np.frompyfunc(lambda a, b: csum((a, b)), 2, 1)(skew[0], skew[-1])
+    return [scaled.tolist(), summed.tolist()]
+
+
+@pytest.mark.parametrize(
+    "name", ["sphere", "hyperbolic", "ellipsoid", "euclid", "h3", "diag3", "h4", "diag3-h"]
+)
+def test_kernels_build_the_isometry_brackets_and_invariance_entries(name, monkeypatch):
+    # _riemann_algebroid's brackets come from the curvature kernel and
+    # riemann_pipeline's (E_p . R) entries from the derivative kernel;
+    # each must be the very form its own loop builds, and the battery
+    # must keep its labels and order
+    sigma = _isometry_algebroid_metric(name.removesuffix("-h"))
+    lc = christoffel(sigma)
+    skew = cartan._skew_basis(sigma)
+    built = cartan._riemann_algebroid(sigma, lc, skew).structure
+    reference = _reference_isometry_structure(sigma, lc, skew)
+    assert all(built[idx] is reference[idx] for idx in np.ndindex(*reference.shape))
+
+    batteries = {}
+
+    def recorded(label, items, *args, _battery=cartan._battery):
+        batteries[label] = list(items)
+        return _battery(label, batteries[label], *args)
+
+    monkeypatch.setattr(cartan, "_battery", recorded)
+    h_frame = _varied_h_frame(sigma) if name.endswith("-h") else None
+    rep = riemann_pipeline(sigma, h_frame=h_frame, policy=POLICY)
+    expected = _reference_h_invariance(rep.curvature, rep.h_frame)
+    items = batteries["h_invariance"]
+    assert [label for label, _ in items] == [label for label, _ in expected]
+    assert all(e is r for (_, e), (_, r) in zip(items, expected))
 
 
 def _duplicate_forms():

@@ -586,8 +586,9 @@ def test_operators_canonicalise_as_the_constructors(operands, ops):
 
 
 def _reference_diff(e, name):
-    """The recursive derivative the explicit-stack walk replaced, kept as
-    the oracle for its raw trees."""
+    """The raw-tree derivative by recursion, rule by rule: the oracle for
+    ``diff``'s canonical rules, which must give the canonical form of its
+    result."""
     if isinstance(e, Const):
         return symcore.ZERO
     if isinstance(e, Sym):
@@ -630,15 +631,8 @@ def _reference_diff(e, name):
 
 @given(_expr_strategy(symcore.FUNCTIONS), st.sampled_from(["x", "y"]))
 @settings(max_examples=300, deadline=None)
-def test_diff_matches_the_recursive_reference(e, name):
-    assert diff(e, name) == _reference_diff(e, name)
-
-
-def test_diff_differentiates_a_shared_subterm_once():
-    shared = Call("sin", Sym("x") * Sym("y"))
-    d = diff(Mul((shared, shared)), "x")
-    assert d == _reference_diff(Mul((shared, shared)), "x")
-    assert d.terms[0].factors[0] is d.terms[1].factors[1]
+def test_diff_of_a_raw_tree_is_the_derivative_of_its_form(e, name):
+    assert diff(e, name) is diff(canon(e), name)
 
 
 @given(_expr_strategy(symcore.FUNCTIONS), st.sampled_from(["x", "y"]))
@@ -716,12 +710,13 @@ def test_canonical_constructors_match_canon_of_the_raw_node(operands):
 @example(parse("sin(x)*cos(y) + tan(x*y) - exp(x)/log(y) + sqrt(x)*x^3", XY), "y")
 @settings(max_examples=200, deadline=None)
 def test_canonical_derivative_matches_canon_of_the_raw_derivative(e, name):
-    # the raw derivative of a raw copy of the canonical form, canonicalised
+    # the reference's raw derivative of a raw copy of the canonical form,
+    # canonicalised
     with _fresh_table():
         form = canon(_rebuild(e))
         built = diff(form, name)
     with _fresh_table():
-        reference = canon(diff(_rebuild(form), name))
+        reference = canon(_reference_diff(_rebuild(form), name))
     _assert_same_form(built, reference)
 
 
@@ -759,9 +754,9 @@ def test_an_aliased_form_is_the_form_itself():
     [
         {"samples": 0},
         {"samples": -1},
-        {"abs_tol": -1e-9},
-        {"rel_tol": math.nan},
-        {"abs_tol": math.inf},
+        {"tol": -1e-9},
+        {"tol": math.nan},
+        {"tol": math.inf},
     ],
 )
 def test_zero_policy_needs_a_sample_and_finite_tolerances(fields):
@@ -919,7 +914,7 @@ def _reference_is_zero(e, chart, policy=ZeroPolicy()):
     if not values:
         return symcore.ZeroVerdict(False, "undecidable")
 
-    threshold = policy.abs_tol + policy.rel_tol * scale
+    threshold = policy.tol + policy.tol * scale
     worst_point, worst_value = max(values, key=lambda pv: abs(pv[1]))
     if abs(worst_value) <= threshold:
         return symcore.ZeroVerdict(True, "probabilistic")
