@@ -27,16 +27,16 @@ from .bundles import (
     _aggregate,
     _along,
     _battery,
+    _component_array,
     _directions,
     _require_zero,
-    as_expr,
 )
 from .symcore import (
     Chart,
     Const,
     DegenerateError,
     ZeroPolicy,
-    canon,
+    _quotient,
     cmul,
     cneg,
     csum,
@@ -129,22 +129,21 @@ class Algebroid:
     ):
         if rank < 1:
             raise ValueError("rank must be positive")
-        n = chart.dim
-        rho_arr = np.empty((n, rank), dtype=object)
-        for i in range(n):
-            for a in range(rank):
-                rho_arr[i, a] = as_expr(rho[i][a], chart)
-        c_arr = np.empty((rank, rank, rank), dtype=object)
-        for a in range(rank):
-            for b in range(rank):
-                for c in range(rank):
-                    c_arr[a, b, c] = as_expr(structure[a][b][c], chart)
-        rho_arr.flags.writeable = False
-        c_arr.flags.writeable = False
+        rho = np.array(rho, dtype=object)
+        if rho.shape != (chart.dim, rank):
+            raise ValueError(
+                f"rho must have shape ({chart.dim}, {rank}), got {rho.shape}"
+            )
+        structure = np.array(structure, dtype=object)
+        if structure.shape != (rank, rank, rank):
+            raise ValueError(
+                f"structure must have shape ({rank}, {rank}, {rank}), "
+                f"got {structure.shape}"
+            )
         self.chart = chart
         self.rank = rank
-        self.rho = rho_arr
-        self.structure = c_arr
+        self.rho = _component_array(chart, rho)
+        self.structure = _component_array(chart, structure)
         self.origin = origin
         self.lie_algebra = lie_algebra
 
@@ -249,7 +248,7 @@ def validate(g: Algebroid, policy: Optional[ZeroPolicy] = None) -> Verdict:
                 anti.append(
                     (
                         f"c^{c}_({a},{b}) + c^{c}_({b},{a})",
-                        g.structure[a, b, c] + g.structure[b, a, c],
+                        csum((g.structure[a, b, c], g.structure[b, a, c])),
                     )
                 )
 
@@ -343,7 +342,7 @@ def build_action_algebroid(
                 yield (
                     f"not an infinitesimal action: bracket defect for pair "
                     f"({a},{b}) component {j}",
-                    lhs.components[j] - rhs.components[j],
+                    csum((lhs.components[j], cneg(rhs.components[j]))),
                 )
 
     _require_zero(bracket_defects(), chart, policy)
@@ -375,7 +374,10 @@ def build_poisson_algebroid(
         raise ValueError("poisson tensor must be a (2,0) tangent tensor")
     _require_zero(
         (
-            (f"poisson tensor not antisymmetric at ({i},{j})", pi[i, j] + pi[j, i])
+            (
+                f"poisson tensor not antisymmetric at ({i},{j})",
+                csum((pi[i, j], pi[j, i])),
+            )
             for i in range(n)
             for j in range(i, n)
         ),
@@ -387,12 +389,12 @@ def build_poisson_algebroid(
     # suffice; for n <= 2 every antisymmetric bivector is Poisson
     def jacobi_defects():
         for i, j, k in combinations(range(n), 3):
-            total = Const(0)
-            for l, name in enumerate(chart.coords):
-                total = total + pi[i, l] * diff(pi[j, k], name)
-                total = total + pi[j, l] * diff(pi[k, i], name)
-                total = total + pi[k, l] * diff(pi[i, j], name)
-            yield f"Pi not Poisson: Jacobi defect for triple ({i},{j},{k})", canon(total)
+            total = csum(
+                cmul(pi[p, l], diff(pi[q, s], name))
+                for l, name in enumerate(chart.coords)
+                for p, q, s in ((i, j, k), (j, k, i), (k, i, j))
+            )
+            yield f"Pi not Poisson: Jacobi defect for triple ({i},{j},{k})", total
 
     _require_zero(jacobi_defects(), chart, policy)
     rho = [[pi[a, i] for a in range(n)] for i in range(n)]
@@ -478,12 +480,13 @@ def build_foliation_algebroid(
                     ]
                     for r in range(k)
                 ]
-                coeffs.append(canon(sym_det(replaced) / det))
+                coeffs.append(_quotient(sym_det(replaced), det))
             # verify the rows not used in the solve
             for i in range(n):
-                residual = w.components[i]
-                for c in range(k):
-                    residual = residual - coeffs[c] * cols[i, c]
+                residual = csum(
+                    [w.components[i]]
+                    + [cneg(cmul(coeffs[c], cols[i, c])) for c in range(k)]
+                )
                 yield (
                     f"not integrable / brackets do not close: pair "
                     f"({a},{b}) leaves the span in component {i}",
@@ -491,7 +494,7 @@ def build_foliation_algebroid(
                 )
             for c in range(k):
                 structure[a][b][c] = coeffs[c]
-                structure[b][a][c] = canon(-coeffs[c])
+                structure[b][a][c] = cneg(coeffs[c])
 
     _require_zero(residuals(), chart, policy)
 

@@ -71,10 +71,14 @@ def as_expr(value, chart: Chart) -> Expr:
 
 
 def _component_array(chart: Chart, values) -> np.ndarray:
+    """The one table constructor: ``values`` as an object array of
+    canonical entries (each coerced by :func:`as_expr`), read-only, so
+    that what is derived from a table once stays true."""
     arr = np.array(values, dtype=object)
     flat = arr.reshape(-1)
     for k in range(flat.size):
         flat[k] = as_expr(flat[k], chart)
+    arr.flags.writeable = False
     return arr
 
 
@@ -246,16 +250,6 @@ class TensorField:
             out[idx] = cmul(f, self.components[idx])
         return TensorField(self.chart, self.slots, out)
 
-    def is_zero_field(self, policy: Optional[ZeroPolicy] = None):
-        """First failing component's verdict, or the last passing one."""
-        policy = policy or ZeroPolicy()
-        verdict = None
-        for idx in np.ndindex(*self.shape):
-            verdict = is_zero(self.components[idx], self.chart, policy)
-            if not verdict.zero:
-                return idx, verdict
-        return None, verdict
-
     def _check_peer(self, other):
         if not isinstance(other, TensorField):
             raise TypeError("expected a TensorField")
@@ -277,8 +271,10 @@ class TensorField:
         by construction."""
 
         def defects():
-            for sign, pairs in ((-1, symmetric), (1, antisymmetric)):
-                kind = "symmetric" if sign == -1 else "antisymmetric"
+            for kind, pairs in (
+                ("symmetric", symmetric),
+                ("antisymmetric", antisymmetric),
+            ):
                 for i, j in pairs:
                     if not (0 <= i < self.ndim and 0 <= j < self.ndim) or i == j:
                         raise ValueError(f"bad symmetry pair ({i}, {j})")
@@ -291,10 +287,12 @@ class TensorField:
                             continue
                         swapped = list(idx)
                         swapped[i], swapped[j] = swapped[j], swapped[i]
+                        other = self.components[tuple(swapped)]
+                        if kind == "symmetric":
+                            other = cneg(other)
                         yield (
                             f"declared {kind} pair ({i}, {j}) fails at index {idx}",
-                            self.components[idx]
-                            + sign * self.components[tuple(swapped)],
+                            csum((self.components[idx], other)),
                         )
 
         _require_zero(defects(), self.chart, policy or ZeroPolicy())

@@ -41,6 +41,7 @@ from .bundles import (
     _aggregate,
     _along,
     _battery,
+    _component_array,
     _derivative,
     _directions,
     _nonzero,
@@ -72,7 +73,6 @@ from .symcore import (
     ZeroPolicy,
     _section_form,
     adjugate_inverse,
-    canon,
     cmul,
     cneg,
     csum,
@@ -234,16 +234,13 @@ def check_cartan(
     """Is the connection compatible with the bracket?
 
     Runs the direct defect battery and the independent jet-lift
-    curvature battery.  The two must agree; a split decision can only
+    curvature battery over the frame tables that :func:`frame_defects`
+    keeps on ``conn``.  The two must agree; a split decision can only
     come from a bug in one of the routes and is raised, loudly, rather
-    than reported as a property of the input.  The verdict is decided
-    once per pair and policy and kept on ``conn``.
+    than reported as a property of the input.  The verdict itself is not
+    kept: a request asks for it once.
     """
     policy = policy or ZeroPolicy()
-    return conn.kept(g, ("cartan", policy), lambda: _cartan_verdict(g, conn, policy))
-
-
-def _cartan_verdict(g: Algebroid, conn: TMConnection, policy) -> Verdict:
     direct = _compat_battery(g, conn, policy)
     lifted = _jet_battery(g, conn, policy)
     if "undecidable" not in (direct.status, lifted.status):
@@ -285,7 +282,7 @@ def theorem_a_verdict(
     if flatness.ok:
         notes = []
         if g.origin == "action" and all(
-            canon(conn.gamma[idx]) is ZERO
+            conn.gamma[idx] is ZERO
             for idx in np.ndindex(*conn.gamma.shape)
         ):
             notes.append(
@@ -426,10 +423,7 @@ def reductive_connection(
     t = np.array(t, dtype=object)
     if t.shape != (r, n):
         raise ValueError(f"t must have shape ({r}, {n}), got {t.shape}")
-    tc = np.empty(t.shape, dtype=object)
-    for idx in np.ndindex(*t.shape):
-        tc[idx] = as_expr(t[idx], chart)
-    t = tc
+    t = _component_array(chart, t)
     _require_zero(
         (
             (
@@ -447,10 +441,10 @@ def reductive_connection(
     )
     if rep_tm.target != "tm" or rep_tm.g is not g:
         raise ValueError("rep_tm must be a tangent-target action of this algebroid")
-    flat, idx, verdict = is_flat_g(rep_tm, policy)
-    if not flat:
+    flatness = is_flat_g(rep_tm, policy)
+    if not flatness.ok:
         raise DegenerateError.from_verdict(
-            f"rep_tm must be flat: curvature component {idx}", verdict
+            f"rep_tm must be flat: curvature {flatness.detail}", flatness
         )
     return _reductive_connection(g, t, rep_tm.A)
 
@@ -524,10 +518,7 @@ def _coerce_endo(mat, chart: Chart):
     arr = np.array(mat, dtype=object)
     if arr.shape != (chart.dim, chart.dim):
         raise ValueError("endomorphism field has the wrong shape")
-    out = np.empty(arr.shape, dtype=object)
-    for idx in np.ndindex(*arr.shape):
-        out[idx] = as_expr(arr[idx], chart)
-    return out
+    return _component_array(chart, arr)
 
 
 def _riemann_algebroid(sigma: TensorField, lc: TMConnection, skew):
@@ -618,7 +609,7 @@ def metric_checks(sigma: TensorField, policy: ZeroPolicy) -> MetricChecks:
     symmetric = _battery(
         "metric_symmetric",
         (
-            (f"({i},{j}) vs ({j},{i})", sigma[i, j] - sigma[j, i])
+            (f"({i},{j}) vs ({j},{i})", csum((sigma[i, j], cneg(sigma[j, i]))))
             for i, j in combinations(range(n), 2)
         ),
         chart,
@@ -735,7 +726,7 @@ def riemann_pipeline(
     f3_items = [
         (
             f"lift curvature ({i},{j})[{b},{k}] + R[{i},{j},{k},{b}]",
-            L[i, j, b, k] + R[i, j, k, b],
+            csum((L[i, j, b, k], R[i, j, k, b])),
         )
         for i, j in combinations(range(n), 2)
         for b in range(n)
@@ -826,10 +817,8 @@ def cotangent_connection(conn: TMConnection) -> TMConnection:
         raise ValueError("cotangent_connection starts from a tangent connection")
     n = conn.chart.dim
     star = np.empty((n, n, n), dtype=object)
-    for i in range(n):
-        for a in range(n):
-            for b in range(n):
-                star[i, a, b] = cneg(conn.gamma[i, b, a])
+    for i, a, b in np.ndindex(n, n, n):
+        star[i, a, b] = cneg(conn.gamma[i, b, a])
     return TMConnection(conn.chart, star, target="g")
 
 
@@ -872,7 +861,7 @@ def poisson_report(
     sym_items = [
         (
             f"gamma[{i},{j},{k}] - gamma[{j},{i},{k}]",
-            conn.gamma[i, j, k] - conn.gamma[j, i, k],
+            csum((conn.gamma[i, j, k], cneg(conn.gamma[j, i, k]))),
         )
         for i in range(n)
         for j in range(i + 1, n)
@@ -887,7 +876,7 @@ def poisson_report(
                 pairing_items.append(
                     (
                         f"d(dx^{a})({i},{j}) defect",
-                        Const(0) - (star.gamma[i, a, j] - star.gamma[j, a, i]),
+                        csum((cneg(star.gamma[i, a, j]), star.gamma[j, a, i])),
                     )
                 )
     torsion_free = _battery(
@@ -903,12 +892,12 @@ def poisson_report(
         for a in range(n):
             for b in range(a + 1, n):
                 for mm in range(n):
-                    total = -nabla2_pi[a, b, mm, k]
+                    total = [cneg(nabla2_pi[a, b, mm, k])]
                     for j in range(n):
-                        total = total + g.rho[j, a] * Rstar[k, j, b, mm]
-                        total = total - g.rho[j, b] * Rstar[k, j, a, mm]
+                        total.append(cmul(g.rho[j, a], Rstar[k, j, b, mm]))
+                        total.append(cneg(cmul(g.rho[j, b], Rstar[k, j, a, mm])))
                     sx_items.append(
-                        (f"sx defect V=d_{k}, ({a},{b}) component {mm}", total)
+                        (f"sx defect V=d_{k}, ({a},{b}) component {mm}", csum(total))
                     )
     lemma_sx = _battery("lemma_sx", sx_items, chart, policy)
 
@@ -919,12 +908,12 @@ def poisson_report(
     for a in range(n):
         for b in range(a + 1, n):
             for k in range(n):
-                total = nabla_pi[a, b, k] - g.structure[a, b, k]
+                total = [nabla_pi[a, b, k], cneg(g.structure[a, b, k])]
                 for i in range(n):
-                    total = total + g.rho[i, a] * star.gamma[i, b, k]
-                    total = total - g.rho[i, b] * star.gamma[i, a, k]
+                    total.append(cmul(g.rho[i, a], star.gamma[i, b, k]))
+                    total.append(cneg(cmul(g.rho[i, b], star.gamma[i, a, k])))
                 p2_items.append(
-                    (f"bracket rewriting ({a},{b}) component {k}", total)
+                    (f"bracket rewriting ({a},{b}) component {k}", csum(total))
                 )
     p2 = _battery("p2_identity", p2_items, chart, policy)
 
@@ -954,10 +943,10 @@ def poisson_report(
 
 
 def _require_flat(rep: GConnection, policy, who: str):
-    flat, idx, verdict = is_flat_g(rep, policy)
-    if not flat:
+    flatness = is_flat_g(rep, policy)
+    if not flatness.ok:
         raise DegenerateError.from_verdict(
-            f"{who} needs a flat action: curvature component {idx}", verdict
+            f"{who} needs a flat action: curvature {flatness.detail}", flatness
         )
 
 
@@ -1140,7 +1129,7 @@ def dtheta_decomposition(
     theta.check_pairs(antisymmetric=_argument_pairs(k), policy=policy)
     if rep.target == "self" and rep is not rep_on_g:
         same = all(
-            canon(rep.A[idx] - rep_on_g.A[idx]) is ZERO
+            csum((rep.A[idx], cneg(rep_on_g.A[idx]))) is ZERO
             for idx in np.ndindex(*rep.A.shape)
         )
         if not same:
@@ -1170,11 +1159,15 @@ class Parallelism:
 
     ``omega[a][i]`` is the a-th model component of the coframe applied
     to d/dx^i.  Pointwise invertibility over the sampling box is part of
-    construction; a singular coframe is rejected with a
+    construction: the determinant is scanned at ``policy``'s samples and
+    seed, and a singular coframe is rejected with a
     :class:`DegenerateError` carrying the witness.
     """
 
-    def __init__(self, chart: Chart, algebra: LieAlgebra, omega):
+    def __init__(
+        self, chart: Chart, algebra: LieAlgebra, omega, policy: Optional[ZeroPolicy] = None
+    ):
+        policy = policy or ZeroPolicy()
         if algebra.dim != chart.dim:
             raise ValueError(
                 f"model algebra dimension {algebra.dim} does not match the "
@@ -1183,17 +1176,14 @@ class Parallelism:
         om = np.array(omega, dtype=object)
         if om.shape != (chart.dim, chart.dim):
             raise ValueError("omega must be a square coefficient matrix")
-        out = np.empty(om.shape, dtype=object)
-        for idx in np.ndindex(*om.shape):
-            out[idx] = as_expr(om[idx], chart)
         self.chart = chart
         self.algebra = algebra
-        self.omega = out
+        self.omega = _component_array(chart, om)
 
         n = chart.dim
-        M = [[out[a, i] for i in range(n)] for a in range(n)]
+        M = [[self.omega[a, i] for i in range(n)] for a in range(n)]
         det = sym_det(M)
-        bad = chart.vanishing_witness(det, 32, seed=0)
+        bad = chart.vanishing_witness(det, policy.samples, policy.seed)
         if bad is not None:
             p, val = bad.point, bad.value
             if bad.near_zero:
@@ -1216,15 +1206,11 @@ class Parallelism:
         gamma[i][j][k] = (omega^{-1})^k_a d_i omega^a_j."""
         n = self.chart.dim
         gamma = np.empty((n, n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    total = Const(0)
-                    for a in range(n):
-                        total = total + self._inverse[k, a] * diff(
-                            self.omega[a, j], self.chart.coords[i]
-                        )
-                    gamma[i, j, k] = canon(total)
+        for i, j, k in np.ndindex(n, n, n):
+            gamma[i, j, k] = csum(
+                cmul(self._inverse[k, a], diff(self.omega[a, j], self.chart.coords[i]))
+                for a in range(n)
+            )
         return TMConnection(self.chart, gamma, target="tm")
 
     def curvature_form(self) -> np.ndarray:
@@ -1236,21 +1222,16 @@ class Parallelism:
         n = self.chart.dim
         f = self.algebra.structure
         out = np.empty((n, n, n), dtype=object)
-        for a in range(n):
-            for i in range(n):
-                for j in range(n):
-                    total = diff(self.omega[a, j], self.chart.coords[i]) - diff(
-                        self.omega[a, i], self.chart.coords[j]
-                    )
-                    for b in range(n):
-                        for c in range(n):
-                            coeff = f[b, c, a]
-                            if coeff == 0:
-                                continue
-                            total = total + as_expr(coeff, self.chart) * (
-                                self.omega[b, i] * self.omega[c, j]
-                            )
-                    out[a, i, j] = canon(total)
+        for a, i, j in np.ndindex(n, n, n):
+            terms = [
+                diff(self.omega[a, j], self.chart.coords[i]),
+                cneg(diff(self.omega[a, i], self.chart.coords[j])),
+            ]
+            for b, c in np.ndindex(n, n):
+                if f[b, c, a] != 0:
+                    coeff = as_expr(f[b, c, a], self.chart)
+                    terms.append(cmul(coeff, cmul(self.omega[b, i], self.omega[c, j])))
+            out[a, i, j] = csum(terms)
         return out
 
     def __repr__(self):
@@ -1302,25 +1283,23 @@ def parallelism_report(
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                total = D.gamma[i, j, k] - D.gamma[j, i, k]
+                total = [D.gamma[i, j, k], cneg(D.gamma[j, i, k])]
                 for a in range(n):
-                    total = total - P.inverse[k, a] * (
-                        diff(P.omega[a, j], chart.coords[i])
-                        - diff(P.omega[a, i], chart.coords[j])
+                    d_omega = csum(
+                        (
+                            diff(P.omega[a, j], chart.coords[i]),
+                            cneg(diff(P.omega[a, i], chart.coords[j])),
+                        )
                     )
+                    total.append(cneg(cmul(P.inverse[k, a], d_omega)))
                 torsion_items.append(
-                    (f"torsion - pulled-back d(omega) at [{i},{j},{k}]", total)
+                    (f"torsion - pulled-back d(omega) at [{i},{j},{k}]", csum(total))
                 )
     torsion_identity = _battery("torsion_identity", torsion_items, chart, policy)
 
     tilde = np.empty((n, n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                total = Const(0)
-                for a in range(n):
-                    total = total + P.inverse[k, a] * Om[a, i, j]
-                tilde[i, j, k] = canon(total)
+    for i, j, k in np.ndindex(n, n, n):
+        tilde[i, j, k] = csum(cmul(P.inverse[k, a], Om[a, i, j]) for a in range(n))
     curvature_tensor = TensorField(chart, ((LOW, TM), (LOW, TM), (UP, TM)), tilde)
     transported = tensor_cov_deriv(D, curvature_tensor)
     parallel = _tensor_battery("curvature_parallel", transported, policy)
@@ -1681,13 +1660,13 @@ def identity_battery(
     # built afresh from the dual's coefficients, not handed back as rep
     dd = dual_connection(dual)
     round_items = [
-        (f"double dual A[{idx}]", dd.A[idx] - rep.A[idx])
+        (f"double dual A[{idx}]", csum((dd.A[idx], cneg(rep.A[idx]))))
         for idx in np.ndindex(*rep.A.shape)
     ]
     T = torsion_g(rep)
     Ts = torsion_g(dual)
     round_items += [
-        (f"torsion mirror [{idx}]", T.components[idx] + Ts.components[idx])
+        (f"torsion mirror [{idx}]", csum((T.components[idx], Ts.components[idx])))
         for idx in np.ndindex(*T.shape)
     ]
     children.append(_battery("dual_round_trip", round_items, chart, policy))
@@ -1700,7 +1679,7 @@ def identity_battery(
     agreement_items = [
         (
             f"route difference (e_{a},e_{b}) d_{i} comp {c}",
-            defects.direct[i, a, b, c] - defects.lifted[a, b, c, i],
+            csum((defects.direct[i, a, b, c], cneg(defects.lifted[a, b, c, i]))),
         )
         for a, b in combinations(range(g.rank), 2)
         for i in range(chart.dim)

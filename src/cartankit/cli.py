@@ -553,49 +553,37 @@ def _building(check_name: str):
 
 
 class Workspace:
-    """Objects built from a spec, constructed lazily and cached."""
+    """The objects a spec declares, each built where a command reads it.
+
+    Nothing is cached: a command reads each object once (``validate``
+    repeats only the exact check of a declared Lie algebra), and what is
+    derived from an object is kept on that object (see
+    :class:`~cartankit.connections.TMConnection`)."""
 
     def __init__(self, spec: GeometrySpec, policy: ZeroPolicy):
         self.spec = spec
         self.policy = policy
-        self._cache = {}
-
-    def _build(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
 
     # -- leaf objects -----------------------------------------------------
 
     def lie_algebra(self) -> LieAlgebra:
-        def make():
-            table = self.spec.lie_algebra_table
-            with _building("lie_algebra"):
-                return LieAlgebra(len(table), table)
-
-        return self._build("lie_algebra", make)
+        table = self.spec.lie_algebra_table
+        with _building("lie_algebra"):
+            return LieAlgebra(len(table), table)
 
     def action_algebroid(self) -> Algebroid:
-        def make():
-            fields = [
-                Section(self.spec.chart, list(row), "tm")
-                for row in self.spec.action_fields
-            ]
-            with _building("action_algebroid"):
-                return build_action_algebroid(self.lie_algebra(), fields, self.policy)
-
-        return self._build("action_algebroid", make)
+        fields = [
+            Section(self.spec.chart, list(row), "tm") for row in self.spec.action_fields
+        ]
+        with _building("action_algebroid"):
+            return build_action_algebroid(self.lie_algebra(), fields, self.policy)
 
     def direct_algebroid_axioms(self) -> Tuple[Algebroid, Verdict]:
         """The declared anchor and structure tables, and their axiom verdicts."""
-
-        def make():
-            r, rho, structure = self.spec.algebroid_tables
-            with _building("algebroid"):
-                g = Algebroid(self.spec.chart, r, rho, structure)
-            return g, validate_algebroid(g, self.policy)
-
-        return self._build("direct_algebroid_axioms", make)
+        r, rho, structure = self.spec.algebroid_tables
+        with _building("algebroid"):
+            g = Algebroid(self.spec.chart, r, rho, structure)
+        return g, validate_algebroid(g, self.policy)
 
     def direct_algebroid(self) -> Algebroid:
         """The declared algebroid, once its tables pass every axiom: the
@@ -615,61 +603,37 @@ class Workspace:
         return g
 
     def poisson_tensor(self) -> TensorField:
-        def make():
-            with _building("poisson"):
-                pi = TensorField(
-                    self.spec.chart, ((UP, TM), (UP, TM)), self.spec.poisson
-                )
-                pi.check_pairs(antisymmetric=((0, 1),), policy=self.policy)
-                return pi
-
-        return self._build("poisson_tensor", make)
+        with _building("poisson"):
+            pi = TensorField(self.spec.chart, ((UP, TM), (UP, TM)), self.spec.poisson)
+            pi.check_pairs(antisymmetric=((0, 1),), policy=self.policy)
+            return pi
 
     def poisson_algebroid(self) -> Algebroid:
-        def make():
-            with _building("poisson_algebroid"):
-                return build_poisson_algebroid(self.poisson_tensor(), self.policy)
-
-        return self._build("poisson_algebroid", make)
+        with _building("poisson_algebroid"):
+            return build_poisson_algebroid(self.poisson_tensor(), self.policy)
 
     def metric_tensor(self) -> TensorField:
-        def make():
-            return TensorField(
-                self.spec.chart, ((LOW, TM), (LOW, TM)), self.spec.metric
-            )
-
-        return self._build("metric_tensor", make)
+        return TensorField(self.spec.chart, ((LOW, TM), (LOW, TM)), self.spec.metric)
 
     def riemann_report(self):
-        def make():
-            h = None
-            if self.spec.h_frame is not None:
-                h = [m for m in self.spec.h_frame]
-            with _building("metric"):
-                return riemann_pipeline(self.metric_tensor(), h_frame=h, policy=self.policy)
-
-        return self._build("riemann_report", make)
+        with _building("metric"):
+            return riemann_pipeline(
+                self.metric_tensor(), h_frame=self.spec.h_frame, policy=self.policy
+            )
 
     def foliation_algebroid(self) -> Algebroid:
-        def make():
-            fields = [
-                Section(self.spec.chart, list(row), "tm")
-                for row in self.spec.foliation_frame
-            ]
-            with _building("foliation"):
-                return build_foliation_algebroid(fields, self.policy)
-
-        return self._build("foliation_algebroid", make)
+        fields = [
+            Section(self.spec.chart, list(row), "tm") for row in self.spec.foliation_frame
+        ]
+        with _building("foliation"):
+            return build_foliation_algebroid(fields, self.policy)
 
     def parallelism(self) -> Parallelism:
-        def make():
-            omega, model = self.spec.parallelism_tables
-            with _building("model_algebra"):
-                algebra = LieAlgebra(len(model), model)
-            with _building("parallelism"):
-                return Parallelism(self.spec.chart, algebra, omega)
-
-        return self._build("parallelism", make)
+        omega, model = self.spec.parallelism_tables
+        with _building("model_algebra"):
+            algebra = LieAlgebra(len(model), model)
+        with _building("parallelism"):
+            return Parallelism(self.spec.chart, algebra, omega, self.policy)
 
     # -- connection lookup ------------------------------------------------
 
@@ -717,12 +681,8 @@ class Workspace:
         kind = self.kind()
         n = self.spec.chart.dim
         if kind == "metric":
-
-            def make():
-                with _building("metric"):
-                    return metric_pair(self.metric_tensor(), self.policy)
-
-            return self._build("metric_pair", make)
+            with _building("metric"):
+                return metric_pair(self.metric_tensor(), self.policy)
         if kind == "poisson":
             g = self.poisson_algebroid()
             base = self.named_connection("tm", n) or TMConnection.flat(

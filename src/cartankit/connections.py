@@ -32,10 +32,12 @@ from .bundles import (
     Verdict,
     _along,
     _battery,
+    _component_array,
     _derivative,
     _directions,
     _nonzero,
     _require_zero,
+    _tensor_battery,
     as_expr,
 )
 from .symcore import (
@@ -82,9 +84,8 @@ class TMConnection:
     frame is the coordinate frame) or "g" for an algebroid.  ``gamma`` is
     read-only, so what is derived from it once stays true: for each
     algebroid it is paired with, the connection keeps the induced
-    representations (:func:`induced_rep_on_g`, :func:`induced_rep_on_tm`),
-    the frame defects of :func:`cartankit.cartan.frame_defects` and, per
-    zero-test policy, the :func:`cartankit.cartan.check_cartan` verdict.
+    representations (:func:`induced_rep_on_g`, :func:`induced_rep_on_tm`)
+    and the frame defects of :func:`cartankit.cartan.frame_defects`.
     """
 
     def __init__(self, chart: Chart, gamma, target: str = "g"):
@@ -97,12 +98,8 @@ class TMConnection:
             raise ValueError("gamma must be square in the frame indices")
         if target == "tm" and gamma.shape[1] != chart.dim:
             raise ValueError("tangent-target connection must have rank = dim")
-        out = np.empty(gamma.shape, dtype=object)
-        for idx in np.ndindex(*gamma.shape):
-            out[idx] = as_expr(gamma[idx], chart)
-        out.flags.writeable = False
         self.chart = chart
-        self.gamma = out
+        self.gamma = _component_array(chart, gamma)
         self.rank = gamma.shape[1]
         self.target = target
         self._pairs = {}  # Algebroid -> {key: what was derived}
@@ -110,7 +107,7 @@ class TMConnection:
     def kept(self, g: Algebroid, key, build):
         """What ``build()`` derives from the pair (``g``, this connection),
         built on the first request and kept for every later one.  ``key``
-        names the table, with the zero-test policy for a verdict."""
+        names the table."""
         tables = self._pairs.setdefault(g, {})
         if key not in tables:
             tables[key] = build()
@@ -150,12 +147,8 @@ class GConnection:
             raise ValueError(
                 f"A must have shape ({g.rank}, {m}, {m}), got {A.shape}"
             )
-        out = np.empty(A.shape, dtype=object)
-        for idx in np.ndindex(*A.shape):
-            out[idx] = as_expr(A[idx], g.chart)
-        out.flags.writeable = False
         self.g = g
-        self.A = out
+        self.A = _component_array(g.chart, A)
         self.target = target
         self.target_rank = m
         self._kept = {}  # key -> what was derived
@@ -348,25 +341,22 @@ def curvature_g(conn: GConnection) -> TensorField:
 def _curvature_g(conn: GConnection) -> TensorField:
     g = conn.g
     tag = conn.target_tag
-    R = TensorField(
+    return TensorField(
         g.chart,
         ((LOW, G), (LOW, G), (LOW, tag), (UP, tag)),
         _curvature(_directions(g.chart.coords, g.rho), g.structure, conn.A),
     )
-    R.components.flags.writeable = False
-    return R
 
 
-def is_flat_g(conn: GConnection, policy: Optional[ZeroPolicy] = None):
-    """(flat?, failing index, verdict) for the curvature of ``conn``,
-    decided once per connection and policy."""
+def is_flat_g(conn: GConnection, policy: Optional[ZeroPolicy] = None) -> Verdict:
+    """The ``flatness`` battery over the curvature of ``conn``: its detail
+    names the first component that is not zero.  Decided once per
+    connection and policy."""
     policy = policy or ZeroPolicy()
-
-    def decide():
-        idx, verdict = curvature_g(conn).is_zero_field(policy)
-        return idx is None, idx, verdict
-
-    return conn.kept(("flatness", policy), decide)
+    return conn.kept(
+        ("flatness", policy),
+        lambda: _tensor_battery("flatness", curvature_g(conn), policy),
+    )
 
 
 # --------------------------------------------------------------------- duality
@@ -394,10 +384,8 @@ def _dual_connection(conn: GConnection) -> GConnection:
     g = conn.g
     r = g.rank
     out = np.empty((r, r, r), dtype=object)
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                out[a, b, c] = csum((conn.A[b, a, c], g.structure[a, b, c]))
+    for a, b, c in np.ndindex(r, r, r):
+        out[a, b, c] = csum((conn.A[b, a, c], g.structure[a, b, c]))
     return GConnection(g, out, "self")
 
 
@@ -414,15 +402,11 @@ def _torsion_g(conn: GConnection) -> TensorField:
     g = conn.g
     r = g.rank
     out = np.empty((r, r, r), dtype=object)
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                out[a, b, c] = csum(
-                    (conn.A[a, b, c], cneg(conn.A[b, a, c]), cneg(g.structure[a, b, c]))
-                )
-    T = TensorField(g.chart, ((LOW, G), (LOW, G), (UP, G)), out)
-    T.components.flags.writeable = False
-    return T
+    for a, b, c in np.ndindex(r, r, r):
+        out[a, b, c] = csum(
+            (conn.A[a, b, c], cneg(conn.A[b, a, c]), cneg(g.structure[a, b, c]))
+        )
+    return TensorField(g.chart, ((LOW, G), (LOW, G), (UP, G)), out)
 
 
 def dual_pair_defect(conn: GConnection) -> TensorField:
@@ -486,13 +470,11 @@ def induced_rep_on_g(g: Algebroid, conn: TMConnection) -> GConnection:
 def _induced_rep_on_g(g: Algebroid, conn: TMConnection) -> GConnection:
     r = g.rank
     out = np.empty((r, r, r), dtype=object)
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                out[a, b, c] = csum(
-                    [g.structure[a, b, c]]
-                    + [cmul(g.rho[i, b], conn.gamma[i, a, c]) for i in range(g.chart.dim)]
-                )
+    for a, b, c in np.ndindex(r, r, r):
+        out[a, b, c] = csum(
+            [g.structure[a, b, c]]
+            + [cmul(g.rho[i, b], conn.gamma[i, a, c]) for i in range(g.chart.dim)]
+        )
     return GConnection(g, out, "self")
 
 
@@ -511,13 +493,11 @@ def _induced_rep_on_tm(g: Algebroid, conn: TMConnection) -> GConnection:
     chart = g.chart
     n, r = chart.dim, g.rank
     out = np.empty((r, n, n), dtype=object)
-    for a in range(r):
-        for j in range(n):
-            for k in range(n):
-                out[a, j, k] = csum(
-                    [cneg(diff(g.rho[k, a], chart.coords[j]))]
-                    + [cmul(g.rho[k, b], conn.gamma[j, a, b]) for b in range(r)]
-                )
+    for a, j, k in np.ndindex(r, n, n):
+        out[a, j, k] = csum(
+            [cneg(diff(g.rho[k, a], chart.coords[j]))]
+            + [cmul(g.rho[k, b], conn.gamma[j, a, b]) for b in range(r)]
+        )
     return GConnection(g, out, "tm")
 
 
@@ -572,17 +552,15 @@ def morphism_curvature(
     phi = np.array(phi, dtype=object)
     if phi.shape != (h.rank, g.rank):
         raise ValueError(f"phi must have shape ({h.rank}, {g.rank})")
-    phi_canon = np.empty(phi.shape, dtype=object)
-    for idx in np.ndindex(*phi.shape):
-        phi_canon[idx] = as_expr(phi[idx], chart)
-    phi = phi_canon
+    phi = _component_array(chart, phi)
 
     def anchor_defects():
         for a in range(g.rank):
             for i in range(chart.dim):
-                defect = -g.rho[i, a]
-                for al in range(h.rank):
-                    defect = defect + h.rho[i, al] * phi[al, a]
+                defect = csum(
+                    [cneg(g.rho[i, a])]
+                    + [cmul(h.rho[i, al], phi[al, a]) for al in range(h.rank)]
+                )
                 yield f"anchor incompatibility at frame {a} component {i}", defect
 
     _require_zero(anchor_defects(), chart, policy)

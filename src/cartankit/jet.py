@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebroid import Algebroid, anchor_apply, bracket
-from .bundles import UP, Section, _derivative, _directions, as_expr
+from .bundles import UP, Section, _component_array, _derivative, _directions, as_expr
 from .connections import TMConnection
 from .symcore import ZERO, _section_form, cmul, cneg, csum, diff
 
@@ -53,12 +53,9 @@ class JetSection:
                 f"correction must have shape ({g.rank}, {g.chart.dim}), "
                 f"got {corr.shape}"
             )
-        out = np.empty(corr.shape, dtype=object)
-        for idx in np.ndindex(*corr.shape):
-            out[idx] = as_expr(corr[idx], g.chart)
         self.g = g
         self.base = base
-        self.correction = out
+        self.correction = _component_array(g.chart, corr)
 
     @classmethod
     def vertical(cls, g: Algebroid, correction) -> "JetSection":
@@ -115,8 +112,7 @@ def kappa(g: Algebroid, X: Section, phi) -> np.ndarray:
     if phi.shape != (g.rank, g.chart.dim):
         raise ValueError("phi has the wrong shape")
     chart = g.chart
-    for idx in np.ndindex(*phi.shape):
-        phi[idx] = as_expr(phi[idx], chart)
+    phi = _component_array(chart, phi)
     anchor_X = anchor_apply(g, X)
     out = np.empty(phi.shape, dtype=object)
     for i, name in enumerate(chart.coords):

@@ -30,7 +30,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -159,10 +159,9 @@ def flat_sum(terms: Iterable["Expr"]) -> "Expr":
     does, so it stays an ``Add`` even with one term: ``canon`` spreads a
     rational multiple of a sum over the sum's terms only inside a sum.
 
-    This is the raw sum builder: ``+`` and ``-`` go through it, and so
-    does every raw sum assembled from a list of terms, which then costs
-    one pass instead of a copy of the growing sum per term.  Its
-    canonical counterpart, for canonical terms, is :func:`csum`."""
+    This is the raw sum builder: ``+``, ``-`` and the parser go through
+    it.  Its canonical counterpart, for canonical terms, is
+    :func:`csum`."""
     out = []
     for e in terms:
         if isinstance(e, Add) and e._canonical is None:
@@ -198,9 +197,11 @@ class Expr:
     :func:`canon` or :func:`is_zero` to normalize/decide.  ``+`` and
     ``-`` build flat sums and ``*`` drops products with a literal-zero
     factor, so an accumulation ``total = total + term`` stays one n-ary
-    ``Add`` of its nonzero terms.  On canonical operands, :func:`cmul`,
-    :func:`cneg` and :func:`csum` give the canonical forms of ``*``,
-    ``-`` and a sum without building the raw tree.
+    ``Add`` of its nonzero terms.  They serve the parser (through
+    :func:`_plus` and the node constructors) and the tests: every entry
+    the package builds comes from :func:`cmul`, :func:`cneg` and
+    :func:`csum`, which give the canonical forms of ``*``, ``-`` and a
+    sum of canonical operands without building the raw tree.
     """
 
     __slots__ = ("_hash", "_canonical", "_key", "_derivatives", "_sampled", "__weakref__")
@@ -1411,21 +1412,23 @@ def _guarded(fn, value: float, *constants) -> float:
 
 
 def sym_det(M) -> Expr:
-    """Determinant by cofactor expansion along the first row, canonical."""
+    """Determinant of a matrix of canonical entries by cofactor expansion
+    along the first row, canonical."""
     k = len(M)
     if k == 1:
         return M[0][0]
-    total = Const(0)
+    terms = []
     for col in range(k):
         minor = [row[:col] + row[col + 1 :] for row in M[1:]]
-        term = M[0][col] * sym_det(minor)
-        total = total + term if col % 2 == 0 else total - term
-    return canon(total)
+        term = cmul(M[0][col], sym_det(minor))
+        terms.append(term if col % 2 == 0 else cneg(term))
+    return csum(terms)
 
 
 def adjugate_inverse(M, det: Expr) -> np.ndarray:
-    """Inverse as unevaluated quotients: entry [i, j] is the (j, i)
-    cofactor over ``det``.  The caller keeps ``det`` away from zero."""
+    """Inverse of a matrix of canonical entries as unevaluated quotients:
+    entry [i, j] is the (j, i) cofactor over ``det``.  The caller keeps
+    ``det`` away from zero."""
     n = len(M)
     inv = np.empty((n, n), dtype=object)
     for i in range(n):
@@ -1435,9 +1438,8 @@ def adjugate_inverse(M, det: Expr) -> np.ndarray:
                 for row in range(n)
                 if row != j
             ]
-            cof = sym_det(minor) if minor else Const(1)
-            sign = Const(1) if (i + j) % 2 == 0 else Const(-1)
-            inv[i, j] = canon(sign * cof / det)
+            cof = sym_det(minor) if minor else ONE
+            inv[i, j] = _quotient(cof if (i + j) % 2 == 0 else cneg(cof), det)
     return inv
 
 
@@ -1664,24 +1666,21 @@ def is_zero(
     terms = reduced.terms if isinstance(reduced, Add) else (reduced,)
     samples = chart.sample_set(policy.samples, policy.seed)
     batch = evaluate_batch(terms, chart.coords, samples)
-    points = samples.points
-    by_point = np.array(batch.values).T.tolist()
-    scale = 0.0
-    values = []  # (point, total) for valid samples
-    for point, term_values, invalid in zip(points, by_point, batch.invalid):
-        if invalid:
-            continue
-        total = math.fsum(term_values)
-        if not math.isfinite(total):
-            continue
-        scale = max(scale, max(abs(v) for v in term_values))
-        values.append((tuple(point), total))
-
-    if not values:
+    rows = np.array(batch.values).T  # one row of term values per sample
+    valid = np.flatnonzero(~batch.invalid)
+    # one exact sum per valid sample; a sample whose sum is not finite is
+    # left out, as an invalid one is
+    totals = np.array([math.fsum(row) for row in rows[valid].tolist()])
+    finite = np.isfinite(totals)
+    kept, totals = valid[finite], totals[finite]
+    if not kept.size:
         return ZeroVerdict(False, "undecidable")
 
+    scale = float(np.abs(rows[kept]).max())
     threshold = policy.tol + policy.tol * scale
-    worst_point, worst_value = max(values, key=lambda pv: abs(pv[1]))
-    if abs(worst_value) <= threshold:
+    worst = int(np.argmax(np.abs(totals)))
+    value = float(totals[worst])
+    if abs(value) <= threshold:
         return ZeroVerdict(True, "probabilistic")
-    return ZeroVerdict(False, "probabilistic", witness=worst_point, value=worst_value)
+    witness = tuple(samples.points[kept[worst]])
+    return ZeroVerdict(False, "probabilistic", witness=witness, value=value)

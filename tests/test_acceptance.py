@@ -26,7 +26,7 @@ from cartankit.algebroid import (
     tangent_algebroid,
     validate,
 )
-from cartankit.bundles import TM, UP, Section, TensorField, as_expr
+from cartankit.bundles import TM, UP, Section, TensorField, _tensor_battery, as_expr
 from cartankit.cartan import (
     Parallelism,
     _exterior_derivative,
@@ -225,16 +225,18 @@ def test_criterion_2_duality_battery(catalog):
             assert canon(T.components[idx] + Ts.components[idx]) == Const(0), (
                 f"torsion does not flip sign, instance {k}"
             )
-        idx, v = dual_pair_defect(rep).is_zero_field(POLICY)
-        assert idx is None, f"curvature exchange fails, instance {k} at {idx}: {v.value}"
+        v = _tensor_battery("dual_curvature_exchange", dual_pair_defect(rep), POLICY)
+        assert v.ok, f"curvature exchange fails, instance {k} at {v.detail}: {v.value}"
 
         # flatness of the dual of a flat connection must match parallelism
         # of that flat connection's torsion
         F = GConnection(g, np.full((g.rank,) * 3, Const(0), dtype=object), "self")
-        assert is_flat_g(F, POLICY)[0]
+        assert is_flat_g(F, POLICY).ok
         partner = dual_connection(F)
-        flat = is_flat_g(partner, POLICY)[0]
-        parallel = g_tensor_deriv(torsion_g(F), rep_g=F).is_zero_field(POLICY)[0] is None
+        flat = is_flat_g(partner, POLICY).ok
+        parallel = _tensor_battery(
+            "parallel_torsion", g_tensor_deriv(torsion_g(F), rep_g=F), POLICY
+        ).ok
         assert flat == parallel, f"flat/parallel-torsion equivalence broken, instance {k}"
         if flat:
             flat_branch += 1
@@ -338,7 +340,7 @@ def test_criterion_7_invariant_calculus(corpus_pairs):
     compatible = {
         name
         for name in CORPUS_NAMES
-        if is_flat_g(induced_rep_on_g(*corpus_pairs[name]), POLICY)[0]
+        if is_flat_g(induced_rep_on_g(*corpus_pairs[name]), POLICY).ok
     }
     # every corpus pair except the foliation carries a flat action
     assert compatible == set(CORPUS_NAMES) - {"foliation_r3"}
@@ -350,12 +352,12 @@ def test_criterion_7_invariant_calculus(corpus_pairs):
             theta = _random_one_form(g, seed=s)
             d1 = exterior_derivative(rep, theta, POLICY)
             d2 = exterior_derivative(rep, d1, POLICY)
-            idx, v = d2.is_zero_field(POLICY)
-            assert idx is None, f"d^2 != 0 on {name} form {s} at {idx}: {v.value}"
+            v = _tensor_battery("d_squared", d2, POLICY)
+            assert v.ok, f"d^2 != 0 on {name} form {s} at {v.detail}: {v.value}"
             decomp = dtheta_decomposition(rep, theta, rep, POLICY)
-            idx, v = (d1 - decomp).is_zero_field(POLICY)
-            assert idx is None, (
-                f"derivative decomposition fails on {name} form {s} at {idx}"
+            v = _tensor_battery("d_decomposition", d1 - decomp, POLICY)
+            assert v.ok, (
+                f"derivative decomposition fails on {name} form {s} at {v.detail}"
             )
             forms += 1
 
@@ -411,8 +413,9 @@ def test_criterion_8_unconditional_self_tests(catalog, corpus_pairs):
     g3 = build_action_algebroid(so3_algebra(), fields, POLICY)
     phi = [["1+x^2", "0", "0"], ["x*y", "1", "0"], ["x*z", "0", "1"]]
     curv = morphism_curvature(phi, g3, g3, POLICY)
-    idx, _ = curv.is_zero_field(POLICY)
-    assert idx is not None, "control morphism should have curvature"
+    assert not _tensor_battery("morphism_curvature", curv, POLICY).ok, (
+        "control morphism should have curvature"
+    )
     kernel_checked = 0
     for a in range(3):
         for b in range(3):
@@ -547,7 +550,7 @@ def test_built_tensors_are_antisymmetric_by_construction(catalog, corpus_pairs):
         }
         for what, T in built.items():
             tests += _assert_plane_antisymmetric(T, f"{name}, {what}")
-        if not is_flat_g(rep, POLICY)[0]:
+        if not is_flat_g(rep, POLICY).ok:
             continue  # the battery builds no forms on a curved action
         flat_actions += 1
         for s in range(3):

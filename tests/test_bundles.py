@@ -8,10 +8,11 @@ from cartankit.bundles import (
     UP,
     Section,
     TensorField,
+    _tensor_battery,
     lie_derivative,
     vf_bracket,
 )
-from cartankit.symcore import Chart, Const, canon, diff, is_zero, parse
+from cartankit.symcore import Chart, Const, ZeroPolicy, canon, diff, is_zero, parse
 
 R2 = Chart(("x", "y"), [(-1, 1), (-1, 1)])
 R3 = Chart(("x", "y", "z"), [(-1, 1), (-1, 1), (-1, 1)])
@@ -80,8 +81,7 @@ def metric(chart, rows):
 def test_translation_invariance():
     sigma = metric(R2, [["1", "0"], ["0", "1"]])
     got = lie_derivative(vf(R2, "1", "0"), sigma)
-    idx, verdict = got.is_zero_field()
-    assert idx is None and verdict.zero
+    assert _tensor_battery("lie_derivative", got, ZeroPolicy()).ok
 
 
 def test_dilation_scales_flat_metric():
@@ -94,8 +94,7 @@ def test_dilation_scales_flat_metric():
 def test_rotation_is_killing_for_euclidean_metric():
     sigma = metric(R2, [["1", "0"], ["0", "1"]])
     rot = vf(R2, "-y", "x")
-    idx, verdict = lie_derivative(rot, sigma).is_zero_field()
-    assert idx is None and verdict.zero
+    assert _tensor_battery("lie_derivative", lie_derivative(rot, sigma), ZeroPolicy()).ok
 
 
 def test_lie_derivative_of_vector_is_bracket():
@@ -206,5 +205,5 @@ def test_lie_derivative_leibniz_over_product(fields):
         T, lie_derivative(V, S)
     )
     defect = lhs - rhs
-    idx, verdict = defect.is_zero_field()
-    assert idx is None, f"Leibniz fails at {idx}: {verdict}"
+    verdict = _tensor_battery("leibniz", defect, ZeroPolicy())
+    assert verdict.ok, f"Leibniz fails at {verdict.detail}: {verdict}"

@@ -425,8 +425,7 @@ def test_transitive_check_fails_on_incompatible_pair():
 def test_abba_defect_vanishes_on_transitive_compatible_pair():
     _, g, conn = symplectic_pair()
     defect = abba_defect(g, cotangent_connection(conn))
-    idx, verdict = defect.is_zero_field(POLICY)
-    assert idx is None
+    assert _tensor_battery("anchored_curvature", defect, POLICY).ok
 
 
 def test_abba_defect_shape_and_rank_guard():
@@ -770,8 +769,8 @@ def test_sphere_rotation_fields_are_killing():
     ]
     for V in fields:
         L = lie_derivative(V, sigma)
-        idx, verdict = L.is_zero_field(POLICY)
-        assert idx is None, (V, idx, verdict)
+        verdict = _tensor_battery("killing", L, POLICY)
+        assert verdict.ok, (V, verdict.detail, verdict)
 
 
 # ----------------------------------------------------------- poisson pipeline
@@ -896,8 +895,7 @@ def test_exterior_derivative_squares_to_zero():
         [["x", "y", "0"], ["1", "z", "x*y"], ["0", "0", "2"]],
     )
     dd = exterior_derivative(rep, exterior_derivative(rep, theta, POLICY), POLICY)
-    idx, verdict = dd.is_zero_field(POLICY)
-    assert idx is None
+    assert _tensor_battery("d_squared", dd, POLICY).ok
 
 
 def test_exterior_derivative_degree_cap():
@@ -950,13 +948,11 @@ def test_dtheta_decomposition_matches_derivative():
     )
     lhs = exterior_derivative(rep, theta, POLICY)
     rhs = dtheta_decomposition(rep, theta, rep, POLICY)
-    idx, verdict = (lhs - rhs).is_zero_field(POLICY)
-    assert idx is None
+    assert _tensor_battery("d_decomposition", lhs - rhs, POLICY).ok
     # and again one degree up
     lhs2 = exterior_derivative(rep, lhs, POLICY)
     rhs2 = dtheta_decomposition(rep, lhs, rep, POLICY)
-    idx2, _ = (lhs2 - rhs2).is_zero_field(POLICY)
-    assert idx2 is None
+    assert _tensor_battery("d_decomposition", lhs2 - rhs2, POLICY).ok
 
 
 def test_dtheta_decomposition_tangent_valued():
@@ -971,13 +967,11 @@ def test_dtheta_decomposition_tangent_valued():
     theta = TensorField(R3, ((LOW, G), (UP, TM)), comps)
     lhs = exterior_derivative(rep_tm, theta, POLICY)
     rhs = dtheta_decomposition(rep_tm, theta, rep_g, POLICY)
-    idx, verdict = (lhs - rhs).is_zero_field(POLICY)
-    assert idx is None
+    assert _tensor_battery("d_decomposition", lhs - rhs, POLICY).ok
     # and again one degree up
     lhs2 = exterior_derivative(rep_tm, lhs, POLICY)
     rhs2 = dtheta_decomposition(rep_tm, lhs, rep_g, POLICY)
-    idx2, _ = (lhs2 - rhs2).is_zero_field(POLICY)
-    assert idx2 is None
+    assert _tensor_battery("d_decomposition", lhs2 - rhs2, POLICY).ok
 
 
 def _assert_exactly_antisymmetric(form):
@@ -1677,10 +1671,9 @@ def test_metric_checks_reject_on_the_first_failing_check():
     assert str(found.rejection) == "division by zero in 1/x"
 
 
-def test_compatibility_is_decided_once_per_pair_and_policy(monkeypatch):
+def test_identity_battery_decides_compatibility_once(monkeypatch):
     # metric_pair decides no compatibility: its connection is compatible
-    # by construction.  The identity battery decides it once, and
-    # check_cartan on the same pair and policy reads that verdict
+    # by construction.  The identity battery decides it once
     runs = []
     for name in ("_compat_battery", "_jet_battery"):
         real = getattr(cartan, name)
@@ -1694,9 +1687,4 @@ def test_compatibility_is_decided_once_per_pair_and_policy(monkeypatch):
     assert runs == []
     v = identity_battery(g, nabla, POLICY, forms=1)
     assert runs == ["_compat_battery", "_jet_battery"]
-    assert v.child("cartan") is check_cartan(g, nabla, POLICY)
-    assert check_cartan(g, nabla) is v.child("cartan")  # the default policy is the same key
-    assert len(runs) == 2
-    # another seed is another policy: both batteries run again
-    assert check_cartan(g, nabla, ZeroPolicy(seed=1)).ok
-    assert len(runs) == 4
+    assert v.child("cartan").ok

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cartankit.cli import GeometrySpec, _conforms, _load_schema, load_spec, run, schema_errors
+from cartankit.symcore import Chart
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -1075,6 +1076,24 @@ def test_negative_seed_is_a_usage_error(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("usage: cartankit") and "--seed" in err
+
+
+def test_coframe_scan_follows_samples_and_seed(capsys, monkeypatch):
+    # --samples and --seed reach the coframe's determinant scan, as they
+    # reach the metric's and the action fields'
+    scans = []
+    real = Chart.vanishing_witness
+
+    def recording(self, e, count, seed):
+        scans.append((count, seed))
+        return real(self, e, count, seed)
+
+    monkeypatch.setattr(Chart, "vanishing_witness", recording)
+    path = str(CORPUS / "affine_group_parallelism.json")
+    code, rep = invoke(capsys, "validate", path, "--samples", "16", "--seed", "7")
+    assert code == 0 and rep["status"] == "pass"
+    # the chart's guard scan, which has its own fixed draw, then the coframe's
+    assert scans == [(64, 1), (16, 7)]
 
 
 def test_report_carries_tool_and_name(capsys):

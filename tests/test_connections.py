@@ -19,7 +19,7 @@ from cartankit.algebroid import (
     build_foliation_algebroid,
     tangent_algebroid,
 )
-from cartankit.bundles import LOW, TM, UP, Section, TensorField
+from cartankit.bundles import LOW, TM, UP, Section, TensorField, _tensor_battery
 from cartankit.cli import Workspace, load_spec
 from cartankit.connections import (
     GConnection,
@@ -41,6 +41,7 @@ from cartankit.connections import (
     tensor_cov_deriv,
     torsion_g,
 )
+from cartankit.jet import JetSection
 from cartankit.symcore import Call, Chart, Const, Sym, ZeroPolicy, canon, diff, is_zero, parse
 from test_algebroid import abelian_algebra, so3_algebra
 
@@ -158,8 +159,8 @@ def test_metric_inverse_of_sphere():
 def test_metricity_of_levi_civita():
     sigma = sphere_metric()
     grad = tensor_cov_deriv(christoffel(sigma), sigma)
-    idx, verdict = grad.is_zero_field()
-    assert idx is None, f"metricity fails at {idx}: {verdict}"
+    verdict = _tensor_battery("metricity", grad, ZeroPolicy())
+    assert verdict.ok, f"metricity fails at {verdict.detail}: {verdict}"
 
 
 def test_flat_derivative_of_linear_bivector():
@@ -188,8 +189,8 @@ def test_tensor_cov_deriv_demands_tm_target():
 
 
 def test_flat_curvature_vanishes():
-    idx, _ = curvature_tm(TMConnection.flat(R3, 3)).is_zero_field()
-    assert idx is None
+    R = curvature_tm(TMConnection.flat(R3, 3))
+    assert _tensor_battery("flatness", R, ZeroPolicy()).ok
 
 
 def test_sphere_curvature_component():
@@ -208,8 +209,9 @@ def test_halfplane_has_constant_negative_curvature():
 
 
 def test_sphere_is_not_flat():
-    idx, verdict = curvature_tm(christoffel(sphere_metric())).is_zero_field()
-    assert idx is not None and verdict.witness is not None
+    R = curvature_tm(christoffel(sphere_metric()))
+    verdict = _tensor_battery("flatness", R, ZeroPolicy())
+    assert not verdict.ok and verdict.witness is not None
 
 
 # ------------------------------------------------- the tangent-algebroid case
@@ -283,16 +285,16 @@ def test_cov_deriv_g_leibniz_rule_random_coefficients():
 
 def test_adjoint_representation_is_flat():
     g = so3_action()
-    flat, idx, _ = is_flat_g(ad_rep(g))
-    assert flat, f"adjoint curvature nonzero at {idx}"
+    flatness = is_flat_g(ad_rep(g))
+    assert flatness.ok, f"adjoint curvature nonzero at {flatness.detail}"
 
 
 def test_generic_coefficients_are_not_flat():
     g = so3_action()
     A = np.zeros((3, 3, 3), dtype=int)
     A[0, 0, 1] = 1  # one stray coefficient
-    flat, idx, verdict = is_flat_g(GConnection(g, A.tolist()))
-    assert not flat and verdict.witness is not None
+    verdict = is_flat_g(GConnection(g, A.tolist()))
+    assert not verdict.ok and verdict.witness is not None
 
 
 def test_curvature_g_is_computed_once_per_connection():
@@ -328,12 +330,12 @@ def test_flatness_is_decided_once_per_policy(monkeypatch):
     assert zero_tests == []  # built tensors are not re-checked
     first = is_flat_g(conn, ZeroPolicy())
     ran = len(zero_tests)
-    assert first[0] and ran > 0
+    assert first.ok and ran > 0
     assert is_flat_g(conn, ZeroPolicy()) is first
     assert is_flat_g(conn) is first  # the default policy is the same key
     assert len(zero_tests) == ran
     # another seed is another policy: its zero tests run again
-    assert is_flat_g(conn, ZeroPolicy(seed=1))[0]
+    assert is_flat_g(conn, ZeroPolicy(seed=1)).ok
     assert len(zero_tests) == 2 * ran
 
 
@@ -348,6 +350,26 @@ def test_derived_tables_are_read_only():
         "Algebroid.rho": g.rho,
         "Algebroid.structure": g.structure,
         "curvature_g": curvature_g(conn).components,
+    }
+    for name, table in tables.items():
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = Const(1)
+
+
+def test_every_table_is_read_only():
+    # one constructor (bundles._component_array) makes every expression
+    # table the package keeps, and it hands the table back read-only
+    g = so3_action()
+    coframe = Workspace(load_spec(CORPUS / "affine_group_parallelism.json"), ZeroPolicy())
+    vertical = JetSection.vertical(g, np.zeros((3, 3), dtype=int))
+    tables = {
+        "TensorField.components": TensorField(R3, ((LOW, TM),), ("x", "y", "z")).components,
+        "TMConnection.gamma": TMConnection.flat(R3, 3).gamma,
+        "GConnection.A": ad_rep(g).A,
+        "Algebroid.rho": g.rho,
+        "Algebroid.structure": g.structure,
+        "Parallelism.omega": coframe.parallelism().omega,
+        "JetSection.correction": vertical.correction,
     }
     for name, table in tables.items():
         with pytest.raises(ValueError, match="read-only"):
@@ -421,8 +443,8 @@ def test_curvature_exchange_identity():
     rng = np.random.default_rng(13)
     conn = GConnection(g, rng.integers(-1, 2, size=(3, 3, 3)).tolist())
     defect = dual_pair_defect(conn)
-    idx, verdict = defect.is_zero_field()
-    assert idx is None, f"exchange identity fails at {idx}: {verdict}"
+    verdict = _tensor_battery("dual_curvature_exchange", defect, ZeroPolicy())
+    assert verdict.ok, f"exchange identity fails at {verdict.detail}: {verdict}"
 
 
 # ------------------------------------------------- induced representations
@@ -466,16 +488,14 @@ def test_action_tm_rep_is_flow_derivative():
     assert rep.A[0, 1, 2] == Const(1)
     assert rep.A[0, 2, 1] == Const(-1)
     assert rep.A[0, 0, 0] == Const(0)
-    flat, idx, _ = is_flat_g(rep)
-    assert flat
+    assert is_flat_g(rep).ok
 
 
 def test_foliation_rep_on_tm_is_flat_for_plane_field():
     frame = [Section(R2, ("1", "0"), "tm")]
     g = build_foliation_algebroid(frame)
     rep = induced_rep_on_tm(g, TMConnection.flat(R2, 1))
-    flat, idx, _ = is_flat_g(rep)
-    assert flat
+    assert is_flat_g(rep).ok
 
 
 def test_anchor_equivariance_self_test():
@@ -507,8 +527,7 @@ def test_anchor_equivariance_detects_broken_axioms():
 def test_identity_morphism_has_zero_curvature():
     g = so3_action()
     curv = morphism_curvature(np.eye(3, dtype=int).tolist(), g, g)
-    idx, verdict = curv.is_zero_field()
-    assert idx is None
+    assert _tensor_battery("morphism_curvature", curv, ZeroPolicy()).ok
 
 
 def test_foliation_inclusion_is_a_morphism():
@@ -517,8 +536,7 @@ def test_foliation_inclusion_is_a_morphism():
     h = tangent_algebroid(R3)
     phi = [[frame[a].components[i] for a in range(2)] for i in range(3)]
     curv = morphism_curvature(phi, g, h)
-    idx, verdict = curv.is_zero_field()
-    assert idx is None
+    assert _tensor_battery("morphism_curvature", curv, ZeroPolicy()).ok
 
 
 def test_radial_shear_curvature_lands_in_anchor_kernel():
@@ -531,8 +549,7 @@ def test_radial_shear_curvature_lands_in_anchor_kernel():
     assert is_zero(curv[0, 1, 0] - parse("x*z", R3), R3).zero
     assert is_zero(curv[0, 1, 1] - parse("y*z", R3), R3).zero
     assert is_zero(curv[0, 1, 2] - parse("z^2", R3), R3).zero
-    idx, _ = curv.is_zero_field()
-    assert idx is not None
+    assert not _tensor_battery("morphism_curvature", curv, ZeroPolicy()).ok
     for a in range(3):
         for b in range(3):
             # antisymmetric by construction: no declaration checks it

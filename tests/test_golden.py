@@ -38,6 +38,7 @@ import pytest
 
 from cartankit import cartan
 from cartankit.cli import run
+from cartankit.symcore import Expr
 from test_cli import _metric_3d, broken_jacobi_algebroid, minimal_poisson
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -250,6 +251,43 @@ def test_metric_check_builds_no_isometry_algebroid(capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     report = _report(capsys, "check", "corpus/sphere.json")
     assert report == (GOLDEN / "corpus" / "check-sphere.json").read_text()
+
+
+def test_command_line_builds_no_raw_tree(capsys, monkeypatch, tmp_path):
+    # every entry the package builds comes from the canonical builders
+    # (cmul, cneg, csum): with Expr's arithmetic operators refused, the
+    # reports are still the golden ones.  The parser builds its raw trees
+    # with the node constructors, not the operators.
+    def refuse(*args):
+        raise AssertionError("a raw tree was built on the command-line path")
+
+    for name in (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__truediv__", "__rtruediv__", "__pow__", "__neg__",
+    ):
+        monkeypatch.setattr(Expr, name, refuse)
+    runs = [
+        (ROOT, (command, f"corpus/{name}"), GOLDEN / "corpus" / f"{command}-{name}")
+        for command, name in CORPUS_RUNS
+    ] + [
+        (
+            ROOT,
+            ("check", f"corpus/{name}", "--pipeline", pipeline),
+            GOLDEN / "pipelines" / f"check-{pipeline}-{name}",
+        )
+        for pipeline, name in PIPELINE_RUNS
+    ]
+    specs = {("rejections", name): spec for name, spec in REJECTIONS.items()}
+    specs["metric3d", "h3.json"] = METRIC_SPECS["metric3d"]["h3.json"]
+    for (folder, name), spec in specs.items():
+        (tmp_path / name).write_text(json.dumps(spec))
+        runs += [
+            (tmp_path, (command, name), GOLDEN / folder / f"{command}-{name}")
+            for command in METRIC_COMMANDS[folder]
+        ]
+    for where, argv, golden in runs:
+        monkeypatch.chdir(where)
+        assert _report(capsys, *argv) == golden.read_text(), argv
 
 
 def test_every_metric_spec_has_a_golden_report():

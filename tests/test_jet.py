@@ -8,7 +8,7 @@ from cartankit.algebroid import (
     build_action_algebroid,
     tangent_algebroid,
 )
-from cartankit.bundles import Section
+from cartankit.bundles import Section, _tensor_battery
 from cartankit.connections import (
     GConnection,
     TMConnection,
@@ -24,7 +24,7 @@ from cartankit.jet import (
     kappa,
     splitting_from_connection,
 )
-from cartankit.symcore import Chart, Const, Sym, canon, diff, is_zero
+from cartankit.symcore import Chart, Const, Sym, ZeroPolicy, canon, diff, is_zero
 from test_algebroid import so3_algebra
 
 R2 = Chart(("x", "y"), [(-1, 1), (-1, 1)])
@@ -385,8 +385,7 @@ def test_flat_but_incompatible_connection_has_lift_curvature():
     gamma[...] = Const(0)
     gamma[0, 1, 1] = canon(Const(-2) * Sym("x"))
     conn = TMConnection(R2, gamma)
-    idx, _ = curvature_tm(conn).is_zero_field()
-    assert idx is None
+    assert _tensor_battery("flatness", curvature_tm(conn), ZeroPolicy()).ok
     out = _reference_splitting_curvature(g, conn, g.frame_section(0), g.frame_section(1))
     assert not matrix_is_zero(out, R2)
 
