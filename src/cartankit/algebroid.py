@@ -67,40 +67,29 @@ class LieAlgebra:
 
     ``structure[a][b][c]`` is the rational coefficient of the c-th basis
     vector in [e_a, e_b].  Antisymmetry and the Jacobi identity are
-    verified exactly at construction.
+    verified exactly at construction, on whole ``Fraction`` arrays: the
+    first failing index in C order is rejected as a ``symbolic``
+    :class:`DegenerateError`.
     """
 
     def __init__(self, dim: int, structure):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        f = np.zeros((dim, dim, dim), dtype=object)
-        for a in range(dim):
-            for b in range(dim):
-                for c in range(dim):
-                    f[a, b, c] = Fraction(structure[a][b][c])
-        for a in range(dim):
-            for b in range(dim):
-                for c in range(dim):
-                    if f[a, b, c] + f[b, a, c] != 0:
-                        raise ValueError(
-                            f"structure constants not antisymmetric at "
-                            f"({a},{b},{c})"
-                        )
-        for a in range(dim):
-            for b in range(dim):
-                for c in range(dim):
-                    for d in range(dim):
-                        total = Fraction(0)
-                        for m in range(dim):
-                            total += (
-                                f[a, b, m] * f[m, c, d]
-                                + f[b, c, m] * f[m, a, d]
-                                + f[c, a, m] * f[m, b, d]
-                            )
-                        if total != 0:
-                            raise ValueError(
-                                f"Jacobi identity fails at ({a},{b},{c},{d})"
-                            )
+        f = np.array(structure, dtype=object)
+        if f.shape != (dim,) * 3:
+            raise ValueError(f"structure must have shape {(dim,) * 3}, got {f.shape}")
+        f = np.frompyfunc(Fraction, 1, 1)(f)
+        # ff[a,b,c,d] = sum_m c^m_ab c^d_mc, the d-th component of [[e_a,e_b],e_c]
+        ff = np.tensordot(f, f, axes=1)
+        jacobi = ff + ff.transpose(2, 0, 1, 3) + ff.transpose(1, 2, 0, 3)
+        for what, defect in (
+            ("structure constants not antisymmetric", f + f.transpose(1, 0, 2)),
+            ("Jacobi identity fails", jacobi),
+        ):
+            bad = np.argwhere(defect != 0)
+            if len(bad):
+                at = ",".join(str(i) for i in bad[0])
+                raise DegenerateError(f"{what} at ({at})", None, None, "symbolic")
         self.dim = dim
         self.structure = f
 
@@ -333,16 +322,16 @@ def build_action_algebroid(
     def bracket_defects():
         for a, b in combinations(range(algebra.dim), 2):
             lhs = vf_bracket(action_fields[a], action_fields[b])
-            rhs = Section(chart, [Const(0)] * chart.dim, "tm")
-            for c in range(algebra.dim):
-                rhs = rhs + action_fields[c].scale(
-                    Const(algebra.structure[a, b, c])
-                )
             for j in range(chart.dim):
+                # [V_a, V_b]^j - c^c_ab V_c^j
+                rhs = csum(
+                    cmul(Const(algebra.structure[a, b, c]), V.components[j])
+                    for c, V in enumerate(action_fields)
+                )
                 yield (
                     f"not an infinitesimal action: bracket defect for pair "
                     f"({a},{b}) component {j}",
-                    csum((lhs.components[j], cneg(rhs.components[j]))),
+                    csum((lhs.components[j], cneg(rhs))),
                 )
 
     _require_zero(bracket_defects(), chart, policy)

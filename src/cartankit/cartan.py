@@ -1593,6 +1593,10 @@ def _transport_generators(conn: TMConnection, direction, nodes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+#: how many seeded one-forms the flat-action batteries run on
+_BATTERY_FORMS = 3
+
+
 def _random_one_form(g: Algebroid, seed: int) -> TensorField:
     """Seeded degree-<=1 polynomial one-form valued in the algebroid:
     entry (a, b) is c_0 + c_1 x^1 + ... + c_n x^n, each c drawn from
@@ -1634,7 +1638,6 @@ def identity_battery(
     g: Algebroid,
     conn: TMConnection,
     policy: Optional[ZeroPolicy] = None,
-    forms: int = 3,
 ) -> Verdict:
     """Structural identities for one algebroid/connection pair.
 
@@ -1642,10 +1645,10 @@ def identity_battery(
     round trip, the dual curvature-exchange identity, and entrywise
     agreement of the two compatibility routes.  When the pair is
     compatible, also runs the flat-action batteries (squared exterior
-    derivative and the derivative decomposition on seeded one-forms,
-    each zero-testing the defining entries of its alternating form,
-    see :func:`_form_battery`) and, if additionally transitive, the
-    anchored-curvature identity.
+    derivative and the derivative decomposition on three seeded
+    one-forms, each zero-testing the defining entries of its alternating
+    form, see :func:`_form_battery`) and, if additionally transitive,
+    the anchored-curvature identity.
     """
     from .connections import check_anchor_equivariance, dual_connection, dual_pair_defect
 
@@ -1691,7 +1694,7 @@ def identity_battery(
     children.append(cart)
     notes = []
     if cart.ok:
-        for s in range(forms):
+        for s in range(_BATTERY_FORMS):
             theta = _random_one_form(g, seed=s)
             d1 = exterior_derivative(rep, theta, policy)
             # d1 is alternating by construction (a test gates that), so

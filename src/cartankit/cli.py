@@ -281,6 +281,8 @@ def _fraction_cube(table, path: str) -> list:
                     ) from None
             rows.append(vals)
         out.append(rows)
+    if np.array(out, dtype=object).shape != (len(out),) * 3:
+        raise SpecError(f"expected a cube of side {len(out)}", path)
     return out
 
 
@@ -555,8 +557,8 @@ def _building(check_name: str):
 class Workspace:
     """The objects a spec declares, each built where a command reads it.
 
-    Nothing is cached: a command reads each object once (``validate``
-    repeats only the exact check of a declared Lie algebra), and what is
+    Nothing is cached: a command reads each object once (the action
+    algebroid takes the Lie algebra its caller built), and what is
     derived from an object is kept on that object (see
     :class:`~cartankit.connections.TMConnection`)."""
 
@@ -571,12 +573,14 @@ class Workspace:
         with _building("lie_algebra"):
             return LieAlgebra(len(table), table)
 
-    def action_algebroid(self) -> Algebroid:
+    def action_algebroid(self, algebra: LieAlgebra) -> Algebroid:
+        """The declared action fields, acting through ``algebra``, which
+        the caller built with :meth:`lie_algebra`."""
         fields = [
             Section(self.spec.chart, list(row), "tm") for row in self.spec.action_fields
         ]
         with _building("action_algebroid"):
-            return build_action_algebroid(self.lie_algebra(), fields, self.policy)
+            return build_action_algebroid(algebra, fields, self.policy)
 
     def direct_algebroid_axioms(self) -> Tuple[Algebroid, Verdict]:
         """The declared anchor and structure tables, and their axiom verdicts."""
@@ -696,7 +700,7 @@ class Workspace:
         if kind == "algebroid":
             g = self.direct_algebroid()
         elif kind == "action":
-            g = self.action_algebroid()
+            g = self.action_algebroid(self.lie_algebra())
         else:
             g = self.foliation_algebroid()
         conn = self.named_connection("algebroid", g.rank) or TMConnection.flat(
@@ -738,7 +742,7 @@ def cmd_validate(ws: Workspace) -> List[dict]:
     checks = []
     spec = ws.spec
 
-    def attempt(label, fn, on_pass):
+    def attempt(fn, on_pass):
         try:
             obj = fn()
         except BuildFailure as exc:
@@ -747,9 +751,9 @@ def cmd_validate(ws: Workspace) -> List[dict]:
         checks.extend(on_pass(obj))
         return obj
 
+    algebra = None
     if spec.lie_algebra_table is not None:
-        attempt(
-            "lie_algebra",
+        algebra = attempt(
             ws.lie_algebra,
             lambda alg: [_check_dict("lie_algebra_axioms", "pass", "symbolic")],
         )
@@ -757,24 +761,23 @@ def cmd_validate(ws: Workspace) -> List[dict]:
     def axioms(g):
         return [c.as_dict() for c in validate_algebroid(g, ws.policy).children]
 
-    for label, present, builder, on_pass in (
-        ("action_algebroid", spec.action_fields is not None, ws.action_algebroid, axioms),
+    # action fields come with a lie_algebra; a rejected one has been reported
+    for present, builder, on_pass in (
+        (algebra is not None, lambda: ws.action_algebroid(algebra), axioms),
         (
-            "algebroid",
             spec.algebroid_tables is not None,
             ws.direct_algebroid_axioms,
             lambda built: [c.as_dict() for c in built[1].children],
         ),
-        ("poisson_algebroid", spec.poisson is not None, ws.poisson_algebroid, axioms),
-        ("foliation_algebroid", spec.foliation_frame is not None, ws.foliation_algebroid, axioms),
+        (spec.poisson is not None, ws.poisson_algebroid, axioms),
+        (spec.foliation_frame is not None, ws.foliation_algebroid, axioms),
     ):
         if present:
-            attempt(label, builder, on_pass)
+            attempt(builder, on_pass)
     if spec.metric is not None:
         checks.extend(_metric_checks(ws))
     if spec.parallelism_tables is not None:
         attempt(
-            "parallelism",
             ws.parallelism,
             lambda P: [_check_dict("coframe_invertible", "pass", "probabilistic")],
         )

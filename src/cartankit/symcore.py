@@ -1539,7 +1539,9 @@ class Chart:
 
     ``guards`` are expressions that must be bounded away from zero on the
     box (declared singular loci); violation raises ``ValueError`` at
-    construction so a bad box is caught early.
+    construction so a bad box is caught early.  The guard scan draws a
+    fixed 64 samples at seed 1: a chart exists before any request's
+    policy, so ``--samples`` and ``--seed`` do not reach it.
     """
 
     def __init__(

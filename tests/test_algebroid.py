@@ -20,7 +20,16 @@ from cartankit.algebroid import (
     validate,
 )
 from cartankit.bundles import Section, TensorField, Verdict
-from cartankit.symcore import Chart, Const, DomainError, canon, diff, is_zero, parse
+from cartankit.symcore import (
+    Chart,
+    Const,
+    DegenerateError,
+    DomainError,
+    canon,
+    diff,
+    is_zero,
+    parse,
+)
 
 R2 = Chart(("x", "y"), [(-1, 1), (-1, 1)])
 R3 = Chart(("x", "y", "z"), [(-1, 1), (-1, 1), (-1, 1)])
@@ -85,6 +94,74 @@ def test_non_antisymmetric_constants_rejected():
     f[0, 1, 0] = 1
     with pytest.raises(ValueError, match="antisymmetric"):
         LieAlgebra(2, f.tolist())
+
+
+def _reference_lie_checks(dim, structure):
+    """The exact per-entry loops that ``LieAlgebra`` once ran: the message
+    of the first failing entry, or None for a Lie algebra."""
+    f = [
+        [[Fraction(structure[a][b][c]) for c in range(dim)] for b in range(dim)]
+        for a in range(dim)
+    ]
+    for a in range(dim):
+        for b in range(dim):
+            for c in range(dim):
+                if f[a][b][c] + f[b][a][c] != 0:
+                    return f"structure constants not antisymmetric at ({a},{b},{c})"
+    for a in range(dim):
+        for b in range(dim):
+            for c in range(dim):
+                for d in range(dim):
+                    total = Fraction(0)
+                    for m in range(dim):
+                        total += (
+                            f[a][b][m] * f[m][c][d]
+                            + f[b][c][m] * f[m][a][d]
+                            + f[c][a][m] * f[m][b][d]
+                        )
+                    if total != 0:
+                        return f"Jacobi identity fails at ({a},{b},{c},{d})"
+    return None
+
+
+def _random_structure(rng, dim):
+    """Sparse seeded constants from {+-1, +-2, +-1/2}, made antisymmetric
+    unless one entry is then perturbed."""
+    values = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)]
+    density = rng.choice([0.05, 0.15, 0.4])
+    f = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for a, b in combinations(range(dim), 2):
+        for c in range(dim):
+            if rng.random() < density:
+                f[a][b][c] = rng.choice(values)
+                f[b][a][c] = -f[a][b][c]
+    if rng.random() < 0.3:
+        a, b, c = (rng.randrange(dim) for _ in range(3))
+        f[a][b][c] += rng.choice(values)
+    return f
+
+
+def test_lie_algebra_check_matches_the_reference_loops():
+    rng = random.Random(2025)
+    outcomes = {"valid": 0, "antisymmetric": 0, "Jacobi": 0}
+    for _ in range(600):
+        dim = rng.randint(1, 4)
+        f = _random_structure(rng, dim)
+        expected = _reference_lie_checks(dim, f)
+        try:
+            algebra = LieAlgebra(dim, f)
+        except DegenerateError as exc:
+            assert str(exc) == expected, f
+            assert (exc.point, exc.value, exc.path) == (None, None, "symbolic")
+            outcomes["antisymmetric" if "antisymmetric" in expected else "Jacobi"] += 1
+        else:
+            assert expected is None, f
+            assert algebra.structure.tolist() == [
+                [[Fraction(v) for v in row] for row in plane] for plane in f
+            ]
+            outcomes["valid"] += 1
+    # every outcome is exercised
+    assert min(outcomes.values()) >= 60, outcomes
 
 
 # --------------------------------------------------------------- brackets

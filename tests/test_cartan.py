@@ -1240,7 +1240,7 @@ def test_principal_log_takes_square_roots_far_from_the_identity(monkeypatch):
 
 def test_identity_battery_rotation_action():
     g, conn = so3_pair()
-    v = identity_battery(g, conn, POLICY, forms=2)
+    v = identity_battery(g, conn, POLICY)
     assert v.ok
     names = [c.name for c in v.children]
     assert names[:5] == [
@@ -1256,7 +1256,7 @@ def test_identity_battery_rotation_action():
 
 def test_identity_battery_transitive_adds_anchored_curvature():
     _, g, conn = symplectic_pair()
-    v = identity_battery(g, cotangent_connection(conn), POLICY, forms=1)
+    v = identity_battery(g, cotangent_connection(conn), POLICY)
     assert v.ok
     assert any(c.name == "anchored_curvature" for c in v.children)
 
@@ -1275,7 +1275,7 @@ def test_identity_battery_reports_undecidable_anchor_equivariance():
     chart = Chart(("x",), [(0, 1)])
     g = Algebroid(chart, 1, [["sqrt(x-2)"]], [[["0"]]])
     conn = TMConnection(chart, [[["x"]]], target="g")
-    v = identity_battery(g, conn, POLICY, forms=1)
+    v = identity_battery(g, conn, POLICY)
     child = v.child("anchor_equivariance")
     assert (child.status, child.path, child.witness) == ("undecidable", "undecidable", None)
     assert child.detail == "pair (0,0) component 0"
@@ -1685,6 +1685,6 @@ def test_identity_battery_decides_compatibility_once(monkeypatch):
         monkeypatch.setattr(cartan, name, counting)
     g, nabla = euclid_reductive()
     assert runs == []
-    v = identity_battery(g, nabla, POLICY, forms=1)
+    v = identity_battery(g, nabla, POLICY)
     assert runs == ["_compat_battery", "_jet_battery"]
     assert v.child("cartan").ok

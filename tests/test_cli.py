@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cartankit import cli
 from cartankit.cli import GeometrySpec, _conforms, _load_schema, load_spec, run, schema_errors
 from cartankit.symcore import Chart
 
@@ -180,6 +181,20 @@ def test_action_fields_require_algebra(capsys, tmp_path):
     code, rep = invoke(capsys, "validate", write_doc(tmp_path, doc))
     assert code == 2
     assert "lie_algebra" in rep["errors"][0]["message"]
+
+
+@pytest.mark.parametrize(
+    "name,table,side",
+    [("so3_action.json", "lie_algebra", 3), ("affine_group_parallelism.json", "parallelism", 2)],
+)
+def test_ragged_structure_constants_are_an_input_error(capsys, tmp_path, name, table, side):
+    doc = json.loads((CORPUS / name).read_text())
+    doc[table]["structure"][1][0].pop()
+    code, rep = invoke(capsys, "validate", write_doc(tmp_path, doc))
+    assert code == 2
+    assert rep["errors"] == [
+        {"message": f"expected a cube of side {side}", "path": f"/{table}/structure"}
+    ]
 
 
 def test_h_frame_requires_metric(capsys, tmp_path):
@@ -426,6 +441,38 @@ def _rejected_build(capsys, path, name):
         found.append(check)
     assert found[0] == found[1]
     return found[0]
+
+
+def test_validate_builds_the_declared_lie_algebra_once(capsys, monkeypatch):
+    # the action algebroid acts through the algebra the lie_algebra item built
+    built = []
+
+    class Counting(cli.LieAlgebra):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(cli, "LieAlgebra", Counting)
+    code, rep = invoke(capsys, "validate", str(CORPUS / "so3_action.json"))
+    assert code == 0 and rep["status"] == "pass"
+    assert built == [3]
+
+
+def test_failing_lie_algebra_is_one_exact_rejection(capsys, tmp_path):
+    # c^0_01 = 1 on top of so(3); the action item is not attempted
+    doc = json.loads((CORPUS / "so3_action.json").read_text())
+    doc["lie_algebra"]["structure"][0][1][0] = 1
+    doc["lie_algebra"]["structure"][1][0][0] = -1
+    code, rep = invoke(capsys, "validate", write_doc(tmp_path, doc))
+    assert code == 1
+    assert rep["checks"] == [
+        {
+            "name": "lie_algebra",
+            "status": "fail",
+            "path": "symbolic",
+            "detail": "Jacobi identity fails at (0,1,2,1)",
+        }
+    ]
 
 
 def test_action_whose_fields_do_not_close_is_rejected_with_a_witness(capsys, tmp_path):

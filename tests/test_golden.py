@@ -93,6 +93,16 @@ def _on_square(box, **objects):
 
 _ZERO_2 = [["0", "0"], ["0", "0"]]
 
+
+def _corpus_with(name, table, constants):
+    """The corpus spec ``name`` with some of the rational structure
+    constants of its ``table`` changed: {(a, b, c): c^c_ab}."""
+    spec = json.loads((ROOT / "corpus" / name).read_text())
+    for (a, b, c), value in constants.items():
+        spec[table]["structure"][a][b][c] = value
+    return spec
+
+
 # one spec per rejection: each object fails, or cannot decide, the check
 # that builds it
 REJECTIONS = {
@@ -118,6 +128,15 @@ REJECTIONS = {
         "chart": {"coords": ["x", "y", "z"], "box": [[-1, 1], [-1, 1], [-1, 1]]},
         "poisson": [["0", "x", "0"], ["-x", "0", "y"], ["0", "-y", "0"]],
     },
+    # so(3) with [e_0, e_1] = e_0 + e_2: antisymmetric, but Jacobi fails at
+    # (0,1,2) component 1
+    "non_jacobi_lie_algebra.json": _corpus_with(
+        "so3_action.json", "lie_algebra", {(0, 1, 0): 1, (1, 0, 0): -1}
+    ),
+    # [e_0, e_0] = e_0
+    "non_antisymmetric_model_algebra.json": _corpus_with(
+        "affine_group_parallelism.json", "parallelism", {(0, 0, 0): 1}
+    ),
     # [x d/dx, x d/dy] = x d/dy, but the algebra is abelian
     "non_closing_action.json": _on_square(
         [-1, 2],
