@@ -30,6 +30,7 @@ from .bundles import (
     _component_array,
     _directions,
     _require_zero,
+    _skew_table,
 )
 from .symcore import (
     Chart,
@@ -243,13 +244,12 @@ def validate(g: Algebroid, policy: Optional[ZeroPolicy] = None) -> Verdict:
 
     directions = _directions(chart.coords, g.rho)
     hom = []
-    for a in range(r):
-        for b in range(a + 1, r):
-            for j in range(n):
-                terms = [cmul(g.rho[j, c], g.structure[a, b, c]) for c in range(r)]
-                terms += [cneg(t) for t in _along(directions[a], g.rho[j, b])]
-                terms += _along(directions[b], g.rho[j, a])
-                hom.append((f"anchor-hom defect ({a},{b}) component {j}", csum(terms)))
+    for a, b in combinations(range(r), 2):
+        for j in range(n):
+            terms = [cmul(g.rho[j, c], g.structure[a, b, c]) for c in range(r)]
+            terms += [cneg(t) for t in _along(directions[a], g.rho[j, b])]
+            terms += _along(directions[b], g.rho[j, a])
+            hom.append((f"anchor-hom defect ({a},{b}) component {j}", csum(terms)))
 
     jac = [
         (f"jacobi ({a},{b},{c}) component {d}", component)
@@ -434,9 +434,9 @@ def build_foliation_algebroid(
             raise batch.domain_error(row)
         s = np.linalg.svd(matrices[row], compute_uv=False)
         if s[-1] <= 1e-9:
-            raise ValueError(
-                f"frame degenerate at point {tuple(round(float(x), 6) for x in p)}"
-            )
+            p = tuple(float(x) for x in p)
+            message = f"frame degenerate at point {tuple(round(x, 6) for x in p)}"
+            raise DegenerateError(message, p, float(s[-1]))
 
     # choose the best-conditioned k rows at the midpoint for the solve
     if batch.invalid[-1]:
@@ -448,15 +448,17 @@ def build_foliation_algebroid(
         if d > best_det:
             best_rows, best_det = rows, d
     if best_rows is None or best_det <= 1e-9:
-        raise ValueError("frame degenerate at the midpoint")
+        raise DegenerateError(
+            "frame degenerate at the midpoint", chart.midpoint(), float(best_det)
+        )
 
     sub = [[cols[i, a] for a in range(k)] for i in best_rows]
     det = sym_det(sub)
 
-    structure = [[[Const(0)] * k for _ in range(k)] for _ in range(k)]
+    structure = {}
 
-    # fills in structure pair by pair; the fold runs it to its end unless
-    # a residual is not zero
+    # fills in the structure functions pair by pair; the fold runs it to
+    # its end unless a residual is not zero
     def residuals():
         for a, b in combinations(range(k), 2):
             w = vf_bracket(frame[a], frame[b])
@@ -482,12 +484,12 @@ def build_foliation_algebroid(
                     residual,
                 )
             for c in range(k):
-                structure[a][b][c] = coeffs[c]
-                structure[b][a][c] = cneg(coeffs[c])
+                structure[a, b, c] = coeffs[c]
 
     _require_zero(residuals(), chart, policy)
 
     rho = [[frame[a].components[i] for a in range(k)] for i in range(n)]
+    structure = _skew_table((k,) * 3, 2, structure)
     return Algebroid(chart, k, rho, structure, origin="foliation")
 
 

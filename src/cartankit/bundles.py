@@ -19,6 +19,7 @@ whose input must satisfy such a battery (:func:`_require_zero`) raises
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -381,15 +382,49 @@ def _battery(name, labelled, chart, policy) -> Verdict:
     return Verdict(name, "pass", worst)
 
 
-def _tensor_battery(name, T: TensorField, policy) -> Verdict:
+def _skew_table(shape, k: int, built) -> np.ndarray:
+    """The one mirror fill: the table of ``shape``, antisymmetric in its
+    leading ``k`` slots, from the entries a kernel built, keyed by index
+    with non-decreasing leading arguments.  Each permutation of a built
+    entry's distinct arguments gets the entry if even, and if odd the sum
+    of its negation, built once: that spreads the sign over a sum's
+    terms, as the kernel's formula at the swapped arguments would, where
+    ``cneg(v)`` keeps (-1)*(sum) as one term.  A built entry with a
+    repeated argument stays where it is; all else is ZERO."""
+    order = [
+        (perm, sum(p > q for p, q in combinations(perm, 2)) % 2)
+        for perm in permutations(range(k))
+    ]
+    out = np.empty(shape, dtype=object)
+    out[...] = ZERO
+    for idx, value in built.items():
+        args, rest = idx[:k], idx[k:]
+        if len(set(args)) < k:
+            out[idx] = value
+            continue
+        mirror = csum((cneg(value),))
+        for perm, odd in order:
+            out[tuple(args[p] for p in perm) + rest] = mirror if odd else value
+    return out
+
+
+def _built_entries(shape, entry, skew: int = 0, diagonal: bool = False):
+    """``entry(idx)`` at each index of a table of ``shape`` that its
+    kernel builds, labelled ``component {idx}``, in ``np.ndindex`` order:
+    every index, or for a :func:`_skew_table` in ``skew`` slots those
+    whose leading arguments increase (with ``diagonal``, do not
+    decrease).  A battery over these decides as one over every entry: the
+    rest are ZERO or negations of a built entry, which comes first."""
+    choose = combinations_with_replacement if diagonal else combinations
+    for args in choose(range(shape[0] if skew else 0), skew):
+        for rest in np.ndindex(*shape[skew:]):
+            idx = args + rest
+            yield f"component {idx}", entry(idx)
+
+
+def _tensor_battery(name, T: TensorField, policy, skew=0, diagonal=False) -> Verdict:
     return _battery(
-        name,
-        (
-            (f"component {idx}", T.components[idx])
-            for idx in np.ndindex(*T.shape)
-        ),
-        T.chart,
-        policy,
+        name, _built_entries(T.shape, T.__getitem__, skew, diagonal), T.chart, policy
     )
 
 

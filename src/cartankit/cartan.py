@@ -19,7 +19,7 @@ bug, not as a property of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,11 +41,13 @@ from .bundles import (
     _aggregate,
     _along,
     _battery,
+    _built_entries,
     _component_array,
     _derivative,
     _directions,
     _nonzero,
     _require_zero,
+    _skew_table,
     _tensor_battery,
     as_expr,
 )
@@ -159,23 +161,22 @@ def _frame_compat_defect(g: Algebroid, conn: TMConnection) -> np.ndarray:
     for idx in np.ndindex(r, n, n):
         W[idx] = _section_form(Atm[idx])
     out = np.empty((n, r, r, r), dtype=object)
-    for a in range(r):
-        for b in range(a + 1, r):
-            B = [_section_form(c[a, b, e]) for e in range(r)]
-            for d in range(r):
-                dB = [diff(B[d], x) for x in coords]
-                for i in range(n):
-                    terms = [dB[i]]
-                    for e in range(r):
-                        terms.append(cmul(gamma[i, e, d], B[e]))
-                        terms.append(cneg(cmul(c[e, b, d], G[i, a, e])))
-                        terms.append(cneg(cmul(c[a, e, d], G[i, b, e])))
-                    for j in range(n):
-                        terms.append(cmul(rho[j, b], dG[j, i, a, d]))
-                        terms.append(cneg(cmul(rho[j, a], dG[j, i, b, d])))
-                        terms.append(cneg(cmul(W[b, i, j], G[j, a, d])))
-                        terms.append(cmul(W[a, i, j], G[j, b, d]))
-                    out[i, a, b, d] = csum(terms)
+    for a, b in combinations(range(r), 2):
+        B = [_section_form(c[a, b, e]) for e in range(r)]
+        for d in range(r):
+            dB = [diff(B[d], x) for x in coords]
+            for i in range(n):
+                terms = [dB[i]]
+                for e in range(r):
+                    terms.append(cmul(gamma[i, e, d], B[e]))
+                    terms.append(cneg(cmul(c[e, b, d], G[i, a, e])))
+                    terms.append(cneg(cmul(c[a, e, d], G[i, b, e])))
+                for j in range(n):
+                    terms.append(cmul(rho[j, b], dG[j, i, a, d]))
+                    terms.append(cneg(cmul(rho[j, a], dG[j, i, b, d])))
+                    terms.append(cneg(cmul(W[b, i, j], G[j, a, d])))
+                    terms.append(cmul(W[a, i, j], G[j, b, d]))
+                out[i, a, b, d] = csum(terms)
     return out
 
 
@@ -274,7 +275,7 @@ def theorem_a_verdict(
             detail=cart.detail,
             children=(cart,),
         )
-    flatness = _tensor_battery("flatness", curvature_tm(conn), policy)
+    flatness = _tensor_battery("flatness", curvature_tm(conn), policy, skew=2)
     if flatness.status == "undecidable":
         return Verdict(
             "theorem_a", "undecidable", "undecidable", children=(cart, flatness)
@@ -333,17 +334,12 @@ def transitive_symmetry_check(
         )
     rep = induced_rep_on_g(g, conn)
     DT = g_tensor_deriv(torsion_g(rep), rep_g=rep)
-    items = []
-    for a in range(g.rank):
-        for b in range(a + 1, g.rank):
-            for c in range(g.rank):
-                for z in range(g.rank):
-                    items.append(
-                        (
-                            f"(B_{z} torsion)(e_{a}, e_{b}) component {c}",
-                            DT[a, b, c, z],
-                        )
-                    )
+    items = [
+        (f"(B_{z} torsion)(e_{a}, e_{b}) component {c}", DT[a, b, c, z])
+        for a, b in combinations(range(g.rank), 2)
+        for c in range(g.rank)
+        for z in range(g.rank)
+    ]
     return _battery("transitive_symmetry", items, g.chart, policy)
 
 
@@ -355,9 +351,9 @@ def abba_defect(g: Algebroid, conn: TMConnection) -> TensorField:
     with R the coordinate curvature of the connection and B the induced
     self-action.  Vanishes identically whenever the pair passes
     ``check_cartan``; exposed so the identity can be exercised directly.
-    The defect is antisymmetric in (a, b): it is built for a <= b, from
-    the nonzero anchor products only, and defect[b,a] is the sum of
-    -defect[a,b].
+    The defect is antisymmetric in (a, b): it is built for a <= b (the
+    diagonal is not always canonically zero), from the nonzero anchor
+    products only, and :func:`~cartankit.bundles._skew_table` mirrors it.
     """
     if conn.chart != g.chart or conn.rank != g.rank:
         raise ValueError("connection does not target the algebroid")
@@ -366,23 +362,19 @@ def abba_defect(g: Algebroid, conn: TMConnection) -> TensorField:
     DT = g_tensor_deriv(torsion_g(rep), rep_g=rep)
     r = g.rank
     anchored = [_nonzero(g.rho[:, a]) for a in range(r)]
-    out = np.empty((r, r, r, r), dtype=object)
-    for a in range(r):
-        for b in range(a, r):
-            products = [
-                (i, j, cmul(ra, rb)) for i, ra in anchored[a] for j, rb in anchored[b]
-            ]
-            for z in range(r):
-                for d in range(r):
-                    terms = [cneg(DT[a, b, d, z])]
-                    for i, j, coeff in products:
-                        if R[i, j, z, d] is not ZERO:
-                            terms.append(cmul(coeff, R[i, j, z, d]))
-                    out[a, b, z, d] = value = csum(terms)
-                    if b > a:
-                        out[b, a, z, d] = csum((cneg(value),))
+    built = {}
+    for a, b in combinations_with_replacement(range(r), 2):
+        products = [
+            (i, j, cmul(ra, rb)) for i, ra in anchored[a] for j, rb in anchored[b]
+        ]
+        for z, d in np.ndindex(r, r):
+            terms = [cneg(DT[a, b, d, z])]
+            for i, j, coeff in products:
+                if R[i, j, z, d] is not ZERO:
+                    terms.append(cmul(coeff, R[i, j, z, d]))
+            built[a, b, z, d] = csum(terms)
     return TensorField(
-        g.chart, ((LOW, G), (LOW, G), (LOW, G), (UP, G)), out
+        g.chart, ((LOW, G), (LOW, G), (LOW, G), (UP, G)), _skew_table((r,) * 4, 2, built)
     )
 
 
@@ -558,13 +550,12 @@ def _riemann_algebroid(sigma: TensorField, lc: TMConnection, skew):
         A[n + p] = E
     psi = _curvature(_directions(chart.coords) + [[]] * len(skew), None, A)
 
-    structure = np.empty((rank, rank, rank), dtype=object)
-    structure[...] = ZERO
+    built = {}
     for al, be in combinations(range(rank), 2):
         for p, (i, j) in enumerate(combinations(range(n), 2)):
-            lam = csum([cmul(psi[al, be, j, m], inv[m, i]) for m in range(n)])
-            structure[al, be, n + p] = lam
-            structure[be, al, n + p] = cneg(lam)
+            terms = [cmul(psi[al, be, j, m], inv[m, i]) for m in range(n)]
+            built[al, be, n + p] = csum(terms)
+    structure = _skew_table((rank,) * 3, 2, built)
 
     rho = np.empty((n, rank), dtype=object)
     rho[...] = ZERO
@@ -863,22 +854,20 @@ def poisson_report(
             f"gamma[{i},{j},{k}] - gamma[{j},{i},{k}]",
             csum((conn.gamma[i, j, k], cneg(conn.gamma[j, i, k]))),
         )
-        for i in range(n)
-        for j in range(i + 1, n)
+        for i, j in combinations(range(n), 2)
         for k in range(n)
     ]
     # route two: d(alpha) against the antisymmetrized derivative pairing,
     # on the coordinate one-forms (whose exterior derivative vanishes)
     pairing_items = []
     for a in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                pairing_items.append(
-                    (
-                        f"d(dx^{a})({i},{j}) defect",
-                        csum((cneg(star.gamma[i, a, j]), star.gamma[j, a, i])),
-                    )
+        for i, j in combinations(range(n), 2):
+            pairing_items.append(
+                (
+                    f"d(dx^{a})({i},{j}) defect",
+                    csum((cneg(star.gamma[i, a, j]), star.gamma[j, a, i])),
                 )
+            )
     torsion_free = _battery(
         "torsion_free", sym_items + pairing_items, chart, policy
     )
@@ -889,32 +878,30 @@ def poisson_report(
     Rstar = curvature_tm(star)
     sx_items = []
     for k in range(n):
-        for a in range(n):
-            for b in range(a + 1, n):
-                for mm in range(n):
-                    total = [cneg(nabla2_pi[a, b, mm, k])]
-                    for j in range(n):
-                        total.append(cmul(g.rho[j, a], Rstar[k, j, b, mm]))
-                        total.append(cneg(cmul(g.rho[j, b], Rstar[k, j, a, mm])))
-                    sx_items.append(
-                        (f"sx defect V=d_{k}, ({a},{b}) component {mm}", csum(total))
-                    )
+        for a, b in combinations(range(n), 2):
+            for mm in range(n):
+                total = [cneg(nabla2_pi[a, b, mm, k])]
+                for j in range(n):
+                    total.append(cmul(g.rho[j, a], Rstar[k, j, b, mm]))
+                    total.append(cneg(cmul(g.rho[j, b], Rstar[k, j, a, mm])))
+                sx_items.append(
+                    (f"sx defect V=d_{k}, ({a},{b}) component {mm}", csum(total))
+                )
     lemma_sx = _battery("lemma_sx", sx_items, chart, policy)
 
-    flat = _tensor_battery("flat", curvature_tm(conn), policy)
+    flat = _tensor_battery("flat", curvature_tm(conn), policy, skew=2)
     parallel = _tensor_battery("nabla_pi_parallel", nabla2_pi, policy)
 
     p2_items = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            for k in range(n):
-                total = [nabla_pi[a, b, k], cneg(g.structure[a, b, k])]
-                for i in range(n):
-                    total.append(cmul(g.rho[i, a], star.gamma[i, b, k]))
-                    total.append(cneg(cmul(g.rho[i, b], star.gamma[i, a, k])))
-                p2_items.append(
-                    (f"bracket rewriting ({a},{b}) component {k}", csum(total))
-                )
+    for a, b in combinations(range(n), 2):
+        for k in range(n):
+            total = [nabla_pi[a, b, k], cneg(g.structure[a, b, k])]
+            for i in range(n):
+                total.append(cmul(g.rho[i, a], star.gamma[i, b, k]))
+                total.append(cneg(cmul(g.rho[i, b], star.gamma[i, a, k])))
+            p2_items.append(
+                (f"bracket rewriting ({a},{b}) component {k}", csum(total))
+            )
     p2 = _battery("p2_identity", p2_items, chart, policy)
 
     verdict = _aggregate(
@@ -1006,8 +993,8 @@ def _argument_pairs(k: int) -> tuple:
 
 def _alternating_sum(
     rep: GConnection, theta: TensorField, lead, K, sign: int, r: int
-) -> TensorField:
-    """The (k+1)-form, with values in ``rep``'s target,
+) -> dict:
+    """The defining entries of the (k+1)-form, with values in ``rep``'s target,
 
         sum_i (-1)^i L(a_i; rest)
           + sign * sum_{i<j} (-1)^(i+j) sum_d K[a_i, a_j, d] theta[d, rest]
@@ -1017,15 +1004,13 @@ def _alternating_sum(
     canonical terms whose sum it is.  A lead with a plus sign is spliced
     into the entry's sum and one with a minus sign is the negation of its
     sum.  The formula is evaluated on strictly increasing argument tuples
-    only: every permutation of one gets its value times the permutation's
-    sign, and entries with a repeated argument are zero.  ``sign``
-    multiplies each K term rather than K itself, so K terms collect
-    exactly when K is a sum.
+    only, and these entries are returned, keyed by index in ``np.ndindex``
+    order.  ``sign`` multiplies each K term rather than K itself, so K
+    terms collect exactly when K is a sum.
     """
     k, w = theta.ndim - 1, rep.target_rank
     brackets = {(a, b): _nonzero(K[a, b]) for a, b in combinations(range(r), 2)}
-    out = np.empty((r,) * (k + 1) + (w,), dtype=object)
-    out[...] = ZERO
+    built = {}
     for args in combinations(range(r), k + 1):
         terms = [[] for _ in range(w)]
         for i, a in enumerate(args):
@@ -1042,16 +1027,15 @@ def _alternating_sum(
                     t = cmul(coeff, theta[(d,) + rest + (be,)])
                     terms[be].append(t if plus else cneg(t))
         for be in range(w):
-            value = csum(terms[be])
-            # the sum of -value spreads the sign over a sum's terms, as
-            # evaluating the formula on the swapped arguments would;
-            # cneg(value) would keep (-1)*(sum) as a single term.
-            swapped = csum((cneg(value),))
-            for perm in permutations(range(k + 1)):
-                odd = sum(p > q for p, q in combinations(perm, 2)) % 2
-                out[tuple(args[p] for p in perm) + (be,)] = swapped if odd else value
-    slots = ((LOW, G),) * (k + 1) + ((UP, rep.target_tag),)
-    return TensorField(theta.chart, slots, out)
+            built[args + (be,)] = csum(terms[be])
+    return built
+
+
+def _form(rep: GConnection, degree: int, built: dict) -> TensorField:
+    """The ``degree``-form of :func:`_alternating_sum`'s ``built`` entries."""
+    shape = (rep.g.rank,) * degree + (rep.target_rank,)
+    slots = ((LOW, G),) * degree + ((UP, rep.target_tag),)
+    return TensorField(rep.g.chart, slots, _skew_table(shape, degree, built))
 
 
 def exterior_derivative(
@@ -1074,12 +1058,12 @@ def exterior_derivative(
     if k > 2:
         raise ValueError("degree > 2 is not supported")
     theta.check_pairs(antisymmetric=_argument_pairs(k), policy=policy)
-    return _exterior_derivative(rep, theta)
+    return _form(rep, k + 1, _exterior_derivative(rep, theta))
 
 
-def _exterior_derivative(rep: GConnection, theta: TensorField) -> TensorField:
-    """:func:`exterior_derivative` of a form whose checks have passed, or
-    that the package built alternating (as it builds its outputs)."""
+def _exterior_derivative(rep: GConnection, theta: TensorField) -> dict:
+    """The defining entries of :func:`exterior_derivative` of a form whose
+    checks have passed, or that the package built alternating."""
     g = rep.g
     w = rep.target_rank
     directions = _directions(g.chart.coords, g.rho)
@@ -1137,6 +1121,12 @@ def dtheta_decomposition(
                 "algebroid-valued forms need the self-action itself as the "
                 "value action"
             )
+    return _form(rep, k + 1, _decomposition(rep, theta, rep_on_g))
+
+
+def _decomposition(rep: GConnection, theta: TensorField, rep_on_g: GConnection) -> dict:
+    """The defining entries of :func:`dtheta_decomposition`, whose checks
+    have passed."""
     if rep.target == "self":
         D = g_tensor_deriv(theta, rep_g=rep_on_g)
     else:
@@ -1271,7 +1261,7 @@ def parallelism_report(
     n = chart.dim
     D = P.connection()
 
-    flat = _tensor_battery("flat_connection", curvature_tm(D), policy)
+    flat = _tensor_battery("flat_connection", curvature_tm(D), policy, skew=2)
     if flat.status == "fail":
         raise AssertionError(
             "connection induced by an invertible coframe must be flat; "
@@ -1280,21 +1270,20 @@ def parallelism_report(
 
     Om = P.curvature_form()
     torsion_items = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                total = [D.gamma[i, j, k], cneg(D.gamma[j, i, k])]
-                for a in range(n):
-                    d_omega = csum(
-                        (
-                            diff(P.omega[a, j], chart.coords[i]),
-                            cneg(diff(P.omega[a, i], chart.coords[j])),
-                        )
+    for i, j in combinations(range(n), 2):
+        for k in range(n):
+            total = [D.gamma[i, j, k], cneg(D.gamma[j, i, k])]
+            for a in range(n):
+                d_omega = csum(
+                    (
+                        diff(P.omega[a, j], chart.coords[i]),
+                        cneg(diff(P.omega[a, i], chart.coords[j])),
                     )
-                    total.append(cneg(cmul(P.inverse[k, a], d_omega)))
-                torsion_items.append(
-                    (f"torsion - pulled-back d(omega) at [{i},{j},{k}]", csum(total))
                 )
+                total.append(cneg(cmul(P.inverse[k, a], d_omega)))
+            torsion_items.append(
+                (f"torsion - pulled-back d(omega) at [{i},{j},{k}]", csum(total))
+            )
     torsion_identity = _battery("torsion_identity", torsion_items, chart, policy)
 
     tilde = np.empty((n, n, n), dtype=object)
@@ -1309,8 +1298,7 @@ def parallelism_report(
         (
             (f"Omega[{a},{i},{j}]", Om[a, i, j])
             for a in range(n)
-            for i in range(n)
-            for j in range(i + 1, n)
+            for i, j in combinations(range(n), 2)
         ),
         chart,
         policy,
@@ -1614,26 +1602,6 @@ def _random_one_form(g: Algebroid, seed: int) -> TensorField:
     return TensorField(g.chart, ((LOW, G), (UP, G)), comps)
 
 
-def _form_battery(name, shape, entry, chart: Chart, policy) -> Verdict:
-    """:func:`_tensor_battery` on an alternating form of ``shape``
-    (argument slots, then the value slot) whose entry at an index is
-    ``entry(idx)``, zero-testing only its defining entries: those whose
-    arguments strictly increase, in ``np.ndindex`` order.
-
-    The verdict is the full scan's.  An entry with a repeated argument
-    is ZERO, and a swapped one is the exact negation of its increasing
-    one, so it passes, fails or is undecidable with it on the same path;
-    and the earliest permutation of a tuple in ``np.ndindex`` order is
-    the increasing one, so the first failing or undecidable entry is the
-    same, with its label, witness and value.
-    """
-    k, r, w = len(shape) - 1, shape[0], shape[-1]
-    indices = (args + (be,) for args in combinations(range(r), k) for be in range(w))
-    return _battery(
-        name, ((f"component {idx}", entry(idx)) for idx in indices), chart, policy
-    )
-
-
 def identity_battery(
     g: Algebroid,
     conn: TMConnection,
@@ -1646,9 +1614,10 @@ def identity_battery(
     agreement of the two compatibility routes.  When the pair is
     compatible, also runs the flat-action batteries (squared exterior
     derivative and the derivative decomposition on three seeded
-    one-forms, each zero-testing the defining entries of its alternating
-    form, see :func:`_form_battery`) and, if additionally transitive,
-    the anchored-curvature identity.
+    one-forms) and, if additionally transitive, the anchored-curvature
+    identity.  Each battery scans the entries its kernel built
+    (:func:`~cartankit.bundles._built_entries`); no table of d² or of d1 -
+    decomposition is filled.
     """
     from .connections import check_anchor_equivariance, dual_connection, dual_pair_defect
 
@@ -1675,7 +1644,9 @@ def identity_battery(
     children.append(_battery("dual_round_trip", round_items, chart, policy))
 
     children.append(
-        _tensor_battery("dual_curvature_exchange", dual_pair_defect(rep), policy)
+        _tensor_battery(
+            "dual_curvature_exchange", dual_pair_defect(rep), policy, skew=2, diagonal=True
+        )
     )
 
     defects = frame_defects(g, conn)
@@ -1700,22 +1671,18 @@ def identity_battery(
             # d1 is alternating by construction (a test gates that), so
             # the core skips the input checks
             d2 = _exterior_derivative(rep, d1)
-            children.append(
-                _form_battery(
-                    f"d_squared_form_{s}", d2.shape, d2.__getitem__, chart, policy
-                )
-            )
-            decomp = dtheta_decomposition(rep, theta, rep, policy)
-            # each entry of d1 - decomp as TensorField.__sub__ builds it
-            children.append(
-                _form_battery(
-                    f"d_decomposition_form_{s}",
-                    d1.shape,
-                    lambda idx: csum((d1[idx], cneg(decomp[idx]))),
-                    chart,
-                    policy,
-                )
-            )
+            # theta, a one-form of the self-action, passes
+            # dtheta_decomposition's input checks
+            decomp = _decomposition(rep, theta, rep)
+            batteries = {
+                "d_squared": _built_entries((g.rank,) + d1.shape, d2.__getitem__, 3),
+                # each entry of d1 - decomp as TensorField.__sub__ builds it
+                "d_decomposition": _built_entries(
+                    d1.shape, lambda idx: csum((d1[idx], cneg(decomp[idx]))), 2
+                ),
+            }
+            for name, items in batteries.items():
+                children.append(_battery(f"{name}_form_{s}", items, chart, policy))
         try:
             scan = orbit_scan(g, samples=policy.samples, seed=policy.seed)
         except DomainError as exc:
@@ -1729,9 +1696,11 @@ def identity_battery(
             )
         else:
             if scan.transitive:
-                children.append(
-                    _tensor_battery("anchored_curvature", abba_defect(g, conn), policy)
+                abba = abba_defect(g, conn)
+                anchored = _tensor_battery(
+                    "anchored_curvature", abba, policy, skew=2, diagonal=True
                 )
+                children.append(anchored)
             else:
                 notes.append(
                     "anchored-curvature identity skipped: algebroid is not "

@@ -519,9 +519,7 @@ class BuildFailure(Exception):
     the validation meets an undefined value (status "undecidable").
     ``path`` is the tier that decided; the status follows from it."""
 
-    def __init__(
-        self, check_name: str, message: str, path="probabilistic", witness=None, value=None
-    ):
+    def __init__(self, check_name: str, message: str, path: str, witness=None, value=None):
         super().__init__(message)
         self.check_name = check_name
         self.message = message
@@ -540,8 +538,9 @@ class BuildFailure(Exception):
 
 
 @contextmanager
-def _building(check_name: str):
-    """Report a mathematical rejection while building as ``check_name``."""
+def _building(check_name: str, field: str):
+    """Report a mathematical rejection while building as ``check_name``,
+    and a structural one (a plain ``ValueError``) as bad input at ``field``."""
     try:
         yield
     except DomainError as exc:
@@ -551,7 +550,7 @@ def _building(check_name: str):
             check_name, str(exc), exc.path, witness=exc.point, value=exc.value
         ) from None
     except ValueError as exc:
-        raise BuildFailure(check_name, str(exc)) from None
+        raise SpecError(str(exc), field) from None
 
 
 class Workspace:
@@ -570,7 +569,7 @@ class Workspace:
 
     def lie_algebra(self) -> LieAlgebra:
         table = self.spec.lie_algebra_table
-        with _building("lie_algebra"):
+        with _building("lie_algebra", "/lie_algebra/structure"):
             return LieAlgebra(len(table), table)
 
     def action_algebroid(self, algebra: LieAlgebra) -> Algebroid:
@@ -579,13 +578,13 @@ class Workspace:
         fields = [
             Section(self.spec.chart, list(row), "tm") for row in self.spec.action_fields
         ]
-        with _building("action_algebroid"):
+        with _building("action_algebroid", "/action_fields"):
             return build_action_algebroid(algebra, fields, self.policy)
 
     def direct_algebroid_axioms(self) -> Tuple[Algebroid, Verdict]:
         """The declared anchor and structure tables, and their axiom verdicts."""
         r, rho, structure = self.spec.algebroid_tables
-        with _building("algebroid"):
+        with _building("algebroid", "/algebroid"):
             g = Algebroid(self.spec.chart, r, rho, structure)
         return g, validate_algebroid(g, self.policy)
 
@@ -607,20 +606,20 @@ class Workspace:
         return g
 
     def poisson_tensor(self) -> TensorField:
-        with _building("poisson"):
+        with _building("poisson", "/poisson"):
             pi = TensorField(self.spec.chart, ((UP, TM), (UP, TM)), self.spec.poisson)
             pi.check_pairs(antisymmetric=((0, 1),), policy=self.policy)
             return pi
 
     def poisson_algebroid(self) -> Algebroid:
-        with _building("poisson_algebroid"):
+        with _building("poisson_algebroid", "/poisson"):
             return build_poisson_algebroid(self.poisson_tensor(), self.policy)
 
     def metric_tensor(self) -> TensorField:
         return TensorField(self.spec.chart, ((LOW, TM), (LOW, TM)), self.spec.metric)
 
     def riemann_report(self):
-        with _building("metric"):
+        with _building("metric", "/metric"):
             return riemann_pipeline(
                 self.metric_tensor(), h_frame=self.spec.h_frame, policy=self.policy
             )
@@ -629,14 +628,14 @@ class Workspace:
         fields = [
             Section(self.spec.chart, list(row), "tm") for row in self.spec.foliation_frame
         ]
-        with _building("foliation"):
+        with _building("foliation", "/foliation_frame"):
             return build_foliation_algebroid(fields, self.policy)
 
     def parallelism(self) -> Parallelism:
         omega, model = self.spec.parallelism_tables
-        with _building("model_algebra"):
+        with _building("model_algebra", "/parallelism/structure"):
             algebra = LieAlgebra(len(model), model)
-        with _building("parallelism"):
+        with _building("parallelism", "/parallelism"):
             return Parallelism(self.spec.chart, algebra, omega, self.policy)
 
     # -- connection lookup ------------------------------------------------
@@ -685,7 +684,7 @@ class Workspace:
         kind = self.kind()
         n = self.spec.chart.dim
         if kind == "metric":
-            with _building("metric"):
+            with _building("metric", "/metric"):
                 return metric_pair(self.metric_tensor(), self.policy)
         if kind == "poisson":
             g = self.poisson_algebroid()
@@ -802,7 +801,7 @@ def cmd_check(ws: Workspace, pipeline: str) -> List[dict]:
         base = ws.named_connection("tm", ws.spec.chart.dim) or TMConnection.flat(
             ws.spec.chart, ws.spec.chart.dim, target="tm"
         )
-        with _building("poisson_algebroid"):
+        with _building("poisson_algebroid", "/poisson"):
             report = poisson_report(ws.poisson_tensor(), base, ws.policy)
         return [report.verdict.as_dict()]
     if pipeline == "parallelism":

@@ -16,7 +16,7 @@ Index conventions (fixed across the package):
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Optional
 
 import numpy as np
@@ -37,6 +37,7 @@ from .bundles import (
     _directions,
     _nonzero,
     _require_zero,
+    _skew_table,
     _tensor_battery,
     as_expr,
 )
@@ -199,12 +200,11 @@ def _section_derivative(directions, sigma: Section, A, X: Section) -> Section:
 def _curvature(directions, structure, A) -> np.ndarray:
     """R[a,b,al,be] of the derivative along ``directions`` with action
     ``A`` (see :func:`curvature_g`); ``structure`` is None for a zero
-    bracket.  This is the one curvature loop.  It builds a < b only:
-    R[a,a] is zero and R[b,a] = -R[a,b]."""
+    bracket.  This is the one curvature loop.  It builds a < b only, and
+    :func:`~cartankit.bundles._skew_table` mirrors it."""
     r, m = A.shape[0], A.shape[1]
     rows = [[_nonzero(A[a, al]) for al in range(m)] for a in range(r)]
-    out = np.empty((r, r, m, m), dtype=object)
-    out[...] = ZERO
+    built = {}
     for a, b in combinations(range(r), 2):
         # the nonzero structure functions c^c_{ab}
         brackets = [] if structure is None else _nonzero(structure[a, b])
@@ -219,11 +219,8 @@ def _curvature(directions, structure, A) -> np.ndarray:
                     terms.append(cneg(cmul(A[b, ga, be], f)))
             for c, coeff in brackets:
                 terms.append(cneg(cmul(coeff, A[c, al, be])))
-            out[a, b, al, be] = value = csum(terms)
-            # the sum of -value spreads the sign over a sum's terms, as
-            # building the swapped entry would; cneg(value) would not
-            out[b, a, al, be] = csum((cneg(value),))
-    return out
+            built[a, b, al, be] = csum(terms)
+    return _skew_table((r, r, m, m), 2, built)
 
 
 def cov_deriv_tm(conn: TMConnection, V: Section, sigma: Section) -> Section:
@@ -355,7 +352,7 @@ def is_flat_g(conn: GConnection, policy: Optional[ZeroPolicy] = None) -> Verdict
     policy = policy or ZeroPolicy()
     return conn.kept(
         ("flatness", policy),
-        lambda: _tensor_battery("flatness", curvature_g(conn), policy),
+        lambda: _tensor_battery("flatness", curvature_g(conn), policy, skew=2),
     )
 
 
@@ -417,8 +414,9 @@ def dual_pair_defect(conn: GConnection) -> TensorField:
       defect[a,b,c,d] = R[a,b,c,d] - (D T*)[a,b,d,c]
                         - R*[a,c,b,d] - R*[c,b,a,d]
     which must vanish for every self-target connection.  The defect is
-    antisymmetric in (a, b): it is built for a <= b, and defect[b,a] is
-    the sum of -defect[a,b].
+    antisymmetric in (a, b): it is built for a <= b (the diagonal is not
+    always canonically zero), and :func:`~cartankit.bundles._skew_table`
+    mirrors it.
     """
     _require_self_target(conn, "dual_pair_defect")
     g = conn.g
@@ -427,23 +425,13 @@ def dual_pair_defect(conn: GConnection) -> TensorField:
     R = curvature_g(conn)
     Rs = curvature_g(dual)
     DTs = g_tensor_deriv(torsion_g(dual), rep_g=dual)
-    out = np.empty((r, r, r, r), dtype=object)
-    for a in range(r):
-        for b in range(a, r):
-            for c in range(r):
-                for d in range(r):
-                    out[a, b, c, d] = value = csum(
-                        (
-                            R[a, b, c, d],
-                            cneg(DTs[a, b, d, c]),
-                            cneg(Rs[a, c, b, d]),
-                            cneg(Rs[c, b, a, d]),
-                        )
-                    )
-                    if b > a:
-                        out[b, a, c, d] = csum((cneg(value),))
+    built = {}
+    for a, b in combinations_with_replacement(range(r), 2):
+        for c, d in np.ndindex(r, r):
+            exchanged = (cneg(Rs[a, c, b, d]), cneg(Rs[c, b, a, d]))
+            built[a, b, c, d] = csum((R[a, b, c, d], cneg(DTs[a, b, d, c])) + exchanged)
     return TensorField(
-        g.chart, ((LOW, G), (LOW, G), (LOW, G), (UP, G)), out
+        g.chart, ((LOW, G), (LOW, G), (LOW, G), (UP, G)), _skew_table((r,) * 4, 2, built)
     )
 
 

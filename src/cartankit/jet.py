@@ -24,6 +24,8 @@ reference for the metric's isometry algebroid, whose structure functions
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .algebroid import Algebroid, anchor_apply, bracket
@@ -232,26 +234,25 @@ def frame_lift_curvature(g: Algebroid, conn: TMConnection) -> np.ndarray:
     # anchored[j]: the frames whose vector field has a d/dx^j component
     anchored = [[e for e in range(r) if rho[j, e] is not ZERO] for j in range(n)]
     out = np.empty((r, r, r, n), dtype=object)
-    for a in range(r):
-        for b in range(a + 1, r):
-            B = [_section_form(c[a, b, e]) for e in range(r)]
-            for d in range(r):
-                dB = [diff(B[d], x) for x in coords]
-                for i in range(n):
-                    terms = [dB[i]]
-                    for e in range(r):
-                        terms.append(cmul(gamma[i, e, d], B[e]))
-                        terms.append(cmul(c[a, e, d], phi[b, e, i]))
-                        terms.append(cneg(cmul(c[b, e, d], phi[a, e, i])))
-                    for j in range(n):
-                        terms.append(cmul(rho[j, a], dphi[b, j, d, i]))
-                        terms.append(cneg(cmul(rho[j, b], dphi[a, j, d, i])))
-                        terms.append(cmul(phi[b, d, j], drho[a, i, j]))
-                        terms.append(cneg(cmul(phi[a, d, j], drho[b, i, j])))
-                        for e in anchored[j]:
-                            terms.append(cmul(cmul(phi[b, d, j], rho[j, e]), phi[a, e, i]))
-                            terms.append(
-                                cneg(cmul(cmul(phi[a, d, j], rho[j, e]), phi[b, e, i]))
-                            )
-                    out[a, b, d, i] = csum(terms)
+    for a, b in combinations(range(r), 2):
+        B = [_section_form(c[a, b, e]) for e in range(r)]
+        for d in range(r):
+            dB = [diff(B[d], x) for x in coords]
+            for i in range(n):
+                terms = [dB[i]]
+                for e in range(r):
+                    terms.append(cmul(gamma[i, e, d], B[e]))
+                    terms.append(cmul(c[a, e, d], phi[b, e, i]))
+                    terms.append(cneg(cmul(c[b, e, d], phi[a, e, i])))
+                for j in range(n):
+                    terms.append(cmul(rho[j, a], dphi[b, j, d, i]))
+                    terms.append(cneg(cmul(rho[j, b], dphi[a, j, d, i])))
+                    terms.append(cmul(phi[b, d, j], drho[a, i, j]))
+                    terms.append(cneg(cmul(phi[a, d, j], drho[b, i, j])))
+                    for e in anchored[j]:
+                        terms.append(cmul(cmul(phi[b, d, j], rho[j, e]), phi[a, e, i]))
+                        terms.append(
+                            cneg(cmul(cmul(phi[a, d, j], rho[j, e]), phi[b, e, i]))
+                        )
+                out[a, b, d, i] = csum(terms)
     return out

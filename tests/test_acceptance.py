@@ -29,7 +29,6 @@ from cartankit.algebroid import (
 from cartankit.bundles import TM, UP, Section, TensorField, _tensor_battery, as_expr
 from cartankit.cartan import (
     Parallelism,
-    _exterior_derivative,
     _random_one_form,
     dtheta_decomposition,
     exterior_derivative,
@@ -530,8 +529,8 @@ def test_built_tensors_are_antisymmetric_by_construction(catalog, corpus_pairs):
     # The TensorField constructor takes no symmetry declarations, so the
     # antisymmetry of the curvatures and torsions the package builds,
     # which computes each entry on its own, is gated here instead.  So is
-    # that of the forms identity_battery builds and hands on to
-    # _exterior_derivative unchecked.
+    # that of the forms identity_battery builds and hands on to the
+    # exterior derivative unchecked.
     tests = 0
     pairs = list(corpus_pairs.items()) + [
         (f"instance {k}", pair) for k, pair in enumerate(catalog)
@@ -558,7 +557,7 @@ def test_built_tensors_are_antisymmetric_by_construction(catalog, corpus_pairs):
             d1 = exterior_derivative(rep, theta, POLICY)
             forms = {
                 "d": (d1, ((0, 1),)),
-                "dd": (_exterior_derivative(rep, d1), ((0, 1), (1, 2))),
+                "dd": (exterior_derivative(rep, d1, POLICY), ((0, 1), (1, 2))),
                 "dtheta decomposition": (
                     dtheta_decomposition(rep, theta, rep, POLICY),
                     ((0, 1),),

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from functools import partial, reduce
 from itertools import combinations
 from pathlib import Path
@@ -52,6 +53,7 @@ from cartankit.connections import (
     g_tensor_deriv,
     induced_rep_on_g,
     induced_rep_on_tm,
+    is_flat_g,
     metric_inverse,
     torsion_g,
 )
@@ -1323,33 +1325,83 @@ def test_random_one_form_matches_one_draw_per_coefficient(battery_pairs):
                 assert theta[idx] is reference[idx], (name, seed, idx)
 
 
-def test_flat_action_batteries_decide_as_the_full_scan(battery_pairs):
-    # identity_battery zero-tests the entries of each alternating form
-    # whose arguments increase; the verdict (status, path, witness, value
-    # and detail) must be that of the scan over every entry.  Besides the
-    # battery's passing forms, d1 itself fails, d1 of a form undefined on
-    # the whole box is undecidable, and forms that take each argument
-    # tuple's entries from one of the two or from zero put the first
-    # failing or undecidable entry at different places.
-    statuses = set()
+@pytest.fixture(scope="module")
+def scan_pairs(battery_pairs):
+    """The battery pairs, H^4's and the acceptance catalog's 20."""
+    from test_acceptance import _instance  # which imports this module
+
+    pairs = dict(battery_pairs)
+    h4 = GeometrySpec(METRIC_SPECS["metric4d"]["h4.json"])
+    pairs["h4.json"] = Workspace(h4, POLICY).pair()
+    for k in range(20):
+        pairs[f"instance {k}"] = _instance(k)
+    return pairs
+
+
+def test_flat_action_batteries_decide_as_the_full_scan(scan_pairs):
+    # Every battery over a skew table zero-tests only the entries its
+    # kernel built: the flatness of the four curvatures, the two defects
+    # and identity_battery's forms.  Each verdict (status, path, witness,
+    # value and detail) must be that of the scan over every entry.
+    # Besides the battery's passing forms, d1 itself fails, d1 of a form
+    # undefined on the whole box is undecidable, and forms that take each
+    # argument tuple's entries from one of the two or from zero put the
+    # first failing or undecidable entry at different places.
+    outcomes = Counter()
     compatible = 0
-    for name, (g, conn) in battery_pairs.items():
+
+    def decides_as_the_full_scan(restricted, T, where):
+        assert restricted == _tensor_battery(restricted.name, T, POLICY), where
+        outcomes[restricted.status, restricted.path] += 1
+
+    for name, (g, conn) in scan_pairs.items():
         v = identity_battery(g, conn, POLICY)
+        children = {c.name: c for c in v.children}
+        rep = induced_rep_on_g(g, conn)
+        R = curvature_tm(conn)
+        decides_as_the_full_scan(
+            _tensor_battery("flatness", R, POLICY, skew=2), R, (name, "curvature_tm")
+        )
+        actions = {
+            "on g": rep,
+            "on tm": induced_rep_on_tm(g, conn),
+            "of the dual": dual_connection(rep),
+        }
+        for what, action in actions.items():
+            decides_as_the_full_scan(
+                is_flat_g(action, POLICY), curvature_g(action), (name, what)
+            )
+        exchange = dual_pair_defect(rep)
+        decides_as_the_full_scan(children["dual_curvature_exchange"], exchange, name)
+        abba = abba_defect(g, conn)
+        anchored = _tensor_battery(
+            "anchored_curvature", abba, POLICY, skew=2, diagonal=True
+        )
+        decides_as_the_full_scan(anchored, abba, (name, "anchored_curvature"))
+        if "anchored_curvature" in children:  # a transitive compatible pair
+            assert children["anchored_curvature"] == anchored, name
+        # the defects' diagonals alone: built, and not always canonically zero
+        for D in (exchange, abba):
+            out = np.empty(D.shape, dtype=object)
+            for idx in np.ndindex(*D.shape):
+                out[idx] = D[idx] if idx[0] == idx[1] else ZERO
+            T = TensorField(g.chart, D.slots, out)
+            restricted = _tensor_battery("diagonal", T, POLICY, skew=2, diagonal=True)
+            decides_as_the_full_scan(restricted, T, (name, "diagonal"))
         if not v.child("cartan").ok:
             continue
         compatible += 1
-        rep = induced_rep_on_g(g, conn)
         undefined = f"sqrt(-1 - {g.chart.coords[0]}^2)"
         for s in range(3):
             theta = cartan._random_one_form(g, s)
             d1 = exterior_derivative(rep, theta, POLICY)
             decomp = dtheta_decomposition(rep, theta, rep, POLICY)
-            full = {
-                f"d_squared_form_{s}": cartan._exterior_derivative(rep, d1),
-                f"d_decomposition_form_{s}": d1 - decomp,
-            }
-            for child, T in full.items():
-                assert v.child(child) == _tensor_battery(child, T, POLICY), (name, child)
+            decides_as_the_full_scan(
+                v.child(f"d_squared_form_{s}"), exterior_derivative(rep, d1, POLICY), name
+            )
+            decides_as_the_full_scan(
+                v.child(f"d_decomposition_form_{s}"), d1 - decomp, name
+            )
             nowhere = exterior_derivative(rep, theta.scale(undefined), POLICY)
             mixed = []
             for shift in range(3):
@@ -1360,13 +1412,83 @@ def test_flat_action_batteries_decide_as_the_full_scan(battery_pairs):
                     out[idx] = (ZERO, d1[idx], nowhere[idx])[pick]
                 mixed.append(TensorField(g.chart, d1.slots, out))
             for T in [d1, nowhere] + mixed:
-                restricted = cartan._form_battery(
-                    "form", T.shape, T.__getitem__, T.chart, POLICY
-                )
-                assert restricted == _tensor_battery("form", T, POLICY), (name, s)
-                statuses.add(restricted.status)
-    assert compatible == len(battery_pairs) - 1  # all but the foliation
-    assert statuses >= {"fail", "undecidable"}
+                restricted = _tensor_battery("form", T, POLICY, skew=2)
+                decides_as_the_full_scan(restricted, T, (name, s))
+    # the battery pairs but the foliation, H^4 and two catalog instances
+    assert compatible == 13
+    print(f"[skew scans] {sum(outcomes.values())} batteries: {dict(outcomes)}")
+    statuses = {status for status, _ in outcomes}
+    assert statuses == {"pass", "fail", "undecidable"}
+    assert outcomes["pass", "symbolic"] and outcomes["pass", "probabilistic"]
+
+
+def _skew_sorted(args):
+    """(the arguments sorted, whether sorting them is an odd permutation)."""
+    inversions = sum(p > q for p, q in combinations(args, 2))
+    return tuple(sorted(args)), inversions % 2
+
+
+def _assert_mirrors(T, k, diagonal, where):
+    """Every entry of ``T`` that its kernel did not build (its leading
+    ``k`` arguments are out of order, or repeat where only strictly
+    increasing ones are built, without ``diagonal``) is ZERO on a
+    repeated argument, and else the very object that the mirror fill
+    writes for its permutation: the built entry, or ``csum((cneg(v),))``
+    of it."""
+    mirrors = 0
+    for idx in np.ndindex(*T.shape):
+        args, rest = idx[:k], idx[k:]
+        built, odd = _skew_sorted(args)
+        if len(set(args)) < k and not (diagonal and built == args):
+            assert T[idx] is ZERO, (where, idx)
+        elif built != args:
+            value = T[built + rest]
+            assert T[idx] is (csum((cneg(value),)) if odd else value), (where, idx)
+            mirrors += 1
+    return mirrors
+
+
+def test_mirror_fill_writes_the_negated_sum_of_each_built_entry(scan_pairs):
+    # bundles._skew_table is the one mirror fill, for the curvature
+    # kernel, the alternating sum of the exterior derivative and the
+    # decomposition, and the two defects.  The entries the kernels build
+    # are gated by test_support_loops_build_the_full_index_entries.
+    mirrors = Counter()
+    for name, (g, conn) in scan_pairs.items():
+        rep = induced_rep_on_g(g, conn)
+        tables = {
+            "curvature_tm": (curvature_tm(conn), 2, False),
+            "curvature_g": (curvature_g(rep), 2, False),
+            "dual_pair_defect": (dual_pair_defect(rep), 2, True),
+            "abba_defect": (abba_defect(g, conn), 2, True),
+        }
+        if is_flat_g(rep, POLICY).ok:
+            theta = cartan._random_one_form(g, 0)
+            d1 = exterior_derivative(rep, theta, POLICY)
+            decomp = dtheta_decomposition(rep, theta, rep, POLICY)
+            tables["d"] = (d1, 2, False)
+            tables["dd"] = (exterior_derivative(rep, d1, POLICY), 3, False)
+            tables["dtheta_decomposition"] = (decomp, 2, False)
+        for what, (T, k, diagonal) in tables.items():
+            mirrors[what] += _assert_mirrors(T, k, diagonal, (name, what))
+    assert all(mirrors[what] for what in ("curvature_tm", "abba_defect", "dd")), mirrors
+
+
+def test_identity_battery_fills_no_table_for_d_squared_or_the_decomposition(monkeypatch):
+    # d^2 and d1 - decomposition go from their defining entries into the
+    # fold: the only forms filled are the three d1
+    filled = []
+
+    def recorded(shape, k, built, _fill=cartan._skew_table):
+        filled.append((shape, k))
+        return _fill(shape, k, built)
+
+    g, conn = Workspace(load_spec(CORPUS / "sphere.json"), POLICY).pair()
+    monkeypatch.setattr(cartan, "_skew_table", recorded)
+    v = identity_battery(g, conn, POLICY)
+    assert v.ok and v.child("d_squared_form_2").ok
+    r = g.rank
+    assert Counter(filled) == {((r,) * 3, 2): 3, ((r,) * 4, 2): 1}  # d1 and abba_defect
 
 
 def _reference_derivative(components, directions, actions):
@@ -1495,7 +1617,7 @@ def _reference_isometry_structure(sigma, lc, skew):
         for p, (i, j) in enumerate(combinations(range(n), 2)):
             lam = csum([cmul(psi[j, m], inv[m, i]) for m in range(n)])
             structure[al, be, n + p] = lam
-            structure[be, al, n + p] = cneg(lam)
+            structure[be, al, n + p] = csum((cneg(lam),))
     return structure
 
 
@@ -1574,7 +1696,7 @@ def test_identities_build_one_object_per_canonical_form(name, monkeypatch):
     # zero-tests are alive: no two live canonical forms are equal without
     # being one object, so none is differentiated or sampled twice.
     probes = []
-    for kernel in ("_form_battery", "_tensor_battery"):
+    for kernel in ("_battery", "_tensor_battery"):
 
         def probed(*args, _kernel=getattr(cartan, kernel), **kwargs):
             probes.append(_duplicate_forms())

@@ -197,6 +197,40 @@ def test_ragged_structure_constants_are_an_input_error(capsys, tmp_path, name, t
     ]
 
 
+@pytest.mark.parametrize("command", ["validate", "check", "identities"])
+def test_structural_build_rejection_is_an_input_error(capsys, tmp_path, command):
+    # a plain ValueError while building is a shape, a size or a count,
+    # not a sampled verdict: exit 2 at the spec field, not a fail
+    doc = {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y"], "box": [[-1, 1], [-1, 1]]},
+        "foliation_frame": [["1", "0"], ["0", "1"], ["1", "1"]],
+    }
+    code, rep = invoke(capsys, command, write_doc(tmp_path, doc))
+    assert code == 2 and rep["status"] == "error" and "checks" not in rep
+    assert rep["errors"] == [
+        {"message": "more frame fields than chart dimensions", "path": "/foliation_frame"}
+    ]
+
+
+def test_degenerate_foliation_frame_fails_with_its_witness(capsys, tmp_path):
+    # the frame's rank is found on samples: a sampled rejection, with the
+    # point and the smallest singular value there
+    doc = {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y"], "box": [[-1, 1], [-1, 1]]},
+        "foliation_frame": [["1", "0"], ["x", "0"]],
+    }
+    code, rep = invoke(capsys, "validate", write_doc(tmp_path, doc))
+    assert code == 1
+    (check,) = rep["checks"]
+    assert (check["name"], check["status"], check["path"]) == (
+        "foliation", "fail", "probabilistic"
+    )
+    assert check["detail"].startswith("frame degenerate at point ")
+    assert len(check["witness"]) == 2 and abs(check["value"]) <= 1e-9
+
+
 def test_h_frame_requires_metric(capsys, tmp_path):
     doc = minimal_poisson({"h_frame": [[["0", "1"], ["-1", "0"]]]})
     code, rep = invoke(capsys, "validate", write_doc(tmp_path, doc))

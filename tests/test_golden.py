@@ -10,11 +10,11 @@ golden run of a rank-6 algebroid through ``g_tensor_deriv``,
 ``curvature_g``, ``curvature_tm`` and the exterior derivative.
 ``golden/metric4d`` and ``golden/metric5d`` hold ``check`` on hyperbolic
 4- and 5-space (``h4.json``, ``h5.json``: 1/w^2 times the identity on
-[-1,1]^3 x [1/2,2] and [-1,1]^4 x [1/2,2], guard w), and
-``golden/metric4d`` also ``identities`` on H^4, the battery of a rank-10
-isometry algebroid.  ``golden/rejections`` holds ``validate``, ``check``
+[-1,1]^3 x [1/2,2] and [-1,1]^4 x [1/2,2], guard w), and ``identities``
+on each: the battery of a rank-10 and of a rank-15 isometry algebroid.  ``golden/rejections`` holds ``validate``, ``check``
 and ``identities`` on specs whose objects are rejected while they are
-built (``REJECTIONS``): the fail and undecidable shapes of the reports.
+built (``REJECTIONS``): the fail and undecidable shapes of the reports,
+and the input error of a structural rejection.
 Each runs from the directory that holds the spec.
 ``golden/pipelines`` holds ``check --pipeline <pipeline>`` for the pair
 pipelines ``theorem-a`` and ``transitive`` on the sphere, ellipsoid and
@@ -149,6 +149,11 @@ REJECTIONS = {
         "chart": {"coords": ["x", "y", "z"], "box": [[-1, 1], [-1, 1], [-1, 1]]},
         "foliation_frame": [["1", "0", "0"], ["0", "1", "x"]],
     },
+    # three frame fields on a 2-d chart: a structural rejection, so an
+    # input error at /foliation_frame, not a verdict
+    "oversized_foliation_frame.json": _on_square(
+        [-1, 1], foliation_frame=[["1", "0"], ["0", "1"], ["1", "1"]]
+    ),
     "non_skew_h_frame.json": _on_square(
         [-1, 1],
         metric=[["1", "0"], ["0", "1"]],
@@ -174,7 +179,7 @@ METRIC_SPECS = {
 METRIC_COMMANDS = {
     "metric3d": ("check", "identities"),
     "metric4d": ("check", "identities"),
-    "metric5d": ("check",),
+    "metric5d": ("check", "identities"),
     "rejections": ("validate", "check", "identities"),
 }
 
@@ -247,6 +252,12 @@ def test_4d_metric_identities_matches_golden(capsys, monkeypatch, tmp_path):
 def test_5d_metric_check_matches_golden(capsys, monkeypatch, tmp_path):
     _metric_report_matches_golden(
         capsys, monkeypatch, tmp_path, "metric5d", "check", "h5.json"
+    )
+
+
+def test_5d_metric_identities_matches_golden(capsys, monkeypatch, tmp_path):
+    _metric_report_matches_golden(
+        capsys, monkeypatch, tmp_path, "metric5d", "identities", "h5.json"
     )
 
 
