@@ -11,6 +11,11 @@ index conventions).  Commands:
     cartankit holonomy <file> --point ... --plane i j --side h
     cartankit identities <file>     the structural identity battery
 
+A plain command line (the command first, every option by its full name,
+values as separate words) is read directly from the option table
+``_COMMANDS``; argparse, built from the same table, reads every other
+spelling, prints help and words every usage error.
+
 Reports are JSON on stdout and byte-stable for a fixed seed; timing
 fields appear only under --timings so that the default output stays
 reproducible.  Exit status: 0 all verdicts pass, 1 some verdict fails
@@ -25,7 +30,6 @@ precedence to the object's own full pipeline.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
@@ -33,6 +37,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -376,12 +381,15 @@ class GeometrySpec:
 
         self.foliation_frame = None
         if "foliation_frame" in doc:
-            arr = _expr_array(doc["foliation_frame"], self.chart, "/foliation_frame")
-            if arr.shape[1] != n:
+            frame = doc["foliation_frame"]
+            # the shape first: a ragged table would reach the parser as rows
+            if any(len(field) != n for field in frame):
                 raise SpecError(
                     f"each frame field needs {n} components", "/foliation_frame"
                 )
-            self.foliation_frame = arr
+            self.foliation_frame = _expr_array(
+                frame, self.chart, "/foliation_frame", (len(frame), n)
+            )
 
         self.parallelism_tables = None
         if "parallelism" in doc:
@@ -873,40 +881,131 @@ def _emit(report: dict, pretty: bool) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
-def run(argv=None) -> int:
+# Each command's arguments, as argparse's add_argument(name, **kwargs):
+# _parser() builds argparse from this table and _plain_args() reads a
+# plain command line with it, so each option is declared once.
+_COMMON = {
+    "file": {"help": "GeometrySpec JSON document"},
+    "--seed": {"type": int, "default": None, "help": "sampling seed (default: file seed or 0)"},
+    "--samples": {"type": int, "default": 32},
+    "--tol": {"type": float, "default": 1e-9},
+    "--json": {"action": "store_true", "help": "compact JSON output (default)"},
+    "--pretty": {"action": "store_true", "help": "indented JSON output"},
+    "--timings": {"action": "store_true", "help": "include elapsed_ms fields"},
+}
+_COMMANDS = {
+    "validate": _COMMON,
+    "check": {**_COMMON, "--pipeline": {"choices": PIPELINES, "default": "geometry"}},
+    "holonomy": {
+        **_COMMON,
+        "--point": {"type": float, "nargs": "+", "required": True},
+        "--plane": {"type": int, "nargs": 2, "required": True},
+        "--side": {"type": float, "required": True},
+        "--steps": {"type": int, "default": 64},
+    },
+    "identities": _COMMON,
+}
+
+
+def _parser():
+    """The argparse parser of :data:`_COMMANDS`: it parses what
+    :func:`_plain_args` declines, prints help and words usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cartankit",
         description="verify geometric structures declared in GeometrySpec files",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("file", help="GeometrySpec JSON document")
-    common.add_argument("--seed", type=int, default=None, help="sampling seed (default: file seed or 0)")
-    common.add_argument("--samples", type=int, default=32)
-    common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--json", action="store_true", help="compact JSON output (default)")
-    common.add_argument("--pretty", action="store_true", help="indented JSON output")
-    common.add_argument("--timings", action="store_true", help="include elapsed_ms fields")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", parents=[common])
-    p_check = sub.add_parser("check", parents=[common])
-    p_check.add_argument("--pipeline", choices=PIPELINES, default="geometry")
-    p_hol = sub.add_parser("holonomy", parents=[common])
-    p_hol.add_argument("--point", type=float, nargs="+", required=True)
-    p_hol.add_argument("--plane", type=int, nargs=2, required=True)
-    p_hol.add_argument("--side", type=float, required=True)
-    p_hol.add_argument("--steps", type=int, default=64)
-    sub.add_parser("identities", parents=[common])
+    for command, arguments in _COMMANDS.items():
+        p = sub.add_parser(command)
+        for name, kwargs in arguments.items():
+            p.add_argument(name, **kwargs)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def _is_value(token: str) -> bool:
+    # argparse reads a token as an option when it starts with "-", unless
+    # it is a negative number (a subset of argparse's test, which also
+    # takes non-ASCII digits and a trailing newline)
+    if not token.startswith("-"):
+        return True
+    return re.fullmatch(r"-[0-9]+|-[0-9]*\.[0-9]+", token) is not None
+
+
+def _plain_args(argv) -> Optional[SimpleNamespace]:
+    """The attributes argparse gives ``argv``, read without argparse, or
+    None when ``argv`` is not a plain command line.
+
+    Plain means: the command first, each option by its exact full name
+    with its values as separate tokens (values do not start with "-",
+    unless they are negative numbers), exactly the positionals declared,
+    every required option present, and every value converted and within
+    its choices.  Anything else (an abbreviation, ``--opt=value``,
+    ``--``, ``-h``, a bad value, a missing or extra token) returns None,
+    and argparse parses or rejects it."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    arguments = _COMMANDS[argv[0]]
+    values = {"command": argv[0]}
+    for name, kwargs in arguments.items():
+        if name.startswith("-"):
+            store = kwargs.get("action") == "store_true"
+            values[name[2:]] = kwargs.get("default", False if store else None)
+    seen = set()
+    loose = []
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if _is_value(token):
+            loose.append(token)
+            continue
+        kwargs = arguments.get(token)
+        if kwargs is None:
+            return None
+        seen.add(token)
+        if kwargs.get("action") == "store_true":
+            values[token[2:]] = True
+            continue
+        end = i  # the run of values after the option
+        while end < len(argv) and _is_value(argv[end]):
+            end += 1
+        nargs = kwargs.get("nargs")
+        count = end - i if nargs == "+" else nargs or 1
+        if not 0 < count <= end - i:
+            return None
+        convert = kwargs.get("type", str)  # as argparse converts
+        try:
+            converted = [convert(word) for word in argv[i : i + count]]
+        except ValueError:
+            return None
+        choices = kwargs.get("choices")
+        if choices is not None and any(v not in choices for v in converted):
+            return None
+        values[token[2:]] = converted if nargs else converted[0]
+        i += count
+    positionals = [name for name in arguments if not name.startswith("-")]
+    required = {name for name, kwargs in arguments.items() if kwargs.get("required")}
+    if len(loose) != len(positionals) or not required <= seen:
+        return None
+    values.update(zip(positionals, loose))  # untyped, as the table declares them
+    return SimpleNamespace(**values)
+
+
+def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         ZeroPolicy(samples=args.samples, tol=args.tol)
     except ValueError as exc:
-        parser.error(f"--samples/--tol: {exc}")
+        _parser().error(f"--samples/--tol: {exc}")
     # as the schema requires of a file's seed: the sample draw takes no
     # negative seed
     if args.seed is not None and args.seed < 0:
-        parser.error(f"--seed: must be >= 0, got {args.seed}")
+        _parser().error(f"--seed: must be >= 0, got {args.seed}")
 
     report = {
         "tool": f"cartankit {__version__}",

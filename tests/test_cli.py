@@ -213,6 +213,21 @@ def test_structural_build_rejection_is_an_input_error(capsys, tmp_path, command)
     ]
 
 
+def test_ragged_foliation_frame_is_a_shape_error(capsys, tmp_path):
+    # the frame's shape is checked before its entries are parsed, as a
+    # ragged metric is, so a short field is not reported as a bad expression
+    doc = {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y"], "box": [[-1, 1], [-1, 1]]},
+        "foliation_frame": [["1", "0"], ["0"]],
+    }
+    code, rep = invoke(capsys, "validate", write_doc(tmp_path, doc))
+    assert code == 2
+    assert rep["errors"] == [
+        {"message": "each frame field needs 2 components", "path": "/foliation_frame"}
+    ]
+
+
 def test_degenerate_foliation_frame_fails_with_its_witness(capsys, tmp_path):
     # the frame's rank is found on samples: a sampled rejection, with the
     # point and the smallest singular value there
@@ -1104,10 +1119,20 @@ def test_h_frame_skewness_is_rejected_with_the_zero_tests_verdict(capsys, tmp_pa
 # ---------------------------------------------------------------------------
 
 
-def test_reports_are_byte_identical_for_fixed_seed(capsys):
-    run(["check", str(CORPUS / "sphere.json"), "--pipeline", "riemann", "--seed", "0"])
+@pytest.mark.parametrize(
+    "flags,spelling",
+    [
+        (["--seed", "0"], ["--seed", "0"]),
+        # argparse reads what the direct pass declines, to the same report
+        (["--seed", "3"], ["--seed=3"]),
+        (["--samples", "8"], ["--samp", "8"]),
+    ],
+    ids=["--seed 0", "--seed=3", "--samp 8"],
+)
+def test_reports_are_byte_identical_for_fixed_seed(capsys, flags, spelling):
+    run(["check", str(CORPUS / "sphere.json"), "--pipeline", "riemann", *flags])
     first = capsys.readouterr().out
-    run(["check", str(CORPUS / "sphere.json"), "--pipeline", "riemann", "--seed", "0"])
+    run(["check", str(CORPUS / "sphere.json"), "--pipeline", "riemann", *spelling])
     second = capsys.readouterr().out
     assert first == second
 
@@ -1148,15 +1173,94 @@ def test_unusable_samples_or_tol_is_a_usage_error(capsys, flags):
     assert err.startswith("usage: cartankit") and "--samples/--tol" in err
 
 
-def test_negative_seed_is_a_usage_error(capsys):
-    # the schema requires a file's seed to be >= 0; a negative --seed is
-    # refused the same way, not reported as a failing verdict
+@pytest.mark.parametrize(
+    "flags,code,message",
+    [
+        # the schema requires a file's seed to be >= 0; a negative --seed
+        # is refused the same way, not reported as a failing verdict
+        (["--seed", "-1"], 2, "cartankit: error: --seed: must be >= 0, got -1\n"),
+        (["--bogus", "1"], 2, "cartankit: error: unrecognized arguments: --bogus 1\n"),
+        (["--samp"], 2, "cartankit check: error: argument --samples: expected one argument\n"),
+        # help goes to stdout
+        (["--help"], 0, "show this help message and exit\n"),
+    ],
+    ids=["--seed -1", "--bogus 1", "--samp", "--help"],
+)
+def test_usage_error_or_help_is_argparses(capsys, flags, code, message):
     with pytest.raises(SystemExit) as exc:
-        run(["check", str(CORPUS / "sphere.json"), "--seed", "-1"])
-    assert exc.value.code == 2
+        run(["check", str(CORPUS / "sphere.json"), *flags])
+    assert exc.value.code == code
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("usage: cartankit") and "--seed" in err
+    shown, silent = (out, err) if code == 0 else (err, out)
+    assert silent == ""
+    assert shown.startswith("usage: cartankit") and message in shown
+
+
+# the direct pass against argparse: the four commands, every option's full
+# name, what only argparse reads (a prefix, --opt=value, --, -h, -, the
+# empty string) and values that argparse reads as options or cannot convert
+_OPTION_WORDS = sorted(
+    {name for arguments in cli._COMMANDS.values() for name in arguments if name.startswith("-")}
+) + ["--samp", "--seed=3", "--", "-h"]
+_VALUE_WORDS = [
+    "0", "1", "2", "7", "0.25", "1e-3", "-1", "-.5", "-1e-3", "-1.", "nan", "inf",
+    "-\u0663", "", "-", "cartan", "geometry", "corpus/sphere.json",
+]
+_WORDS = st.sampled_from([*cli._COMMANDS, *_OPTION_WORDS, *_VALUE_WORDS])
+
+
+def _fitting(kwargs):
+    """Words that mostly convert for an argument, and any value word."""
+    if "choices" in kwargs:
+        fit = list(kwargs["choices"])
+    elif kwargs.get("type") is int:
+        fit = ["0", "1", "2", "7", "-1"]
+    elif kwargs.get("type") is float:
+        fit = ["0", "0.25", "1e-3", "-1", "-.5", "nan", "inf"]
+    else:
+        fit = ["corpus/sphere.json", "0", "-1"]
+    return st.sampled_from(fit * 3 + _VALUE_WORDS)
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line laid out from the command's arguments, in any order,
+    mostly with one lone value, and with up to two words replaced,
+    inserted or dropped."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    arguments = cli._COMMANDS[command]
+    lone = draw(st.sampled_from([1, 1, 1, 0, 2]))
+    chunks = [[draw(_fitting(arguments["file"]))] for _ in range(lone)]
+    for name, kwargs in arguments.items():
+        if name.startswith("-") and (kwargs.get("required") or draw(st.booleans())):
+            nargs = kwargs.get("nargs")
+            if kwargs.get("action") == "store_true":
+                count = 0
+            else:
+                count = draw(st.integers(1, 3)) if nargs == "+" else nargs or 1
+            chunks.append([name, *(draw(_fitting(kwargs)) for _ in range(count))])
+    argv = [command] + [word for chunk in draw(st.permutations(chunks)) for word in chunk]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(argv) - 1))
+        edit = draw(st.sampled_from(["replace", "insert", "drop"]))
+        if edit == "drop":
+            del argv[at]
+        else:
+            argv[at : at + (edit == "replace")] = [draw(_WORDS)]
+        if not argv:
+            break
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_command_lines())
+def test_direct_pass_reads_every_command_line_it_accepts_as_argparse_does(argv):
+    plain = cli._plain_args(argv)
+    if plain is None:
+        return
+    parsed = cli._parser().parse_args(argv)
+    # repr compares NaN with NaN, and an int with a float, as they print
+    assert repr(sorted(vars(plain).items())) == repr(sorted(vars(parsed).items()))
 
 
 def test_coframe_scan_follows_samples_and_seed(capsys, monkeypatch):

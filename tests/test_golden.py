@@ -22,6 +22,9 @@ hyperbolic corpus files, as ``check-<pipeline>-<file>.json``, run from
 the repository root: the verdicts on a metric's isometry algebroid and
 its Cartan connection.
 
+Every command line here is plain, so each report is made with argparse
+refused: building a parser fails the test.
+
 A change to a verdict, a witness or the last digit of a value fails
 here.  A deliberate change regenerates the files with the report loop of
 ``.github/workflows/tier1.yml`` (its pass-1 reports are these files;
@@ -30,13 +33,15 @@ from ``METRIC_COMMANDS``, the commands to run on them) and shows the
 difference in review.
 """
 
+import argparse
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from cartankit import cartan
+from cartankit import cartan, cli
 from cartankit.cli import run
 from cartankit.symcore import Expr
 from test_cli import _metric_3d, broken_jacobi_algebroid, minimal_poisson
@@ -154,6 +159,11 @@ REJECTIONS = {
     "oversized_foliation_frame.json": _on_square(
         [-1, 1], foliation_frame=[["1", "0"], ["0", "1"], ["1", "1"]]
     ),
+    # a field with one component on a 2-d chart: a shape error at
+    # /foliation_frame, found before any entry is parsed
+    "ragged_foliation_frame.json": _on_square(
+        [-1, 1], foliation_frame=[["1", "0"], ["0"]]
+    ),
     "non_skew_h_frame.json": _on_square(
         [-1, 1],
         metric=[["1", "0"], ["0", "1"]],
@@ -184,9 +194,53 @@ METRIC_COMMANDS = {
 }
 
 
+def _refuse_parser(*args, **kwargs):
+    raise AssertionError("argparse was built for a plain command line")
+
+
 def _report(capsys, *argv) -> str:
-    run(list(argv))
+    # every command line here is plain, so it is read without argparse
+    with mock.patch.object(argparse.ArgumentParser, "__init__", _refuse_parser):
+        run(list(argv))
     return capsys.readouterr().out
+
+
+# CI's holonomy loops (.github/workflows/tier1.yml), one with the --seed a
+# benchmark request adds, and README's command-line examples
+PLAIN_COMMAND_LINES = [
+    (
+        "holonomy", f"corpus/{name}.json", "--point", x, y,
+        "--plane", "0", "1", "--side", "0.02", "--steps", "128",
+    )
+    for name, x, y in (
+        ("sphere", "1.5", "1.0"),
+        ("euclid", "0", "0"),
+        ("affine_group_parallelism", "1.0", "0.0"),
+        ("ellipsoid", "1.5", "1.0"),
+        ("hyperbolic", "0.0", "1.5"),
+    )
+] + [
+    ("holonomy", "corpus/hyperbolic.json", "--point", "-0.5", "1.5", "--plane", "1", "0",
+     "--side", "0.0125", "--steps", "256", "--seed", "1234567"),
+    ("validate", "corpus/so3_action.json"),
+    ("check", "corpus/sphere.json", "--pipeline", "riemann"),
+    ("check", "corpus/ellipsoid.json", "--pipeline", "riemann"),
+    ("check", "corpus/so3_dual_poisson.json", "--pipeline", "poisson"),
+    ("holonomy", "corpus/sphere.json", "--point", "1.2", "0.5", "--plane", "0", "1",
+     "--side", "0.01"),
+    ("identities", "corpus/so3_action.json"),
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_COMMAND_LINES, ids=" ".join)
+def test_plain_command_line_reports_as_argparse_reads_it(capsys, monkeypatch, argv):
+    # the report argparse's reading gives, against the direct reading's
+    # with argparse refused
+    monkeypatch.chdir(ROOT)
+    with mock.patch.object(cli, "_plain_args", lambda argv: None):
+        run(list(argv))
+    expected = capsys.readouterr().out
+    assert _report(capsys, *argv) == expected
 
 
 def test_every_corpus_run_has_a_golden_report():
