@@ -19,7 +19,7 @@ whose input must satisfy such a battery (:func:`_require_zero`) raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -385,12 +385,9 @@ def _battery(name, labelled, chart, policy) -> Verdict:
 def _skew_table(shape, k: int, built) -> np.ndarray:
     """The one mirror fill: the table of ``shape``, antisymmetric in its
     leading ``k`` slots, from the entries a kernel built, keyed by index
-    with non-decreasing leading arguments.  Each permutation of a built
-    entry's distinct arguments gets the entry if even, and if odd the sum
-    of its negation, built once: that spreads the sign over a sum's
-    terms, as the kernel's formula at the swapped arguments would, where
-    ``cneg(v)`` keeps (-1)*(sum) as one term.  A built entry with a
-    repeated argument stays where it is; all else is ZERO."""
+    with increasing leading arguments.  Each permutation of a built
+    entry's arguments gets the entry if even, and its negation, built
+    once, if odd; all else is ZERO."""
     order = [
         (perm, sum(p > q for p, q in combinations(perm, 2)) % 2)
         for perm in permutations(range(k))
@@ -399,33 +396,27 @@ def _skew_table(shape, k: int, built) -> np.ndarray:
     out[...] = ZERO
     for idx, value in built.items():
         args, rest = idx[:k], idx[k:]
-        if len(set(args)) < k:
-            out[idx] = value
-            continue
-        mirror = csum((cneg(value),))
+        mirror = cneg(value)
         for perm, odd in order:
             out[tuple(args[p] for p in perm) + rest] = mirror if odd else value
     return out
 
 
-def _built_entries(shape, entry, skew: int = 0, diagonal: bool = False):
+def _built_entries(shape, entry, skew: int = 0):
     """``entry(idx)`` at each index of a table of ``shape`` that its
     kernel builds, labelled ``component {idx}``, in ``np.ndindex`` order:
     every index, or for a :func:`_skew_table` in ``skew`` slots those
-    whose leading arguments increase (with ``diagonal``, do not
-    decrease).  A battery over these decides as one over every entry: the
-    rest are ZERO or negations of a built entry, which comes first."""
-    choose = combinations_with_replacement if diagonal else combinations
-    for args in choose(range(shape[0] if skew else 0), skew):
+    whose leading arguments increase.  A battery over these decides as
+    one over every entry: the rest are ZERO or negations of a built
+    entry, which comes first."""
+    for args in combinations(range(shape[0] if skew else 0), skew):
         for rest in np.ndindex(*shape[skew:]):
             idx = args + rest
             yield f"component {idx}", entry(idx)
 
 
-def _tensor_battery(name, T: TensorField, policy, skew=0, diagonal=False) -> Verdict:
-    return _battery(
-        name, _built_entries(T.shape, T.__getitem__, skew, diagonal), T.chart, policy
-    )
+def _tensor_battery(name, T: TensorField, policy, skew=0) -> Verdict:
+    return _battery(name, _built_entries(T.shape, T.__getitem__, skew), T.chart, policy)
 
 
 def _require_zero(labelled, chart: Chart, policy: ZeroPolicy) -> None:

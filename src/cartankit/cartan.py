@@ -19,7 +19,7 @@ bug, not as a property of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,7 +73,6 @@ from .symcore import (
     DomainError,
     ZERO,
     ZeroPolicy,
-    _section_form,
     adjugate_inverse,
     cmul,
     cneg,
@@ -129,20 +128,17 @@ def _frame_compat_defect(g: Algebroid, conn: TMConnection) -> np.ndarray:
     where D is the connection and B the companion action of sections on
     vector fields, Atm = ``induced_rep_on_tm``.  The defect is tensorial in
     all three arguments, so vanishing on frames means vanishing
-    everywhere.  On V = d/dx^i, X = e_a, Y = e_b, with G[i,a,d] =
-    gamma[i,a,d] (the components of D_i e_a) and B^d = c^d_{ab}, the five
-    terms are
+    everywhere.  On V = d/dx^i, X = e_a, Y = e_b, with gamma[i,a,d] the
+    components of D_i e_a and B^d = c^d_{ab}, the five terms are
 
         t1 = d_i B^d + gamma[i,e,d] B^e
-        t2 = -rho^j_b d_j G[i,a,d] + c^d_{eb} G[i,a,e]
-        t3 = rho^j_a d_j G[i,b,d] + c^d_{ae} G[i,b,e]
-        t4 = Atm[b,i,k] G[k,a,d]        t5 = Atm[a,i,k] G[k,b,d]
+        t2 = -rho^j_b d_j gamma[i,a,d] + c^d_{eb} gamma[i,a,e]
+        t3 = rho^j_a d_j gamma[i,b,d] + c^d_{ae} gamma[i,b,e]
+        t4 = Atm[b,i,k] gamma[k,a,d]    t5 = Atm[a,i,k] gamma[k,b,d]
 
     summed over repeated indices.  C[i, a, b, d] (for a < b; entries with
     a >= b are None) is t1 - t2 - t3 - t4 + t5, one canonical sum of these
-    products, whose factors are the canonical forms that building the
-    defect from sections gives them, so each entry's canonical form is
-    the section-level one.
+    products.
     """
     if conn.chart != g.chart or conn.rank != g.rank:
         raise ValueError("connection does not target the algebroid")
@@ -150,32 +146,26 @@ def _frame_compat_defect(g: Algebroid, conn: TMConnection) -> np.ndarray:
     n, r = chart.dim, g.rank
     rho, c, gamma = g.rho, g.structure, conn.gamma
     coords = chart.coords
-    Atm = induced_rep_on_tm(g, conn).A
-    G = np.empty((n, r, r), dtype=object)
-    for idx in np.ndindex(n, r, r):
-        G[idx] = _section_form(gamma[idx])
-    dG = np.empty((n, n, r, r), dtype=object)  # dG[j, i, a, d] = d_j G[i, a, d]
+    Atm = induced_rep_on_tm(g, conn).A  # components of B_{e_a} d/dx^i
+    dG = np.empty((n, n, r, r), dtype=object)  # dG[j, i, a, d] = d_j gamma[i, a, d]
     for idx in np.ndindex(n, n, r, r):
-        dG[idx] = diff(G[idx[1:]], coords[idx[0]])
-    W = np.empty((r, n, n), dtype=object)  # components of B_{e_a} d/dx^i
-    for idx in np.ndindex(r, n, n):
-        W[idx] = _section_form(Atm[idx])
+        dG[idx] = diff(gamma[idx[1:]], coords[idx[0]])
     out = np.empty((n, r, r, r), dtype=object)
     for a, b in combinations(range(r), 2):
-        B = [_section_form(c[a, b, e]) for e in range(r)]
+        B = c[a, b]
         for d in range(r):
             dB = [diff(B[d], x) for x in coords]
             for i in range(n):
                 terms = [dB[i]]
                 for e in range(r):
                     terms.append(cmul(gamma[i, e, d], B[e]))
-                    terms.append(cneg(cmul(c[e, b, d], G[i, a, e])))
-                    terms.append(cneg(cmul(c[a, e, d], G[i, b, e])))
+                    terms.append(cneg(cmul(c[e, b, d], gamma[i, a, e])))
+                    terms.append(cneg(cmul(c[a, e, d], gamma[i, b, e])))
                 for j in range(n):
                     terms.append(cmul(rho[j, b], dG[j, i, a, d]))
                     terms.append(cneg(cmul(rho[j, a], dG[j, i, b, d])))
-                    terms.append(cneg(cmul(W[b, i, j], G[j, a, d])))
-                    terms.append(cmul(W[a, i, j], G[j, b, d]))
+                    terms.append(cneg(cmul(Atm[b, i, j], gamma[j, a, d])))
+                    terms.append(cmul(Atm[a, i, j], gamma[j, b, d]))
                 out[i, a, b, d] = csum(terms)
     return out
 
@@ -351,9 +341,9 @@ def abba_defect(g: Algebroid, conn: TMConnection) -> TensorField:
     with R the coordinate curvature of the connection and B the induced
     self-action.  Vanishes identically whenever the pair passes
     ``check_cartan``; exposed so the identity can be exercised directly.
-    The defect is antisymmetric in (a, b): it is built for a <= b (the
-    diagonal is not always canonically zero), from the nonzero anchor
-    products only, and :func:`~cartankit.bundles._skew_table` mirrors it.
+    The defect is antisymmetric in (a, b): it is built for a < b, from the
+    nonzero anchor products only, and
+    :func:`~cartankit.bundles._skew_table` mirrors it.
     """
     if conn.chart != g.chart or conn.rank != g.rank:
         raise ValueError("connection does not target the algebroid")
@@ -363,7 +353,7 @@ def abba_defect(g: Algebroid, conn: TMConnection) -> TensorField:
     r = g.rank
     anchored = [_nonzero(g.rho[:, a]) for a in range(r)]
     built = {}
-    for a, b in combinations_with_replacement(range(r), 2):
+    for a, b in combinations(range(r), 2):
         products = [
             (i, j, cmul(ra, rb)) for i, ra in anchored[a] for j, rb in anchored[b]
         ]
@@ -480,8 +470,8 @@ def _skew_basis(sigma: TensorField):
         E = np.empty((n, n), dtype=object)
         E[...] = ZERO
         for l in range(n):
-            E[j, l] = csum([sigma[l, i]])
-            E[i, l] = csum([cneg(sigma[l, j])])
+            E[j, l] = sigma[l, i]
+            E[i, l] = cneg(sigma[l, j])
         frames.append(E)
     return frames
 
@@ -545,7 +535,7 @@ def _riemann_algebroid(sigma: TensorField, lc: TMConnection, skew):
 
     A = np.empty((rank, n, n), dtype=object)
     for i, b, j in np.ndindex(n, n, n):
-        A[i, b, j] = cneg(_section_form(lc.gamma[j, i, b]))
+        A[i, b, j] = cneg(lc.gamma[j, i, b])
     for p, E in enumerate(skew):
         A[n + p] = E
     psi = _curvature(_directions(chart.coords) + [[]] * len(skew), None, A)
@@ -1644,9 +1634,7 @@ def identity_battery(
     children.append(_battery("dual_round_trip", round_items, chart, policy))
 
     children.append(
-        _tensor_battery(
-            "dual_curvature_exchange", dual_pair_defect(rep), policy, skew=2, diagonal=True
-        )
+        _tensor_battery("dual_curvature_exchange", dual_pair_defect(rep), policy, skew=2)
     )
 
     defects = frame_defects(g, conn)
@@ -1697,10 +1685,9 @@ def identity_battery(
         else:
             if scan.transitive:
                 abba = abba_defect(g, conn)
-                anchored = _tensor_battery(
-                    "anchored_curvature", abba, policy, skew=2, diagonal=True
+                children.append(
+                    _tensor_battery("anchored_curvature", abba, policy, skew=2)
                 )
-                children.append(anchored)
             else:
                 notes.append(
                     "anchored-curvature identity skipped: algebroid is not "

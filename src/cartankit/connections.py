@@ -16,7 +16,7 @@ Index conventions (fixed across the package):
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -414,9 +414,8 @@ def dual_pair_defect(conn: GConnection) -> TensorField:
       defect[a,b,c,d] = R[a,b,c,d] - (D T*)[a,b,d,c]
                         - R*[a,c,b,d] - R*[c,b,a,d]
     which must vanish for every self-target connection.  The defect is
-    antisymmetric in (a, b): it is built for a <= b (the diagonal is not
-    always canonically zero), and :func:`~cartankit.bundles._skew_table`
-    mirrors it.
+    antisymmetric in (a, b): it is built for a < b, and
+    :func:`~cartankit.bundles._skew_table` mirrors it.
     """
     _require_self_target(conn, "dual_pair_defect")
     g = conn.g
@@ -426,7 +425,7 @@ def dual_pair_defect(conn: GConnection) -> TensorField:
     Rs = curvature_g(dual)
     DTs = g_tensor_deriv(torsion_g(dual), rep_g=dual)
     built = {}
-    for a, b in combinations_with_replacement(range(r), 2):
+    for a, b in combinations(range(r), 2):
         for c, d in np.ndindex(r, r):
             exchanged = (cneg(Rs[a, c, b, d]), cneg(Rs[c, b, a, d]))
             built[a, b, c, d] = csum((R[a, b, c, d], cneg(DTs[a, b, d, c])) + exchanged)

@@ -31,7 +31,7 @@ import numpy as np
 from .algebroid import Algebroid, anchor_apply, bracket
 from .bundles import UP, Section, _component_array, _derivative, _directions, as_expr
 from .connections import TMConnection
-from .symcore import ZERO, _section_form, cmul, cneg, csum, diff
+from .symcore import ZERO, cmul, cneg, csum, diff
 
 __all__ = [
     "JetSection",
@@ -204,9 +204,7 @@ def frame_lift_curvature(g: Algebroid, conn: TMConnection) -> np.ndarray:
         + d_i B^d + gamma[i,e,d] B^e
 
     summed over repeated indices.  Each entry is one flat sum of these
-    products, whose factors are the canonical forms that building the
-    lift from sections gives them, so each entry's canonical form is the
-    section-level one.
+    products.
     """
     if conn.chart != g.chart or conn.rank != g.rank:
         raise ValueError("connection does not target the algebroid")
@@ -219,7 +217,7 @@ def frame_lift_curvature(g: Algebroid, conn: TMConnection) -> np.ndarray:
     for a in range(r):
         for d in range(r):
             for i in range(n):
-                phi[a, d, i] = cneg(_section_form(gamma[i, a, d]))
+                phi[a, d, i] = cneg(gamma[i, a, d])
     dphi = np.empty((r, n, r, n), dtype=object)
     for idx in np.ndindex(r, n, r, n):
         a, j, d, i = idx
@@ -228,14 +226,13 @@ def frame_lift_curvature(g: Algebroid, conn: TMConnection) -> np.ndarray:
     drho = np.empty((r, n, n), dtype=object)
     for a in range(r):
         for k in range(n):
-            P = _section_form(rho[k, a])
             for i in range(n):
-                drho[a, i, k] = diff(P, coords[i])
+                drho[a, i, k] = diff(rho[k, a], coords[i])
     # anchored[j]: the frames whose vector field has a d/dx^j component
     anchored = [[e for e in range(r) if rho[j, e] is not ZERO] for j in range(n)]
     out = np.empty((r, r, r, n), dtype=object)
     for a, b in combinations(range(r), 2):
-        B = [_section_form(c[a, b, e]) for e in range(r)]
+        B = c[a, b]
         for d in range(r):
             dB = [diff(B[d], x) for x in coords]
             for i in range(n):

@@ -156,8 +156,7 @@ def flat_sum(terms: Iterable["Expr"]) -> "Expr":
     """One flat ``Add`` of ``terms``: the terms of an uncanonicalized
     ``Add`` are spliced in and literal zeros are left out; ``ZERO`` if
     nothing is left.  The result canonicalizes exactly as ``Add(terms)``
-    does, so it stays an ``Add`` even with one term: ``canon`` spreads a
-    rational multiple of a sum over the sum's terms only inside a sum.
+    does.
 
     This is the raw sum builder: ``+``, ``-`` and the parser go through
     it.  Its canonical counterpart, for canonical terms, is
@@ -169,12 +168,6 @@ def flat_sum(terms: Iterable["Expr"]) -> "Expr":
         elif not _is_literal_zero(e):
             out.append(e)
     return Add(out) if out else ZERO
-
-
-def _section_form(e: "Expr") -> "Expr":
-    """The canonical form a canonical ``e`` takes as a component of a
-    section: a rational multiple of a sum is spread over the sum's terms."""
-    return csum((e,))
 
 
 def _plus(a: "Expr", b: "Expr") -> "Expr":
@@ -891,7 +884,8 @@ def cmul(a: Expr, b: Expr) -> Expr:
 
 
 def cneg(a: Expr) -> Expr:
-    """``canon(-a)`` for canonical ``a``: -a is (-1)*a."""
+    """``canon(-a)`` for canonical ``a``: -a is (-1)*a, so the negation
+    of a sum is the sum of its terms' negations."""
     if a is ZERO:
         return ZERO
     return _interned(("n", _ref(a)), _canon_mul, (_MINUS_ONE, a))
@@ -899,8 +893,7 @@ def cneg(a: Expr) -> Expr:
 
 def csum(terms: Iterable[Expr]) -> Expr:
     """``canon(flat_sum(terms))`` for canonical ``terms``: ``ZERO`` terms
-    are left out, and what is left stays one sum, even of one term (see
-    :func:`flat_sum`)."""
+    are left out, and the sum of one term is that term."""
     kept = tuple(t for t in terms if t is not ZERO)
     return _sum(kept) if kept else ZERO
 
@@ -969,14 +962,6 @@ def _canon_add(parts: tuple) -> Expr:
             stack.extend(reversed(part.terms))
             continue
         coeff, monomial = _split_coeff(part)
-        if type(monomial) is Add:
-            # a rational multiple of a sum is still a sum: fold it in so
-            # that a - a cancels exactly (this is like-term collection,
-            # not distribution of general products)
-            for inner in monomial.terms:
-                c2, m2 = _split_coeff(inner)
-                _collect(coeff * c2, m2)
-            continue
         if monomial is not None and monomial not in collected:
             single[monomial] = part
         _collect(coeff, monomial)
@@ -994,6 +979,25 @@ def _canon_add(parts: tuple) -> Expr:
     return _node(Add, _cons_key("a", terms), terms)
 
 
+def _leads_negative(s: Expr) -> bool:
+    """Whether the canonical sum ``s`` has a negative leading coefficient."""
+    return _split_coeff(s.terms[0])[0] < 0
+
+
+def _scaled_sum(coeff: Number, s: Expr) -> Expr:
+    """The canonical sum ``s`` with each term's coefficient times a nonzero
+    ``coeff``: the monomials, and so the term order, stay."""
+    terms = [_make_term(coeff * c, m) for c, m in map(_split_coeff, s.terms)]
+    return _node(Add, _cons_key("a", terms), terms)
+
+
+# A rational multiple of a sum has one form, whichever way it was built:
+# a lone sum times a number is the sum of the scaled terms, and a sum that
+# is a factor of a product, or the base of a power, leads with a positive
+# coefficient, the sign moving into the product's coefficient.  So -(-s) is
+# s, and x*(-s) + x*s cancels.
+
+
 def _canon_mul(parts: tuple) -> Expr:
     coeff = 1
     powers: dict = {}  # base -> its exponent, in order of arrival
@@ -1009,6 +1013,9 @@ def _canon_mul(parts: tuple) -> Expr:
             continue
         if kind is Pow:
             base, exponent = part.base, part.exponent
+        elif kind is Add and _leads_negative(part):
+            base, exponent = _scaled_sum(-1, part), 1
+            coeff = -coeff
         else:
             base, exponent = part, 1
         powers[base] = powers.get(base, 0) + exponent
@@ -1030,6 +1037,8 @@ def _canon_mul(parts: tuple) -> Expr:
     if not clean:
         return Const(coeff)
     if coeff != 1:
+        if len(clean) == 1 and type(clean[0]) is Add:
+            return _scaled_sum(coeff, clean[0])
         clean.insert(0, Const(coeff))
     if len(clean) == 1:
         return clean[0]
@@ -1060,6 +1069,9 @@ def _canon_pow(base: Expr, exponent: int) -> Expr:
         # 0^negative: left for eval to flag
     elif isinstance(base, Pow):
         return _canon_pow(base.base, base.exponent * exponent)
+    elif isinstance(base, Add) and _leads_negative(base):
+        power = _canon_pow(_scaled_sum(-1, base), exponent)
+        return _canon_mul((_MINUS_ONE, power)) if exponent % 2 else power
     elif isinstance(base, Mul):
         return _canon_mul(tuple(_canon_pow(f, exponent) for f in base.factors))
     return _node(Pow, ("p", _ref(base), exponent), base, exponent)

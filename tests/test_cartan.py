@@ -1374,20 +1374,26 @@ def test_flat_action_batteries_decide_as_the_full_scan(scan_pairs):
         exchange = dual_pair_defect(rep)
         decides_as_the_full_scan(children["dual_curvature_exchange"], exchange, name)
         abba = abba_defect(g, conn)
-        anchored = _tensor_battery(
-            "anchored_curvature", abba, POLICY, skew=2, diagonal=True
-        )
+        anchored = _tensor_battery("anchored_curvature", abba, POLICY, skew=2)
         decides_as_the_full_scan(anchored, abba, (name, "anchored_curvature"))
         if "anchored_curvature" in children:  # a transitive compatible pair
             assert children["anchored_curvature"] == anchored, name
-        # the defects' diagonals alone: built, and not always canonically zero
-        for D in (exchange, abba):
-            out = np.empty(D.shape, dtype=object)
-            for idx in np.ndindex(*D.shape):
-                out[idx] = D[idx] if idx[0] == idx[1] else ZERO
-            T = TensorField(g.chart, D.slots, out)
-            restricted = _tensor_battery("diagonal", T, POLICY, skew=2, diagonal=True)
-            decides_as_the_full_scan(restricted, T, (name, "diagonal"))
+        # Neither defect builds its diagonal: each formula at a == b is
+        # canonically ZERO, from the public tables.
+        dual = dual_connection(rep)
+        R, Rs = curvature_g(rep), curvature_g(dual)
+        DTs = g_tensor_deriv(torsion_g(dual), rep_g=dual)
+        Rtm = curvature_tm(conn)
+        DT = g_tensor_deriv(torsion_g(rep), rep_g=rep)
+        n, r = g.chart.dim, g.rank
+        for a, c, d in np.ndindex(r, r, r):
+            exchange_aa = (R[a, a, c, d], cneg(DTs[a, a, d, c]))
+            exchange_aa += (cneg(Rs[a, c, a, d]), cneg(Rs[c, a, a, d]))
+            assert csum(exchange_aa) is ZERO, (name, "dual_pair_defect", a, c, d)
+            anchored_aa = [cneg(DT[a, a, d, c])]
+            for i, j in np.ndindex(n, n):
+                anchored_aa.append(cmul(cmul(g.rho[i, a], g.rho[j, a]), Rtm[i, j, c, d]))
+            assert csum(anchored_aa) is ZERO, (name, "abba_defect", a, c, d)
         if not v.child("cartan").ok:
             continue
         compatible += 1
@@ -1428,22 +1434,20 @@ def _skew_sorted(args):
     return tuple(sorted(args)), inversions % 2
 
 
-def _assert_mirrors(T, k, diagonal, where):
+def _assert_mirrors(T, k, where):
     """Every entry of ``T`` that its kernel did not build (its leading
-    ``k`` arguments are out of order, or repeat where only strictly
-    increasing ones are built, without ``diagonal``) is ZERO on a
-    repeated argument, and else the very object that the mirror fill
-    writes for its permutation: the built entry, or ``csum((cneg(v),))``
-    of it."""
+    ``k`` arguments do not strictly increase) is ZERO on a repeated
+    argument, and else the very object that the mirror fill writes for
+    its permutation: the built entry, or ``cneg`` of it."""
     mirrors = 0
     for idx in np.ndindex(*T.shape):
         args, rest = idx[:k], idx[k:]
         built, odd = _skew_sorted(args)
-        if len(set(args)) < k and not (diagonal and built == args):
+        if len(set(args)) < k:
             assert T[idx] is ZERO, (where, idx)
         elif built != args:
             value = T[built + rest]
-            assert T[idx] is (csum((cneg(value),)) if odd else value), (where, idx)
+            assert T[idx] is (cneg(value) if odd else value), (where, idx)
             mirrors += 1
     return mirrors
 
@@ -1457,20 +1461,20 @@ def test_mirror_fill_writes_the_negated_sum_of_each_built_entry(scan_pairs):
     for name, (g, conn) in scan_pairs.items():
         rep = induced_rep_on_g(g, conn)
         tables = {
-            "curvature_tm": (curvature_tm(conn), 2, False),
-            "curvature_g": (curvature_g(rep), 2, False),
-            "dual_pair_defect": (dual_pair_defect(rep), 2, True),
-            "abba_defect": (abba_defect(g, conn), 2, True),
+            "curvature_tm": (curvature_tm(conn), 2),
+            "curvature_g": (curvature_g(rep), 2),
+            "dual_pair_defect": (dual_pair_defect(rep), 2),
+            "abba_defect": (abba_defect(g, conn), 2),
         }
         if is_flat_g(rep, POLICY).ok:
             theta = cartan._random_one_form(g, 0)
             d1 = exterior_derivative(rep, theta, POLICY)
             decomp = dtheta_decomposition(rep, theta, rep, POLICY)
-            tables["d"] = (d1, 2, False)
-            tables["dd"] = (exterior_derivative(rep, d1, POLICY), 3, False)
-            tables["dtheta_decomposition"] = (decomp, 2, False)
-        for what, (T, k, diagonal) in tables.items():
-            mirrors[what] += _assert_mirrors(T, k, diagonal, (name, what))
+            tables["d"] = (d1, 2)
+            tables["dd"] = (exterior_derivative(rep, d1, POLICY), 3)
+            tables["dtheta_decomposition"] = (decomp, 2)
+        for what, (T, k) in tables.items():
+            mirrors[what] += _assert_mirrors(T, k, (name, what))
     assert all(mirrors[what] for what in ("curvature_tm", "abba_defect", "dd")), mirrors
 
 

@@ -1,4 +1,5 @@
-"""Source gate: every name a package module imports is used.
+"""Source gates: every name a package module imports is used, and no
+module outside the kernel decides the form of a negated or scaled sum.
 
 No linter ships with the test environment, so this walks the syntax
 tree: a name bound by an import must be read as a name somewhere in the
@@ -35,3 +36,35 @@ def test_package_modules_import_nothing_unused():
         if (names := _unused_imports(ast.parse(path.read_text())))
     }
     assert unused == {}
+
+
+def _form_workarounds(tree: ast.Module) -> list:
+    """``csum`` of a one-term tuple or list literal, which is that term,
+    and imports of ``_section_form``: ways around the kernel's one form
+    of a negated or scaled sum."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "csum" and len(node.args) == 1:
+                arg = node.args[0]
+                if (
+                    isinstance(arg, (ast.Tuple, ast.List))
+                    and len(arg.elts) == 1
+                    and not isinstance(arg.elts[0], ast.Starred)
+                ):
+                    found.append(f"line {node.lineno}: csum of one term")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(a.name.split(".")[-1] == "_section_form" for a in node.names):
+                found.append(f"line {node.lineno}: imports _section_form")
+    return found
+
+
+def test_package_modules_leave_the_form_of_a_sum_to_symcore():
+    workarounds = {
+        path.name: found
+        for path in sorted(SRC.glob("*.py"))
+        if (found := _form_workarounds(ast.parse(path.read_text())))
+    }
+    assert workarounds == {}

@@ -183,11 +183,12 @@ def test_operators_drop_literal_zeros():
     assert 0 - x == Add((Neg(x),))
     assert Const(0) + Const(0) is symcore.ZERO
     assert (x + y) + 0 == x + y
-    # A sum of one term, not the bare term: canon spreads a rational
-    # multiple of a sum over its terms only inside a sum.
+    # A rational multiple of a sum has one form, inside a sum or not
     negated = Neg(x + y)
     assert to_text(canon(Const(0) + negated)) == "-x - y"
-    assert to_text(canon(negated)) == "(-1)*(x + y)"
+    assert to_text(canon(negated)) == "-x - y"
+    assert canon(y * (0 - (x + y)) + y * (x + y)) is symcore.ZERO
+    assert canon(y * negated + y * (x + y)) is symcore.ZERO
 
 
 # -- hash-consing ------------------------------------------------------------
@@ -676,19 +677,30 @@ _INNER_FORM = Mul((Call("sin", Sym("x")), Sym("y")))  # sin(x)*y, kept as it is
 # it is: 1 * sin(x)*y, and the one-term sum of sin(x)*y
 @example([Const(1), _INNER_FORM])
 @example([_INNER_FORM])
+# a negated sum, and a product with a sum that leads with a negative
+# coefficient: -1 - x against x
+@example([Neg(Add((Const(1), Sym("x"))))])
+@example([Add((Const(-1), Neg(Sym("x")))), Sym("x")])
 @settings(max_examples=200, deadline=None)
 def test_canonical_constructors_match_canon_of_the_raw_node(operands):
     # Each side in its own table, so neither reads the other's entries.
     # canon's walk builds each node with its kind's constructor, so this
     # checks what the constructors add: the ZERO short-circuits and csum's
-    # handling of its term list.
+    # handling of its term list.  Negation and scaling are canonical too:
+    # one form for -(-e), a one-term sum and a product with a negation.
     with _fresh_table():
         forms = [canon(_rebuild(e)) for e in operands]
         built = [symcore.csum(forms)]
         if forms:
-            built.append(symcore.cneg(forms[0]))
+            e = forms[0]
+            built.append(symcore.cneg(e))
+            assert symcore.cneg(symcore.cneg(e)) is e
+            assert symcore.csum((e,)) is e
+            assert symcore.csum((symcore.cneg(e),)) is symcore.cneg(e)
         if len(forms) >= 2:
-            built.append(symcore.cmul(forms[0], forms[1]))
+            f = forms[1]
+            built.append(symcore.cmul(e, f))
+            assert symcore.cmul(f, symcore.cneg(e)) is symcore.cneg(symcore.cmul(f, e))
     with _fresh_table():
         raw = [_rebuild(e) for e in operands]
         reference = [canon(symcore.flat_sum(raw))]
