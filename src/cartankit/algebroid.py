@@ -115,7 +115,6 @@ class Algebroid:
         rho,
         structure,
         origin: str = "direct",
-        lie_algebra: Optional[LieAlgebra] = None,
     ):
         if rank < 1:
             raise ValueError("rank must be positive")
@@ -135,7 +134,6 @@ class Algebroid:
         self.rho = _component_array(chart, rho)
         self.structure = _component_array(chart, structure)
         self.origin = origin
-        self.lie_algebra = lie_algebra
 
     def frame_section(self, a: int) -> Section:
         comps = [Const(1) if b == a else Const(0) for b in range(self.rank)]
@@ -341,9 +339,7 @@ def build_action_algebroid(
         [[Const(algebra.structure[a, b, c]) for c in range(r)] for b in range(r)]
         for a in range(r)
     ]
-    return Algebroid(
-        chart, r, rho, structure, origin="action", lie_algebra=algebra
-    )
+    return Algebroid(chart, r, rho, structure, origin="action")
 
 
 def build_poisson_algebroid(
@@ -391,9 +387,7 @@ def build_poisson_algebroid(
         [[diff(pi[a, b], chart.coords[k]) for k in range(n)] for b in range(n)]
         for a in range(n)
     ]
-    out = Algebroid(chart, n, rho, structure, origin="poisson")
-    out.poisson = pi
-    return out
+    return Algebroid(chart, n, rho, structure, origin="poisson")
 
 
 def build_foliation_algebroid(

@@ -278,7 +278,7 @@ def _fraction_cube(table, path: str) -> list:
             vals = []
             for c, v in enumerate(row):
                 try:
-                    vals.append(Fraction(v) if isinstance(v, str) else Fraction(v))
+                    vals.append(Fraction(v))
                 except (ValueError, ZeroDivisionError, TypeError) as exc:
                     raise SpecError(
                         f"bad rational constant {v!r}: {exc}",

@@ -28,7 +28,6 @@ from cartankit.algebroid import (
 )
 from cartankit.bundles import TM, UP, Section, TensorField, _tensor_battery, as_expr
 from cartankit.cartan import (
-    Parallelism,
     _random_one_form,
     dtheta_decomposition,
     exterior_derivative,
@@ -58,7 +57,7 @@ from cartankit.connections import (
 from cartankit.jet import jet_bracket, splitting_from_connection
 from cartankit.algebroid import bracket
 from cartankit.symcore import Chart, Const, ZeroPolicy, canon, diff, is_zero
-from test_cartan import assert_frame_defects_match_references
+from test_cartan import assert_frame_defects_match_references, sheared_parallelism
 from test_algebroid import so3_algebra
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -571,13 +570,9 @@ def test_built_tensors_are_antisymmetric_by_construction(catalog, corpus_pairs):
     # the coframe curvature tensor: the corpus coframe (curvature form
     # zero) and a sheared one whose curvature form is not
     ws = Workspace(load_spec(CORPUS / "affine_group_parallelism.json"), POLICY)
-    chart = Chart(("x", "y"), [(0, 1), (0, 1)])
-    st = np.zeros((2, 2, 2), dtype=int)
-    st[0, 1, 1], st[1, 0, 1] = 1, -1
-    sheared = Parallelism(chart, LieAlgebra(2, st), [["1", "x"], ["y", "1+x"]])
     reports = {
         "affine coframe": parallelism_report(ws.parallelism(), POLICY),
-        "sheared coframe": parallelism_report(sheared, POLICY),
+        "sheared coframe": parallelism_report(sheared_parallelism(), POLICY),
     }
     assert not reports["sheared coframe"].model_flat
     for name, report in reports.items():

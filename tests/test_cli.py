@@ -427,8 +427,10 @@ def test_coframe_whose_determinant_changes_sign_is_rejected(capsys, tmp_path):
 
 def test_coframe_with_an_undecidable_flatness_battery_is_undecidable(capsys, tmp_path):
     # sqrt(x-2) is undefined on the whole box, so no zero test on the
-    # induced connection's curvature can be decided; the determinant
-    # (1+y)(1+x) has no such factor, so validate passes.
+    # covariant derivative of the coframe's curvature can be decided (the
+    # induced connection's flatness holds by construction and is not
+    # tested); the determinant (1+y)(1+x) has no such factor, so validate
+    # passes.
     doc = {
         "spec_version": 1,
         "chart": {"coords": ["x", "y"], "box": [[0, 1], [0, 1]]},
@@ -450,10 +452,35 @@ def test_coframe_with_an_undecidable_flatness_battery_is_undecidable(capsys, tmp
         "undecidable",
         "undecidable",
     )
-    assert check["detail"] == "flat_connection"
+    assert check["detail"] == "theorem_c"
     children = {c["name"]: c["status"] for c in check["children"]}
-    assert children["flat_connection"] == "undecidable"
     assert children["theorem_c"] == "undecidable"
+
+
+# test_cartan.sheared_parallelism as a spec: model c^1_01 = 1 on [0,1]^2
+SHEARED_COFRAME = {
+    "spec_version": 1,
+    "chart": {"coords": ["x", "y"], "box": [[0, 1], [0, 1]]},
+    "parallelism": {
+        "omega": [["1", "x"], ["y", "1+x"]],
+        "structure": [[[0, 0], [0, 1]], [[0, -1], [0, 0]]],
+    },
+}
+
+
+@pytest.mark.parametrize("spec", ["sphere", "sheared_coframe"])
+def test_check_at_zero_tolerance_prints_a_report(capsys, tmp_path, spec):
+    # with --tol 0 a rounding residue fails a sampled zero test; the
+    # verdict reports that as a failure, and no identity that holds by
+    # construction is asserted on the way
+    path = (
+        str(CORPUS / "sphere.json")
+        if spec == "sphere"
+        else write_doc(tmp_path, SHEARED_COFRAME)
+    )
+    code, rep = invoke(capsys, "check", path, "--tol", "0")
+    assert code in (0, 1)
+    assert rep["tol"] == 0.0 and rep["checks"]
 
 
 def test_action_field_with_a_pole_inside_the_box_is_rejected(capsys, tmp_path):
@@ -667,12 +694,7 @@ def test_check_sphere_riemann_passes(capsys):
     assert verdict["status"] == "pass"
     assert any("homogeneous" in n for n in verdict["notes"])
     child_names = [c["name"] for c in verdict["children"]]
-    assert child_names == [
-        "metric_compatibility",
-        "h_invariance",
-        "curvature_parallel",
-        "lift_curvature_identity",
-    ]
+    assert child_names == ["h_invariance", "curvature_parallel"]
 
 
 def test_check_ellipsoid_riemann_fails_with_witness(capsys):
@@ -707,7 +729,7 @@ def test_check_hyperbolic_3_space_is_homogeneous(capsys, tmp_path):
     assert code == 0
     [verdict] = rep["checks"]
     assert (verdict["name"], verdict["status"]) == ("riemann", "pass")
-    assert [c["status"] for c in verdict["children"]] == ["pass"] * 4
+    assert [c["status"] for c in verdict["children"]] == ["pass"] * 2
     assert any("homogeneous" in n for n in verdict["notes"])
 
 

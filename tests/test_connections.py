@@ -44,6 +44,7 @@ from cartankit.connections import (
 from cartankit.jet import JetSection
 from cartankit.symcore import Call, Chart, Const, Sym, ZeroPolicy, canon, diff, is_zero, parse
 from test_algebroid import abelian_algebra, so3_algebra
+from test_cartan import METRIC_NAMES, named_metric
 
 R2 = Chart(("x", "y"), [(-1, 1), (-1, 1)])
 R3 = Chart(("x", "y", "z"), [(-1, 1), (-1, 1), (-1, 1)])
@@ -156,8 +157,10 @@ def test_metric_inverse_of_sphere():
 # ----------------------------------------------------------- tensor calculus
 
 
-def test_metricity_of_levi_civita():
-    sigma = sphere_metric()
+@pytest.mark.parametrize("name", METRIC_NAMES)
+def test_metricity_of_levi_civita(name):
+    # holds by construction, so the metric verdict does not re-check it
+    sigma = named_metric(name)
     grad = tensor_cov_deriv(christoffel(sigma), sigma)
     verdict = _tensor_battery("metricity", grad, ZeroPolicy())
     assert verdict.ok, f"metricity fails at {verdict.detail}: {verdict}"

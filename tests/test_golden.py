@@ -326,12 +326,15 @@ def test_rejection_report_matches_golden(capsys, monkeypatch, tmp_path, command,
 def test_metric_check_builds_no_isometry_algebroid(capsys, monkeypatch):
     # check prints the homogeneity verdict only, which reads the
     # Levi-Civita curvature; the isometry algebroid and its Cartan
-    # connection are built for identities and the pair pipelines alone
+    # connection are built for identities and the pair pipelines alone,
+    # and the jet-lift curvature, whose identity with it holds by
+    # construction, for the compatibility check alone
     def refuse(*args, **kwargs):
         raise AssertionError("check built the isometry algebroid")
 
     monkeypatch.setattr(cartan, "_riemann_algebroid", refuse)
     monkeypatch.setattr(cartan, "_reductive_connection", refuse)
+    monkeypatch.setattr(cartan, "frame_lift_curvature", refuse)
     monkeypatch.chdir(ROOT)
     report = _report(capsys, "check", "corpus/sphere.json")
     assert report == (GOLDEN / "corpus" / "check-sphere.json").read_text()
