@@ -415,7 +415,7 @@ def build_foliation_algebroid(
             raise ValueError("frame entries must be vector fields on one chart")
 
     # pointwise independence on the box, then the midpoint (last row)
-    points = chart.sample_points(policy.samples, policy.seed)
+    points = chart.sample_set(policy.samples, policy.seed).points
     cols = np.empty((n, k), dtype=object)
     for i in range(n):
         for a in range(k):
@@ -516,7 +516,7 @@ def orbit_scan(g: Algebroid, samples: int = 32, seed: int = 0) -> OrbitScan:
     undefined at a sample raises the :class:`DomainError` of the first
     such sample, as :func:`orbit_rank` would there.
     """
-    points = g.chart.sample_points(samples, seed)
+    points = g.chart.sample_set(samples, seed).points
     batch = evaluate_batch(g.rho.ravel(), g.chart.coords, points)
     if batch.invalid.any():
         raise batch.domain_error(int(np.argmax(batch.invalid)))

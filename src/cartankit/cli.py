@@ -104,45 +104,15 @@ def _load_schema() -> dict:
 def schema_errors(doc) -> List[Tuple[str, str]]:
     """Sorted (pointer, message) pairs; empty means structurally valid.
 
-    Validity is decided by :func:`_conforms`; jsonschema runs only on a
-    document that check does not accept, so every rejection carries
-    jsonschema's own message and pointer."""
+    One walk of the schema, :func:`_errors`, decides and words each
+    rejection as jsonschema 4.26's ``Draft7Validator`` does (its
+    ``absolute_path`` and ``message``), with no validator library."""
     schema = _load_schema()
-    if _conforms(doc, schema):
-        return []
-    import jsonschema
-
-    validator = jsonschema.Draft7Validator(schema)
-    found = []
-    for err in validator.iter_errors(doc):
-        found.append((_pointer(err.absolute_path), err.message))
-    found.sort()
-    return found
-
-
-class _Unsupported(Exception):
-    """A schema keyword or a value type that :func:`_conforms` does not
-    interpret."""
-
-
-def _conforms(doc, schema: dict) -> bool:
-    """Whether ``doc`` is valid under the Draft-7 ``schema``, decided
-    without jsonschema for the keywords the spec schema uses.
-
-    On JSON values each keyword means what it means to jsonschema's
-    ``Draft7Validator`` (``True`` is not the integer 1, ``2.0`` is an
-    integer, ``pattern`` is ``re.search``), so a True answer is
-    jsonschema's.  Any other keyword, a non-local ``$ref``, or a value
-    that JSON cannot hold gives False, and the caller asks jsonschema."""
-    try:
-        return _matches(doc, schema, schema)
-    except _Unsupported:
-        return False
+    return sorted((_pointer(path), words()) for path, words in _errors(doc, schema, schema, ()))
 
 
 # annotations: they constrain nothing
 _ANNOTATIONS = frozenset(("$schema", "$id", "title", "description", "definitions"))
-_JSON_SCALARS = (str, int, float, bool, type(None))
 _JSON_TYPES = {
     "object": lambda v: type(v) is dict,
     "array": lambda v: type(v) is list,
@@ -154,93 +124,116 @@ _JSON_TYPES = {
 }
 
 
+def _errors(value, schema, root, path) -> list:
+    """The (path tuple, message) pairs by which the JSON value ``value``
+    (all that :func:`load_spec` hands over) breaks the Draft-7
+    ``schema``; ``root`` resolves local ``$ref``s.  ``_KEYWORDS`` means
+    and words each keyword as jsonschema 4.26 does (``True`` is not 1,
+    ``2.0`` is an integer, ``pattern`` is ``re.search``) on schemas of
+    the spec schema's shape: object subschemas, one ``items`` schema,
+    scalar ``const`` and ``enum`` values.  Each message is a function
+    that formats it, so ``oneOf``, which only counts its branches'
+    errors, and a valid spec format none."""
+    if "$ref" in schema:  # Draft 7: $ref's siblings are ignored
+        target = root
+        for part in schema["$ref"][2:].split("/"):
+            target = target[part]
+        return _errors(value, target, root, path)
+    found = []
+    for key, rule in schema.items():
+        if key not in _ANNOTATIONS:
+            found += _KEYWORDS[key](value, rule, schema, root, path)
+    return found
+
+
 def _json_equal(value, const) -> bool:
-    # jsonschema's equality: True and 1 differ, 1 and 1.0 do not
-    if type(const) not in _JSON_SCALARS:
-        raise _Unsupported("const or enum value that is not a scalar")
+    # jsonschema's equality with a scalar: True and 1 differ, 1 and 1.0 do not
     return value == const and (type(value) is bool) == (type(const) is bool)
 
 
-def _is_type(value, name) -> bool:
-    if name not in _JSON_TYPES:
-        raise _Unsupported(f"type {name!r}")
-    return _JSON_TYPES[name](value)
+def _listed(rule) -> list:
+    return [rule] if type(rule) is str else rule
 
 
-def _matches(value, schema, root) -> bool:
-    if type(schema) is bool:
-        return schema
-    if type(value) not in (dict, list) + _JSON_SCALARS:
-        raise _Unsupported(f"value of type {type(value).__name__}")
-    if "$ref" in schema:  # Draft 7: $ref's siblings are ignored
-        ref = schema["$ref"]
-        if not ref.startswith("#/") or "~" in ref or "%" in ref:
-            raise _Unsupported(f"$ref {ref!r}")
-        target = root
-        for part in ref[2:].split("/"):
-            target = target[part]
-        return _matches(value, target, root)
-    for key, rule in schema.items():
-        if key in _ANNOTATIONS:
-            continue
-        check = _KEYWORDS.get(key)
-        if check is None:
-            raise _Unsupported(f"keyword {key!r}")
-        if not check(value, rule, schema, root):
-            return False
-    return True
+def _too_short(value, bound) -> str:
+    return f"{value!r} {'should be non-empty' if bound == 1 else 'is too short'}"
 
 
-def _properties_match(value, properties, schema, root) -> bool:
-    return type(value) is not dict or all(
-        _matches(value[name], sub, root)
-        for name, sub in properties.items()
-        if name in value
+def _leaf(fails, words):
+    """A keyword on the value itself: ``fails(value, rule)`` decides it,
+    and ``words(value, rule)`` is the message."""
+    return lambda v, rule, schema, root, path: (
+        [(path, lambda: words(v, rule))] if fails(v, rule) else []
     )
 
 
-def _additional_match(value, rule, schema, root) -> bool:
+def _additional_errors(value, rule, schema, root, path) -> list:
     if type(value) is not dict:
-        return True
+        return []
     declared = schema.get("properties", {})
-    extras = [name for name in value if name not in declared]
-    if type(rule) is bool:
-        return rule or not extras
-    return all(_matches(value[name], rule, root) for name in extras)
+    extras = sorted((name for name in value if name not in declared), key=str)
+    if type(rule) is dict:
+        return [e for name in extras for e in _errors(value[name], rule, root, path + (name,))]
+    if rule or not extras:
+        return []
+    words = "Additional properties are not allowed (%s %s unexpected)"
+    verb = "was" if len(extras) == 1 else "were"
+    return [(path, lambda: words % (", ".join(map(repr, extras)), verb))]
 
 
-def _items_match(value, rule, schema, root) -> bool:
-    if type(rule) is list:
-        raise _Unsupported("items given as a list")
-    return type(value) is not list or all(_matches(v, rule, root) for v in value)
+def _one_of_errors(value, branches, schema, root, path) -> list:
+    valid = [sub for sub in branches if not _errors(value, sub, root, path)]
+    if len(valid) == 1:
+        return []
+    if not valid:
+        return [(path, lambda: f"{value!r} is not valid under any of the given schemas")]
+    # jsonschema names the later valid branches first, then the first one
+    each = valid[1:] + valid[:1]
+    return [(path, lambda: f"{value!r} is valid under each of {', '.join(map(repr, each))}")]
 
-
-def _one_of_matches(value, branches, schema, root) -> bool:
-    return sum(_matches(value, sub, root) for sub in branches) == 1
-
-
-_NUMBER = _JSON_TYPES["number"]
 
 _KEYWORDS = {
-    "type": lambda v, rule, schema, root: any(
-        _is_type(v, name) for name in ([rule] if type(rule) is str else rule)
+    "type": _leaf(
+        lambda v, rule: not any(_JSON_TYPES[name](v) for name in _listed(rule)),
+        lambda v, rule: f"{v!r} is not of type {', '.join(map(repr, _listed(rule)))}",
     ),
-    "const": lambda v, rule, schema, root: _json_equal(v, rule),
-    "enum": lambda v, rule, schema, root: any(_json_equal(v, c) for c in rule),
-    "pattern": lambda v, rule, schema, root: (
-        type(v) is not str or re.search(rule, v) is not None
+    "const": _leaf(lambda v, rule: not _json_equal(v, rule), lambda v, rule: f"{rule!r} was expected"),
+    "enum": _leaf(
+        lambda v, rule: not any(_json_equal(v, c) for c in rule),
+        lambda v, rule: f"{v!r} is not one of {rule!r}",
     ),
-    "minimum": lambda v, rule, schema, root: not (_NUMBER(v) and v < rule),
-    "minLength": lambda v, rule, schema, root: type(v) is not str or len(v) >= rule,
-    "minItems": lambda v, rule, schema, root: type(v) is not list or len(v) >= rule,
-    "maxItems": lambda v, rule, schema, root: type(v) is not list or len(v) <= rule,
-    "items": _items_match,
-    "properties": _properties_match,
-    "required": lambda v, rule, schema, root: (
-        type(v) is not dict or all(name in v for name in rule)
+    "pattern": _leaf(
+        lambda v, rule: type(v) is str and not re.search(rule, v),
+        lambda v, rule: f"{v!r} does not match {rule!r}",
     ),
-    "additionalProperties": _additional_match,
-    "oneOf": _one_of_matches,
+    "minimum": _leaf(
+        lambda v, rule: _JSON_TYPES["number"](v) and v < rule,
+        lambda v, rule: f"{v!r} is less than the minimum of {rule!r}",
+    ),
+    "minLength": _leaf(lambda v, rule: type(v) is str and len(v) < rule, _too_short),
+    "minItems": _leaf(lambda v, rule: type(v) is list and len(v) < rule, _too_short),
+    "maxItems": _leaf(
+        lambda v, rule: type(v) is list and len(v) > rule,
+        lambda v, rule: f"{v!r} {'is expected to be empty' if rule == 0 else 'is too long'}",
+    ),
+    "items": lambda v, rule, schema, root, path: [
+        e
+        for i, item in enumerate(v if type(v) is list else ())
+        for e in _errors(item, rule, root, path + (i,))
+    ],
+    "properties": lambda v, rule, schema, root, path: [
+        e
+        for name, sub in (rule.items() if type(v) is dict else ())
+        if name in v
+        for e in _errors(v[name], sub, root, path + (name,))
+    ],
+    "required": lambda v, rule, schema, root, path: [
+        (path, lambda name=name: f"{name!r} is a required property")
+        for name in (rule if type(v) is dict else ())
+        if name not in v
+    ],
+    "additionalProperties": _additional_errors,
+    "oneOf": _one_of_errors,
 }
 
 

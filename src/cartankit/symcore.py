@@ -1554,6 +1554,10 @@ class Chart:
     construction so a bad box is caught early.  The guard scan draws a
     fixed 64 samples at seed 1: a chart exists before any request's
     policy, so ``--samples`` and ``--seed`` do not reach it.
+
+    The chart draws its samples once per (count, seed): the zero test,
+    the box scans (:meth:`vanishing_witness`) and the frame and orbit
+    scans all read :meth:`sample_set`.
     """
 
     def __init__(
@@ -1634,7 +1638,7 @@ class Chart:
         point, else of the first sample whose sign is opposite to the
         midpoint's.
         """
-        grid = np.vstack([self.sample_points(count, seed), [self.midpoint()]])
+        grid = np.vstack([self.sample_set(count, seed).points, [self.midpoint()]])
         batch = evaluate_batch([e], self.coords, grid)
         if batch.invalid.any():
             raise batch.domain_error(int(np.argmax(batch.invalid)))

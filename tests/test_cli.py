@@ -16,10 +16,10 @@ import sysconfig
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cartankit import cli
-from cartankit.cli import GeometrySpec, _conforms, _load_schema, load_spec, run, schema_errors
+from cartankit.cli import GeometrySpec, _load_schema, load_spec, run, schema_errors
 from cartankit.symcore import Chart
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -72,9 +72,8 @@ def _spec_docs():
 
 
 def test_fast_schema_check_accepts_every_corpus_and_golden_spec():
-    schema = _load_schema()
     for doc in _spec_docs():
-        assert _conforms(doc, schema), doc.get("name")
+        assert schema_errors(doc) == [], doc.get("name")
 
 
 def _containers(doc):
@@ -131,15 +130,129 @@ def _mutated_spec(draw):
     return doc
 
 
+def _sphere(drop=(), **changes):
+    """The sphere corpus spec with the keys ``drop`` removed and
+    ``changes`` set."""
+    doc = json.loads((CORPUS / "sphere.json").read_text())
+    for key in drop:
+        del doc[key]
+    doc.update(changes)
+    return doc
+
+
+_SPHERE_BOX = [["1/2", "5/2"], [0, 3]]
+
+# one rejected document per wording the spec schema can give, with the
+# (pointer, message) pairs jsonschema 4.26 reports for it
+SCHEMA_REJECTIONS = {
+    "emptied_array": (_sphere(metric=[]), [("/metric", "[] should be non-empty")]),
+    "one_number_interval": (
+        _sphere(chart={"coords": ["theta", "phi"], "box": [[0], [0, 3]]}),
+        [("/chart/box/0", "[0] is too short")],
+    ),
+    "one_unknown_key": (
+        _sphere(zz=1),
+        [("", "Additional properties are not allowed ('zz' was unexpected)")],
+    ),
+    "two_unknown_keys": (
+        _sphere(zz=1, aa=[0]),
+        [("", "Additional properties are not allowed ('aa', 'zz' were unexpected)")],
+    ),
+    "true_scalar": (
+        _sphere(metric=[[True, "0"], ["0", "1"]]),
+        [("/metric/0/0", "True is not valid under any of the given schemas")],
+    ),
+    "spec_version_2": (_sphere(spec_version=2), [("/spec_version", "1 was expected")]),
+    "connection_target": (
+        _sphere(connections={"c": {"target": "x", "gamma": [[["0", "0"]]]}}),
+        [("/connections/c/target", "'x' is not one of ['tm', 'algebroid']")],
+    ),
+    "coordinate_1y": (
+        _sphere(chart={"coords": ["1y", "phi"], "box": _SPHERE_BOX}),
+        [("/chart/coords/0", "'1y' does not match '^[A-Za-z_][A-Za-z0-9_]*$'")],
+    ),
+    "rank_0": (
+        _sphere(algebroid={"rank": 0, "anchor": [["1"]], "structure": [[["0"]]]}),
+        [("/algebroid/rank", "0 is less than the minimum of 1")],
+    ),
+    "missing_chart": (_sphere(drop=["chart"]), [("", "'chart' is a required property")]),
+    "string_for_object": (_sphere(chart="S2"), [("/chart", "'S2' is not of type 'object'")]),
+}
+
+
+@pytest.mark.parametrize("doc, expected", SCHEMA_REJECTIONS.values(), ids=SCHEMA_REJECTIONS)
+def test_schema_rejections_are_worded_as_jsonschema_words_them(doc, expected):
+    assert schema_errors(doc) == expected
+
+
+def _examples(test):
+    for doc, _ in SCHEMA_REJECTIONS.values():
+        test = example(doc)(test)
+    return test
+
+
+def _jsonschemas_errors(value, schema):
+    """jsonschema's sorted (pointer, message) pairs: the wording oracle."""
+    jsonschema = pytest.importorskip(
+        "jsonschema", reason="jsonschema 4.26 is the oracle of the schema walk's wording"
+    )
+    return sorted(
+        (cli._pointer(e.absolute_path), e.message)
+        for e in jsonschema.Draft7Validator(schema).iter_errors(value)
+    )
+
+
+@_examples
 @settings(max_examples=300, deadline=None)
 @given(_mutated_spec())
 def test_fast_schema_check_decides_as_jsonschema(doc):
-    # on JSON documents the check is exact: it accepts what jsonschema
-    # accepts, and above all never what jsonschema rejects
-    import jsonschema
+    # the one schema walk words every rejection as jsonschema does: the
+    # same sorted (pointer, message) pairs, and none for a valid spec
+    assert schema_errors(doc) == _jsonschemas_errors(doc, _load_schema())
 
-    schema = _load_schema()
-    assert _conforms(doc, schema) == jsonschema.Draft7Validator(schema).is_valid(doc)
+
+# schemas off the spec schema, for the wordings it cannot reach
+_OFF_SCHEMA_CASES = {
+    "valid_under_two_branches": ({"oneOf": [{"type": "number"}, {"type": "integer"}, {"minimum": 9}]}, 1),
+    "valid_under_no_branch": ({"oneOf": [{"type": "string"}, {"type": "integer"}]}, 0.5),
+    "too_short_and_not_empty": ({"minItems": 2, "maxItems": 0}, [1]),
+    "too_long": ({"maxItems": 1}, [1, 2]),
+    "string_too_short": ({"minLength": 2}, "x"),
+    "empty_string": ({"minLength": 1}, ""),
+    "type_list": ({"type": ["string", "null"]}, 1),
+    "additional_schema": (
+        {"properties": {"a": {"type": "integer"}}, "additionalProperties": {"type": "string"}},
+        {"a": 2.0, "b": 1, "c": "ok"},
+    ),
+    "enum_true_is_not_1": ({"enum": [1, "a"]}, True),
+}
+
+
+@pytest.mark.parametrize("schema, value", _OFF_SCHEMA_CASES.values(), ids=_OFF_SCHEMA_CASES)
+def test_schema_walk_words_other_schemas_as_jsonschema(schema, value):
+    walked = sorted((cli._pointer(path), words()) for path, words in cli._errors(value, schema, schema, ()))
+    assert walked == _jsonschemas_errors(value, schema)
+
+
+def _schema_keywords(schema):
+    """Every keyword the spec schema uses, below every subschema."""
+    if isinstance(schema, dict):
+        yield from schema
+        for key, sub in schema.items():
+            if key in ("properties", "definitions"):
+                for each in sub.values():
+                    yield from _schema_keywords(each)
+            elif key in ("items", "additionalProperties"):
+                yield from _schema_keywords(sub)
+            elif key == "oneOf":
+                for each in sub:
+                    yield from _schema_keywords(each)
+
+
+def test_schema_walk_interprets_every_keyword_of_the_spec_schema():
+    # $ref is followed by the walk itself, not looked up in the table
+    used = set(_schema_keywords(_load_schema())) - cli._ANNOTATIONS
+    assert used == set(cli._KEYWORDS) | {"$ref"}
 
 
 def test_corpus_round_trips_exactly():
@@ -1007,25 +1120,44 @@ def test_holonomy_runs_without_scipy():
     assert out.split() == ["0", "[]"]
 
 
-def test_valid_specs_do_not_import_jsonschema():
-    # jsonschema only explains a rejection; a fresh interpreter, so no
-    # other test's imports count
+def test_no_spec_imports_jsonschema(tmp_path):
+    # the schema walk decides and words every rejection itself: valid
+    # specs and schema-rejected ones alike run with no jsonschema, in a
+    # fresh interpreter, so no other test's imports count
+    unknown = json.loads((CORPUS / "sphere.json").read_text())
+    unknown["zz"] = 1
+    bad_coord = json.loads((CORPUS / "sphere.json").read_text())
+    bad_coord["chart"]["coords"][0] = "1y"
+    rejected = [write_doc(tmp_path, unknown, "unknown.json"), write_doc(tmp_path, bad_coord, "coord.json")]
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from cartankit.cli import run\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [run(['validate', 'corpus/sphere.json']),\n"
         "             run(['validate', 'corpus/so3_action.json']),\n"
         "             run(['holonomy', 'corpus/hyperbolic.json', '--point', '0', '1.5',\n"
         "                  '--plane', '0', '1', '--side', '0.02', '--steps', '16'])]\n"
-        "print(codes, 'jsonschema' in sys.modules)\n"
+        "errors = []\n"
+        f"for spec in {rejected!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        codes.append(run(['validate', spec]))\n"
+        "    errors += json.loads(out.getvalue())['errors']\n"
+        "print(json.dumps([codes, errors, 'jsonschema' in sys.modules]))\n"
     )
     root = CORPUS.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.split() == ["[0,", "0,", "0]", "False"]
+    assert json.loads(out) == [
+        [0, 0, 0, 2, 2],
+        [
+            {"message": "Additional properties are not allowed ('zz' was unexpected)"},
+            {"message": "'1y' does not match '^[A-Za-z_][A-Za-z0-9_]*$'", "path": "/chart/coords/0"},
+        ],
+        False,
+    ]
 
 
 def test_package_copied_out_of_the_checkout_finds_its_schema(tmp_path):

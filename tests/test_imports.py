@@ -1,6 +1,7 @@
 """Source gates: every name a package module imports is used, no
 module outside the kernel decides the form of a negated or scaled sum,
-and no module asserts an identity per request.
+no module asserts an identity per request, and the package neither
+imports nor declares jsonschema.
 
 No linter ships with the test environment, so this walks the syntax
 tree: a name bound by an import must be read as a name somewhere in the
@@ -8,6 +9,7 @@ module, or be re-exported through its ``__all__``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cartankit"
@@ -93,3 +95,32 @@ def test_package_modules_raise_no_assertion_error():
         if (found := _assertion_raises(ast.parse(path.read_text())))
     }
     assert raises == {}
+
+
+def _jsonschema_imports(tree: ast.Module) -> list:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m.split(".")[0] == "jsonschema" for m in modules):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_package_neither_imports_nor_depends_on_jsonschema():
+    # cli interprets the spec schema itself; jsonschema is only the
+    # tests' oracle for its wording
+    imports = {
+        path.name: found
+        for path in sorted(SRC.glob("*.py"))
+        if (found := _jsonschema_imports(ast.parse(path.read_text())))
+    }
+    assert imports == {}
+    # the [project] table's dependency list (tomllib is Python 3.11+)
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text()
+    dependencies = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    assert "jsonschema" not in dependencies.lower()
