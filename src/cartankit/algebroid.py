@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .bundles import (
     _skew_table,
 )
 from .symcore import (
+    BoxWitness,
     Chart,
     Const,
     DegenerateError,
@@ -58,7 +59,6 @@ __all__ = [
     "build_action_algebroid",
     "build_poisson_algebroid",
     "build_foliation_algebroid",
-    "orbit_rank",
     "orbit_scan",
 ]
 
@@ -141,14 +141,6 @@ class Algebroid:
 
     def zero_section(self) -> Section:
         return Section(self.chart, [Const(0)] * self.rank, "g")
-
-    def anchor_matrix_at(self, point) -> np.ndarray:
-        batch = evaluate_batch(
-            self.rho.ravel(), self.chart.coords, np.array([point], dtype=float)
-        )
-        if batch.invalid[0]:
-            raise batch.domain_error(0)
-        return np.array([v[0] for v in batch.values]).reshape(self.rho.shape)
 
     def __repr__(self):
         return (
@@ -395,10 +387,12 @@ def build_foliation_algebroid(
 ) -> Algebroid:
     """Algebroid of an integrable regular distribution spanned by ``frame``.
 
-    The frame must be pointwise independent on the sample box, and each
-    pairwise bracket must lie in its span; coefficients are found by a
-    symbolic Cramer solve on well-conditioned rows and the remaining rows
-    are verified as residuals.
+    The frame must be independent on the sample box: the n x k table of
+    its components has full rank k by :meth:`Chart.rank_witness`, else
+    the build is rejected with the witness and the determinant there.
+    Each pairwise bracket must lie in the frame's span: coefficients are
+    found by a symbolic Cramer solve on the k rows whose minor is largest
+    at the midpoint, and the remaining rows are verified as residuals.
     """
     from .bundles import vf_bracket
 
@@ -414,40 +408,21 @@ def build_foliation_algebroid(
         if V.frame != "tm" or V.chart != chart:
             raise ValueError("frame entries must be vector fields on one chart")
 
-    # pointwise independence on the box, then the midpoint (last row)
-    points = chart.sample_set(policy.samples, policy.seed).points
-    cols = np.empty((n, k), dtype=object)
-    for i in range(n):
-        for a in range(k):
-            cols[i, a] = frame[a].components[i]
-    grid = np.vstack([points, [chart.midpoint()]])
-    batch = evaluate_batch(cols.ravel(), chart.coords, grid)
-    matrices = np.array(batch.values).T.reshape(len(grid), n, k)
-    for row, p in enumerate(points):
-        if batch.invalid[row]:
-            raise batch.domain_error(row)
-        s = np.linalg.svd(matrices[row], compute_uv=False)
-        if s[-1] <= 1e-9:
-            p = tuple(float(x) for x in p)
-            message = f"frame degenerate at point {tuple(round(x, 6) for x in p)}"
-            raise DegenerateError(message, p, float(s[-1]))
+    cols = [[V.components[i] for V in frame] for i in range(n)]
+    bad = chart.rank_witness(cols, policy.samples, policy.seed)
+    if bad is not None:
+        message = f"frame degenerate at point {tuple(round(x, 6) for x in bad.point)}"
+        raise DegenerateError(message, bad.point, bad.value)
 
-    # choose the best-conditioned k rows at the midpoint for the solve
-    if batch.invalid[-1]:
-        raise batch.domain_error(len(points))
-    M_mid = matrices[-1]
-    best_rows, best_det = None, 0.0
-    for rows in combinations(range(n), k):
-        d = abs(np.linalg.det(M_mid[list(rows), :]))
-        if d > best_det:
-            best_rows, best_det = rows, d
-    if best_rows is None or best_det <= 1e-9:
-        raise DegenerateError(
-            "frame degenerate at the midpoint", chart.midpoint(), float(best_det)
-        )
-
-    sub = [[cols[i, a] for a in range(k)] for i in best_rows]
-    det = sym_det(sub)
+    # the solve uses the k rows whose minor is largest at the midpoint,
+    # the first such; the rank scan kept the minors' sum of squares above
+    # 1e-9 there, so that minor is not zero
+    choices = list(combinations(range(n), k))
+    minors = [sym_det([cols[i] for i in rows]) for rows in choices]
+    at_mid = evaluate_batch(minors, chart.coords, [chart.midpoint()]).values
+    best = max(range(len(minors)), key=lambda j: abs(at_mid[j][0]))
+    best_rows, det = choices[best], minors[best]
+    sub = [cols[i] for i in best_rows]
 
     structure = {}
 
@@ -470,7 +445,7 @@ def build_foliation_algebroid(
             for i in range(n):
                 residual = csum(
                     [w.components[i]]
-                    + [cneg(cmul(coeffs[c], cols[i, c])) for c in range(k)]
+                    + [cneg(cmul(coeffs[c], cols[i][c])) for c in range(k)]
                 )
                 yield (
                     f"not integrable / brackets do not close: pair "
@@ -482,49 +457,33 @@ def build_foliation_algebroid(
 
     _require_zero(residuals(), chart, policy)
 
-    rho = [[frame[a].components[i] for a in range(k)] for i in range(n)]
     structure = _skew_table((k,) * 3, 2, structure)
-    return Algebroid(chart, k, rho, structure, origin="foliation")
+    return Algebroid(chart, k, cols, structure, origin="foliation")
 
 
 # ------------------------------------------------------------------- orbits
 
 
-#: singular values at or below this count as zero in the anchor's rank
-_RANK_CUTOFF = 1e-9
-
-
-def orbit_rank(g: Algebroid, point, threshold: float = _RANK_CUTOFF) -> int:
-    """Numeric rank of the anchor at a point (singular-value cutoff)."""
-    M = g.anchor_matrix_at(point)
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > threshold))
-
-
 @dataclass(frozen=True)
 class OrbitScan:
-    ranks: Tuple[int, ...]
+    """Whether the box lies in one orbit: ``transitive`` when the anchor
+    has the chart's dimension as its rank on the box.  ``witness`` is
+    :meth:`Chart.rank_witness`'s for the anchor table: where its rank
+    drops below min(dim, rank), or None."""
+
     transitive: bool
-    regular: bool
+    witness: Optional[BoxWitness]
 
 
-def orbit_scan(g: Algebroid, samples: int = 32, seed: int = 0) -> OrbitScan:
-    """Rank profile over seeded sample points; transitive = full rank everywhere.
+def orbit_scan(g: Algebroid, policy: ZeroPolicy) -> OrbitScan:
+    """The anchor's rank on the policy's samples and the midpoint.
 
-    The ranks are :func:`orbit_rank`'s at each point, from one evaluation
-    of the anchor over all of them and one stacked SVD.  An anchor
-    undefined at a sample raises the :class:`DomainError` of the first
-    such sample, as :func:`orbit_rank` would there.
+    An anchor with fewer columns than the chart's dimension is not
+    transitive.  Otherwise the pair is transitive exactly when
+    :meth:`Chart.rank_witness` finds no witness for the anchor table.
+    An anchor undefined at a sample raises the :class:`DomainError` of
+    the first such sample, even for an entry that cancels out of the
+    determinant.
     """
-    points = g.chart.sample_set(samples, seed).points
-    batch = evaluate_batch(g.rho.ravel(), g.chart.coords, points)
-    if batch.invalid.any():
-        raise batch.domain_error(int(np.argmax(batch.invalid)))
-    anchors = np.array(batch.values).T.reshape((len(points),) + g.rho.shape)
-    s = np.linalg.svd(anchors, compute_uv=False)
-    ranks = tuple(int(k) for k in np.sum(s > _RANK_CUTOFF, axis=1))
-    return OrbitScan(
-        ranks=ranks,
-        transitive=all(r == g.chart.dim for r in ranks),
-        regular=len(set(ranks)) == 1,
-    )
+    witness = g.chart.rank_witness(g.rho, policy.samples, policy.seed)
+    return OrbitScan(g.rank >= g.chart.dim and witness is None, witness)

@@ -310,13 +310,15 @@ def transitive_symmetry_check(
     a failing verdict: the criterion is meaningless off a full orbit.
     """
     policy = policy or ZeroPolicy()
-    scan = orbit_scan(g, samples=policy.samples, seed=policy.seed)
+    scan = orbit_scan(g, policy)
     if not scan.transitive:
-        low = min(scan.ranks)
-        raise ValueError(
-            f"algebroid is not transitive on the sampling box: anchor rank "
-            f"drops to {low} (need {g.chart.dim})"
-        )
+        n, bad = g.chart.dim, scan.witness
+        if g.rank < n:
+            why = f"its rank {g.rank} is below the chart dimension {n}"
+        else:
+            where = "at" if bad.near_zero else "between the midpoint and"
+            why = f"anchor rank drops below {n} {where} {bad.point}"
+        raise ValueError(f"algebroid is not transitive on the sampling box: {why}")
     rep = induced_rep_on_g(g, conn)
     DT = g_tensor_deriv(torsion_g(rep), rep_g=rep)
     items = [
@@ -1587,7 +1589,7 @@ def identity_battery(
             for name, items in batteries.items():
                 children.append(_battery(f"{name}_form_{s}", items, chart, policy))
         try:
-            scan = orbit_scan(g, samples=policy.samples, seed=policy.seed)
+            scan = orbit_scan(g, policy)
         except DomainError as exc:
             children.append(
                 Verdict(

@@ -1555,9 +1555,11 @@ class Chart:
     fixed 64 samples at seed 1: a chart exists before any request's
     policy, so ``--samples`` and ``--seed`` do not reach it.
 
-    The chart draws its samples once per (count, seed): the zero test,
-    the box scans (:meth:`vanishing_witness`) and the frame and orbit
-    scans all read :meth:`sample_set`.
+    The chart draws its samples once per (count, seed): the zero test
+    and the box scans all read :meth:`sample_set`.  One rule decides
+    every box scan, :meth:`vanishing_witness`'s near-zero or sign change;
+    :meth:`rank_witness` applies it to a determinant, for the anchor's
+    rank and a foliation frame's independence.
     """
 
     def __init__(
@@ -1651,6 +1653,29 @@ class Chart:
             if (v < 0.0) != (values[-1] < 0.0):
                 return BoxWitness(p, v, near_zero=False)
         return None
+
+    def rank_witness(self, table, count: int, seed: int) -> Optional[BoxWitness]:
+        """Where a table of canonical entries (a list of rows) drops
+        below full rank, min(rows, cols), on the box, or None.
+
+        The entries are evaluated first, at the samples and the
+        midpoint: a :class:`DomainError` there propagates, the first
+        point's, even for an entry that cancels out of the determinant.
+        Then a square table's determinant is scanned, and any other
+        table's Gram determinant det(A A^T) of its wide orientation A,
+        which by Cauchy-Binet is the sum of the squared maximal minors.
+        The scan is :meth:`vanishing_witness`'s, with its 1e-9 rule.
+        """
+        rows = [list(row) for row in table]
+        grid = np.vstack([self.sample_set(count, seed).points, [self.midpoint()]])
+        batch = evaluate_batch([e for row in rows for e in row], self.coords, grid)
+        if batch.invalid.any():
+            raise batch.domain_error(int(np.argmax(batch.invalid)))
+        if len(rows) > len(rows[0]):
+            rows = [list(col) for col in zip(*rows)]
+        if len(rows) < len(rows[0]):
+            rows = [[csum(map(cmul, u, v)) for v in rows] for u in rows]
+        return self.vanishing_witness(sym_det(rows), count, seed)
 
     def _check_guard(self, guard: Expr):
         try:

@@ -4,16 +4,17 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from cartankit.algebroid import (
     Algebroid,
     LieAlgebra,
+    OrbitScan,
     anchor_apply,
     bracket,
     build_action_algebroid,
     build_foliation_algebroid,
     build_poisson_algebroid,
-    orbit_rank,
     orbit_scan,
     _jacobiator,
     tangent_algebroid,
@@ -25,8 +26,12 @@ from cartankit.symcore import (
     Const,
     DegenerateError,
     DomainError,
+    ZeroPolicy,
     canon,
+    cmul,
     diff,
+    evaluate,
+    evaluate_batch,
     is_zero,
     parse,
 )
@@ -493,36 +498,53 @@ def test_degenerate_frame_rejected():
 # ------------------------------------------------------------------ orbits
 
 
-def test_tangent_orbit_rank_full():
-    g = tangent_algebroid(R2)
-    assert orbit_rank(g, (0.3, -0.4)) == 2
-    scan = orbit_scan(g)
-    assert scan.transitive and scan.regular
+def test_tangent_algebroid_is_transitive():
+    scan = orbit_scan(tangent_algebroid(R2), ZeroPolicy())
+    assert scan == OrbitScan(transitive=True, witness=None)
 
 
-def test_so3_orbits_are_spheres():
-    g = so3_action()
-    assert orbit_rank(g, (1.0, 0.0, 0.0)) == 2
-    assert orbit_rank(g, (0.0, 0.0, 0.0)) == 0
-    scan = orbit_scan(g)
+def test_so3_action_is_not_transitive_with_a_witness():
+    # the rotation fields' anchor is antisymmetric, so det rho is 0 and
+    # the first sample is the witness
+    scan = orbit_scan(so3_action(), ZeroPolicy())
     assert not scan.transitive
+    assert scan.witness.near_zero and scan.witness.value == 0.0
+    assert scan.witness.point == tuple(R3.sample_points(32, 0)[0])
 
 
-def test_orbit_scan_ranks_are_orbit_rank_at_each_sample():
-    # one evaluation over every sample and one stacked SVD give each
-    # sample the rank orbit_rank finds there, where the rank varies too:
-    # sqrt(x^2) - x vanishes for x >= 0 only, and x^2/10^8 falls below
-    # the singular-value cutoff for |x| < 0.32
-    kinked = Algebroid(R2, 1, [["sqrt(x^2) - x"], ["0"]], [[["0"]]])
-    tiny = Algebroid(R2, 1, [["x^2/100000000"], ["0"]], [[["0"]]])
-    ranks = set()
-    for g in (tangent_algebroid(R2), so3_action(), kinked, tiny):
-        for samples, seed in ((32, 0), (7, 3)):
-            scan = orbit_scan(g, samples, seed)
-            points = g.chart.sample_points(samples, seed)
-            assert scan.ranks == tuple(orbit_rank(g, p) for p in points)
-            ranks.update(scan.ranks)
-    assert {0, 1, 2} <= ranks
+def test_zero_poisson_is_not_transitive():
+    pi = TensorField(
+        R2, (("upper", "tm"), ("upper", "tm")), [["0", "0"], ["0", "0"]]
+    )
+    scan = orbit_scan(build_poisson_algebroid(pi), ZeroPolicy())
+    assert not scan.transitive
+    assert scan.witness.near_zero and scan.witness.value == 0.0
+
+
+def test_an_anchor_narrower_than_the_chart_is_not_transitive():
+    g = Algebroid(R2, 1, [["1"], ["0"]], [[["0"]]])
+    assert orbit_scan(g, ZeroPolicy()) == OrbitScan(transitive=False, witness=None)
+
+
+def test_orbit_scan_catches_a_determinant_that_changes_sign():
+    # det rho = y - 1/3 is -1/3 at the midpoint and positive above the
+    # line, where no sample lands within 1e-9 of it
+    g = Algebroid(R2, 2, [["1", "0"], ["0", "y - 1/3"]], [[["0", "0"], ["0", "0"]]] * 2)
+    scan = orbit_scan(g, ZeroPolicy())
+    assert not scan.transitive and not scan.witness.near_zero
+    assert scan.witness.point[1] > 1 / 3 and scan.witness.value > 0
+
+
+def _first_domain_error(g, points):
+    # the error that evaluating the anchor's entries one by one, sample
+    # by sample, meets first
+    for p in points:
+        for idx in np.ndindex(g.rho.shape):
+            try:
+                evaluate(g.rho[idx], g.chart.env(p))
+            except DomainError as exc:
+                return str(exc)
+    return None
 
 
 @pytest.mark.parametrize(
@@ -531,30 +553,66 @@ def test_orbit_scan_ranks_are_orbit_rank_at_each_sample():
         [["sqrt(x)", "0"], ["0", "log(y)"]],
         [["log(y)", "0"], ["0", "sqrt(x)"]],
         [["sqrt(y + 1/10)", "0"], ["0", "log(x + 1/2)"]],
+        # sqrt(x) meets a zero cofactor: the determinant is 1
+        [["1", "sqrt(x)"], ["0", "1"]],
     ],
 )
 def test_orbit_scan_raises_the_first_undefined_samples_error(anchor):
-    # the error orbit_rank meets first, sample by sample, on an anchor
-    # undefined on part of the box in two ways: the first sample leaves
-    # both domains in the first two anchors; in the third, the first
-    # sample outside a domain leaves log's, and the last one sqrt's
+    # an anchor undefined on part of the box in two ways: the first
+    # sample leaves both domains in the first two anchors; in the third,
+    # the first sample outside a domain leaves log's, and the last one
+    # sqrt's.  The entries are evaluated before the determinant, so an
+    # entry that cancels out of it is still reported
     g = Algebroid(R2, 2, anchor, [[["0", "0"], ["0", "0"]]] * 2)
-    expected = None
-    for p in R2.sample_points(32, 0):
-        try:
-            orbit_rank(g, p)
-        except DomainError as exc:
-            expected = str(exc)
-            break
+    expected = _first_domain_error(g, R2.sample_points(32, 0))
     assert expected is not None
     with pytest.raises(DomainError) as caught:
-        orbit_scan(g)
+        orbit_scan(g, ZeroPolicy())
     assert str(caught.value) == expected
 
 
-def test_zero_poisson_orbit_rank_zero():
-    pi = TensorField(
-        R2, (("upper", "tm"), ("upper", "tm")), [["0", "0"], ["0", "0"]]
-    )
-    g = build_poisson_algebroid(pi)
-    assert orbit_rank(g, (0.5, 0.5)) == 0
+# ---------------------------------------------------------- the rank scan
+
+
+_SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 3))
+
+
+def _integer_table(data, rows, cols):
+    size = rows * cols
+    entries = data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    return np.array(entries, dtype=int).reshape(rows, cols)
+
+
+def _scaled_rows(table):
+    # row i times i + 2 + x, which is at least 1 on the box: the rank is
+    # the integer table's at every point, and the entries vary over it
+    return [
+        [cmul(canon(parse(f"{i + 2} + x", R2)), Const(int(v))) for v in row]
+        for i, row in enumerate(table)
+    ]
+
+
+def _smallest_singular_values(table):
+    # numpy's SVD of the table at the samples and the midpoint, the rank
+    # scan's points: the test-side oracle
+    points = np.vstack([R2.sample_points(32, 0), [R2.midpoint()]])
+    values = evaluate_batch([e for row in table for e in row], R2.coords, points).values
+    stacked = np.array(values).T.reshape(len(points), len(table), len(table[0]))
+    return np.linalg.svd(stacked, compute_uv=False)[:, -1]
+
+
+@given(st.data())
+def test_rank_witness_finds_a_product_through_a_smaller_inner_size(data):
+    n, r = data.draw(_SHAPES)
+    inner = data.draw(st.integers(0, min(n, r) - 1))
+    table = _scaled_rows(_integer_table(data, n, inner) @ _integer_table(data, inner, r))
+    assert (_smallest_singular_values(table) <= 1e-9).all()
+    assert R2.rank_witness(table, 32, 0) is not None
+
+
+@given(st.data())
+def test_rank_witness_passes_a_table_of_full_rank_at_every_sample(data):
+    n, r = data.draw(_SHAPES)
+    table = _scaled_rows(_integer_table(data, n, r))
+    assume((_smallest_singular_values(table) > 1e-3).all())
+    assert R2.rank_witness(table, 32, 0) is None

@@ -9,6 +9,7 @@ import importlib
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -343,7 +344,7 @@ def test_ragged_foliation_frame_is_a_shape_error(capsys, tmp_path):
 
 def test_degenerate_foliation_frame_fails_with_its_witness(capsys, tmp_path):
     # the frame's rank is found on samples: a sampled rejection, with the
-    # point and the smallest singular value there
+    # point and the determinant there
     doc = {
         "spec_version": 1,
         "chart": {"coords": ["x", "y"], "box": [[-1, 1], [-1, 1]]},
@@ -875,6 +876,29 @@ def test_check_transitive_rejects_intransitive_input(capsys):
     )
     assert code == 2
     assert "not transitive" in rep["errors"][0]["message"]
+
+
+def test_check_transitive_refuses_an_anchor_whose_rank_drops(capsys, tmp_path):
+    # the anchor's determinant y vanishes on the line y = 0, through the
+    # midpoint, which no sample finds
+    doc = {
+        "spec_version": 1,
+        "chart": {"coords": ["x", "y"], "box": [[-1, 1], [-1, 1]]},
+        "algebroid": {
+            "rank": 2,
+            "anchor": [["1", "0"], ["0", "y"]],
+            "structure": [[["0", "0"], ["0", "0"]]] * 2,
+        },
+    }
+    code, rep = invoke(
+        capsys, "check", write_doc(tmp_path, doc), "--pipeline", "transitive"
+    )
+    assert code == 2
+    message = rep["errors"][0]["message"]
+    assert "not transitive" in message
+    witness = re.search(r" at \(([^)]*)\)$", message).group(1)
+    x, y = (float(v) for v in witness.split(", "))
+    assert -1 <= x <= 1 and y == 0.0
 
 
 def test_check_transitive_symplectic(capsys):

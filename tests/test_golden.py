@@ -39,6 +39,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from cartankit import cartan, cli
@@ -109,8 +110,19 @@ def _corpus_with(name, table, constants):
 
 
 # one spec per rejection: each object fails, or cannot decide, the check
-# that builds it
+# that builds it, or its pair is refused by a pipeline
 REJECTIONS = {
+    # a valid Lie algebroid whose anchor's rank drops on y = 0, through
+    # the midpoint: not transitive, so the transitive pipeline refuses it
+    # and identities skips the anchored curvature
+    "rank_drop_algebroid.json": _on_square(
+        [-1, 1],
+        algebroid={
+            "rank": 2,
+            "anchor": [["1", "0"], ["0", "y"]],
+            "structure": [_ZERO_2, _ZERO_2],
+        },
+    ),
     # the jacobiator's component 0 is -1
     "broken_jacobi.json": broken_jacobi_algebroid(),
     # [d/dx, x^2 d/dy] = 2x d/dy, but the structure functions are zero
@@ -372,6 +384,33 @@ def test_command_line_builds_no_raw_tree(capsys, monkeypatch, tmp_path):
             (tmp_path, (command, name), GOLDEN / folder / f"{command}-{name}")
             for command in METRIC_COMMANDS[folder]
         ]
+    _assert_golden_reports(capsys, monkeypatch, runs)
+
+
+def test_verdict_path_calls_no_lapack(capsys, monkeypatch, tmp_path):
+    # validate, check and identities decide every rank through the box
+    # scan of a symbolic determinant: with numpy's LAPACK entry points
+    # refused, the reports are still the golden ones
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg was called on the verdict path")
+
+    for name in ("svd", "det", "eigvals", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    runs = [
+        (ROOT, (command, f"corpus/{name}"), GOLDEN / "corpus" / f"{command}-{name}")
+        for command, name in CORPUS_RUNS
+    ]
+    name = "rank_drop_algebroid.json"
+    (tmp_path / name).write_text(json.dumps(REJECTIONS[name]))
+    runs += [
+        (tmp_path, (command, name), GOLDEN / "rejections" / f"{command}-{name}")
+        for command in METRIC_COMMANDS["rejections"]
+    ]
+    _assert_golden_reports(capsys, monkeypatch, runs)
+
+
+def _assert_golden_reports(capsys, monkeypatch, runs):
+    # runs: (directory, argv, golden file) triples
     for where, argv, golden in runs:
         monkeypatch.chdir(where)
         assert _report(capsys, *argv) == golden.read_text(), argv

@@ -1,7 +1,8 @@
 """Source gates: every name a package module imports is used, no
 module outside the kernel decides the form of a negated or scaled sum,
-no module asserts an identity per request, and the package neither
-imports nor declares jsonschema.
+no module asserts an identity per request, the package neither imports
+nor declares jsonschema, and only holonomy's matrix functions call
+numpy's linear algebra.
 
 No linter ships with the test environment, so this walks the syntax
 tree: a name bound by an import must be read as a name somewhere in the
@@ -124,3 +125,49 @@ def test_package_neither_imports_nor_depends_on_jsonschema():
     pyproject = (SRC.parent.parent / "pyproject.toml").read_text()
     dependencies = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
     assert "jsonschema" not in dependencies.lower()
+
+
+def _linalg_uses(tree: ast.Module) -> list:
+    """The qualified name of the function or class around each use of a
+    ``linalg`` module: an attribute read (``np.linalg``) or an import."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute):
+                hit = child.attr == "linalg"
+            elif isinstance(child, ast.Import):
+                hit = any("linalg" in a.name.split(".") for a in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                modules = (child.module or "").split(".")
+                hit = "linalg" in modules or any(a.name == "linalg" for a in child.names)
+            else:
+                hit = False
+            if hit:
+                found.append(".".join(scope) or "<module>")
+            walk(child, scope)
+
+    walk(tree, ())
+    return sorted(set(found))
+
+
+def test_only_holonomy_calls_numpy_linear_algebra():
+    # validate, check and identities decide ranks and determinants by the
+    # box scan of a symbolic determinant (Chart.rank_witness), so their
+    # reports do not depend on the machine's LAPACK; the holonomy
+    # transport's matrix logarithm needs eigenvalues for any size
+    uses = {
+        path.name: found
+        for path in sorted(SRC.glob("*.py"))
+        if (found := _linalg_uses(ast.parse(path.read_text())))
+    }
+    assert uses == {
+        "cartan.py": [
+            "HolonomyResult.defect_norm",
+            "_sqrtm_denman_beavers",
+            "principal_log",
+        ]
+    }
