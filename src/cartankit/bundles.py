@@ -1,11 +1,13 @@
 """Sections and tensor fields over a single chart.
 
-Everything here is frame-based: a vector field is its component list
-against the coordinate frame, an algebroid section is its component list
-against the declared algebroid frame, and a tensor field is a
-multi-indexed array of expressions whose slots are tagged with the bundle
-they index (tangent or algebroid) and their variance.  No chart
-transitions, no abstract bundles.
+Everything here is frame-based: a tensor field is a multi-indexed array
+of expressions whose slots are tagged with the bundle they index
+(tangent or algebroid) and their variance, and a section is the
+one-slot tensor field: a vector field is its components against the
+coordinate frame, a one-form against the coordinate coframe, and an
+algebroid section against the declared algebroid frame.  Both share
+one table constructor and one arithmetic.  No chart transitions, no
+abstract bundles.
 
 Every verdict reduces to batteries of zero tests over a chart, and they
 are folded here, once.  A battery walks labelled expressions through
@@ -59,8 +61,6 @@ LOW = "lower"
 TM = "tm"
 G = "g"
 
-_FRAMES = ("tm", "tm*", "g")
-
 
 def as_expr(value, chart: Chart) -> Expr:
     """Coerce strings / numbers / Exprs to a canonical Expr."""
@@ -81,88 +81,6 @@ def _component_array(chart: Chart, values) -> np.ndarray:
         flat[k] = as_expr(flat[k], chart)
     arr.flags.writeable = False
     return arr
-
-
-class Section:
-    """A section of a trivialized bundle: components against its frame.
-
-    ``frame`` is "tm" (components against the coordinate vector fields),
-    "tm*" (against the coordinate one-forms) or "g" (against the abstract
-    algebroid frame).
-    """
-
-    def __init__(self, chart: Chart, components, frame: str = "g"):
-        if frame not in _FRAMES:
-            raise ValueError(f"unknown frame {frame!r}")
-        comps = tuple(as_expr(c, chart) for c in components)
-        if not comps:
-            raise ValueError("a section needs at least one component")
-        if frame in ("tm", "tm*") and len(comps) != chart.dim:
-            raise ValueError(
-                f"{frame} section needs {chart.dim} components, got {len(comps)}"
-            )
-        self.chart = chart
-        self.components = comps
-        self.frame = frame
-
-    @property
-    def rank(self) -> int:
-        return len(self.components)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Section)
-            and self.chart == other.chart
-            and self.frame == other.frame
-            and self.components == other.components
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        body = ", ".join(str(c) for c in self.components)
-        return f"<section [{body}] @{self.frame}>"
-
-    def __add__(self, other):
-        self._check_peer(other)
-        return Section(
-            self.chart,
-            [csum((a, b)) for a, b in zip(self.components, other.components)],
-            self.frame,
-        )
-
-    def __sub__(self, other):
-        self._check_peer(other)
-        return Section(
-            self.chart,
-            [csum((a, cneg(b))) for a, b in zip(self.components, other.components)],
-            self.frame,
-        )
-
-    def __neg__(self):
-        return Section(self.chart, [cneg(c) for c in self.components], self.frame)
-
-    def scale(self, f) -> "Section":
-        """Multiply by a scalar expression."""
-        f = as_expr(f, self.chart)
-        return Section(self.chart, [cmul(f, c) for c in self.components], self.frame)
-
-    def as_tensor(self) -> "TensorField":
-        """View as a one-slot tensor field."""
-        slot = {
-            "tm": (UP, TM),
-            "tm*": (LOW, TM),
-            "g": (UP, G),
-        }[self.frame]
-        return TensorField(self.chart, (slot,), list(self.components))
-
-    def _check_peer(self, other):
-        if not isinstance(other, Section):
-            raise TypeError("expected a Section")
-        if other.chart != self.chart:
-            raise ValueError("chart mismatch")
-        if other.frame != self.frame or other.rank != self.rank:
-            raise ValueError("section frame mismatch")
 
 
 class TensorField:
@@ -224,32 +142,32 @@ class TensorField:
         sig = ",".join(f"{v[0]}{t}" for v, t in self.slots)
         return f"<tensor ({sig}) shape={self.shape}>"
 
+    def _like(self, components) -> "TensorField":
+        """A field of this one's kind, chart and slots with new
+        ``components``: the hook through which the arithmetic rebuilds
+        a :class:`Section` as a section."""
+        return TensorField(self.chart, self.slots, components)
+
+    def _entrywise(self, op, *peers) -> "TensorField":
+        """``op`` applied entry by entry to this field and its peers."""
+        for other in peers:
+            self._check_peer(other)
+        ufunc = np.frompyfunc(op, 1 + len(peers), 1)
+        return self._like(ufunc(self.components, *(o.components for o in peers)))
+
     def __add__(self, other):
-        self._check_peer(other)
-        out = np.empty(self.shape, dtype=object)
-        for idx in np.ndindex(*self.shape):
-            out[idx] = csum((self.components[idx], other.components[idx]))
-        return TensorField(self.chart, self.slots, out)
+        return self._entrywise(lambda a, b: csum((a, b)), other)
 
     def __sub__(self, other):
-        self._check_peer(other)
-        out = np.empty(self.shape, dtype=object)
-        for idx in np.ndindex(*self.shape):
-            out[idx] = csum((self.components[idx], cneg(other.components[idx])))
-        return TensorField(self.chart, self.slots, out)
+        return self._entrywise(lambda a, b: csum((a, cneg(b))), other)
 
     def __neg__(self):
-        out = np.empty(self.shape, dtype=object)
-        for idx in np.ndindex(*self.shape):
-            out[idx] = cneg(self.components[idx])
-        return TensorField(self.chart, self.slots, out)
+        return self._entrywise(cneg)
 
     def scale(self, f) -> "TensorField":
+        """Multiply by a scalar expression."""
         f = as_expr(f, self.chart)
-        out = np.empty(self.shape, dtype=object)
-        for idx in np.ndindex(*self.shape):
-            out[idx] = cmul(f, self.components[idx])
-        return TensorField(self.chart, self.slots, out)
+        return self._entrywise(lambda c: cmul(f, c))
 
     def _check_peer(self, other):
         if not isinstance(other, TensorField):
@@ -297,6 +215,44 @@ class TensorField:
                         )
 
         _require_zero(defects(), self.chart, policy or ZeroPolicy())
+
+
+#: the one slot of a section, by its frame
+_FRAME_SLOTS = {"tm": (UP, TM), "tm*": (LOW, TM), "g": (UP, G)}
+
+
+class Section(TensorField):
+    """A section of a trivialized bundle: the one-slot tensor field of
+    its components against its frame.
+
+    ``frame`` is "tm" (components against the coordinate vector fields,
+    slot (upper, tm)), "tm*" (against the coordinate one-forms, (lower,
+    tm)) or "g" (against the abstract algebroid frame, (upper, g)).
+    """
+
+    def __init__(self, chart: Chart, components, frame: str = "g"):
+        if frame not in _FRAME_SLOTS:
+            raise ValueError(f"unknown frame {frame!r}")
+        comps = list(components)
+        if not comps:
+            raise ValueError("a section needs at least one component")
+        if frame in ("tm", "tm*") and len(comps) != chart.dim:
+            raise ValueError(
+                f"{frame} section needs {chart.dim} components, got {len(comps)}"
+            )
+        super().__init__(chart, (_FRAME_SLOTS[frame],), comps)
+        self.frame = frame
+
+    @property
+    def rank(self) -> int:
+        return self.shape[0]
+
+    def __repr__(self):
+        body = ", ".join(str(c) for c in self.components)
+        return f"<section [{body}] @{self.frame}>"
+
+    def _like(self, components) -> "Section":
+        return Section(self.chart, components, self.frame)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +418,7 @@ def vf_bracket(V: Section, W: Section) -> Section:
     along V."""
     if V.frame != "tm" or W.frame != "tm":
         raise ValueError("vf_bracket needs tangent sections")
-    if V.chart != W.chart:
-        raise ValueError("chart mismatch")
-    return Section(V.chart, lie_derivative(V, W.as_tensor()).components, "tm")
+    return lie_derivative(V, W)
 
 
 def _directions(coords, rho=None) -> list:
@@ -536,7 +490,8 @@ def _derivative(components: np.ndarray, directions, actions) -> np.ndarray:
 
 
 def lie_derivative(V: Section, T: TensorField) -> TensorField:
-    """Lie derivative of a purely tangent-tagged tensor field.
+    """Lie derivative of a purely tangent-tagged tensor field, a field of
+    its kind: a section's is a section.
 
     The derivative along the single direction V whose action on the
     coordinate frame is A[m, k] = -d_m V^k: the usual coordinate formula
@@ -552,11 +507,11 @@ def lie_derivative(V: Section, T: TensorField) -> TensorField:
             raise ValueError("lie_derivative only handles tangent-tagged slots")
     coords = V.chart.coords
     n = len(coords)
-    field = np.array(V.components, dtype=object).reshape(n, 1)
+    field = V.components.reshape(n, 1)
     A = np.empty((1, n, n), dtype=object)
     for m, k in np.ndindex(n, n):
         A[0, m, k] = cneg(diff(V.components[k], coords[m]))
     D = _derivative(
         T.components, _directions(coords, field), [(v, A) for v, _ in T.slots]
     )
-    return TensorField(V.chart, T.slots, D[..., 0])
+    return T._like(D[..., 0])

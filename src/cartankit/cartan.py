@@ -30,7 +30,6 @@ from .bundles import (
     TM,
     UP,
     G,
-    Section,
     TensorField,
     Verdict,
     _aggregate,
@@ -904,8 +903,6 @@ def fundamental_operator(
     _require_flat(rep, policy, "fundamental_operator")
     if rep_tm is not None:
         _require_flat(rep_tm, policy, "fundamental_operator")
-    if isinstance(tau, Section):
-        tau = tau.as_tensor()
     rep_g_arg = rep if rep.target == "self" else None
     rep_tm_arg = rep_tm if rep_tm is not None else (
         rep if rep.target == "tm" else None
@@ -1186,7 +1183,7 @@ class ParallelismReport:
 
     @property
     def model_flat(self) -> bool:
-        return "model" in " ".join(self.verdict.notes)
+        return self.verdict.child("model_equation").ok
 
 
 def parallelism_report(

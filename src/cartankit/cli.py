@@ -311,10 +311,7 @@ class GeometrySpec:
             _scalar_expr(gtext, bare, f"/chart/guards/{i}")
             for i, gtext in enumerate(cdoc.get("guards", ()))
         )
-        try:
-            self.chart = Chart(coords, box, guards=guards)
-        except ValueError as exc:
-            raise SpecError(str(exc), "/chart/guards") from None
+        self.chart = Chart(coords, box, guards=guards)
         n = self.chart.dim
 
         self.lie_algebra_table = None
@@ -555,7 +552,10 @@ def _building(check_name: str, field: str):
 
 
 class Workspace:
-    """The objects a spec declares, each built where a command reads it.
+    """The objects a spec declares, each built where a command reads it,
+    on a chart whose guards pass the request's box scan: a guard that
+    the scan finds undefined or touching zero rejects the request at
+    ``/chart/guards`` before anything is built.
 
     Nothing is cached: a command reads each object once (the action
     algebroid takes the Lie algebra its caller built), and what is
@@ -563,6 +563,10 @@ class Workspace:
     :class:`~cartankit.connections.TMConnection`)."""
 
     def __init__(self, spec: GeometrySpec, policy: ZeroPolicy):
+        try:
+            spec.chart.check_guards(policy.samples, policy.seed)
+        except ValueError as exc:
+            raise SpecError(str(exc), "/chart/guards") from None
         self.spec = spec
         self.policy = policy
 

@@ -189,7 +189,7 @@ class GConnection:
 def _section_derivative(directions, sigma: Section, A, X: Section) -> Section:
     """X^z (directions[z] sigma + A[z] sigma): the tensor derivative of
     ``sigma``, contracted with the direction section ``X``."""
-    D = _derivative(np.array(sigma.components, dtype=object), directions, [(UP, A)])
+    D = _derivative(sigma.components, directions, [(UP, A)])
     out = [
         csum([cmul(X.components[z], D[be, z]) for z in range(X.rank)])
         for be in range(sigma.rank)

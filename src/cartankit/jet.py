@@ -176,7 +176,7 @@ def splitting_from_connection(
     if conn.chart != g.chart or conn.rank != g.rank:
         raise ValueError("connection does not target the algebroid")
     nabla = _derivative(
-        np.array(X.components, dtype=object),
+        X.components,
         _directions(g.chart.coords),
         [(UP, conn.gamma)],
     )

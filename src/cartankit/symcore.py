@@ -717,6 +717,9 @@ def _signed_addend(t: Expr):
 
 
 def _sort_key(e: Expr):
+    """The order of canonical nodes, kept on the node.  No canonical node
+    is a :class:`Neg` (:func:`cneg` builds ``(-1)*a``), so that kind has
+    no key."""
     if e._key is not None:
         return e._key
     if isinstance(e, Const):
@@ -734,7 +737,7 @@ def _sort_key(e: Expr):
     elif isinstance(e, Add):
         key = (6, len(e.terms)) + tuple(_sort_key(t) for t in e.terms)
     else:
-        key = (7, len(e.children())) + tuple(_sort_key(c) for c in e.children())
+        raise TypeError(f"no sort key for {type(e).__name__}")
     e._key = key
     return key
 
@@ -1189,8 +1192,6 @@ def _canonical_rule(e: Expr, d: list) -> Expr:
         else:  # pragma: no cover - FUNCTIONS is closed
             raise ValueError(e.func)
         return cmul(outer, d[0])
-    if isinstance(e, Neg):
-        return cneg(d[0])
     raise TypeError(f"cannot differentiate {type(e).__name__}")
 
 
@@ -1550,10 +1551,9 @@ class Chart:
     """A coordinate chart: ordered names plus a rational sampling box.
 
     ``guards`` are expressions that must be bounded away from zero on the
-    box (declared singular loci); violation raises ``ValueError`` at
-    construction so a bad box is caught early.  The guard scan draws a
-    fixed 64 samples at seed 1: a chart exists before any request's
-    policy, so ``--samples`` and ``--seed`` do not reach it.
+    box (declared singular loci).  :meth:`check_guards` scans them with a
+    request's sample count and seed, before anything is built on the
+    chart.
 
     The chart draws its samples once per (count, seed): the zero test
     and the box scans all read :meth:`sample_set`.  One rule decides
@@ -1586,8 +1586,6 @@ class Chart:
         self.box = box
         self._sample_sets = {}  # (count, seed) -> sample_set's answer
         self.guards = tuple(guards)
-        for guard in self.guards:
-            self._check_guard(guard)
 
     @property
     def dim(self) -> int:
@@ -1677,13 +1675,17 @@ class Chart:
             rows = [[csum(map(cmul, u, v)) for v in rows] for u in rows]
         return self.vanishing_witness(sym_det(rows), count, seed)
 
-    def _check_guard(self, guard: Expr):
-        try:
-            bad = self.vanishing_witness(guard, 64, seed=1)
-        except DomainError:
-            raise ValueError(f"guard {guard} undefined inside the box")
-        if bad is not None:
-            raise ValueError(f"box does not avoid the locus {guard} = 0")
+    def check_guards(self, count: int, seed: int) -> None:
+        """Raise ``ValueError`` for the first guard that
+        :meth:`vanishing_witness` finds undefined or not bounded away
+        from zero at ``count`` samples drawn with ``seed``."""
+        for guard in self.guards:
+            try:
+                bad = self.vanishing_witness(guard, count, seed)
+            except DomainError:
+                raise ValueError(f"guard {guard} undefined inside the box")
+            if bad is not None:
+                raise ValueError(f"box does not avoid the locus {guard} = 0")
 
 
 def is_zero(

@@ -98,12 +98,14 @@ def test_rotation_is_killing_for_euclidean_metric():
 
 
 def test_lie_derivative_of_vector_is_bracket():
+    # [V, W]^j = V^i d_i W^j - W^i d_i V^j, worked by hand
     V = vf(R2, "x*y", "y^2")
     W = vf(R2, "x+y", "x")
-    got = lie_derivative(V, W.as_tensor())
-    want = vf_bracket(V, W)
-    for j in range(2):
-        assert got[j] == want.components[j]
+    got = lie_derivative(V, W)
+    assert isinstance(got, Section) and got.frame == "tm"
+    assert got == vf_bracket(V, W)
+    for j, want in enumerate(("-x^2", "-x*y")):
+        assert is_zero(got[j] - expr(want), R2).zero
 
 
 def test_lie_derivative_rejects_algebroid_slots():
@@ -128,6 +130,21 @@ def test_declared_symmetry_accepts_symmetric_data():
 def test_tm_slot_size_enforced():
     with pytest.raises(ValueError, match="tangent-tagged"):
         TensorField(R2, ((UP, TM),), ["1", "0", "0"])
+
+
+@pytest.mark.parametrize("frame, slot", [("tm", (UP, TM)), ("tm*", (LOW, TM)), ("g", (UP, "g"))])
+def test_a_section_is_the_one_slot_tensor_field(frame, slot):
+    X = Section(R2, ("x", "y^2"), frame)
+    Y = Section(R2, ("1", "x"), frame)
+    assert isinstance(X, TensorField) and X.slots == (slot,) and X.rank == 2
+    assert not X.components.flags.writeable
+    # the tensor arithmetic rebuilds a section as a section
+    for got in (X + Y, X - Y, -X, X.scale("y")):
+        assert type(got) is Section and got.frame == frame
+    assert X - Y == X + (-Y)
+    assert X.scale("y") == TensorField(R2, (slot,), ["x*y", "y^3"])
+    with pytest.raises(ValueError, match="signature mismatch"):
+        X + Section(R2, ("x", "y", "1"), "g")
 
 
 
@@ -198,8 +215,8 @@ def test_scalar_lie_derivative_is_directional(fields):
 @given(poly_fields(chart=R2, count=1))
 def test_lie_derivative_leibniz_over_product(fields):
     (V,) = fields
-    T = Section(R2, ("x", "y^2"), "tm").as_tensor()
-    S = Section(R2, ("y", "x*y"), "tm*").as_tensor()
+    T = Section(R2, ("x", "y^2"), "tm")
+    S = Section(R2, ("y", "x*y"), "tm*")
     lhs = lie_derivative(V, outer(T, S))
     rhs = outer(lie_derivative(V, T), S) + outer(
         T, lie_derivative(V, S)

@@ -1455,8 +1455,37 @@ def test_coframe_scan_follows_samples_and_seed(capsys, monkeypatch):
     path = str(CORPUS / "affine_group_parallelism.json")
     code, rep = invoke(capsys, "validate", path, "--samples", "16", "--seed", "7")
     assert code == 0 and rep["status"] == "pass"
-    # the chart's guard scan, which has its own fixed draw, then the coframe's
-    assert scans == [(64, 1), (16, 7)]
+    # the chart's guard scan, then the coframe's: both draw the request's
+    assert scans == [(16, 7), (16, 7)]
+
+
+def _guarded_poisson(guard):
+    doc = minimal_poisson()
+    doc["chart"]["guards"] = [guard]
+    return doc
+
+
+def test_guard_scan_deepens_with_samples(capsys, tmp_path):
+    # x - 99/100 changes sign on 1/200 of the box: the default 32 samples
+    # at seed 0 miss it, 1000 do not; the rejection is a spec error at the
+    # guards, reported before the request's seed and samples
+    path = write_doc(tmp_path, _guarded_poisson("x - 99/100"))
+    code, rep = invoke(capsys, "validate", path)
+    assert code == 0 and rep["status"] == "pass"
+    code, rep = invoke(capsys, "validate", path, "--samples", "1000")
+    assert code == 2
+    assert rep["errors"] == [
+        {"message": "box does not avoid the locus -99/100 + x = 0", "path": "/chart/guards"}
+    ]
+    assert sorted(rep) == ["command", "errors", "input", "status", "tool"]
+
+
+def test_guard_scan_rejects_an_undefined_guard(capsys, tmp_path):
+    code, rep = invoke(capsys, "check", write_doc(tmp_path, _guarded_poisson("sqrt(x)")))
+    assert code == 2
+    assert rep["errors"] == [
+        {"message": "guard sqrt(x) undefined inside the box", "path": "/chart/guards"}
+    ]
 
 
 def test_report_carries_tool_and_name(capsys):

@@ -183,7 +183,7 @@ def test_flat_derivative_of_linear_bivector():
 
 def test_tensor_cov_deriv_demands_tm_target():
     conn = TMConnection.flat(R2, 2, "g")
-    T = Section(R2, ("x", "y"), "tm").as_tensor()
+    T = Section(R2, ("x", "y"), "tm")
     with pytest.raises(ValueError, match="tangent-target"):
         tensor_cov_deriv(conn, T)
 

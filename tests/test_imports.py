@@ -1,8 +1,8 @@
 """Source gates: every name a package module imports is used, no
 module outside the kernel decides the form of a negated or scaled sum,
 no module asserts an identity per request, the package neither imports
-nor declares jsonschema, and only holonomy's matrix functions call
-numpy's linear algebra.
+nor declares jsonschema, only holonomy's matrix functions call numpy's
+linear algebra, and the names the benchmark's tracer wraps exist.
 
 No linter ships with the test environment, so this walks the syntax
 tree: a name bound by an import must be read as a name somewhere in the
@@ -10,6 +10,7 @@ module, or be re-exported through its ``__all__``.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -171,3 +172,27 @@ def test_only_holonomy_calls_numpy_linear_algebra():
             "principal_log",
         ]
     }
+
+
+def _tracer_names() -> dict:
+    """``MODULES`` and ``CONSTRUCTORS`` as ``bench/tracer.py`` assigns
+    them, read from its syntax tree without importing it."""
+    tree = ast.parse((SRC.parent.parent / "bench" / "tracer.py").read_text())
+    return {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("MODULES", "CONSTRUCTORS")
+    }
+
+
+def test_tracer_names_resolve_in_the_package():
+    # the benchmark's tracer wraps each constructor's own __init__ by
+    # name: a rename here would otherwise surface only in a traced run
+    names = _tracer_names()
+    assert sorted(names) == ["CONSTRUCTORS", "MODULES"]
+    modules = {name: importlib.import_module(f"cartankit.{name}") for name in names["MODULES"]}
+    for module, cls_name in names["CONSTRUCTORS"]:
+        cls = getattr(modules[module], cls_name)
+        assert isinstance(cls, type) and "__init__" in vars(cls), (module, cls_name)

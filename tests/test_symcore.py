@@ -451,9 +451,10 @@ def test_chart_box_respected():
 
 def test_chart_guard_rejects_boxes_touching_singular_loci():
     guard = Call("sin", Sym("t"))
-    Chart(("t",), ((Fraction(1, 2), Fraction(5, 2)),), guards=(guard,))  # fine
-    with pytest.raises(ValueError):
-        Chart(("t",), ((Fraction(3), Fraction(4)),), guards=(guard,))  # crosses pi
+    Chart(("t",), ((Fraction(1, 2), Fraction(5, 2)),), guards=(guard,)).check_guards(64, 1)
+    crossing = Chart(("t",), ((Fraction(3), Fraction(4)),), guards=(guard,))  # crosses pi
+    with pytest.raises(ValueError, match="box does not avoid the locus"):
+        crossing.check_guards(64, 1)
 
 
 def test_divisor_factors_split_divisors_and_list_inner_poles_first():
@@ -514,6 +515,22 @@ def _expr_strategy(funcs=("sin", "cos", "exp")):
 @settings(max_examples=200, deadline=None)
 def test_print_parse_round_trip(e):
     assert canon(parse(to_text(e), XY)) == canon(e)
+
+
+def _nodes(e):
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children())
+
+
+@given(_expr_strategy())
+@settings(max_examples=200, deadline=None)
+def test_no_canonical_node_is_a_negation(e):
+    # cneg builds (-1)*a, so the sort key and the derivative rules need
+    # no case for a Neg
+    assert not any(isinstance(node, Neg) for node in _nodes(canon(e)))
 
 
 def _rebuild(e):
